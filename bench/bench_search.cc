@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -674,17 +673,18 @@ int main(int argc, char** argv) {
   }
 
   // In-process reference throughput: 8 threads doing exactly the work
-  // one network request costs — intern the token strings into a query
-  // object, then run the router. The builder is not thread-safe, so the
-  // build step serializes on a mutex, just like the server's own
-  // builder lock; leaving the build out would compare the network
+  // one network request costs — build a query object from the token
+  // strings, then run the router. The build is the server's own
+  // read-only one (BuildQuery against a frozen dictionary), so it takes
+  // no lock; leaving the build out would compare the network
   // tokens-in/hits-out contract against a cheaper job.
   double inprocess_qps = 0.0;
   double inprocess_p50_ms = 0.0;
   double inprocess_p99_ms = 0.0;
   {
     constexpr int kInProcessThreads = 8;
-    std::mutex build_mu;
+    const std::shared_ptr<const kjoin::TokenDictionary> dictionary =
+        wp_prepared.builder->Dictionary();
     std::vector<std::vector<double>> latencies(kInProcessThreads);
     kjoin::WallTimer wall;
     std::vector<std::thread> threads;
@@ -694,10 +694,7 @@ int main(int argc, char** argv) {
         for (size_t q = c; q < net_tokens.size(); q += kInProcessThreads) {
           kjoin::WallTimer one;
           kjoin::serve::QueryRequest request;
-          {
-            std::lock_guard<std::mutex> lock(build_mu);
-            request.query = wp_prepared.builder->Build(-1, net_tokens[q]);
-          }
+          request.query = wp_prepared.builder->BuildQuery(-1, net_tokens[q], *dictionary);
           request.top_k = 3;
           (void)net_router.Search(request);
           latencies[c].push_back(one.ElapsedSeconds());

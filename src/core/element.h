@@ -31,7 +31,9 @@ struct Element {
   // Normalized surface form.
   std::string token;
   // Dense id of `token` from the ObjectBuilder's interner; identical
-  // tokens (across both join sides) share an id.
+  // tokens (across both join sides) share an id. -1 for a query token
+  // the dictionary it was built against did not hold
+  // (ObjectBuilder::BuildQuery).
   int32_t token_id = -1;
   // Candidate nodes, sorted by phi descending. Empty when unmatched.
   std::vector<ElementMapping> mappings;

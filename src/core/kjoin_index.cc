@@ -58,7 +58,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       options_(options),
       objects_(std::move(objects)),
       lca_(std::make_shared<LcaIndex>(hierarchy)),
-      sim_cache_(options.sim_cache ? std::make_unique<SimCache>(options.sim_cache_capacity)
+      sim_cache_(options.sim_cache ? std::make_shared<SimCache>(options.sim_cache_capacity)
                                    : nullptr),
       element_sim_(*lca_, options.element_metric, sim_cache_.get()),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
@@ -78,7 +78,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       objects_(std::move(objects)),
       lca_(parts.lca != nullptr ? std::move(parts.lca)
                                 : std::make_shared<const LcaIndex>(hierarchy)),
-      sim_cache_(options.sim_cache ? std::make_unique<SimCache>(options.sim_cache_capacity)
+      sim_cache_(options.sim_cache ? std::make_shared<SimCache>(options.sim_cache_capacity)
                                    : nullptr),
       element_sim_(*lca_, options.element_metric, sim_cache_.get()),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
@@ -106,8 +106,7 @@ KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base)
       depth_(base_->depth_ + 1),
       total_dead_(base_->total_dead_),
       lca_(base_->lca_),
-      sim_cache_(options_.sim_cache ? std::make_unique<SimCache>(options_.sim_cache_capacity)
-                                    : nullptr),
+      sim_cache_(base_->sim_cache_),
       element_sim_(*lca_, options_.element_metric, sim_cache_.get()),
       signatures_(*hierarchy_, options_.element_metric, options_.scheme, options_.delta),
       object_sim_(element_sim_, options_.delta, options_.set_metric),

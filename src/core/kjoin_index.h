@@ -371,8 +371,10 @@ class KJoinIndex {
   // Shared so snapshot restores and epoch clones reuse one table.
   std::shared_ptr<const LcaIndex> lca_;
   // Declared before element_sim_, which captures the raw pointer (null
-  // when options_.sim_cache is off).
-  std::unique_ptr<SimCache> sim_cache_;
+  // when options_.sim_cache is off). A delta layer shares its base's
+  // cache: node-pair keys and append-only token-id keys mean the same in
+  // every layer of a chain, so the chain keeps one warm cache.
+  std::shared_ptr<SimCache> sim_cache_;
   ElementSimilarity element_sim_;
   SignatureGenerator signatures_;
   ObjectSimilarity object_sim_;

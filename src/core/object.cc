@@ -1,5 +1,7 @@
 #include "core/object.h"
 
+#include <algorithm>
+
 namespace kjoin {
 
 ObjectBuilder::ObjectBuilder(const EntityMatcher& matcher, bool multi_mapping)
@@ -25,24 +27,51 @@ std::vector<std::string> ObjectBuilder::TokenTable() const {
   return table;
 }
 
+std::shared_ptr<const TokenDictionary> ObjectBuilder::Dictionary() {
+  if (published_ == nullptr || published_->size() != num_distinct_tokens()) {
+    published_ = std::make_shared<const TokenDictionary>(token_ids_);
+  }
+  return published_;
+}
+
+Element ObjectBuilder::MakeElement(std::string token, int32_t token_id) const {
+  Element element;
+  if (multi_mapping_) {
+    for (const EntityMatch& match : matcher_->MatchAll(token)) {
+      element.mappings.push_back({match.node, match.phi});
+    }
+  } else if (auto match = matcher_->MatchOne(token); match.has_value()) {
+    element.mappings.push_back({match->node, match->phi});
+  }
+  element.token = std::move(token);
+  element.token_id = token_id;
+  return element;
+}
+
 Object ObjectBuilder::Build(int32_t id, const std::vector<std::string>& tokens) {
   Object object;
   object.id = id;
   object.elements.reserve(tokens.size());
   for (const std::string& raw : tokens) {
-    const std::string token = tokenizer_.Normalize(raw);
+    std::string token = tokenizer_.Normalize(raw);
     if (token.empty()) continue;
-    Element element;
-    element.token = token;
-    element.token_id = InternToken(token);
-    if (multi_mapping_) {
-      for (const EntityMatch& match : matcher_->MatchAll(token)) {
-        element.mappings.push_back({match.node, match.phi});
-      }
-    } else if (auto match = matcher_->MatchOne(token); match.has_value()) {
-      element.mappings.push_back({match->node, match->phi});
-    }
-    object.elements.push_back(std::move(element));
+    const int32_t token_id = InternToken(token);
+    object.elements.push_back(MakeElement(std::move(token), token_id));
+  }
+  return object;
+}
+
+Object ObjectBuilder::BuildQuery(int32_t id, const std::vector<std::string>& tokens,
+                                 const TokenDictionary& dictionary) const {
+  Object object;
+  object.id = id;
+  object.dictionary_size = dictionary.size();
+  object.elements.reserve(tokens.size());
+  for (const std::string& raw : tokens) {
+    std::string token = tokenizer_.Normalize(raw);
+    if (token.empty()) continue;
+    const int32_t token_id = dictionary.Find(token);
+    object.elements.push_back(MakeElement(std::move(token), token_id));
   }
   return object;
 }
@@ -65,41 +94,44 @@ Object ObjectBuilder::BuildWithSpans(int32_t id, const std::vector<std::string>&
 
   size_t i = 0;
   while (i < normalized.size()) {
-    size_t taken = 1;
-    Element element;
     // Longest span first; multi-token spans must match exactly (φ = 1).
+    size_t taken = 1;
+    std::string token = normalized[i];
     for (size_t span = std::min<size_t>(max_span, normalized.size() - i); span >= 2; --span) {
       std::string concatenated;
       for (size_t k = 0; k < span; ++k) concatenated += normalized[i + k];
-      const auto match = matcher_->MatchOne(concatenated);
-      if (!match.has_value()) continue;
-      element.token = concatenated;
-      element.token_id = InternToken(concatenated);
-      if (multi_mapping_) {
-        for (const EntityMatch& m : matcher_->MatchAll(concatenated)) {
-          element.mappings.push_back({m.node, m.phi});
-        }
-      } else {
-        element.mappings.push_back({match->node, match->phi});
-      }
+      if (!matcher_->MatchOne(concatenated).has_value()) continue;
+      token = std::move(concatenated);
       taken = span;
       break;
     }
-    if (taken == 1) {
-      element.token = normalized[i];
-      element.token_id = InternToken(normalized[i]);
-      if (multi_mapping_) {
-        for (const EntityMatch& m : matcher_->MatchAll(normalized[i])) {
-          element.mappings.push_back({m.node, m.phi});
-        }
-      } else if (auto match = matcher_->MatchOne(normalized[i]); match.has_value()) {
-        element.mappings.push_back({match->node, match->phi});
-      }
-    }
-    object.elements.push_back(std::move(element));
+    const int32_t token_id = InternToken(token);
+    object.elements.push_back(MakeElement(std::move(token), token_id));
     i += taken;
   }
   return object;
+}
+
+bool ResolveUnknownTokens(const Object& query, const std::vector<std::string>& tokens,
+                          Object* resolved) {
+  if (query.dictionary_size < 0 ||
+      tokens.size() <= static_cast<size_t>(query.dictionary_size)) {
+    return false;
+  }
+  // Only the ids added since the query's dictionary can be new to it.
+  const auto added = tokens.begin() + query.dictionary_size;
+  bool changed = false;
+  for (size_t i = 0; i < query.elements.size(); ++i) {
+    const Element& element = query.elements[i];
+    if (element.token_id >= 0) continue;
+    const auto it = std::find(added, tokens.end(), element.token);
+    if (it == tokens.end()) continue;
+    if (!changed) *resolved = query;
+    changed = true;
+    resolved->elements[i].token_id = static_cast<int32_t>(it - tokens.begin());
+  }
+  if (changed) resolved->dictionary_size = static_cast<int32_t>(tokens.size());
+  return changed;
 }
 
 }  // namespace kjoin

@@ -4,6 +4,7 @@
 // Objects (records) and their construction from raw text.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,9 +20,33 @@ namespace kjoin {
 // size().
 struct Object {
   int32_t id = -1;
+  // Size of the TokenDictionary a read-only build resolved the tokens
+  // against (ObjectBuilder::BuildQuery): an element with token_id = -1 is
+  // known absent from those ids only. -1 for interned objects, whose ids
+  // are complete.
+  int32_t dictionary_size = -1;
   std::vector<Element> elements;
 
   int32_t size() const { return static_cast<int32_t>(elements.size()); }
+};
+
+// An immutable token -> id table: the ids an ObjectBuilder had interned
+// when it published the dictionary (ObjectBuilder::Dictionary). Shared
+// freely across threads; queries resolve against it without a lock.
+class TokenDictionary {
+ public:
+  explicit TokenDictionary(std::unordered_map<std::string, int32_t> ids)
+      : ids_(std::move(ids)) {}
+
+  // Id of `token`, or -1 when absent.
+  int32_t Find(const std::string& token) const {
+    const auto it = ids_.find(token);
+    return it == ids_.end() ? -1 : it->second;
+  }
+  int32_t size() const { return static_cast<int32_t>(ids_.size()); }
+
+ private:
+  std::unordered_map<std::string, int32_t> ids_;
 };
 
 // Turns token lists into Objects: interns tokens (identical tokens across
@@ -36,6 +61,16 @@ class ObjectBuilder {
   ObjectBuilder(const EntityMatcher& matcher, bool multi_mapping);
 
   Object Build(int32_t id, const std::vector<std::string>& tokens);
+
+  // Builds a query without interning: a token `dictionary` knows gets its
+  // id, any other token gets token_id = -1, and the object records
+  // dictionary.size() (Object::dictionary_size) so a probe of a newer
+  // epoch can re-resolve it (ResolveUnknownTokens). Mappings are exactly
+  // Build's. Reads only what the constructor fixed (matcher, mode,
+  // tokenizer), so any number of threads may call it while the owning
+  // thread keeps interning through Build.
+  Object BuildQuery(int32_t id, const std::vector<std::string>& tokens,
+                    const TokenDictionary& dictionary) const;
 
   // Tokenizes `text` first (lower-case alphanumeric tokens).
   Object BuildFromText(int32_t id, std::string_view text);
@@ -61,15 +96,33 @@ class ObjectBuilder {
   // what PreloadTokens consumes on restore.
   std::vector<std::string> TokenTable() const;
 
+  // Every interned token as an immutable dictionary, for BuildQuery on
+  // other threads. Later interning does not change a returned
+  // dictionary; call again to publish the newer tokens (a copy of the
+  // table, made only when it grew since the last call).
+  std::shared_ptr<const TokenDictionary> Dictionary();
+
   int64_t num_distinct_tokens() const { return static_cast<int64_t>(token_ids_.size()); }
   bool multi_mapping() const { return multi_mapping_; }
 
  private:
+  // One element with its hierarchy mappings for the builder's mode.
+  Element MakeElement(std::string token, int32_t token_id) const;
+
   const EntityMatcher* matcher_;
   bool multi_mapping_;
   Tokenizer tokenizer_;
   std::unordered_map<std::string, int32_t> token_ids_;
+  std::shared_ptr<const TokenDictionary> published_;  // last Dictionary()
 };
+
+// Re-resolves the unknown tokens (token_id = -1) of a BuildQuery object
+// against the ids `tokens` — an epoch's token table, an append-only
+// extension of the query's dictionary — holds past
+// query.dictionary_size. Returns false when no id changes (*resolved
+// untouched); otherwise *resolved is the query with the found ids.
+bool ResolveUnknownTokens(const Object& query, const std::vector<std::string>& tokens,
+                          Object* resolved);
 
 }  // namespace kjoin
 

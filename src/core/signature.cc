@@ -59,7 +59,6 @@ std::vector<Signature> SignatureGenerator::Generate(const Object& object) const 
   for (int32_t i = 0; i < object.size(); ++i) {
     const Element& element = object.elements[i];
     if (!element.has_node()) {
-      KJOIN_CHECK_GE(element.token_id, 0) << "elements must be built by ObjectBuilder";
       sigs.push_back({TokenSignature(element.token_id), i, 1.0f});
       continue;
     }
@@ -84,7 +83,6 @@ std::vector<Signature> SignatureGenerator::Generate(const Object& object) const 
 void SignatureGenerator::AppendNodeSignatures(const Element& element,
                                               std::vector<SigId>* out) const {
   if (!element.has_node()) {
-    KJOIN_CHECK_GE(element.token_id, 0);
     out->push_back(TokenSignature(element.token_id));
     return;
   }

@@ -30,6 +30,13 @@ namespace kjoin {
 // signature).
 using SigId = int64_t;
 
+// The signature of an unmapped element whose token the index has never
+// seen (token_id = -1, ObjectBuilder::BuildQuery). Such an element can
+// only match an identical token, which no probed layer holds, so the
+// signature is one no indexed element carries: node signatures are
+// >= 0, token signatures >= the token base.
+constexpr SigId kUnknownTokenSignature = -1;
+
 enum class SignatureScheme {
   kNode,
   kShallowPath,
@@ -61,8 +68,9 @@ class SignatureGenerator {
   // One per mapping (deduplicated); the token signature when unmapped.
   void AppendNodeSignatures(const Element& element, std::vector<SigId>* out) const;
 
+  // kUnknownTokenSignature for token_id = -1.
   SigId TokenSignature(int32_t token_id) const {
-    return token_base_ + static_cast<SigId>(token_id);
+    return token_id < 0 ? kUnknownTokenSignature : token_base_ + static_cast<SigId>(token_id);
   }
 
   SignatureScheme scheme() const { return scheme_; }

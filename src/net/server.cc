@@ -38,6 +38,13 @@ std::string_view HealthStateName(serve::HealthState state) {
   return "UNKNOWN";
 }
 
+// Requests one connection may have dispatched and unanswered at once.
+// Past it the connection stops decoding and reading until a response
+// goes out, so one pipelining client cannot fill the router's admission
+// cap (64 by default) and get its own burst, or other clients' queries,
+// shed.
+constexpr int kMaxPendingPerConnection = 32;
+
 // Little-endian u64 at the front of a payload — the request id, salvaged
 // so a structurally bad payload can still get an error response.
 uint64_t PeekRequestId(std::string_view payload) {
@@ -61,6 +68,9 @@ struct LoopContext {
   int listen_fd = -1;
   std::unique_ptr<EventHandler> listener;
   std::map<int, std::shared_ptr<Connection>> connections;
+  // The token dictionary this loop builds queries against; replaced (on
+  // the loop thread, via RunInLoop) whenever the writer interns tokens.
+  std::shared_ptr<const TokenDictionary> dictionary;
 };
 
 // A client connection, confined to its accepting loop's thread.
@@ -76,6 +86,8 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
   int fd() const { return fd_; }
   bool closed() const { return closed_; }
   EventLoop* loop() { return &context_->loop; }
+  // Loop thread only.
+  const TokenDictionary& dictionary() const { return *context_->dictionary; }
 
   void OnEvent(uint32_t events) override {
     // The first thing a handler does is pin itself: Close() erases the
@@ -100,6 +112,9 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
     --pending_;
     if (closed_) return;
     QueueFrame(std::move(frame));
+    if (closed_ || pending_ != kMaxPendingPerConnection - 1) return;
+    // Back under the cap: dispatch frames already buffered, then read.
+    if (DrainFrames()) UpdateInterest();
   }
 
   // Loop thread: encode-and-send for responses produced inline.
@@ -149,7 +164,7 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
         decoder_.Append(buf, static_cast<size_t>(n));
         if (!DrainFrames()) return;
         if (static_cast<size_t>(n) < sizeof(buf)) break;  // short read: drained
-        if (!want_read_ || read_stalled_) break;          // backpressure tripped
+        if (!reading()) break;                             // backpressure tripped
         continue;
       }
       if (n == 0) {  // peer closed
@@ -165,8 +180,9 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
 
   // Hands every completed frame to the server. False when the
   // connection died (framing violation or dispatch closed it).
+  // Stops early, leaving frames buffered, at the pending cap.
   bool DrainFrames() {
-    while (true) {
+    while (pending_ < kMaxPendingPerConnection) {
       std::string payload;
       StatusOr<bool> got = decoder_.Next(&payload);
       if (!got.ok()) {
@@ -193,6 +209,12 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
       server_->HandleRequest(shared_from_this(), std::move(request));
       if (closed_) return false;
     }
+    UpdateInterest();  // at the cap: stop reading
+    return true;
+  }
+
+  bool reading() const {
+    return want_read_ && !read_stalled_ && pending_ < kMaxPendingPerConnection;
   }
 
   void QueueFrame(std::string frame) {
@@ -254,7 +276,7 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
   void UpdateInterest() {
     if (closed_) return;
     uint32_t events = 0;
-    if (want_read_ && !read_stalled_) events |= EPOLLIN;
+    if (reading()) events |= EPOLLIN;
     if (!write_buffer_empty()) events |= EPOLLOUT;
     if (events == interest_) return;
     interest_ = events;
@@ -432,7 +454,18 @@ Status KJoinServer::Start() {
           });
     }
   }
+  const std::shared_ptr<const TokenDictionary> dictionary = builder_->Dictionary();
+  published_tokens_ = dictionary->size();
+  if (manager_ != nullptr) {
+    // Tokens every shard already holds need no shipping.
+    shipped_tokens_ = published_tokens_;
+    for (int s = 0; s < manager_->num_shards(); ++s) {
+      shipped_tokens_ = std::min<int64_t>(
+          shipped_tokens_, static_cast<int64_t>(manager_->shard(s)->Acquire()->tokens.size()));
+    }
+  }
   for (auto& context : loops_) {
+    context->dictionary = dictionary;
     context->thread = std::thread([loop = &context->loop]() { loop->Run(); });
   }
   writer_ = std::thread([this]() { WriterLoop(); });
@@ -556,12 +589,10 @@ void KJoinServer::HandleRequest(const std::shared_ptr<Connection>& connection,
 
 void KJoinServer::SubmitSearch(const std::shared_ptr<Connection>& connection,
                                NetRequest request) {
+  // Read-only build against this loop's dictionary: no lock, and unseen
+  // tokens get token_id = -1 instead of joining the token table.
   serve::QueryRequest query;
-  {
-    // Build() interns unseen tokens — every builder access serializes.
-    std::lock_guard<std::mutex> lock(builder_mu_);
-    query.query = builder_->Build(0, request.query_tokens);
-  }
+  query.query = builder_->BuildQuery(0, request.query_tokens, connection->dictionary());
   query.top_k = request.kind == RequestKind::kTopK ? request.top_k : 0;
   query.min_similarity = request.min_similarity;
   // Wire deadline 0 = none; the router treats < 0 as "apply default",
@@ -616,18 +647,30 @@ void KJoinServer::WriterLoop() {
 
 NetResponse KJoinServer::HandleInsert(const NetRequest& request) {
   std::vector<Object> objects;
-  std::vector<std::string> tokens;
-  {
-    // One lock hold across the builds and the table snapshot, so the
-    // snapshot covers every token id the batch uses.
-    std::lock_guard<std::mutex> lock(builder_mu_);
-    objects.reserve(request.inserts.size());
-    for (const InsertRecord& record : request.inserts) {
-      objects.push_back(builder_->Build(record.external_id, record.tokens));
-    }
-    tokens = builder_->TokenTable();
+  objects.reserve(request.inserts.size());
+  for (const InsertRecord& record : request.inserts) {
+    objects.push_back(builder_->Build(record.external_id, record.tokens));
   }
+  // Ship the table only when it grew past the last one the manager
+  // accepted (an empty table means "no extension"). Comparing against the
+  // last accepted table, not this batch's interning, re-ships tokens a
+  // failed insert interned before a later batch can use them.
+  const int64_t table_size = builder_->num_distinct_tokens();
+  std::vector<std::string> tokens;
+  if (table_size > shipped_tokens_) tokens = builder_->TokenTable();
   const Status status = manager_->InsertBatch(std::move(objects), std::move(tokens));
+  if (status.ok()) shipped_tokens_ = std::max(shipped_tokens_, table_size);
+  if (table_size > published_tokens_) {
+    // Hand every loop the grown dictionary. Queries still built against
+    // the old one stay correct: LocalShard re-resolves their unknown
+    // tokens against the epoch's longer table.
+    const std::shared_ptr<const TokenDictionary> dictionary = builder_->Dictionary();
+    published_tokens_ = dictionary->size();
+    for (auto& context : loops_) {
+      LoopContext* ctx = context.get();
+      ctx->loop.RunInLoop([ctx, dictionary]() { ctx->dictionary = dictionary; });
+    }
+  }
   NetResponse response = ResponseFromStatus(request.id, status);
   if (status.ok()) response.objects_after_insert = manager_->num_objects();
   return response;

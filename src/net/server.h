@@ -14,19 +14,28 @@
 //   * Search responses are produced on the router's dispatcher thread;
 //     the encoded frame hops back to the owning loop via RunInLoop.
 //   * Inserts and deletes run on one writer thread, which serializes
-//     them (ObjectBuilder interning + the manager's numbering contract
-//     both want ordered mutations) and keeps WAL fsyncs off the event
-//     loops.
-//   * Every ObjectBuilder access — query decode on loop threads, insert
-//     builds on the writer — holds builder_mu_: Build() interns new
-//     tokens, and the token table snapshot passed to InsertBatch must
-//     cover every id the batch uses.
+//     them (the manager's numbering contract wants ordered mutations)
+//     and keeps WAL fsyncs off the event loops. The writer is the only
+//     thread that interns tokens (ObjectBuilder::Build).
+//   * Queries never intern and take no lock: each loop builds its
+//     queries with ObjectBuilder::BuildQuery against an immutable
+//     TokenDictionary it owns. After an insert interns new tokens the
+//     writer publishes a new dictionary and hands it to every loop via
+//     RunInLoop. A query built against an older dictionary carries
+//     token_id = -1 for tokens it has not seen plus the dictionary's
+//     size; LocalShard re-resolves those against the probed epoch's
+//     longer token table, so answers never depend on which dictionary a
+//     loop held. Client query tokens therefore never grow the token
+//     table, the WAL or server memory.
 //
 // Backpressure: when a connection's write buffer exceeds
 // write_buffer_cap_bytes the server stops reading from it (drops
 // EPOLLIN interest) until the buffer drains below half the cap. A
 // client that stops reading its responses therefore stalls itself, not
-// the server (net.backpressure_stalls counts the transitions).
+// the server (net.backpressure_stalls counts the transitions). A
+// connection also stops decoding and reading while it has 32 requests
+// dispatched and unanswered, so one pipelining client cannot fill the
+// router's admission cap on its own.
 //
 // Graceful drain: RequestShutdown() is async-signal-safe (one eventfd
 // write — call it straight from a SIGTERM handler). Wait() then stops
@@ -83,9 +92,9 @@ class KJoinServer {
   // All pointers are borrowed and must outlive the server. `manager`
   // may be null (a search-only server: INSERT/DELETE answer
   // kUnavailable); `metrics` may be null. `builder` is the server's
-  // token authority — queries and inserts intern through it under the
-  // server's lock, so the caller must not use it concurrently while the
-  // server runs.
+  // token authority: from Start() until the server stops, only the
+  // writer thread interns through it (inserts), while loop threads call
+  // its const BuildQuery. The caller must not use it meanwhile.
   KJoinServer(serve::ShardRouter* router, serve::ShardedIndexManager* manager,
               ObjectBuilder* builder, MetricsRegistry* metrics, ServerOptions options = {});
   ~KJoinServer();
@@ -135,8 +144,11 @@ class KJoinServer {
   MetricsRegistry* metrics_;
   ServerOptions options_;
 
-  // Guards every ObjectBuilder access (see the header comment).
-  std::mutex builder_mu_;
+  // Writer-thread state (set once by Start before the writer runs):
+  // token-table sizes last accepted by the manager and last handed to
+  // the loops as a dictionary.
+  int64_t shipped_tokens_ = 0;
+  int64_t published_tokens_ = 0;
 
   std::vector<std::unique_ptr<LoopContext>> loops_;
   int port_ = 0;

@@ -59,6 +59,11 @@ QueryResponse SearchService::Execute(const QueryRequest& request,
   const std::shared_ptr<const IndexEpoch> epoch = manager_->Acquire();
   response.epoch_version = epoch->version;
   const KJoinIndex& index = *epoch->index;
+  // See LocalShard::ProbeBatch: re-resolve a stale dictionary's unknowns.
+  Object resolved;
+  const Object& query = ResolveUnknownTokens(request.query, epoch->tokens, &resolved)
+                            ? resolved
+                            : request.query;
 
   JoinControl control;
   control.deadline_seconds = EffectiveDeadline(request);
@@ -69,10 +74,10 @@ QueryResponse SearchService::Execute(const QueryRequest& request,
     // (which rejects floors below tau) instead of silently becoming tau.
     const double min_similarity =
         request.min_similarity < 0.0 ? index.options().tau : request.min_similarity;
-    response.status = index.SearchTopK(request.query, request.top_k, min_similarity, control,
+    response.status = index.SearchTopK(query, request.top_k, min_similarity, control,
                                        &response.hits, &response.stats);
   } else {
-    response.status = index.Search(request.query, control, &response.hits, &response.stats);
+    response.status = index.Search(query, control, &response.hits, &response.stats);
   }
   response.seconds = timer.ElapsedSeconds();
   admission_.NoteOutcome(IsDeadlineExceeded(response.status));

@@ -86,6 +86,7 @@ void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int 
       manager_->GlobalIndexes(shard_);
   const KJoinIndex& index = *epoch->index;
   std::vector<SearchHit> hits;
+  Object resolved;
   for (int i = 0; i < count; ++i) {
     const ShardQuery& q = queries[i];
     ShardReply& reply = replies[i];
@@ -94,11 +95,15 @@ void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int 
     control.deadline_seconds = q.deadline_seconds;
     control.cancel_token = q.cancel_token;
     hits.clear();
+    // A query built against an older dictionary than this epoch's table
+    // may carry token_id = -1 for a token the epoch now indexes.
+    const Object& query =
+        ResolveUnknownTokens(*q.query, epoch->tokens, &resolved) ? resolved : *q.query;
     if (q.top_k > 0) {
-      reply.status = index.SearchTopK(*q.query, q.top_k, q.min_similarity, control, q.bound,
+      reply.status = index.SearchTopK(query, q.top_k, q.min_similarity, control, q.bound,
                                       &hits, &reply.stats);
     } else {
-      reply.status = index.Search(*q.query, control, &hits, &reply.stats);
+      reply.status = index.Search(query, control, &hits, &reply.stats);
     }
     reply.hits.clear();
     reply.hits.reserve(hits.size());

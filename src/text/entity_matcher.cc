@@ -73,11 +73,12 @@ int32_t EntityMatcher::FindEntry(std::string_view normalized) const {
 }
 
 void EntityMatcher::EnsureApproxIndex() const {
-  if (approx_index_ != nullptr) return;
-  std::vector<std::string> labels;
-  labels.reserve(entries_.size());
-  for (const LabelEntry& entry : entries_) labels.push_back(entry.normalized);
-  approx_index_ = std::make_unique<QGramIndex>(std::move(labels), options_.qgram_q);
+  std::call_once(approx_once_, [this] {
+    std::vector<std::string> labels;
+    labels.reserve(entries_.size());
+    for (const LabelEntry& entry : entries_) labels.push_back(entry.normalized);
+    approx_index_ = std::make_unique<QGramIndex>(std::move(labels), options_.qgram_q);
+  });
 }
 
 std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const {

@@ -15,6 +15,7 @@
 // identical token on the other side).
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,6 +65,7 @@ class EntityMatcher {
 
   // K-Join+ mode: all mappings (exact + synonyms + approximate), sorted
   // by φ descending then NodeId, truncated to options.max_matches.
+  // MatchOne and MatchAll are safe to call from many threads at once.
   std::vector<EntityMatch> MatchAll(std::string_view token) const;
 
   const Hierarchy& hierarchy() const { return *hierarchy_; }
@@ -84,7 +86,9 @@ class EntityMatcher {
   // alias (normalized) -> nodes; sorted by alias.
   std::vector<std::pair<std::string, std::vector<NodeId>>> synonyms_;
   // Lazily built q-gram index over entries_ labels (mutable: built on
-  // first approximate lookup, after synonyms are registered).
+  // first approximate lookup, after synonyms are registered). The
+  // once_flag makes the first build safe under concurrent MatchAll calls.
+  mutable std::once_flag approx_once_;
   mutable std::unique_ptr<QGramIndex> approx_index_;
 };
 

@@ -9,6 +9,13 @@
 // each side, giving |s| + q − 1 grams, so the classic count filter
 //   ED(x, y) <= e  =>  |grams(x) ∩ grams(y)| >= max(|x|,|y|) + q − 1 − q·e
 // holds for strings of any length >= 1.
+//
+// Layout: each gram is packed big-endian into a uint64 (hence q <= 8),
+// and the postings form one CSR over the sorted distinct grams. Strings
+// are numbered internally in (length, id) order, so every posting list is
+// length-sorted and a lookup scans only the slice whose lengths pass the
+// length filter |len − |query|| <= e. Overlaps are counted ScanCount-style
+// in a per-thread dense counter array.
 
 #include <cstdint>
 #include <string>
@@ -19,7 +26,7 @@ namespace kjoin {
 
 class QGramIndex {
  public:
-  // Indexes `strings` (ids are positions in the vector). q >= 1.
+  // Indexes `strings` (ids are positions in the vector). 1 <= q <= 8.
   QGramIndex(std::vector<std::string> strings, int q = 2);
 
   int q() const { return q_; }
@@ -27,7 +34,8 @@ class QGramIndex {
   const std::string& string_at(int32_t id) const { return strings_[id]; }
 
   // Ids of indexed strings whose edit distance to `query` *may* be
-  // <= max_errors (count filter + length filter; no verification).
+  // <= max_errors (count filter + length filter; no verification),
+  // ascending. Thread-safe.
   std::vector<int32_t> Candidates(std::string_view query, int max_errors) const;
 
   // Candidates verified with the banded edit-distance algorithm; every
@@ -38,12 +46,28 @@ class QGramIndex {
   static std::vector<std::string> PaddedQGrams(std::string_view text, int q);
 
  private:
+  // One posting: an internal (length-ordered) string number and the
+  // gram's multiplicity in that string.
+  struct Posting {
+    int32_t rank;
+    int32_t count;
+  };
+
+  // First rank whose string is at least `length` long.
+  int32_t FirstRankOfLength(int64_t length) const;
+
   int q_;
   std::vector<std::string> strings_;
-  // gram -> sorted (string id, gram multiplicity) pairs; vector sorted by
-  // gram for binary search.
-  std::vector<std::pair<std::string, std::vector<std::pair<int32_t, int32_t>>>> postings_;
-  const std::vector<std::pair<int32_t, int32_t>>* Postings(const std::string& gram) const;
+  // rank -> string id, ordered by (length, id).
+  std::vector<int32_t> id_of_rank_;
+  // length_start_[L] = first rank with length >= L, for L in
+  // [0, max length + 1].
+  std::vector<int32_t> length_start_;
+  // Sorted distinct packed grams; postings of grams_[g] are
+  // postings_[offsets_[g], offsets_[g + 1]), ascending by rank.
+  std::vector<uint64_t> grams_;
+  std::vector<int64_t> offsets_;
+  std::vector<Posting> postings_;
 };
 
 }  // namespace kjoin

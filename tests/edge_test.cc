@@ -270,6 +270,76 @@ TEST(ObjectBuilderTest, TokenIdsSharedAcrossObjects) {
   EXPECT_EQ(builder.num_distinct_tokens(), 2);
 }
 
+TEST(ObjectBuilderTest, BuildQueryResolvesWithoutInterning) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  EntityMatcher matcher(tree);
+  ObjectBuilder builder(matcher, /*multi_mapping=*/true);
+  const Object indexed = builder.Build(0, {"KFC", "foo", "pizzahut"});
+  const std::shared_ptr<const TokenDictionary> dictionary = builder.Dictionary();
+  const Object query = builder.BuildQuery(1, {"foo", "pizzahat", "KFC", "zzz"}, *dictionary);
+  EXPECT_EQ(builder.num_distinct_tokens(), 3);  // nothing interned
+  EXPECT_EQ(query.dictionary_size, 3);
+  ASSERT_EQ(query.size(), 4);
+  EXPECT_EQ(query.elements[0].token_id, indexed.elements[1].token_id);
+  EXPECT_EQ(query.elements[1].token_id, -1);
+  EXPECT_EQ(query.elements[2].token_id, indexed.elements[0].token_id);
+  EXPECT_EQ(query.elements[3].token_id, -1);
+  // Mappings are Build's, typo channel included.
+  const Object built = builder.Build(2, {"foo", "pizzahat", "KFC", "zzz"});
+  for (int32_t i = 0; i < query.size(); ++i) {
+    EXPECT_EQ(query.elements[i].token, built.elements[i].token);
+    EXPECT_EQ(query.elements[i].mappings, built.elements[i].mappings);
+  }
+  EXPECT_TRUE(query.elements[1].has_node());
+}
+
+TEST(ObjectBuilderTest, PublishedDictionariesStayFrozen) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  EntityMatcher matcher(tree);
+  ObjectBuilder builder(matcher, false);
+  std::vector<std::shared_ptr<const TokenDictionary>> published;
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 100; ++i) {
+    tokens.push_back("t" + std::to_string(i));
+    EXPECT_EQ(builder.InternToken(tokens.back()), i);
+    if (i % 7 == 0) published.push_back(builder.Dictionary());
+  }
+  EXPECT_EQ(builder.TokenTable(), tokens);
+  for (const auto& dictionary : published) {
+    for (int i = 0; i < static_cast<int>(tokens.size()); ++i) {
+      ASSERT_EQ(dictionary->Find(tokens[i]), i < dictionary->size() ? i : -1)
+          << "token " << i << " in a dictionary of " << dictionary->size();
+    }
+  }
+  // Interning continues after a publish; a repeat keeps its id.
+  EXPECT_EQ(builder.InternToken("t3"), 3);
+  EXPECT_EQ(builder.InternToken("fresh"), 100);
+  EXPECT_EQ(builder.Dictionary()->Find("fresh"), 100);
+  // An unchanged table republishes the same dictionary.
+  EXPECT_EQ(builder.Dictionary(), builder.Dictionary());
+}
+
+TEST(ObjectBuilderTest, ResolveUnknownTokensUsesOnlyNewerIds) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  EntityMatcher matcher(tree);
+  ObjectBuilder builder(matcher, false);
+  builder.Build(0, {"KFC", "foo"});
+  const std::shared_ptr<const TokenDictionary> stale = builder.Dictionary();
+  const Object query = builder.BuildQuery(1, {"bar", "foo", "baz"}, *stale);
+  Object resolved;
+  // A table no longer than the query's dictionary changes nothing.
+  EXPECT_FALSE(ResolveUnknownTokens(query, builder.TokenTable(), &resolved));
+  builder.Build(2, {"baz", "qux"});
+  ASSERT_TRUE(ResolveUnknownTokens(query, builder.TokenTable(), &resolved));
+  EXPECT_EQ(resolved.elements[0].token_id, -1);  // "bar" is still unseen
+  EXPECT_EQ(resolved.elements[1].token_id, query.elements[1].token_id);
+  EXPECT_EQ(resolved.elements[2].token_id, builder.InternToken("baz"));
+  EXPECT_EQ(resolved.dictionary_size, 4);
+  // Interned objects carry complete ids and are never re-resolved.
+  const Object interned = builder.Build(3, {"foo"});
+  EXPECT_FALSE(ResolveUnknownTokens(interned, builder.TokenTable(), &resolved));
+}
+
 TEST(SingleElementObjectTest, JoinWorks) {
   const Hierarchy tree = MakeFigure1Hierarchy();
   EntityMatcher matcher(tree);

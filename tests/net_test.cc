@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -372,7 +373,8 @@ struct ServerStack {
 };
 
 std::unique_ptr<ServerStack> MakeServer(ServerOptions options = {},
-                                        serve::ShardRouterOptions router_options = {}) {
+                                        serve::ShardRouterOptions router_options = {},
+                                        const std::string& wal_prefix = "") {
   auto stack = std::make_unique<ServerStack>();
   stack->metrics = std::make_unique<MetricsRegistry>();
   stack->pool = std::make_unique<ThreadPool>(4);
@@ -380,6 +382,9 @@ std::unique_ptr<ServerStack> MakeServer(ServerOptions options = {},
   stack->manager = std::make_unique<serve::ShardedIndexManager>(
       data.hierarchy, Options(), data.prepared.objects, data.prepared.builder->TokenTable(),
       data.dataset.synonyms, /*num_shards=*/2, stack->pool.get(), stack->metrics.get());
+  if (!wal_prefix.empty()) {
+    KJOIN_CHECK(stack->manager->AttachWal(wal_prefix, /*fsync=*/false).ok());
+  }
   std::vector<serve::ShardBackend*> shards;
   for (int s = 0; s < 2; ++s) {
     stack->backends.push_back(
@@ -506,6 +511,55 @@ TEST(NetServerTest, InsertDeleteVisibleThroughSearch) {
     if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(gone) << "deleted object still searchable";
+}
+
+// Query tokens never join the server's state: a storm of 100k distinct
+// unseen tokens leaves the token table and every shard's WAL as they
+// were, and the next insert's WAL frame carries only its own new token.
+TEST(NetServerTest, QueryTokenStormGrowsNoServerState) {
+  const std::string prefix = testing::TempDir() + "/net_test_storm.wal";
+  for (int s = 0; s < 2; ++s) std::remove((prefix + ".shard-" + std::to_string(s)).c_str());
+  auto stack = MakeServer({}, {}, prefix);
+  ObjectBuilder* builder = Stack().prepared.builder.get();
+  auto wal_bytes = [&] {
+    std::vector<int64_t> bytes;
+    for (int s = 0; s < 2; ++s) bytes.push_back(stack->manager->shard(s)->wal_size_bytes());
+    return bytes;
+  };
+  const int64_t tokens_before = builder->num_distinct_tokens();
+  const std::vector<int64_t> wal_before = wal_bytes();
+
+  KJoinClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  constexpr int kQueries = 100;
+  constexpr int kTokensPerQuery = 1000;
+  for (int q = 0; q < kQueries; ++q) {
+    std::vector<std::string> tokens;
+    tokens.reserve(kTokensPerQuery);
+    for (int t = 0; t < kTokensPerQuery; ++t) {
+      tokens.push_back("storm" + std::to_string(q * kTokensPerQuery + t));
+    }
+    StatusOr<NetResponse> got = q % 2 == 0 ? client.Search(tokens) : client.TopK(tokens, 3);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->code, 0u) << got->message;
+    EXPECT_TRUE(got->hits.empty());
+  }
+  EXPECT_EQ(builder->num_distinct_tokens(), tokens_before);
+  EXPECT_EQ(wal_bytes(), wal_before);
+
+  std::vector<std::string> record = Stack().dataset.records[5].tokens;
+  record.push_back("stormfollowup");
+  StatusOr<NetResponse> inserted = client.Insert({{9100, record}});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  ASSERT_EQ(inserted->code, 0u) << inserted->message;
+  EXPECT_EQ(builder->num_distinct_tokens(), tokens_before + 1);
+  const std::vector<int64_t> wal_after = wal_bytes();
+  for (int s = 0; s < 2; ++s) {
+    // One small record per shard; a frame that shipped the storm's
+    // tokens would be over a megabyte.
+    EXPECT_GT(wal_after[s], wal_before[s]) << "shard " << s;
+    EXPECT_LT(wal_after[s] - wal_before[s], 4096) << "shard " << s;
+  }
 }
 
 TEST(NetServerTest, ShedResponseCarriesRetryAfter) {

@@ -2,13 +2,15 @@
 // determinism contract (scatter-gather results byte-identical to a
 // single index at any shard count and pool width), the documented top-k
 // tie-break order, progressive-bound pruning, request batching, router
-// admission, per-shard WAL recovery with numbering reconstruction, and
-// the one-degraded-shard chaos case. Runs under both the asan and tsan
+// admission, stale-dictionary queries against a brute-force oracle,
+// per-shard WAL recovery with numbering reconstruction, and the
+// one-degraded-shard chaos case. Runs under both the asan and tsan
 // presets (tests/CMakeLists.txt labels).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +27,9 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/kjoin_index.h"
+#include "core/object_similarity.h"
 #include "data/benchmark_suite.h"
+#include "hierarchy/lca.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
 
@@ -188,6 +192,127 @@ TEST(ShardDeterminismTest, IdenticalToSingleIndexAcrossShardsAndThreads) {
                             response.hits, where + " top-k");
       }
     }
+  }
+}
+
+// ------------------------------------------------- stale dictionaries
+
+// Every live object whose similarity to `query` reaches tau, in HitBefore
+// order — computed pair by pair, sharing no filter or index code.
+std::vector<SearchHit> BruteForceSearch(const std::vector<Object>& objects,
+                                        const Object& query, const KJoinOptions& options) {
+  const LcaIndex lca(*Stack().hierarchy);
+  const ElementSimilarity element_sim(lca, options.element_metric);
+  const ObjectSimilarity object_sim(element_sim, options.delta, options.set_metric);
+  std::vector<SearchHit> hits;
+  for (int32_t i = 0; i < static_cast<int32_t>(objects.size()); ++i) {
+    const double similarity = object_sim.Similarity(query, objects[i]);
+    if (similarity >= options.tau - 1e-9) hits.push_back({i, similarity});
+  }
+  std::sort(hits.begin(), hits.end(), HitBefore);
+  return hits;
+}
+
+void ExpectHitsMatchOracle(const std::vector<SearchHit>& expected,
+                           const std::vector<SearchHit>& actual, const std::string& where) {
+  ASSERT_EQ(expected.size(), actual.size()) << where;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].object_index, actual[i].object_index) << where << " hit " << i;
+    EXPECT_NEAR(expected[i].similarity, actual[i].similarity, 1e-9) << where << " hit " << i;
+  }
+}
+
+// Normalized labels of length 5-6 turned into unseen typos: each maps
+// back with φ = 1 − 1/len <= 0.834, below 1.
+std::vector<std::string> LabelTypos(const ObjectBuilder& builder,
+                                    const TokenDictionary& dictionary, int count) {
+  std::vector<std::string> typos;
+  const Hierarchy& hierarchy = *Stack().hierarchy;
+  for (NodeId v = 1; v < hierarchy.num_nodes() && static_cast<int>(typos.size()) < count; ++v) {
+    std::string label;
+    for (char c : hierarchy.label(v)) {
+      if (std::isalnum(static_cast<unsigned char>(c))) {
+        label.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+      }
+    }
+    if (label.size() < 5 || label.size() > 6) continue;
+    label[2] = label[2] == 'q' ? 'x' : 'q';
+    if (dictionary.Find(label) >= 0) continue;
+    const Object probe = builder.BuildQuery(-1, {label}, dictionary);
+    if (probe.size() != 1 || !probe.elements[0].has_node()) continue;
+    if (probe.elements[0].max_phi() >= 1.0) continue;
+    if (std::find(typos.begin(), typos.end(), label) != typos.end()) continue;
+    typos.push_back(label);
+  }
+  return typos;
+}
+
+// A query built against dictionary D0 searches an epoch holding an
+// object inserted after D0 that carries the query's unknown tokens. The
+// probe must re-resolve them: unmapped ones would otherwise probe only
+// the reserved signature, and typo ones would let the weighted count
+// bound charge φ < 1 for what is an identical token.
+TEST(StaleDictionaryTest, QueryBuiltBeforeInsertMatchesBruteForce) {
+  ShardStack& stack = Stack();
+  // A private builder and index: the inserts must not leak into Stack().
+  ObjectBuilder builder(*stack.prepared.matcher, /*multi_mapping=*/true);
+  builder.PreloadTokens(stack.prepared.builder->TokenTable());
+  KJoinOptions options = Options();
+  // Tight enough that a φ-only bound (3 × 0.834 < 0.75 / 1.75 × 6)
+  // prunes the inserted copy, and 2-element queries probe a 1-signature
+  // prefix.
+  options.tau = 0.75;
+
+  const std::vector<std::string> typos = LabelTypos(builder, *builder.Dictionary(), 3);
+  ASSERT_EQ(typos.size(), 3u);
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"unmapped", {"zqxjvkw", "wvkjxqz"}},
+      {"typo", typos},
+  };
+  for (const auto& [name, tokens] : cases) {
+    ThreadPool pool(2);
+    serve::ShardedIndexManager manager(stack.hierarchy, options, stack.prepared.objects,
+                                       builder.TokenTable(), stack.dataset.synonyms,
+                                       /*num_shards=*/2, &pool);
+    std::vector<std::unique_ptr<serve::LocalShard>> backends;
+    std::vector<serve::ShardBackend*> shards;
+    for (int s = 0; s < 2; ++s) {
+      backends.push_back(std::make_unique<serve::LocalShard>(&manager, s));
+      shards.push_back(backends.back().get());
+    }
+    serve::ShardRouter router(std::move(shards), &pool);
+
+    const std::shared_ptr<const TokenDictionary> d0 = builder.Dictionary();
+    const Object stale = builder.BuildQuery(-1, tokens, *d0);
+    for (const Element& element : stale.elements) {
+      ASSERT_EQ(element.token_id, -1) << name << ": " << element.token;
+      ASSERT_EQ(element.has_node(), name == "typo") << name << ": " << element.token;
+    }
+    std::vector<Object> live = stack.prepared.objects;
+    auto check = [&](const std::string& where) {
+      const std::vector<SearchHit> expected = BruteForceSearch(live, stale, options);
+      serve::QueryRequest request;
+      request.query = stale;
+      const serve::QueryResponse threshold = router.Search(request);
+      ASSERT_TRUE(threshold.status.ok()) << where << ": " << threshold.status.ToString();
+      ExpectHitsMatchOracle(expected, threshold.hits, where + " threshold");
+      request.top_k = 3;
+      const serve::QueryResponse top = router.Search(request);
+      ASSERT_TRUE(top.status.ok()) << where << ": " << top.status.ToString();
+      ExpectHitsMatchOracle(
+          std::vector<SearchHit>(expected.begin(),
+                                 expected.begin() + std::min<size_t>(3, expected.size())),
+          top.hits, where + " top-3");
+    };
+    check(name + " before insert");
+
+    live.push_back(builder.Build(9000, tokens));
+    ASSERT_TRUE(manager.InsertBatch({live.back()}, builder.TokenTable()).ok());
+    manager.Flush();
+    check(name + " after insert");
+    const std::vector<SearchHit> after = BruteForceSearch(live, stale, options);
+    ASSERT_FALSE(after.empty());
+    EXPECT_EQ(after.front().object_index, static_cast<int32_t>(live.size()) - 1) << name;
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "hierarchy/dag.h"
@@ -174,6 +176,69 @@ TEST(QGramIndexTest, NeverMissesWithinBudget) {
   }
 }
 
+// The count filter spelled out: multiset gram overlap against the bound,
+// or the plain length filter when the bound is vacuous.
+std::vector<int32_t> BruteForceCandidates(const std::vector<std::string>& strings,
+                                          const std::string& query, int q, int budget) {
+  const auto multiset = [q](const std::string& text) {
+    std::vector<std::string> grams = QGramIndex::PaddedQGrams(text, q);
+    std::sort(grams.begin(), grams.end());
+    return grams;
+  };
+  const std::vector<std::string> query_grams = multiset(query);
+  const int query_len = static_cast<int>(query.size());
+  const bool vacuous = query_len + q - 1 - q * budget <= 0;
+  std::vector<int32_t> expected;
+  for (int32_t id = 0; id < static_cast<int32_t>(strings.size()); ++id) {
+    const int len = static_cast<int>(strings[id].size());
+    if (std::abs(len - query_len) > budget) continue;
+    if (vacuous) {
+      expected.push_back(id);
+      continue;
+    }
+    const std::vector<std::string> grams = multiset(strings[id]);
+    std::vector<std::string> common;
+    std::set_intersection(query_grams.begin(), query_grams.end(), grams.begin(), grams.end(),
+                          std::back_inserter(common));
+    if (static_cast<int>(common.size()) >= std::max(len, query_len) + q - 1 - q * budget) {
+      expected.push_back(id);
+    }
+  }
+  return expected;
+}
+
+TEST(QGramIndexTest, CandidatesEqualBruteForceCountFilter) {
+  // Random words over a 3-letter alphabet repeat grams heavily; lengths
+  // 0-9 put short queries under the vacuous-bound fallback.
+  Rng rng(2024);
+  const std::string alphabet = "aab";
+  auto random_word = [&](int max_len) {
+    std::string word;
+    const int len = static_cast<int>(rng.NextUint64(max_len + 1));
+    for (int k = 0; k < len; ++k) word += alphabet[rng.NextUint64(alphabet.size())];
+    return word;
+  };
+  std::vector<std::string> strings = {"aaaa", "aaaaaaaa", "abababab", "a", ""};
+  for (int i = 0; i < 300; ++i) strings.push_back(random_word(9));
+  for (int q = 1; q <= 3; ++q) {
+    const QGramIndex index(strings, q);
+    for (int trial = 0; trial < 120; ++trial) {
+      const std::string query = trial < 5 ? strings[trial] : random_word(9);
+      for (int budget = 0; budget <= 3; ++budget) {
+        ASSERT_EQ(index.Candidates(query, budget),
+                  BruteForceCandidates(strings, query, q, budget))
+            << "q " << q << " query '" << query << "' budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(QGramIndexTest, EmptyIndexHasNoCandidates) {
+  const QGramIndex index({}, 2);
+  EXPECT_TRUE(index.Candidates("abc", 1).empty());
+  EXPECT_TRUE(index.Candidates("", 3).empty());
+}
+
 class EntityMatcherTest : public testing::Test {
  protected:
   EntityMatcherTest() : tree_(MakeFigure1Hierarchy()) {}
@@ -261,6 +326,36 @@ TEST_F(EntityMatcherTest, AmbiguousLabelReturnsAllNodes) {
   options.enable_approximate = false;
   const EntityMatcher matcher(*tree, options);
   EXPECT_EQ(matcher.MatchAll("c").size(), 2u);
+}
+
+TEST_F(EntityMatcherTest, ConcurrentMatchAllOnFreshMatcher) {
+  // The first approximate lookup builds the q-gram index lazily; racing
+  // first lookups must build it once and all see the same answers.
+  const std::vector<std::string> tokens = {"pizzahat", "burgerkin", "fastfood", "kfc",
+                                           "qwertyuiop", "pizzahut"};
+  std::vector<std::vector<EntityMatch>> expected;
+  {
+    const EntityMatcher reference(tree_);
+    for (const std::string& token : tokens) expected.push_back(reference.MatchAll(token));
+  }
+  const EntityMatcher matcher(tree_);
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::vector<EntityMatch>>> got(
+      kThreads, std::vector<std::vector<EntityMatch>>(tokens.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different token, so first lookups differ.
+      for (int round = 0; round < 20; ++round) {
+        for (size_t i = 0; i < tokens.size(); ++i) {
+          const size_t k = (i + t) % tokens.size();
+          got[t][k] = matcher.MatchAll(tokens[k]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected) << "thread " << t;
 }
 
 TEST_F(EntityMatcherTest, MaxMatchesCapRespected) {
