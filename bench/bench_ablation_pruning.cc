@@ -1,6 +1,9 @@
 // Ablation: the design choices DESIGN.md calls out, each toggled in
 // isolation on one POI workload —
-//   * count pruning / weighted count pruning (paper §3.2, Lemmas 3-4)
+//   * count pruning / weighted count pruning (paper §3.2, Lemmas 3-4);
+//     in pure mode the count bound runs in the probe, so "no-count" shows
+//     up as a jump in candidates and a zero count-filtered column
+//   * the probe-side size bound (size-filtered, every configuration)
 //   * weighted vs plain path prefix (Definition 9 vs 8)
 //   * adaptive bounds vs plain subgraph matching (§5.2)
 //
@@ -18,7 +21,8 @@ void Run(const std::string& label, const kjoin::BenchmarkData& data,
          const kjoin::PreparedObjects& prepared, kjoin::KJoinOptions options) {
   const kjoin::JoinResult result =
       kjoin::bench::RunKJoin(data.hierarchy, prepared.objects, options);
-  PrintRow({label, std::to_string(result.stats.candidates),
+  PrintRow({label, std::to_string(result.stats.size_filtered),
+            std::to_string(result.stats.count_filtered), std::to_string(result.stats.candidates),
             std::to_string(result.stats.verify.pruned_by_count),
             std::to_string(result.stats.verify.pruned_by_weighted_count),
             std::to_string(result.stats.verify.hungarian_runs),
@@ -42,8 +46,8 @@ int main(int argc, char** argv) {
 
   kjoin::bench::PrintHeader("Ablation (POI, n=" + std::to_string(*n) + ", delta=" +
                             Fmt(*delta, 2) + ", tau=" + Fmt(*tau, 2) + ")");
-  PrintRow({"config", "candidates", "count-pruned", "wcount-pruned", "hungarian",
-            "verify-s", "total-s", "results"},
+  PrintRow({"config", "size-filtered", "count-filtered", "candidates", "count-pruned",
+            "wcount-pruned", "hungarian", "verify-s", "total-s", "results"},
            14);
 
   kjoin::KJoinOptions base;

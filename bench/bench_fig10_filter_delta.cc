@@ -34,8 +34,8 @@ void RunDataset(const std::string& name, const kjoin::BenchmarkData& data, doubl
       options.weighted_prefix = schemes[i] == kjoin::SignatureScheme::kDeepPath;
       stats[i] = kjoin::bench::RunKJoin(data.hierarchy, prepared.objects, options).stats;
     }
-    PrintRow({Fmt(delta, 2), std::to_string(stats[0].candidates),
-              std::to_string(stats[1].candidates), std::to_string(stats[2].candidates),
+    PrintRow({Fmt(delta, 2), std::to_string(stats[0].probe_pairs()),
+              std::to_string(stats[1].probe_pairs()), std::to_string(stats[2].probe_pairs()),
               Fmt(stats[0].total_seconds, 2), Fmt(stats[1].total_seconds, 2),
               Fmt(stats[2].total_seconds, 2)},
              12);

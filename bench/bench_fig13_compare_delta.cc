@@ -45,7 +45,7 @@ void RunDataset(const std::string& name, const kjoin::BenchmarkData& data, doubl
         kjoin::bench::RunKJoin(data.hierarchy, plus.objects, options).stats;
 
     PrintRow({Fmt(delta, 2), std::to_string(fj.candidates), std::to_string(syn.candidates),
-              std::to_string(kj.candidates), std::to_string(kjp.candidates),
+              std::to_string(kj.probe_pairs()), std::to_string(kjp.probe_pairs()),
               Fmt(fj.total_seconds, 2), Fmt(syn.total_seconds, 2), Fmt(kj.total_seconds, 2),
               Fmt(kjp.total_seconds, 2)},
              11);

@@ -153,7 +153,7 @@ struct SchemeRow {
   std::string scheme;
   double total_seconds = 0.0;
   double filter_seconds = 0.0;
-  int64_t candidates = 0;
+  int64_t candidates = 0;  // JoinStats::probe_pairs(): the signature filter's output
   int64_t results = 0;
 };
 
@@ -165,7 +165,7 @@ struct FilterDeltaRow {
   double scalar_filter_seconds = 0.0;  // KJOIN-forced scalar (best of 3)
   double filter_speedup_vs_scalar = 0.0;
   double total_seconds = 0.0;
-  int64_t candidates = 0;
+  int64_t candidates = 0;  // JoinStats::probe_pairs()
   int64_t results = 0;
   bool results_identical = true;  // across threads 1/2/8 and scalar-vs-SIMD
 };
@@ -321,10 +321,10 @@ int main(int argc, char** argv) {
     const kjoin::JoinResult result =
         kjoin::bench::RunKJoin(poi.hierarchy, prepared.objects, options);
     scheme_rows.push_back({name, result.stats.total_seconds, result.stats.filter_seconds,
-                           result.stats.candidates, result.stats.results});
+                           result.stats.probe_pairs(), result.stats.results});
     std::printf("%-14s %.3fs (filter %.3fs)  candidates=%lld  results=%lld\n", name.c_str(),
                 result.stats.total_seconds, result.stats.filter_seconds,
-                static_cast<long long>(result.stats.candidates),
+                static_cast<long long>(result.stats.probe_pairs()),
                 static_cast<long long>(result.stats.results));
   }
 
@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
         if (threads == 1) {
           if (rep == 0) {
             baseline_pairs = result.pairs;
-            row.candidates = result.stats.candidates;
+            row.candidates = result.stats.probe_pairs();
             row.results = result.stats.results;
           }
           if (rep == 0 || result.stats.filter_seconds < row.filter_seconds) {

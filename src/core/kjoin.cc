@@ -179,13 +179,16 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
 
   Prepared prepared;
   prepared.sigs.resize(n);
+  prepared.plans.resize(n);
   prepared.prefix_len.assign(n, 0);
   prepared.prefix_ranks.resize(n);
   const int lanes = ShardsForWork(n, kMinPrepareObjectsPerShard, pool_->num_threads());
 
   // Pass 1: per-shard signature generation with shard-local df maps; the
   // maps merge into the order afterwards (order-insensitive sums), so the
-  // final global order is independent of num_threads.
+  // final global order is independent of num_threads. Each object's
+  // grouping plan is built here too, once per join: the probe's count
+  // bound and every verification batch read it.
   std::vector<std::unordered_map<SigId, int32_t>> shard_df(lanes);
   std::vector<int64_t> shard_total(lanes, 0);
   stats->prepare_tasks +=
@@ -197,6 +200,7 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
             return;
           }
           prepared.sigs[i] = signatures_.Generate(*objects[i]);
+          verifier_.BuildPlan(*objects[i], &prepared.plans[i]);
           GlobalSignatureOrder::CountDistinct(prepared.sigs[i], &shard_df[shard]);
           shard_total[shard] += static_cast<int64_t>(prepared.sigs[i].size());
         }
@@ -279,6 +283,8 @@ void KJoin::GenerateCandidates(
 
 void KJoin::VerifyCandidates(const std::vector<Object>& left,
                              const std::vector<Object>& right,
+                             std::span<const ObjectGroupPlan> left_plans,
+                             std::span<const ObjectGroupPlan> right_plans,
                              const std::vector<std::pair<int32_t, int32_t>>& candidates,
                              JoinResult* result, JoinController* controller) const {
   WallTimer timer;
@@ -290,21 +296,6 @@ void KJoin::VerifyCandidates(const std::vector<Object>& left,
   }
   const bool polled = controller->active();
 
-  // Per-object grouping plans, built once up front: an object recurs in
-  // many candidate pairs, and the plan (partition signatures + argsort) is
-  // the pair-invariant half of group construction. Plans are read-only
-  // during verification, so every shard shares them.
-  std::vector<ObjectGroupPlan> left_plans(left.size());
-  for (size_t o = 0; o < left.size(); ++o) verifier_.BuildPlan(left[o], &left_plans[o]);
-  std::vector<ObjectGroupPlan> right_plans_storage;
-  if (&right != &left) {
-    right_plans_storage.resize(right.size());
-    for (size_t o = 0; o < right.size(); ++o) {
-      verifier_.BuildPlan(right[o], &right_plans_storage[o]);
-    }
-  }
-  const std::vector<ObjectGroupPlan>& right_plans =
-      &right != &left ? right_plans_storage : left_plans;
   // Shard count sized from the measured candidate count: each shard must
   // carry enough verification work to amortize waking a lane and warming
   // its thread-local arena (ShardsForWork above).
@@ -483,6 +474,9 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   const int32_t num_probes =
       controller.tripped() ? 0 : static_cast<int32_t>(self ? left.size() : right.size());
   const size_t probe_sig_offset = self ? 0 : left.size();
+  const std::span<const ObjectGroupPlan> left_plans(prepared.plans.data(), left.size());
+  const std::span<const ObjectGroupPlan> right_plans(prepared.plans.data() + probe_sig_offset,
+                                                     rhs.size());
   const int64_t max_per_probe = control.max_candidates_per_probe;
   // Candidate pairs buffered at once under the byte budget (0 = unlimited).
   const int64_t pair_bytes = static_cast<int64_t>(sizeof(std::pair<int32_t, int32_t>));
@@ -501,9 +495,21 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   // the old per-list dedup walk; within a probe the emission order is
   // ascending-by-index instead of first-occurrence, which no consumer
   // observes (verification restores candidate order, results are sets).
-  auto probe = [&](int /*shard*/, int32_t begin, int32_t end,
+  //
+  // Every extracted pair then passes the verifier's Screen: the size
+  // bound, and in pure mode with count_pruning the count bound. Only
+  // pairs that could become results are emitted (docs/THEORY.md,
+  // section 6); the dropped ones are tallied per shard, in
+  // cache-line-padded slots so concurrent shards never share a line.
+  struct alignas(64) ScreenTally {
+    int64_t size = 0;
+    int64_t count = 0;
+  };
+  std::vector<ScreenTally> screened(static_cast<size_t>(pool_->num_threads()));
+  auto probe = [&](int shard, int32_t begin, int32_t end,
                    std::vector<std::pair<int32_t, int32_t>>* out) {
     const size_t shard_base = out->size();
+    ScreenTally& tally = screened[static_cast<size_t>(shard)];
     // Counters stay all-zero between probes: extraction clears as it
     // drains, so only touched blocks are ever revisited.
     std::vector<uint8_t> counts(left.size(), 0);
@@ -544,7 +550,20 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
             const int32_t found = simd::ExtractAndClearBlock(
                 counts.data() + block_begin, static_cast<int32_t>(block_begin), len,
                 /*threshold=*/1, block_buf);
-            for (int32_t v = 0; v < found; ++v) out->emplace_back(block_buf[v], p);
+            for (int32_t v = 0; v < found; ++v) {
+              const int32_t x = block_buf[v];
+              switch (verifier_.Screen(left[x], rhs[p], left_plans[x], right_plans[p])) {
+                case PairScreen::kVerify:
+                  out->emplace_back(x, p);
+                  break;
+                case PairScreen::kSizeBound:
+                  ++tally.size;
+                  break;
+                case PairScreen::kCountBound:
+                  ++tally.count;
+                  break;
+              }
+            }
           }
         }
         if (max_per_probe > 0 &&
@@ -617,7 +636,7 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
       // continue probing with a drained buffer.
       ++result->stats.budget_spills;
       result->stats.filter_seconds += phase_timer.ElapsedSeconds();
-      VerifyCandidates(left, rhs, candidates, result, &controller);
+      VerifyCandidates(left, rhs, left_plans, right_plans, candidates, result, &controller);
       ++result->stats.verify_batches;
       const bool single_probe_overflow = take == 1 && chunk_emitted >= max_buffered;
       candidates.clear();
@@ -640,10 +659,14 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
     }
   }
   result->stats.filter_seconds += phase_timer.ElapsedSeconds();
+  for (const ScreenTally& tally : screened) {
+    result->stats.size_filtered += tally.size;
+    result->stats.count_filtered += tally.count;
+  }
 
   // ---- verify (final batch) ----
   if (!controller.tripped()) {
-    VerifyCandidates(left, rhs, candidates, result, &controller);
+    VerifyCandidates(left, rhs, left_plans, right_plans, candidates, result, &controller);
     ++result->stats.verify_batches;
   }
 

@@ -8,7 +8,8 @@
 //   2. fix the global signature order (document frequency ascending);
 //   3. compute each object's (weighted) prefix;
 //   4. stream objects through an inverted index on prefix signatures —
-//      objects sharing a prefix signature become candidate pairs;
+//      objects sharing a prefix signature become candidate pairs, unless
+//      their sizes or (pure mode) Lemma 3's count bound rule them out;
 //   5. verify candidates (count pruning -> weighted count pruning ->
 //      Basic/SubGraph/Adaptive matching).
 //
@@ -25,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,7 +120,8 @@ struct JoinControl {
   // smaller batches (results stay identical); if a single adaptive chunk
   // alone overflows the budget the join gives up with kResourceExhausted.
   int64_t candidate_byte_budget = 0;
-  // Cap on candidates emitted by one probe object; <= 0 means unlimited.
+  // Cap on candidates emitted by one probe object (pairs the probe-side
+  // bounds pass on to verification); <= 0 means unlimited.
   // A probe exceeding it (a "hub" object matching everything) trips
   // kResourceExhausted rather than quadratically exploding the buffer.
   int64_t max_candidates_per_probe = 0;
@@ -133,8 +136,19 @@ struct JoinStats {
   int64_t num_objects_right = 0;
   int64_t total_signatures = 0;
   int64_t prefix_signatures = 0;
-  // Distinct candidate pairs produced by the filter (each verified once).
+  // Distinct candidate pairs sent to verification (each verified once).
   int64_t candidates = 0;
+  // Pairs the probe found through shared prefix signatures but dropped
+  // before verification (docs/THEORY.md, section 6): sizes alone
+  // rule them out, or — pure mode with count_pruning — Lemma 3's count
+  // bound does. Both are rejections verification would make. Like
+  // `candidates`, neither depends on num_threads.
+  int64_t size_filtered = 0;
+  int64_t count_filtered = 0;
+  // Every pair the prefix-signature probe found, before its bounds: the
+  // signature filter's output, which is what the paper's filtering
+  // figures count as candidates.
+  int64_t probe_pairs() const { return candidates + size_filtered + count_filtered; }
   int64_t results = 0;
   double signature_seconds = 0.0;
   double filter_seconds = 0.0;  // candidate generation (probing + indexing)
@@ -225,11 +239,14 @@ class KJoin {
   // Per-object signature lists sorted by global order plus prefix length.
   // prefix_ranks[i] is object i's prefix as deduplicated global ranks
   // (ascending) — the filter phase indexes and probes through it without
-  // ever re-resolving SigId -> rank hashes.
+  // ever re-resolving SigId -> rank hashes. plans[i] is object i's
+  // grouping plan, shared read-only by the probe's count bound and by
+  // every verification batch.
   struct Prepared {
     std::vector<std::vector<Signature>> sigs;
     std::vector<int32_t> prefix_len;
     std::vector<std::vector<int32_t>> prefix_ranks;
+    std::vector<ObjectGroupPlan> plans;
   };
 
   // Both public joins funnel here; `self` selects self-join semantics
@@ -237,8 +254,8 @@ class KJoin {
   Status JoinImpl(const std::vector<Object>& left, const std::vector<Object>& right,
                   bool self, const JoinControl& control, JoinResult* result) const;
 
-  // Signature generation + global ordering + prefixes over one or two
-  // collections. Polls `controller` at shard boundaries; on a trip the
+  // Signature generation + grouping plans + global ordering + prefixes
+  // over one or two collections. Polls `controller` at shard boundaries; on a trip the
   // returned Prepared is partial and must not be used.
   Prepared Prepare(const std::vector<const std::vector<Object>*>& collections,
                    GlobalSignatureOrder* order, JoinStats* stats,
@@ -249,10 +266,14 @@ class KJoin {
   // Verifies candidate (left-index, right-index) pairs — sharded over the
   // pool when options_.num_threads > 1 and the batch is large enough —
   // and appends the similar ones to result->pairs (kept in candidate
-  // order). Timing goes to verify_seconds, per-pair counters to
-  // result->stats.verify. Polls `controller` inside shards and converts
-  // allocation failure during verification into a kResourceExhausted trip.
+  // order). `left_plans` / `right_plans` are the collections' grouping
+  // plans (Prepared::plans). Timing goes to verify_seconds, per-pair
+  // counters to result->stats.verify. Polls `controller` inside shards
+  // and converts allocation failure during verification into a
+  // kResourceExhausted trip.
   void VerifyCandidates(const std::vector<Object>& left, const std::vector<Object>& right,
+                        std::span<const ObjectGroupPlan> left_plans,
+                        std::span<const ObjectGroupPlan> right_plans,
                         const std::vector<std::pair<int32_t, int32_t>>& candidates,
                         JoinResult* result, JoinController* controller) const;
 

@@ -231,9 +231,10 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bo
 
   // ScanCount the prefix's posting lists into the dense counter array,
   // then extract every object touched at least once, block by block in
-  // ascending index order. Candidate SET (and count) are identical to the
-  // old per-list dedup scan; only the emission order changes, and every
-  // consumer either sorts hits or treats candidates as a set.
+  // ascending index order; every consumer either sorts hits or treats
+  // candidates as a set. An object whose size rules it out at τ (the
+  // size bound, docs/THEORY.md) is dropped here: verification could only
+  // reject it, after building its grouping plan.
   ProbeScratch& scratch = tls_probe_scratch;
   scratch.EnsureCapacity(num_indexed());
   uint8_t* counts = scratch.counts.data();
@@ -306,6 +307,12 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bo
           counts + block_begin, static_cast<int32_t>(block_begin), len, 1, buf);
       for (int32_t v = 0; v < n; ++v) {
         if (check_dead && deleted(buf[v])) continue;
+        const int32_t size = object_at(buf[v]).size();
+        if (OverlapOutOfReach(
+                MinFuzzyOverlap(query.size(), size, options_.tau, options_.set_metric),
+                query.size(), size)) {
+          continue;
+        }
         candidates.push_back(buf[v]);
       }
     }
@@ -542,17 +549,12 @@ Status KJoinIndex::SearchTopKProgressive(const Object& query, int32_t k,
       const Object& object = object_at(i);
       bool similar;
       if (threshold > options_.tau) {
-        // Length screen at the raised threshold: fuzzy overlap is a
-        // matching with per-pair weights <= 1, so it never exceeds
-        // min(|x|, |y|). When the overlap the threshold demands is above
-        // that, VerifyAt could only reject — skip the (plan building +
-        // grouping) work outright. The margin mirrors the verifier's
-        // `overlap >= needed - kEps` accept rule, so the screen only
-        // drops pairs a full verification would also drop.
-        const double min_size =
-            static_cast<double>(std::min(query.size(), object.size()));
-        if (MinFuzzyOverlap(query.size(), object.size(), threshold,
-                            options_.set_metric) > min_size + 1e-9) {
+        // The size bound again at the raised threshold (Candidates applied
+        // it at τ): VerifyAt could only reject, so skip the plan building
+        // and grouping outright.
+        if (OverlapOutOfReach(
+                MinFuzzyOverlap(query.size(), object.size(), threshold, options_.set_metric),
+                query.size(), object.size())) {
           if (stats != nullptr) ++stats->bound_skipped_verifies;
           continue;
         }

@@ -126,6 +126,8 @@ class SearchBound {
 // record how often this probe advanced the shared bound and how much
 // probe/verify work the tightened bound let it skip.
 struct SearchStats {
+  // Probed objects sent to verification: live, sharing a prefix signature,
+  // and not ruled out by their sizes at τ.
   int64_t candidates = 0;
   // Tighten() calls that advanced the shared bound.
   int64_t bound_tightenings = 0;
@@ -333,10 +335,11 @@ class KJoinIndex {
   std::shared_ptr<const LcaIndex> shared_lca() const { return lca_; }
 
  private:
-  // Signature-prefix probe. With a non-null `bound`, the prefix length is
-  // re-derived from the bound's current value before each posting list;
-  // lists past the tightened prefix are skipped and accounted in `stats`
-  // (both may be null).
+  // Signature-prefix probe: the live objects sharing a prefix signature
+  // with the query whose sizes do not rule them out at τ. With a non-null
+  // `bound`, the prefix length is re-derived from the bound's current
+  // value before each posting list; lists past the tightened prefix are
+  // skipped and accounted in `stats` (both may be null).
   std::vector<int32_t> Candidates(const Object& query, SearchBound* bound,
                                   SearchStats* stats) const;
   std::vector<int32_t> Candidates(const Object& query) const {

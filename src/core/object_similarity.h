@@ -38,6 +38,14 @@ double MinOverlapWithAnyPartner(int32_t size, double tau, SetMetric metric);
 // prune true results.
 double MinFuzzyOverlap(int32_t size_x, int32_t size_y, double tau, SetMetric metric);
 
+// The size bound (docs/THEORY.md): the fuzzy overlap is a matching whose
+// edge weights are at most 1, so it never exceeds min(|Sx|, |Sy|). True
+// when `needed` (a MinFuzzyOverlap value) lies above that by more than the
+// verifier's 1e-9 accept tolerance — no verification can accept the pair.
+inline bool OverlapOutOfReach(double needed, int32_t size_x, int32_t size_y) {
+  return needed > static_cast<double>(size_x < size_y ? size_x : size_y) + 1e-9;
+}
+
 // Folds an overlap into the final similarity value.
 double CombineOverlap(double overlap, int32_t size_x, int32_t size_y, SetMetric metric);
 

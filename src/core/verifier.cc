@@ -1,6 +1,7 @@
 #include "core/verifier.h"
 
 #include <algorithm>
+#include <cmath>
 #include <new>
 #include <numeric>
 #include <span>
@@ -59,6 +60,11 @@ struct VerifyScratch {
     return std::min<int64_t>(left_offsets[g + 1] - left_offsets[g],
                              right_offsets[g + 1] - right_offsets[g]);
   }
+  int64_t CountBoundSum() const {
+    int64_t sum = 0;
+    for (int32_t g = 0; g < num_groups; ++g) sum += CountBound(g);
+    return sum;
+  }
 
   // ---- BuildGroups internals ----
   std::vector<int32_t> dense_x, dense_y;  // dense signature rank per plan entry
@@ -110,8 +116,10 @@ struct VerifyScratch {
     ClampRetainedCapacity(&built);
     ClampRetainedCapacity(&plan_x.entries);
     ClampRetainedCapacity(&plan_x.by_sig);
+    ClampRetainedCapacity(&plan_x.sigs);
     ClampRetainedCapacity(&plan_y.entries);
     ClampRetainedCapacity(&plan_y.by_sig);
+    ClampRetainedCapacity(&plan_y.sigs);
     ClampRetainedCapacity(&greedy.order);
     ClampRetainedCapacity(&greedy.left_used);
     ClampRetainedCapacity(&greedy.right_used);
@@ -283,6 +291,45 @@ void Verifier::BuildPlan(const Object& object, ObjectGroupPlan* plan) const {
     if (entries[a].sig != entries[b].sig) return entries[a].sig < entries[b].sig;
     return a < b;  // element-major generation order: index order = element order
   });
+  plan->sigs.resize(entries.size());
+  for (size_t k = 0; k < entries.size(); ++k) plan->sigs[k] = entries[plan->by_sig[k]].sig;
+}
+
+bool Verifier::CountBoundBelow(const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
+                               double needed) {
+  // The bound is the multiset intersection size of the two sorted arrays:
+  // a shared run pairs off one entry per side until the shorter run ends,
+  // contributing min(run_x, run_y). It is an integer, so it falls below
+  // needed - kEps exactly when it stays below `want`.
+  const double target = needed - kEps;
+  if (target <= 0.0) return false;
+  const int64_t want = static_cast<int64_t>(std::ceil(target));
+  const SigId* a = plan_x.sigs.data();
+  const SigId* b = plan_y.sigs.data();
+  const int64_t n = static_cast<int64_t>(plan_x.sigs.size());
+  const int64_t m = static_cast<int64_t>(plan_y.sigs.size());
+  int64_t bound = 0;
+  int64_t i = 0, j = 0;
+  // Stop once the answer is certain: each further match consumes an entry
+  // on both sides, so bound + min(n - i, m - j) caps the final value.
+  while (bound < want && bound + std::min(n - i, m - j) >= want) {
+    const SigId u = a[i];
+    const SigId v = b[j];
+    bound += u == v;  // branch-free steps: the probe runs this on every pair
+    i += u <= v;
+    j += v <= u;
+  }
+  return bound < want;
+}
+
+PairScreen Verifier::Screen(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
+                            const ObjectGroupPlan& plan_y) const {
+  const double needed = MinFuzzyOverlap(x.size(), y.size(), options_.tau, options_.set_metric);
+  if (OverlapOutOfReach(needed, x.size(), y.size())) return PairScreen::kSizeBound;
+  if (options_.count_pruning && !options_.plus_mode && CountBoundBelow(plan_x, plan_y, needed)) {
+    return PairScreen::kCountBound;
+  }
+  return PairScreen::kVerify;
 }
 
 void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPlan& px,
@@ -291,6 +338,8 @@ void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPl
   const std::vector<ObjectGroupPlan::Entry>& ey = py.entries;
   const std::vector<int32_t>& ox = px.by_sig;
   const std::vector<int32_t>& oy = py.by_sig;
+  const std::vector<SigId>& sx = px.sigs;
+  const std::vector<SigId>& sy = py.sigs;
 
   s->num_groups = 0;
   s->left_offsets.assign(1, 0);
@@ -303,20 +352,19 @@ void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPl
   // two signature-sorted plans; runs present on both sides become groups.
   if (!options_.plus_mode) {
     size_t i = 0, j = 0;
-    while (i < ox.size() && j < oy.size()) {
-      const SigId sx = ex[ox[i]].sig;
-      const SigId sy = ey[oy[j]].sig;
-      if (sx < sy) {
+    while (i < sx.size() && j < sy.size()) {
+      if (sx[i] < sy[j]) {
         ++i;
         continue;
       }
-      if (sy < sx) {
+      if (sy[j] < sx[i]) {
         ++j;
         continue;
       }
+      const SigId sig = sx[i];
       const size_t i0 = i, j0 = j;
-      while (i < ox.size() && ex[ox[i]].sig == sx) ++i;
-      while (j < oy.size() && ey[oy[j]].sig == sx) ++j;
+      while (i < sx.size() && sx[i] == sig) ++i;
+      while (j < sy.size() && sy[j] == sig) ++j;
       for (size_t k = i0; k < i; ++k) s->left_members.push_back(ex[ox[k]].element);
       for (size_t k = j0; k < j; ++k) s->right_members.push_back(ey[oy[k]].element);
       s->left_offsets.push_back(static_cast<int32_t>(s->left_members.size()));
@@ -335,15 +383,11 @@ void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPl
   int32_t num_dense = 0;
   {
     size_t i = 0, j = 0;
-    while (i < ox.size() || j < oy.size()) {
-      SigId sig;
-      if (j >= oy.size() || (i < ox.size() && ex[ox[i]].sig <= ey[oy[j]].sig)) {
-        sig = ex[ox[i]].sig;
-      } else {
-        sig = ey[oy[j]].sig;
-      }
-      while (i < ox.size() && ex[ox[i]].sig == sig) s->dense_x[ox[i++]] = num_dense;
-      while (j < oy.size() && ey[oy[j]].sig == sig) s->dense_y[oy[j++]] = num_dense;
+    while (i < sx.size() || j < sy.size()) {
+      const SigId sig =
+          (j >= sy.size() || (i < sx.size() && sx[i] <= sy[j])) ? sx[i] : sy[j];
+      while (i < sx.size() && sx[i] == sig) s->dense_x[ox[i++]] = num_dense;
+      while (j < sy.size() && sy[j] == sig) s->dense_y[oy[j++]] = num_dense;
       ++num_dense;
     }
   }
@@ -421,16 +465,6 @@ void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPl
     const int32_t g = s->elem_group_y[j];
     if (g != -1 && s->group_final[g] != -1) s->right_members[s->group_right_count[g]++] = j;
   }
-}
-
-bool Verifier::CountPrune(const VerifyScratch& s, double needed, VerifyStats* stats) const {
-  int64_t upper = 0;
-  for (int32_t g = 0; g < s.num_groups; ++g) upper += s.CountBound(g);
-  if (static_cast<double>(upper) < needed - kEps) {
-    ++stats->pruned_by_count;
-    return true;
-  }
-  return false;
 }
 
 bool Verifier::WeightedCountPrune(const Object& x, const Object& y, VerifyScratch* s,
@@ -550,10 +584,7 @@ bool Verifier::VerifyAdaptive(const Object& x, const Object& y, VerifyScratch* s
     if (ca != cb) return ca > cb;
     return a < b;
   });
-  double remaining_count_ub = 0.0;
-  for (int32_t g = 0; g < s->num_groups; ++g) {
-    remaining_count_ub += static_cast<double>(s->CountBound(g));
-  }
+  double remaining_count_ub = static_cast<double>(s->CountBoundSum());
 
   s->built.clear();
   double built_upper = 0.0;
@@ -626,8 +657,20 @@ bool Verifier::VerifyWithPlans(const Object& x, const Object& y, double tau,
   }
 
   if (KJOIN_FAULT_POINT("verifier/scratch_alloc")) throw std::bad_alloc();
+  // Lemma 3. Pure-mode groups are exactly the shared signature runs, so
+  // the bound comes straight from the plans before any group is built;
+  // plus-mode groups merge across shared elements and are built first.
+  if (options_.count_pruning && !options_.plus_mode &&
+      CountBoundBelow(plan_x, plan_y, needed)) {
+    ++stats->pruned_by_count;
+    return false;
+  }
   BuildGroups(x, y, plan_x, plan_y, scratch);
-  if (options_.count_pruning && CountPrune(*scratch, needed, stats)) return false;
+  if (options_.count_pruning && options_.plus_mode &&
+      static_cast<double>(scratch->CountBoundSum()) < needed - kEps) {
+    ++stats->pruned_by_count;
+    return false;
+  }
   if (options_.weighted_count_pruning &&
       WeightedCountPrune(x, y, scratch, needed, stats)) {
     return false;

@@ -51,6 +51,14 @@ struct ObjectGroupPlan {
   };
   std::vector<Entry> entries;   // element-major (generation) order
   std::vector<int32_t> by_sig;  // argsort of entries by (sig, index)
+  std::vector<SigId> sigs;      // entries[by_sig[k]].sig: ascending, contiguous
+};
+
+// What a candidate screen decided (Verifier::Screen).
+enum class PairScreen {
+  kVerify,      // may be similar: verify it
+  kSizeBound,   // sizes alone rule it out (OverlapOutOfReach)
+  kCountBound,  // Lemma 3's count bound rules it out (pure mode)
 };
 
 enum class VerifyMode {
@@ -124,6 +132,26 @@ class Verifier {
   // valid as long as the object and the verifier's signature scheme do.
   void BuildPlan(const Object& object, ObjectGroupPlan* plan) const;
 
+  // Lemma 3 on the pure-mode group partition: true when the sum over
+  // partition signatures both plans carry of min(run in x, run in y) —
+  // exactly the groups' count bounds that pure-mode BuildGroups would
+  // produce, summed — falls short of `needed` by more than the accept
+  // tolerance. One merge over the two sorted signature arrays, stopped as
+  // soon as the answer is certain; no group is built. Not a bound in plus
+  // mode, where groups sharing an element merge.
+  static bool CountBoundBelow(const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
+                              double needed);
+
+  // The verifier's two cheapest rejections at the configured τ, decided
+  // before any group is built (docs/THEORY.md, section 6): the size bound
+  // (OverlapOutOfReach) in every mode, then — in pure mode with
+  // count_pruning on — the count bound (CountBoundBelow) that Verify's own
+  // count pruning applies. Every pair screened out is one Verify would
+  // reject, so a caller may drop it unverified; the join's probe does.
+  // Thread-safe.
+  PairScreen Screen(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
+                    const ObjectGroupPlan& plan_y) const;
+
   // Exact similarity, bypassing every pruning step (test/quality oracle).
   double ExactSimilarity(const Object& x, const Object& y) const;
 
@@ -142,7 +170,6 @@ class Verifier {
   void BuildGroups(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
                    const ObjectGroupPlan& plan_y, VerifyScratch* scratch) const;
 
-  bool CountPrune(const VerifyScratch& scratch, double needed, VerifyStats* stats) const;
   bool WeightedCountPrune(const Object& x, const Object& y, VerifyScratch* scratch,
                           double needed, VerifyStats* stats) const;
   bool VerifyBasic(const Object& x, const Object& y, double needed, VerifyScratch* scratch,

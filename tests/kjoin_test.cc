@@ -356,6 +356,216 @@ TEST(KJoinTest, DagHierarchyThroughPlusMode) {
   EXPECT_EQ(result.pairs.size(), 1u);
 }
 
+// ------------------------------------------ probe-side bounds at the edges
+//
+// The probe drops a pair before verification when its sizes alone rule
+// it out (needed overlap > min(|x|, |y|) + 1e-9) or, in pure mode with
+// count pruning, when Lemma 3's count bound does. Both must be lossless
+// right at the boundary, where the needed overlap equals what the pair
+// can reach.
+
+// Exact lookups only, so hand-picked unmapped tokens stay unmapped.
+EntityMatcher ExactMatcher(const Hierarchy& tree) {
+  EntityMatcherOptions matcher_options;
+  matcher_options.enable_approximate = false;
+  return EntityMatcher(tree, matcher_options);
+}
+
+const std::vector<std::string> kEdgeLabels = {"BurgerKing", "Pizza",      "KFC",
+                                              "Manhattan",  "Brooklyn",   "PaloAlto",
+                                              "Dominos",    "SanFrancisco"};
+
+std::vector<std::string> FirstLabels(int n) {
+  return {kEdgeLabels.begin(), kEdgeLabels.begin() + n};
+}
+
+TEST(ProbeBoundsTest, PairsWhoseSmallerSideIsExactlyTheNeededOverlapAreVerified) {
+  // x is the first `small` elements of y, so the fuzzy overlap is exactly
+  // |x| and the similarity lands exactly on τ:
+  //   Jaccard τ = 1/2,  sizes 2, 4: τ/(1+τ)·6 = 2 = |x|, SIM = 2/4;
+  //   Dice    τ = 2/3,  sizes 2, 4: τ/2·6     = 2 = |x|, SIM = 4/6;
+  //   Cosine  τ = 1/2,  sizes 2, 8: τ·√16     = 2 = |x|, SIM = 2/4.
+  struct Edge {
+    SetMetric metric;
+    double tau;
+    int small;
+    int large;
+  };
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  for (const Edge& edge : {Edge{SetMetric::kJaccard, 0.5, 2, 4},
+                           Edge{SetMetric::kDice, 2.0 / 3.0, 2, 4},
+                           Edge{SetMetric::kCosine, 0.5, 2, 8}}) {
+    for (const bool plus : {false, true}) {
+      for (const bool count_pruning : {true, false}) {
+        EntityMatcher matcher = ExactMatcher(tree);
+        ObjectBuilder builder(matcher, /*multi_mapping=*/plus);
+        const std::vector<Object> objects = {builder.Build(0, FirstLabels(edge.small)),
+                                             builder.Build(1, FirstLabels(edge.large))};
+        KJoinOptions options;
+        options.delta = 0.7;
+        options.tau = edge.tau;
+        options.set_metric = edge.metric;
+        options.plus_mode = plus;
+        options.count_pruning = count_pruning;
+        const std::string label = "metric " + std::to_string(static_cast<int>(edge.metric)) +
+                                  (plus ? " plus" : " pure") +
+                                  (count_pruning ? " count" : " no-count");
+        const JoinResult result = KJoin(tree, options).SelfJoin(objects);
+        EXPECT_EQ(result.stats.size_filtered, 0) << label;
+        EXPECT_EQ(result.stats.count_filtered, 0) << label;
+        EXPECT_EQ(result.stats.candidates, 1) << label;
+        EXPECT_EQ(result.pairs, (std::vector<std::pair<int32_t, int32_t>>{{0, 1}})) << label;
+        EXPECT_EQ(result.pairs, NaiveJoin(tree, options).SelfJoin(objects).pairs) << label;
+      }
+    }
+  }
+}
+
+TEST(ProbeBoundsTest, OneElementShortOfTheEdgeIsFilteredUnverified) {
+  // Jaccard τ = 1/2 with sizes 1 and 4 needs an overlap of 5/3 > 1. Every
+  // element of the larger side repeats the smaller side's one element, so
+  // any prefix of it shares a signature: the probe finds the pair and
+  // drops it on sizes (SIM is 1/4).
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  EntityMatcher matcher = ExactMatcher(tree);
+  ObjectBuilder builder(matcher, /*multi_mapping=*/false);
+  const std::vector<Object> objects = {
+      builder.Build(0, {"Pizza"}), builder.Build(1, {"Pizza", "Pizza", "Pizza", "Pizza"})};
+  ASSERT_EQ(objects[1].size(), 4);
+  KJoinOptions options;
+  options.delta = 0.7;
+  options.tau = 0.5;
+  const JoinResult result = KJoin(tree, options).SelfJoin(objects);
+  EXPECT_EQ(result.stats.size_filtered, 1);
+  EXPECT_EQ(result.stats.candidates, 0);
+  EXPECT_EQ(result.stats.verify.pairs_verified, 0);
+  EXPECT_TRUE(result.pairs.empty());
+  EXPECT_TRUE(NaiveJoin(tree, options).SelfJoin(objects).pairs.empty());
+}
+
+TEST(ProbeBoundsTest, CountBoundKeepsExactlyTheReachablePairs) {
+  // Jaccard τ = 1/2, sizes 4 and 4: the needed overlap is 8/3, so a pair
+  // sharing 3 elements (SIM 3/5) must be verified and accepted, and one
+  // sharing 2 (count bound 2 < 8/3, SIM 2/6) dropped by the count bound.
+  // The rest are unmapped tokens, whose token signatures are distinct.
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  for (const int shared : {3, 2}) {
+    EntityMatcher matcher = ExactMatcher(tree);
+    ObjectBuilder builder(matcher, /*multi_mapping=*/false);
+    std::vector<std::string> x = FirstLabels(shared);
+    std::vector<std::string> y = FirstLabels(shared);
+    for (int k = shared; k < 4; ++k) {
+      x.push_back("qxunmappedleft" + std::to_string(k));
+      y.push_back("qxunmappedright" + std::to_string(k));
+    }
+    const std::vector<Object> objects = {builder.Build(0, x), builder.Build(1, y)};
+    KJoinOptions options;
+    options.delta = 0.7;
+    options.tau = 0.5;
+    const JoinResult result = KJoin(tree, options).SelfJoin(objects);
+    const JoinResult oracle = NaiveJoin(tree, options).SelfJoin(objects);
+    ASSERT_EQ(result.stats.candidates + result.stats.size_filtered +
+                  result.stats.count_filtered,
+              1)
+        << "the probe must find the pair for the bound to be exercised";
+    EXPECT_EQ(result.stats.size_filtered, 0);
+    EXPECT_EQ(result.stats.count_filtered, shared == 3 ? 0 : 1) << shared << " shared";
+    EXPECT_EQ(result.pairs, oracle.pairs) << shared << " shared";
+    EXPECT_EQ(result.pairs.size(), shared == 3 ? 1u : 0u) << shared << " shared";
+  }
+}
+
+TEST(ProbeBoundsTest, ZeroTauFiltersNothing) {
+  // τ = 0: every pair is similar, so neither bound may drop anything.
+  // Every object carries "Pizza", so every pair shares a signature and is
+  // found by the probe.
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  Rng rng(14);
+  std::vector<std::string> labels;
+  for (NodeId v = 1; v < tree.num_nodes(); ++v) labels.push_back(tree.label(v));
+  for (const SetMetric metric : {SetMetric::kJaccard, SetMetric::kDice, SetMetric::kCosine}) {
+    for (const bool plus : {false, true}) {
+      EntityMatcher matcher = ExactMatcher(tree);
+      ObjectBuilder builder(matcher, /*multi_mapping=*/plus);
+      std::vector<Object> objects;
+      for (int i = 0; i < 30; ++i) {
+        std::vector<std::string> tokens = {"Pizza"};
+        const int n = static_cast<int>(rng.NextUint64(7));
+        for (int k = 0; k < n; ++k) tokens.push_back(labels[rng.NextUint64(labels.size())]);
+        objects.push_back(builder.Build(i, tokens));
+      }
+      KJoinOptions options;
+      options.delta = 0.7;
+      options.tau = 0.0;
+      options.set_metric = metric;
+      options.plus_mode = plus;
+      const JoinResult result = KJoin(tree, options).SelfJoin(objects);
+      EXPECT_EQ(result.stats.size_filtered, 0);
+      EXPECT_EQ(result.stats.count_filtered, 0);
+      EXPECT_EQ(result.stats.candidates, 30 * 29 / 2);
+      EXPECT_EQ(result.pairs.size(), 30u * 29u / 2u);
+      EXPECT_EQ(ToSet(result.pairs), ToSet(NaiveJoin(tree, options).SelfJoin(objects).pairs));
+    }
+  }
+}
+
+TEST(ProbeBoundsTest, RsJoinScreensWithTheProbeSidePlans) {
+  // R-S joins keep both collections' plans in one array, the probe side
+  // behind the indexed side; a wrong offset would screen each probe with
+  // another object's signatures. Pure mode with count pruning is where the
+  // probe reads them. Uneven collection sizes make an off-by-offset read
+  // land on the wrong object rather than on the right one by accident.
+  HierarchyGenParams tree_params;
+  tree_params.num_nodes = 200;
+  tree_params.height = 5;
+  tree_params.avg_fanout = 4.0;
+  tree_params.seed = 19;
+  const Hierarchy tree = GenerateHierarchy(tree_params);
+
+  RecordGenParams data_params;
+  data_params.num_records = 180;
+  data_params.avg_elements = 5;
+  data_params.min_elements = 1;
+  data_params.max_elements = 10;
+  data_params.min_depth = 2;
+  data_params.max_depth = 5;
+  data_params.duplicate_fraction = 0.6;
+  data_params.seed = 321;
+  const Dataset dataset = DatasetGenerator(tree, data_params).Generate("rs-pure");
+  const PreparedObjects prepared = BuildObjects(tree, dataset, /*multi_mapping=*/false);
+  std::vector<Object> left, right;
+  for (size_t i = 0; i < prepared.objects.size(); ++i) {
+    (i % 3 == 0 ? left : right).push_back(prepared.objects[i]);
+  }
+
+  for (const SetMetric metric : {SetMetric::kJaccard, SetMetric::kDice, SetMetric::kCosine}) {
+    for (const double tau : {0.55, 0.65, 0.8}) {
+      for (const bool count_pruning : {true, false}) {
+        KJoinOptions options;
+        options.delta = 0.7;
+        options.tau = tau;
+        options.set_metric = metric;
+        options.count_pruning = count_pruning;
+        const JoinResult result = KJoin(tree, options).Join(left, right);
+        const JoinResult oracle = NaiveJoin(tree, options).Join(left, right);
+        EXPECT_EQ(ToSet(result.pairs), ToSet(oracle.pairs))
+            << "metric " << static_cast<int>(metric) << " tau " << tau << " count "
+            << count_pruning;
+        EXPECT_EQ(result.stats.verify.pruned_by_count, 0);
+        if (!count_pruning) EXPECT_EQ(result.stats.count_filtered, 0);
+      }
+    }
+  }
+  // The sweep must have had something to find and something to screen.
+  KJoinOptions options;
+  options.delta = 0.7;
+  options.tau = 0.65;
+  const JoinResult result = KJoin(tree, options).Join(left, right);
+  EXPECT_FALSE(result.pairs.empty());
+  EXPECT_GT(result.stats.size_filtered, 0);
+  EXPECT_GT(result.stats.count_filtered, 0);
+}
+
 TEST(KJoinTest, StatsAreConsistent) {
   const BenchmarkData data = MakePoiBenchmark(300, 7);
   const PreparedObjects prepared = BuildObjects(data.hierarchy, data.dataset, false);

@@ -62,7 +62,10 @@ TEST_P(RandomJoinTest, RandomConfigurationMatchesOracle) {
   // Random configuration.
   KJoinOptions options;
   options.delta = 0.5 + 0.1 * static_cast<double>(rng.NextUint64(5));
-  options.tau = 0.5 + 0.1 * static_cast<double>(rng.NextUint64(5));
+  // Steps of 0.05 put more sizes on fractional overlap boundaries (0.55
+  // and 0.65 included), where the probe-side size and count bounds sit
+  // closest to the verifier's accept rule.
+  options.tau = 0.5 + 0.05 * static_cast<double>(rng.NextUint64(9));
   const SignatureScheme schemes[] = {SignatureScheme::kNode, SignatureScheme::kShallowPath,
                                      SignatureScheme::kDeepPath};
   options.scheme = schemes[rng.NextUint64(3)];
@@ -99,6 +102,16 @@ TEST_P(RandomJoinTest, RandomConfigurationMatchesOracle) {
   for (const auto& pair : got) {
     ASSERT_TRUE(expected.count(pair))
         << "spurious pair (" << pair.first << ", " << pair.second << ")";
+  }
+
+  // Counter tie-out: only pairs the probe-side bounds pass are verified,
+  // the count bound runs in the probe exactly when the verifier would
+  // apply it on the pure-mode partition, and then leaves it nothing.
+  EXPECT_EQ(result.stats.verify.pairs_verified, result.stats.candidates);
+  if (options.count_pruning && !options.plus_mode) {
+    EXPECT_EQ(result.stats.verify.pruned_by_count, 0);
+  } else {
+    EXPECT_EQ(result.stats.count_filtered, 0);
   }
 }
 

@@ -128,6 +128,12 @@ void ExpectSameCounters(const JoinStats& a, const JoinStats& b, int threads) {
   EXPECT_EQ(a.total_signatures, b.total_signatures) << threads << " threads";
   EXPECT_EQ(a.prefix_signatures, b.prefix_signatures) << threads << " threads";
   EXPECT_EQ(a.candidates, b.candidates) << threads << " threads";
+  EXPECT_EQ(a.size_filtered, b.size_filtered) << threads << " threads";
+  EXPECT_EQ(a.count_filtered, b.count_filtered) << threads << " threads";
+  // Tie-out: every pair the probe found was either screened out by one of
+  // the probe-side bounds or sent to verification, exactly once.
+  EXPECT_EQ(a.probe_pairs(), b.probe_pairs()) << threads << " threads";
+  EXPECT_EQ(a.verify.pairs_verified, a.candidates) << threads << " threads";
   EXPECT_EQ(a.results, b.results) << threads << " threads";
   EXPECT_EQ(a.verify.pairs_verified, b.verify.pairs_verified) << threads << " threads";
   EXPECT_EQ(a.verify.pruned_by_count, b.verify.pruned_by_count) << threads << " threads";
@@ -161,6 +167,28 @@ TEST(ThreadingDeterminismTest, SelfJoinIsIdenticalAcrossThreadCounts) {
     // A second run on the same KJoin reuses the pool and must agree too.
     EXPECT_EQ(join.SelfJoin(data.objects).pairs, baseline.pairs);
   }
+}
+
+TEST(ThreadingDeterminismTest, ProbeShardsTallyScreenedPairsIdentically) {
+  // Enough probes for the probe phase to fan out into several shards (the
+  // join schedules one per 8192 probes), so the shards screen pairs and
+  // tally the ones the probe-side bounds drop concurrently. The totals
+  // must match a one-thread run exactly.
+  const TestData data = MakeTestData(17000);
+  KJoinOptions options;
+  options.delta = 0.7;
+  options.tau = 0.8;
+  options.num_threads = 1;
+  const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+  ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
+  ASSERT_GT(baseline.stats.size_filtered, 0);
+  ASSERT_GT(baseline.stats.count_filtered, 0);
+
+  options.num_threads = 4;
+  const JoinResult result = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+  EXPECT_GT(result.stats.filter_tasks, 1) << "the probe phase did not fan out";
+  EXPECT_EQ(result.pairs, baseline.pairs);
+  ExpectSameCounters(result.stats, baseline.stats, 4);
 }
 
 TEST(ThreadingDeterminismTest, RsJoinIsIdenticalAcrossThreadCounts) {
