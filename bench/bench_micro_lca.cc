@@ -3,11 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "common/rng.h"
 #include "core/element_similarity.h"
-#include "core/sim_cache.h"
 #include "hierarchy/hierarchy_generator.h"
 #include "hierarchy/lca.h"
 
@@ -70,49 +67,6 @@ void BM_ElementNodeSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElementNodeSim);
-
-// Warm SimCache: the working set (1024 pairs) fits the thread-local L1,
-// so after the first lap every lookup is an L1 hit.
-void BM_ElementNodeSimCachedWarm(benchmark::State& state) {
-  static const kjoin::LcaIndex* const index = new kjoin::LcaIndex(Tree());
-  static const kjoin::SimCache* const cache = new kjoin::SimCache(int64_t{1} << 20);
-  static const kjoin::ElementSimilarity* const esim = new kjoin::ElementSimilarity(
-      *index, kjoin::ElementMetric::kKJoin, cache);
-  const auto pairs = RandomPairs(1024);
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [x, y] = pairs[i++ & 1023];
-    benchmark::DoNotOptimize(esim->NodeSim(x, y));
-  }
-  state.counters["hit_rate"] = cache->stats().HitRate();
-}
-BENCHMARK(BM_ElementNodeSimCachedWarm);
-
-// Cold SimCache: the cache is recreated whenever the pair pool wraps, so
-// (almost) every timed lookup takes the miss path — measures the cache's
-// overhead over the uncached BM_ElementNodeSim, not its benefit.
-void BM_ElementNodeSimCachedCold(benchmark::State& state) {
-  static const kjoin::LcaIndex* const index = new kjoin::LcaIndex(Tree());
-  constexpr int kPool = 1 << 15;
-  const auto pairs = RandomPairs(kPool);
-  auto cache = std::make_unique<kjoin::SimCache>(int64_t{1} << 20);
-  auto esim = std::make_unique<kjoin::ElementSimilarity>(
-      *index, kjoin::ElementMetric::kKJoin, cache.get());
-  size_t i = 0;
-  for (auto _ : state) {
-    if (i == kPool) {
-      state.PauseTiming();
-      i = 0;
-      cache = std::make_unique<kjoin::SimCache>(int64_t{1} << 20);
-      esim = std::make_unique<kjoin::ElementSimilarity>(
-          *index, kjoin::ElementMetric::kKJoin, cache.get());
-      state.ResumeTiming();
-    }
-    const auto& [x, y] = pairs[i++];
-    benchmark::DoNotOptimize(esim->NodeSim(x, y));
-  }
-}
-BENCHMARK(BM_ElementNodeSimCachedCold);
 
 }  // namespace
 

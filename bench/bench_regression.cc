@@ -7,9 +7,7 @@
 //                      [--out BENCH_PR4.json]
 //
 // Sections (keys in the JSON):
-//   micro_lca    queries/sec for naive LCA, sparse-table LCA, uncached
-//                NodeSim, and NodeSim through a cold / warm SimCache,
-//                plus warm_speedup = warm / uncached.
+//   micro_lca    queries/sec for naive LCA, sparse-table LCA and NodeSim.
 //   fig9_filter  signature-scheme sweep (node vs shallow/deep path):
 //                wall time, candidates, results.
 //   fig11_verify K-Join+ (plus-mode) verification with the SimCache off
@@ -40,7 +38,6 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "core/element_similarity.h"
-#include "core/sim_cache.h"
 #include "core/simd.h"
 #include "data/generator.h"
 #include "hierarchy/hierarchy_generator.h"
@@ -53,7 +50,6 @@ namespace {
 using kjoin::Hierarchy;
 using kjoin::LcaIndex;
 using kjoin::NodeId;
-using kjoin::SimCache;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -99,53 +95,23 @@ struct MicroLcaReport {
   double naive_qps = 0.0;
   double sparse_qps = 0.0;
   double nodesim_uncached_qps = 0.0;
-  double nodesim_cached_cold_qps = 0.0;
-  double nodesim_cached_warm_qps = 0.0;
-  double warm_speedup = 0.0;
-  double warm_hit_rate = 0.0;
 };
 
 MicroLcaReport RunMicroLca(int64_t queries) {
   const Hierarchy tree = kjoin::GenerateHierarchy(kjoin::HierarchyGenParams{});
   const LcaIndex lca(tree);
   const kjoin::ElementSimilarity esim(lca);
-  // Warm set: 1024 pairs fit the thread-local L1. Cold set: enough
-  // distinct pairs that the first (and only) lap misses throughout.
-  const auto warm_pairs = RandomPairs(tree, 1024, 7);
-  const auto cold_pairs = RandomPairs(tree, 1 << 15, 8);
+  const auto pairs = RandomPairs(tree, 1024, 7);
 
   MicroLcaReport report;
-  report.naive_qps = MeasureQps(queries / 20, warm_pairs, [&](NodeId x, NodeId y) {
+  report.naive_qps = MeasureQps(queries / 20, pairs, [&](NodeId x, NodeId y) {
     return static_cast<double>(tree.LowestCommonAncestorNaive(x, y));
   });
-  report.sparse_qps = MeasureQps(queries, warm_pairs, [&](NodeId x, NodeId y) {
+  report.sparse_qps = MeasureQps(queries, pairs, [&](NodeId x, NodeId y) {
     return static_cast<double>(lca.Lca(x, y));
   });
   report.nodesim_uncached_qps = MeasureQps(
-      queries, warm_pairs, [&](NodeId x, NodeId y) { return esim.NodeSim(x, y); });
-
-  {
-    // Cold: a single pass over distinct pairs against a fresh cache —
-    // measures the miss path (lookup + compute + insert).
-    const SimCache cache(int64_t{1} << 20);
-    const kjoin::ElementSimilarity cached(lca, kjoin::ElementMetric::kKJoin, &cache);
-    const int64_t cold_queries =
-        std::min<int64_t>(queries, static_cast<int64_t>(cold_pairs.size()));
-    report.nodesim_cached_cold_qps = MeasureQps(
-        cold_queries, cold_pairs, [&](NodeId x, NodeId y) { return cached.NodeSim(x, y); });
-  }
-  {
-    const SimCache cache(int64_t{1} << 20);
-    const kjoin::ElementSimilarity cached(lca, kjoin::ElementMetric::kKJoin, &cache);
-    // Prefill, then measure pure-hit throughput.
-    for (const auto& [x, y] : warm_pairs) cached.NodeSim(x, y);
-    report.nodesim_cached_warm_qps = MeasureQps(
-        queries, warm_pairs, [&](NodeId x, NodeId y) { return cached.NodeSim(x, y); });
-    report.warm_hit_rate = cache.stats().HitRate();
-  }
-  report.warm_speedup = report.nodesim_uncached_qps > 0.0
-                            ? report.nodesim_cached_warm_qps / report.nodesim_uncached_qps
-                            : 0.0;
+      queries, pairs, [&](NodeId x, NodeId y) { return esim.NodeSim(x, y); });
   return report;
 }
 
@@ -283,11 +249,8 @@ int main(int argc, char** argv) {
   std::printf("== micro LCA (%lld queries/timer) ==\n",
               static_cast<long long>(*micro_queries));
   const MicroLcaReport micro = RunMicroLca(*micro_queries);
-  std::printf("naive %.3g qps | sparse %.3g qps | nodesim %.3g qps | cold %.3g qps | "
-              "warm %.3g qps (%.2fx, hit rate %.3f)\n",
-              micro.naive_qps, micro.sparse_qps, micro.nodesim_uncached_qps,
-              micro.nodesim_cached_cold_qps, micro.nodesim_cached_warm_qps,
-              micro.warm_speedup, micro.warm_hit_rate);
+  std::printf("naive %.3g qps | sparse %.3g qps | nodesim %.3g qps\n", micro.naive_qps,
+              micro.sparse_qps, micro.nodesim_uncached_qps);
 
   std::printf("== micro Hungarian (%lld solves/solver) ==\n",
               static_cast<long long>(*hungarian_solves));
@@ -390,9 +353,8 @@ int main(int argc, char** argv) {
   // similarity-matrix cell runs the Eq. 2 mapping-pair loop (several
   // NodeSims plus bound arithmetic), and near-duplicate candidate pairs
   // re-evaluate the same token pairs thousands of times; a cached cell
-  // collapses to one probe. (Pure-mode cells are a single O(1) RMQ
-  // against cache-hot tables — recomputing those already costs about as
-  // much as any cache probe, so pure mode is a wash by design; see
+  // collapses to one probe. (Pure-mode cells are a single O(1) RMQ,
+  // resolved in batches, so pure mode runs without a cache; see
   // docs/performance.md.) Count prunings off so verification does the
   // full similarity work.
   std::printf("== K-Join+ verification (n=%lld), SimCache off vs on ==\n",
@@ -524,12 +486,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(*hungarian_solves));
   std::fprintf(f,
                "  \"micro_lca\": {\"naive_qps\": %.1f, \"sparse_qps\": %.1f, "
-               "\"nodesim_uncached_qps\": %.1f, \"nodesim_cached_cold_qps\": %.1f, "
-               "\"nodesim_cached_warm_qps\": %.1f, \"warm_speedup\": %.3f, "
-               "\"warm_hit_rate\": %.4f},\n",
-               micro.naive_qps, micro.sparse_qps, micro.nodesim_uncached_qps,
-               micro.nodesim_cached_cold_qps, micro.nodesim_cached_warm_qps,
-               micro.warm_speedup, micro.warm_hit_rate);
+               "\"nodesim_uncached_qps\": %.1f},\n",
+               micro.naive_qps, micro.sparse_qps, micro.nodesim_uncached_qps);
   std::fprintf(f,
                "  \"micro_hungarian\": {\"graphs\": %lld, \"solves\": %lld, "
                "\"sparse_qps\": %.1f, \"dense_qps\": %.1f, \"sparse_speedup\": %.3f, "

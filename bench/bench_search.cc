@@ -1,7 +1,7 @@
 // Extension bench (not a paper figure): KJoinIndex similarity-search
 // throughput vs threshold, plus the serving stack — snapshot-load vs
-// text-parse+rebuild cold start, concurrent SearchService QPS with
-// latency percentiles, the durable write path (acked insert latency with
+// text-parse+rebuild cold start, concurrent QPS through the one-shard
+// router with latency percentiles, the durable write path (acked insert latency with
 // WAL fsync, delta-publish bytes vs a full postings copy, compaction
 // pauses), and search throughput as a function of delta-chain depth
 // against a compacted twin, the sharded scatter-gather path, and the
@@ -36,7 +36,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/index_manager.h"
-#include "serve/search_service.h"
 #include "serve/shard_router.h"
 #include "serve/snapshot.h"
 
@@ -66,6 +65,14 @@ struct DeltaRow {
   double overhead_pct = 0.0;
   bool results_identical = false;
 };
+
+// Every hit at or above the index's own tau (a threshold search).
+std::vector<kjoin::SearchHit> SearchAll(const kjoin::KJoinIndex& index,
+                                        const kjoin::Object& query) {
+  std::vector<kjoin::SearchHit> hits;
+  (void)index.SearchTopK(query, 0, index.options().tau, kjoin::JoinControl{}, &hits);
+  return hits;
+}
 
 int64_t PostingEntryBytes(const kjoin::KJoinIndex& index) {
   return index.posting_entries() * static_cast<int64_t>(sizeof(int32_t));
@@ -100,10 +107,13 @@ int main(int argc, char** argv) {
     kjoin::WallTimer query_timer;
     int64_t total_candidates = 0;
     int64_t total_hits = 0;
+    std::vector<kjoin::SearchHit> hits;
     for (int64_t q = 0; q < *num_queries; ++q) {
       const kjoin::Object& query = prepared.objects[(q * 131) % prepared.objects.size()];
-      total_hits += static_cast<int64_t>(index.Search(query).size());
-      total_candidates += index.last_candidates();
+      kjoin::SearchStats stats;
+      (void)index.SearchTopK(query, 0, tau, kjoin::JoinControl{}, &hits, &stats);
+      total_hits += static_cast<int64_t>(hits.size());
+      total_candidates += stats.candidates;
     }
     const double seconds = query_timer.ElapsedSeconds();
     PrintRow({Fmt(tau, 2), Fmt(build_seconds, 2),
@@ -162,12 +172,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(snapshot_bytes), snapshot_speedup);
 
   // ---- serving: concurrent QPS over the loaded snapshot ----------------
-  kjoin::bench::PrintHeader("Concurrent SearchService QPS (" +
+  kjoin::bench::PrintHeader("Concurrent one-shard router QPS (" +
                             std::to_string(*serve_queries) + " queries per client count)");
   kjoin::serve::QueryPipeline pipeline = kjoin::serve::MakeQueryPipeline(*loaded);
   kjoin::ThreadPool pool(2);
   kjoin::serve::IndexManager manager(std::move(*loaded), &pool);
-  kjoin::serve::SearchService service(&manager, &pool);
+  kjoin::serve::LocalShard local(&manager);
+  kjoin::serve::ShardRouter one_shard({&local}, &pool);
 
   std::vector<kjoin::serve::QueryRequest> requests(*serve_queries);
   for (int64_t q = 0; q < *serve_queries; ++q) {
@@ -179,7 +190,7 @@ int main(int argc, char** argv) {
   }
   // Serial baseline: concurrency must never change answers.
   std::vector<std::vector<kjoin::SearchHit>> baseline(requests.size());
-  for (size_t q = 0; q < requests.size(); ++q) baseline[q] = service.Search(requests[q]).hits;
+  for (size_t q = 0; q < requests.size(); ++q) baseline[q] = one_shard.Search(requests[q]).hits;
 
   PrintRow({"clients", "qps", "p50-ms", "p99-ms", "identical"}, 12);
   std::vector<ConcurrentRow> concurrent_rows;
@@ -193,7 +204,7 @@ int main(int argc, char** argv) {
       threads.emplace_back([&, c] {
         latencies[c].reserve(requests.size() / clients + 1);
         for (size_t q = c; q < requests.size(); q += clients) {
-          const kjoin::serve::QueryResponse response = service.Search(requests[q]);
+          const kjoin::serve::QueryResponse response = one_shard.Search(requests[q]);
           latencies[c].push_back(response.seconds);
           if (!response.status.ok() || response.hits != baseline[q]) mismatches.fetch_add(1);
         }
@@ -219,32 +230,32 @@ int main(int argc, char** argv) {
   std::remove(snapshot_path.c_str());
 
   // ---- serving: adaptive admission + health tracking overhead ----------
-  // A/B over the same manager and queries: a service with the adaptive
-  // controller off and no metrics vs one with the controller, its
-  // metrics, and a health poll per rep. Reps alternate sides so drift
+  // A/B over the same manager and queries: a one-shard router with the
+  // adaptive controller off and no metrics vs one with the controller,
+  // its metrics, and a health poll per rep. Reps alternate sides so drift
   // (caches, frequency scaling) lands on both; the overhead must stay
   // under 1% at steady state (compare_bench.py gates it).
   kjoin::bench::PrintHeader("Adaptive admission overhead (alternating A/B reps)");
-  kjoin::serve::SearchServiceOptions static_options;
-  static_options.adaptive = false;
-  static_options.max_in_flight = 64;
-  kjoin::serve::SearchService static_service(&manager, &pool, static_options);
+  kjoin::serve::ShardRouterOptions static_options;
+  static_options.admission.adaptive = false;
+  static_options.admission.max_in_flight = 64;
+  kjoin::serve::ShardRouter static_router({&local}, &pool, static_options);
   kjoin::MetricsRegistry admission_metrics;
-  kjoin::serve::SearchServiceOptions adaptive_options;
-  adaptive_options.max_in_flight = 64;
-  kjoin::serve::SearchService adaptive_service(&manager, &pool, adaptive_options,
-                                               &admission_metrics);
+  kjoin::serve::ShardRouterOptions adaptive_options;
+  adaptive_options.admission.max_in_flight = 64;
+  kjoin::serve::ShardRouter adaptive_router({&local}, &pool, adaptive_options,
+                                            &admission_metrics);
   constexpr int kAdmissionReps = 8;
   double static_seconds = 0.0;
   double adaptive_seconds = 0.0;
   for (int rep = 0; rep < kAdmissionReps; ++rep) {
     for (const int side : {0, 1}) {
-      kjoin::serve::SearchService& side_service =
-          side == 0 ? static_service : adaptive_service;
+      kjoin::serve::ShardRouter& side_router =
+          side == 0 ? static_router : adaptive_router;
       kjoin::WallTimer timer;
       if (side == 1) (void)manager.HealthSnapshot();  // the monitoring poll
       for (const kjoin::serve::QueryRequest& request : requests) {
-        if (!side_service.Search(request).status.ok()) {
+        if (!side_router.Search(request).status.ok()) {
           std::fprintf(stderr, "query failed in admission bench\n");
           return 1;
         }
@@ -257,13 +268,13 @@ int main(int argc, char** argv) {
   const double static_qps = admission_queries / std::max(static_seconds, 1e-9);
   const double adaptive_qps = admission_queries / std::max(adaptive_seconds, 1e-9);
   const double admission_overhead_pct = (static_qps / std::max(adaptive_qps, 1e-9) - 1.0) * 100.0;
-  PrintRow({"service", "qps"}, 24);
+  PrintRow({"router", "qps"}, 24);
   PrintRow({"static cap, no metrics", Fmt(static_qps, 0)}, 24);
   PrintRow({"adaptive + health", Fmt(adaptive_qps, 0)}, 24);
   std::printf("adaptive admission overhead: %.2f%% (effective cap still %lld/%d)\n",
               admission_overhead_pct,
-              static_cast<long long>(adaptive_service.effective_cap()),
-              adaptive_options.max_in_flight);
+              static_cast<long long>(adaptive_router.effective_cap()),
+              adaptive_options.admission.max_in_flight);
 
   // ---- serving: durable write path (WAL fsync on the ack path) ---------
   // One shared base stack for the write-path and delta-depth sections.
@@ -380,7 +391,7 @@ int main(int argc, char** argv) {
     int64_t measured = 0;
     for (int64_t rep = 0; rep < depth_reps; ++rep) {
       for (const kjoin::serve::QueryRequest& request : requests) {
-        measured += static_cast<int64_t>(epoch->index->Search(request.query).size());
+        measured += static_cast<int64_t>(SearchAll(*epoch->index, request.query).size());
       }
     }
     (void)measured;
@@ -391,8 +402,8 @@ int main(int argc, char** argv) {
     const auto chained_epoch = chained.Acquire();
     const auto flat_epoch = flattened.Acquire();
     for (const kjoin::serve::QueryRequest& request : requests) {
-      if (chained_epoch->index->Search(request.query) !=
-          flat_epoch->index->Search(request.query)) {
+      if (SearchAll(*chained_epoch->index, request.query) !=
+          SearchAll(*flat_epoch->index, request.query)) {
         return false;
       }
     }
@@ -426,7 +437,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- serving: sharded scatter-gather top-k ---------------------------
-  // Shard-per-core serving vs the single-index SearchService path, same
+  // Shard-per-core serving vs the single-index path (the router over one
+  // unsharded IndexManager), same
   // collection, same top-k queries. QPS and latency at every shard count
   // x client count, with an identity check against the single-index
   // answers (the determinism contract), the progressive-bound prune
@@ -457,10 +469,11 @@ int main(int argc, char** argv) {
   kjoin::serve::IndexManager single_manager(
       wp_hierarchy, shard_serve_options, wp_prepared.objects,
       wp_prepared.builder->TokenTable(), wp_data.dataset.synonyms, &shard_pool);
-  kjoin::serve::SearchService single_service(&single_manager, &shard_pool);
+  kjoin::serve::LocalShard single_shard(&single_manager);
+  kjoin::serve::ShardRouter single_router({&single_shard}, &shard_pool);
   std::vector<std::vector<kjoin::SearchHit>> shard_baseline(shard_requests.size());
   for (size_t q = 0; q < shard_requests.size(); ++q) {
-    shard_baseline[q] = single_service.Search(shard_requests[q]).hits;
+    shard_baseline[q] = single_router.Search(shard_requests[q]).hits;
   }
 
   struct ShardRow {
@@ -530,7 +543,7 @@ int main(int argc, char** argv) {
   for (int clients : {1, 8}) {
     ShardRow row;
     row.shards = 0;  // the single-index path
-    run_clients([&](const kjoin::serve::QueryRequest& r) { return single_service.Search(r); },
+    run_clients([&](const kjoin::serve::QueryRequest& r) { return single_router.Search(r); },
                 clients, &row, nullptr);
     baseline_rows.push_back(row);
     PrintRow({"single", std::to_string(clients), Fmt(row.qps, 0), Fmt(row.p50_ms, 3),

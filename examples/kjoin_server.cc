@@ -62,7 +62,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/index_manager.h"
-#include "serve/search_service.h"
 #include "serve/shard_router.h"
 #include "serve/snapshot.h"
 
@@ -470,10 +469,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(manager->Acquire()->index->num_live()));
   }
 
-  kjoin::serve::SearchServiceOptions service_options;
-  service_options.max_in_flight = static_cast<int>(*max_in_flight);
-  service_options.default_deadline_seconds = *deadline;
-  kjoin::serve::SearchService service(manager.get(), &pool, service_options, &metrics);
+  // The unsharded front end: the same router over one shard.
+  kjoin::serve::LocalShard local(manager.get());
+  kjoin::serve::ShardRouterOptions router_options;
+  router_options.admission.max_in_flight = static_cast<int>(*max_in_flight);
+  router_options.default_deadline_seconds = *deadline;
+  kjoin::serve::ShardRouter router({&local}, &pool, router_options, &metrics);
 
   // Queries are perturbed copies of indexed records; the builder is not
   // thread-safe, so all query objects are built up front.
@@ -494,7 +495,7 @@ int main(int argc, char** argv) {
   for (int64_t c = 0; c < *clients; ++c) {
     client_threads.emplace_back([&, c] {
       for (int64_t q = 0; q < *queries; ++q) {
-        kjoin::serve::QueryResponse response = service.Search(requests[c * *queries + q]);
+        kjoin::serve::QueryResponse response = router.Search(requests[c * *queries + q]);
         if (response.status.ok()) {
           ok.fetch_add(1, std::memory_order_relaxed);
         } else if (kjoin::IsResourceExhausted(response.status)) {

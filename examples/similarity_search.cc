@@ -104,9 +104,16 @@ int main(int argc, char** argv) {
     std::printf("query: %s\n", text.c_str());
     // A loaded snapshot may have been built at a different tau; top-k
     // cannot search below the index's configured threshold.
-    const auto hits = index->SearchTopK(query, 3, std::max(*tau, index->options().tau));
-    std::printf("  %lld candidates -> %zu hits\n",
-                static_cast<long long>(index->last_candidates()), hits.size());
+    std::vector<kjoin::SearchHit> hits;
+    kjoin::SearchStats stats;
+    const kjoin::Status status = index->SearchTopK(
+        query, 3, std::max(*tau, index->options().tau), kjoin::JoinControl{}, &hits, &stats);
+    if (!status.ok()) {
+      std::printf("  search failed: %s\n", status.ToString().c_str());
+      continue;
+    }
+    std::printf("  %lld candidates -> %zu hits\n", static_cast<long long>(stats.candidates),
+                hits.size());
     for (const kjoin::SearchHit& hit : hits) {
       std::string hit_text;
       for (const auto& t : data.dataset.records[hit.object_index].tokens) {

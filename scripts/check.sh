@@ -6,8 +6,8 @@
 # filters keep the sanitizer passes to the threading/memory-sensitive
 # suites plus resilience_test, serve_test, wal_test, shard_test and
 # chaos_test (docs/robustness.md, docs/serving.md — snapshot byte
-# surgery under asan; the concurrent epoch-swap, search-service and
-# shard-router scatter-gather tests under tsan; the sharded chaos case
+# surgery under asan; the concurrent epoch-swap, single-shard and
+# multi-shard router tests under tsan; the sharded chaos case
 # with one degraded shard, ShardChaosTest.DegradedShardKeepsServingReads,
 # runs under both).
 #
@@ -49,6 +49,14 @@
 #                                    # under both sanitizer presets, with
 #                                    # seeded fault storms over the WAL,
 #                                    # snapshot and directory-fsync paths
+#   scripts/check.sh --perfbench     # additionally run the benchmark
+#                                    # self-test (perfbench/selftest.py):
+#                                    # perfbench compiles src/ on its own,
+#                                    # outside the preset builds, so a
+#                                    # public-API break shows up here
+#                                    # first; every workload must pass its
+#                                    # oracle at tiny size and reject a
+#                                    # planted wrong answer
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -57,6 +65,7 @@ run_recovery=0
 run_no_simd=0
 run_chaos=0
 run_net=0
+run_perfbench=0
 chaos_trials="${KJOIN_CHAOS_TRIALS:-300}"
 presets=()
 for arg in "$@"; do
@@ -70,6 +79,8 @@ for arg in "$@"; do
     run_chaos=1
   elif [[ "$arg" == "--net" ]]; then
     run_net=1
+  elif [[ "$arg" == "--perfbench" ]]; then
+    run_perfbench=1
   else
     presets+=("$arg")
   fi
@@ -198,6 +209,12 @@ if [[ $run_chaos -eq 1 ]]; then
       --gtest_filter='ShardChaosTest.DegradedShardKeepsServingReads'
   done
   echo "chaos harness passed ($chaos_trials trials per sanitizer)"
+fi
+
+if [[ $run_perfbench -eq 1 ]]; then
+  echo "==> [perfbench] benchmark self-test"
+  (cd "$repo" && python3 perfbench/selftest.py)
+  echo "perfbench self-test passed"
 fi
 
 if [[ $run_bench -eq 1 ]]; then

@@ -26,7 +26,6 @@ import sys
 # (json path, direction) — direction is "lower" or "higher" (better).
 TRACKED = [
     (("micro_lca", "sparse_qps"), "higher"),
-    (("micro_lca", "nodesim_cached_warm_qps"), "higher"),
     (("micro_hungarian", "sparse_qps"), "higher"),
     (("fig11_verify", "cache_on_verify_seconds"), "lower"),
     (("fig11_verify", "cache_off_verify_seconds"), "lower"),

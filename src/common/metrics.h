@@ -5,7 +5,7 @@
 // histograms, exported as JSON.
 //
 // The serving layer (src/serve/) reports its health through one
-// MetricsRegistry: the search service counts admitted/shed/deadline-
+// MetricsRegistry: the query router counts admitted/shed/deadline-
 // exceeded queries and observes per-query latency, the index manager
 // counts swaps and rebuild time, the snapshot loader records load time
 // and bytes. A scrape renders the whole registry as one JSON object

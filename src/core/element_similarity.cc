@@ -21,34 +21,12 @@ ElementSimilarity::ElementSimilarity(const LcaIndex& lca, ElementMetric metric,
 
 double ElementSimilarity::NodeSim(NodeId x, NodeId y) const {
   if (x == y) return 1.0;
-  if (cache_ != nullptr) {
-    return cache_->GetOrCompute(x, y, [&] { return NodeSimUncached(x, y); });
-  }
-  return NodeSimUncached(x, y);
-}
-
-double ElementSimilarity::NodeSimUncached(NodeId x, NodeId y) const {
-  const int dx = hierarchy().depth(x);
-  const int dy = hierarchy().depth(y);
-  const int dl = lca_->LcaDepth(x, y);
-  switch (metric_) {
-    case ElementMetric::kKJoin: {
-      const int denom = std::max(dx, dy);
-      return denom == 0 ? 1.0 : static_cast<double>(dl) / denom;
-    }
-    case ElementMetric::kWuPalmer: {
-      const int denom = dx + dy;
-      return denom == 0 ? 1.0 : 2.0 * dl / denom;
-    }
-  }
-  return 0.0;
+  return NodeSimFromDepth(x, y, lca_->LcaDepth(x, y));
 }
 
 double ElementSimilarity::NodeSimFromDepth(NodeId x, NodeId y, int lca_depth) const {
-  // Same arithmetic as NodeSimUncached with the LcaDepth probe replaced by
-  // the caller's batched result. x == y needs no special case: there
-  // lca_depth == depth(x) == depth(y), and both metrics evaluate to
-  // exactly 1.0.
+  // x == y needs no special case: there lca_depth == depth(x) ==
+  // depth(y), and both metrics evaluate to exactly 1.0.
   const int dx = hierarchy().depth(x);
   const int dy = hierarchy().depth(y);
   switch (metric_) {
@@ -68,25 +46,14 @@ double ElementSimilarity::Sim(const Element& x, const Element& y) const {
   // Identical tokens are maximally similar regardless of mappings.
   if (x.token_id >= 0 && x.token_id == y.token_id) return 1.0;
   if (x.token == y.token && !x.token.empty()) return 1.0;
-  if (cache_ != nullptr && !x.mappings.empty() && !y.mappings.empty()) {
-    // Pure K-Join elements (one mapping, φ = 1) reduce Eq. 2 to a single
-    // NodeSim; key by node pair so synonyms of the same node share an
-    // entry. Everything else — plus-mode elements with several weighted
-    // mappings — is a pure function of the token-id pair (ObjectBuilder
-    // interning: equal ids ⇒ equal mapping sets), so the whole loop
-    // collapses to one probe on a hit. Either way the cached value is
-    // bit-identical to what SimUncached would return.
-    if (x.mappings.size() == 1 && y.mappings.size() == 1 && x.mappings[0].phi == 1.0 &&
-        y.mappings[0].phi == 1.0) {
-      const NodeId nx = x.mappings[0].node;
-      const NodeId ny = y.mappings[0].node;
-      if (nx == ny) return 1.0;
-      return cache_->GetOrCompute(nx, ny, [&] { return NodeSimUncached(nx, ny); });
-    }
-    if (x.token_id >= 0 && y.token_id >= 0) {
-      return cache_->GetOrComputeKey(SimCache::TokenKey(x.token_id, y.token_id),
-                                     [&] { return SimUncached(x, y); });
-    }
+  // Anything else is a pure function of the token-id pair (ObjectBuilder
+  // interning: equal ids ⇒ equal mapping sets), so on a hit the whole
+  // mapping-pair loop collapses to one probe, with a value bit-identical
+  // to what SimUncached would return.
+  if (cache_ != nullptr && x.token_id >= 0 && y.token_id >= 0 && !x.mappings.empty() &&
+      !y.mappings.empty()) {
+    return cache_->GetOrCompute(SimCache::TokenKey(x.token_id, y.token_id),
+                                [&] { return SimUncached(x, y); });
   }
   return SimUncached(x, y);
 }
@@ -100,7 +67,7 @@ double ElementSimilarity::SimUncached(const Element& x, const Element& y) const 
     for (const ElementMapping& my : y.mappings) {
       const double cap = mx.phi * my.phi;
       if (cap <= best) continue;  // cannot improve, whatever the node pair
-      const double node_sim = mx.node == my.node ? 1.0 : NodeSimUncached(mx.node, my.node);
+      const double node_sim = NodeSim(mx.node, my.node);
       best = std::max(best, node_sim * cap);
       if (best >= bound) return best;
     }

@@ -20,9 +20,10 @@ enum class ElementMetric {
 class ElementSimilarity {
  public:
   // The LCA index (and its hierarchy) must outlive this object. When
-  // `cache` is non-null it must outlive this object too; node-pair
-  // similarities are then memoized through it (hits are bit-identical to
-  // recomputation, so results do not depend on the cache being present).
+  // `cache` is non-null it must outlive this object too; element
+  // similarities of token-id pairs are then memoized through it (hits are
+  // bit-identical to recomputation, so results do not depend on the cache
+  // being present).
   explicit ElementSimilarity(const LcaIndex& lca, ElementMetric metric = ElementMetric::kKJoin,
                              const SimCache* cache = nullptr);
 
@@ -38,13 +39,13 @@ class ElementSimilarity {
   const LcaIndex& lca() const { return *lca_; }
   const Hierarchy& hierarchy() const { return lca_->hierarchy(); }
 
-  // True when a SimCache fronts node-pair lookups. Callers that batch LCA
-  // resolution themselves (verifier.cc's bigraph build) must stay on
-  // Sim() when this is set, or cache hit counters would drift.
+  // True when a SimCache fronts Sim(). Callers that batch LCA resolution
+  // themselves (verifier.cc's bigraph build) must stay on Sim() when this
+  // is set, or cache hit counters would drift.
   bool cached() const { return cache_ != nullptr; }
 
   // NodeSim with the LCA depth already in hand (LcaIndex::LcaDepthBatch).
-  // Bit-identical to an uncached NodeSim(x, y).
+  // Bit-identical to NodeSim(x, y).
   double NodeSimFromDepth(NodeId x, NodeId y, int lca_depth) const;
 
   // --- Threshold geometry (static, metric-parameterized) ---------------
@@ -73,13 +74,7 @@ class ElementSimilarity {
   static double MaxSimThroughDepth(int lca_depth, int node_depth, ElementMetric metric);
 
  private:
-  // NodeSim without the cache in front.
-  double NodeSimUncached(NodeId x, NodeId y) const;
-
-  // The Eq. 2 mapping-pair loop, bypassing the cache entirely (its
-  // NodeSims are computed directly: when this runs as a SimCache miss the
-  // whole result is memoized at the element level, and caching the inner
-  // node pairs too only adds probe traffic).
+  // The Eq. 2 mapping-pair loop, bypassing the cache.
   double SimUncached(const Element& x, const Element& y) const;
 
   const LcaIndex* lca_;

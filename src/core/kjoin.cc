@@ -140,8 +140,7 @@ KJoin::KJoin(const Hierarchy& hierarchy, KJoinOptions options)
     : hierarchy_(&hierarchy),
       options_(options),
       lca_(hierarchy),
-      sim_cache_(options.sim_cache ? std::make_unique<SimCache>(options.sim_cache_capacity)
-                                   : nullptr),
+      sim_cache_(MakeSimCache(options)),
       element_sim_(lca_, options.element_metric, sim_cache_.get()),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       verifier_(element_sim_, signatures_,

@@ -62,11 +62,11 @@ struct KJoinOptions {
   // K-Join+ semantics (multi-node element mappings). Objects must then be
   // built with ObjectBuilder(matcher, /*multi_mapping=*/true).
   bool plus_mode = false;
-  // Node-pair similarity cache in front of the LCA index (see
-  // docs/performance.md). Join results are byte-identical with the cache
-  // on or off — cached values are bit-identical to recomputation — so this
-  // is purely a speed/memory trade. The capacity is the approximate
-  // number of shared L2 slots (16 bytes each).
+  // K-Join+ element-pair similarity cache (see docs/performance.md); pure
+  // mode never builds one (MakeSimCache). Join results are byte-identical
+  // with the cache on or off — cached values are bit-identical to
+  // recomputation — so this is purely a speed/memory trade. The capacity
+  // is the approximate number of shared L2 slots (16 bytes each).
   bool sim_cache = true;
   int64_t sim_cache_capacity = int64_t{1} << 20;
   // Total parallelism for the whole pipeline — signature generation,
@@ -77,6 +77,13 @@ struct KJoinOptions {
   // value.
   int num_threads = 1;
 };
+
+// The SimCache a join or index over `options` runs with: null unless
+// both plus_mode and sim_cache are set.
+inline std::unique_ptr<SimCache> MakeSimCache(const KJoinOptions& options) {
+  if (!options.plus_mode || !options.sim_cache) return nullptr;
+  return std::make_unique<SimCache>(options.sim_cache_capacity);
+}
 
 // Candidate pairs, the inverted index, and the probe bookkeeping address
 // objects with int32_t ids, so each input collection is limited to
@@ -171,10 +178,10 @@ struct JoinStats {
   // pool_busy_seconds / (threads × total_seconds): 1.0 means every lane
   // was busy for the whole join.
   double pool_utilization = 0.0;
-  // SimCache traffic during the join (zero when options.sim_cache is
-  // off). Hits split across per-thread L1s, so these counters — like the
-  // scheduling fields above — legitimately vary with num_threads; the
-  // result counters never do.
+  // SimCache traffic during the join (zero without a cache: pure mode or
+  // options.sim_cache off). Hits split across per-thread L1s, so these
+  // counters — like the scheduling fields above — legitimately vary with
+  // num_threads; the result counters never do.
   int64_t sim_cache_hits = 0;
   int64_t sim_cache_misses = 0;
   double sim_cache_hit_rate = 0.0;  // hits / (hits + misses)
@@ -298,8 +305,8 @@ class KJoin {
   const Hierarchy* hierarchy_;
   KJoinOptions options_;
   LcaIndex lca_;
-  // Owned node-pair similarity cache; null when options_.sim_cache is
-  // off. Declared before element_sim_, which captures the raw pointer.
+  // Owned element-pair similarity cache (MakeSimCache; null in pure
+  // mode). Declared before element_sim_, which captures the raw pointer.
   std::unique_ptr<SimCache> sim_cache_;
   ElementSimilarity element_sim_;
   SignatureGenerator signatures_;

@@ -11,11 +11,6 @@ namespace kjoin {
 
 namespace {
 
-// Candidate count of the calling thread's last Search. A mutable member
-// would race under concurrent Search calls; a thread-local slot keeps the
-// observability without any synchronization on the query path.
-thread_local int64_t tls_last_candidates = 0;
-
 // Deadline/cancel polling stride inside the verification loop. Polling is
 // two relaxed loads every kControlStride pairs — invisible next to one
 // verification — while bounding overshoot to a handful of pairs.
@@ -58,8 +53,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       options_(options),
       objects_(std::move(objects)),
       lca_(std::make_shared<LcaIndex>(hierarchy)),
-      sim_cache_(options.sim_cache ? std::make_shared<SimCache>(options.sim_cache_capacity)
-                                   : nullptr),
+      sim_cache_(MakeSimCache(options)),
       element_sim_(*lca_, options.element_metric, sim_cache_.get()),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       object_sim_(element_sim_, options.delta, options.set_metric),
@@ -78,8 +72,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       objects_(std::move(objects)),
       lca_(parts.lca != nullptr ? std::move(parts.lca)
                                 : std::make_shared<const LcaIndex>(hierarchy)),
-      sim_cache_(options.sim_cache ? std::make_shared<SimCache>(options.sim_cache_capacity)
-                                   : nullptr),
+      sim_cache_(MakeSimCache(options)),
       element_sim_(*lca_, options.element_metric, sim_cache_.get()),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       object_sim_(element_sim_, options.delta, options.set_metric),
@@ -163,9 +156,7 @@ void KJoinIndex::CollectLayers(std::vector<const KJoinIndex*>* layers) const {
   layers->push_back(this);
 }
 
-int64_t KJoinIndex::last_candidates() { return tls_last_candidates; }
-
-std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bound,
+std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBound& bound,
                                             SearchStats* stats) const {
   // The usual case is a flat index (one layer, no tombstones); deltas
   // probe every layer's postings — the frozen CSR store plus the mutable
@@ -225,8 +216,8 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bo
         sigs, MinSimilarElements(query.size(), floor, options_.set_metric));
   };
   int32_t prefix = prefix_at(options_.tau);
-  // The floor the current prefix was derived from (progressive probes
-  // re-derive it whenever the shared bound has risen past it).
+  // The floor the current prefix was derived from (re-derived whenever
+  // the bound has risen past it).
   double level = options_.tau;
 
   // ScanCount the prefix's posting lists into the dense counter array,
@@ -243,36 +234,34 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bo
   SigId previous = 0;
   bool have_previous = false;
   for (int32_t k = 0; k < prefix; ++k) {
-    if (bound != nullptr) {
-      const double raised = bound->value() - kSearchBoundSlack;
-      if (raised > level) {
-        level = raised;
-        int32_t cut = prefix_at(level);
-        if (cut < k) cut = k;
-        if (cut < prefix) {
-          if (stats != nullptr) {
-            // Account the lists (and their entries/blocks) the tightened
-            // prefix lets this probe skip, deduplicating repeated
-            // signature ids the way the probe loop does.
-            SigId prev_id = cut > 0 ? sigs[cut - 1].id : 0;
-            bool have_prev = cut > 0;
-            for (int32_t j = cut; j < prefix; ++j) {
-              if (have_prev && sigs[j].id == prev_id) continue;
-              prev_id = sigs[j].id;
-              have_prev = true;
-              ++stats->bound_pruned_lists;
-              stats->bound_pruned_entries += df_of(sigs[j].id);
-              for (size_t l = 0; l < num_layers; ++l) {
-                const int32_t slot = layers[l]->store_.Find(sigs[j].id);
-                if (slot >= 0) {
-                  stats->bound_pruned_blocks += layers[l]->store_.num_blocks(slot);
-                }
+    const double raised = bound.value() - kSearchBoundSlack;
+    if (raised > level) {
+      level = raised;
+      int32_t cut = prefix_at(level);
+      if (cut < k) cut = k;
+      if (cut < prefix) {
+        if (stats != nullptr) {
+          // Account the lists (and their entries/blocks) the tightened
+          // prefix lets this probe skip, deduplicating repeated
+          // signature ids the way the probe loop does.
+          SigId prev_id = cut > 0 ? sigs[cut - 1].id : 0;
+          bool have_prev = cut > 0;
+          for (int32_t j = cut; j < prefix; ++j) {
+            if (have_prev && sigs[j].id == prev_id) continue;
+            prev_id = sigs[j].id;
+            have_prev = true;
+            ++stats->bound_pruned_lists;
+            stats->bound_pruned_entries += df_of(sigs[j].id);
+            for (size_t l = 0; l < num_layers; ++l) {
+              const int32_t slot = layers[l]->store_.Find(sigs[j].id);
+              if (slot >= 0) {
+                stats->bound_pruned_blocks += layers[l]->store_.num_blocks(slot);
               }
             }
           }
-          prefix = cut;
-          if (k >= prefix) break;
         }
+        prefix = cut;
+        if (k >= prefix) break;
       }
     }
     if (have_previous && sigs[k].id == previous) continue;
@@ -317,7 +306,6 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, SearchBound* bo
       }
     }
   }
-  tls_last_candidates = static_cast<int64_t>(candidates.size());
   return candidates;
 }
 
@@ -385,124 +373,18 @@ void KJoinIndex::Flatten(std::vector<Object>* objects, RestoredParts* parts) con
   parts->postings = builder.Finish();
 }
 
-std::vector<SearchHit> KJoinIndex::Search(const Object& query) const {
-  std::vector<SearchHit> hits;
-  VerifyStats stats;
-  for (int32_t i : Candidates(query)) {
-    const Object& object = object_at(i);
-    if (!verifier_.Verify(query, object, &stats)) continue;
-    hits.push_back({i, object_sim_.Similarity(query, object)});
-  }
-  std::sort(hits.begin(), hits.end(), HitBefore);
-  return hits;
-}
-
-std::vector<SearchHit> KJoinIndex::SearchTopK(const Object& query, int32_t k,
-                                              double min_similarity) const {
-  // Candidates are generated at the index's configured τ, so searching
-  // below it would be incomplete.
-  KJOIN_CHECK_GE(min_similarity, options_.tau)
-      << "SearchTopK cannot go below the index's configured tau";
-  std::vector<SearchHit> hits = Search(query);
-  std::vector<SearchHit> result;
-  for (const SearchHit& hit : hits) {
-    if (hit.similarity + 1e-9 < min_similarity) continue;
-    result.push_back(hit);
-    if (k > 0 && static_cast<int32_t>(result.size()) >= k) break;
-  }
-  return result;
-}
-
-Status KJoinIndex::SearchControlled(const Object& query, const JoinControl& control,
-                                    std::vector<SearchHit>* hits,
-                                    SearchStats* stats) const {
-  hits->clear();
-  const bool has_deadline = control.deadline_seconds > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(has_deadline ? control.deadline_seconds : 0.0));
-  const auto tripped = [&]() -> Status {
-    if (control.cancel_token != nullptr && control.cancel_token->cancelled()) {
-      return CancelledError("search cancelled");
-    }
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
-      return DeadlineExceededError("search deadline exceeded");
-    }
-    return OkStatus();
-  };
-
-  Status status = tripped();
-  VerifyStats verify_stats;
-  int64_t candidate_count = 0;
-  if (status.ok()) {
-    const std::vector<int32_t> candidates = Candidates(query);
-    candidate_count = static_cast<int64_t>(candidates.size());
-    int since_poll = 0;
-    for (int32_t i : candidates) {
-      if (++since_poll >= kControlStride) {
-        since_poll = 0;
-        status = tripped();
-        if (!status.ok()) break;
-      }
-      const Object& object = object_at(i);
-      if (!verifier_.Verify(query, object, &verify_stats)) continue;
-      hits->push_back({i, object_sim_.Similarity(query, object)});
-    }
-  }
-  std::sort(hits->begin(), hits->end(), HitBefore);
-  if (stats != nullptr) {
-    stats->candidates = candidate_count;
-    stats->verify = verify_stats;
-  }
-  return status;
-}
-
-Status KJoinIndex::Search(const Object& query, const JoinControl& control,
-                          std::vector<SearchHit>* hits, SearchStats* stats) const {
-  return SearchControlled(query, control, hits, stats);
-}
-
 Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similarity,
                               const JoinControl& control, std::vector<SearchHit>* hits,
-                              SearchStats* stats) const {
-  if (min_similarity < options_.tau) {
-    return InvalidArgumentError("SearchTopK min_similarity " +
-                                std::to_string(min_similarity) +
-                                " below the index's configured tau " +
-                                std::to_string(options_.tau));
-  }
-  // Filter and truncate even when the search tripped its deadline or
-  // cancel token: partial hits still honor the caller's floor and k.
-  const Status status = SearchControlled(query, control, hits, stats);
-  std::vector<SearchHit> result;
-  for (const SearchHit& hit : *hits) {
-    if (hit.similarity + 1e-9 < min_similarity) continue;
-    result.push_back(hit);
-    if (k > 0 && static_cast<int32_t>(result.size()) >= k) break;
-  }
-  *hits = std::move(result);
-  return status;
-}
-
-Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similarity,
-                              const JoinControl& control, SearchBound* bound,
-                              std::vector<SearchHit>* hits, SearchStats* stats) const {
-  if (bound == nullptr) return SearchTopK(query, k, min_similarity, control, hits, stats);
-  if (min_similarity < options_.tau) {
-    return InvalidArgumentError("SearchTopK min_similarity " +
-                                std::to_string(min_similarity) +
-                                " below the index's configured tau " +
-                                std::to_string(options_.tau));
-  }
-  return SearchTopKProgressive(query, k, min_similarity, control, bound, hits, stats);
-}
-
-Status KJoinIndex::SearchTopKProgressive(const Object& query, int32_t k,
-                                         double min_similarity, const JoinControl& control,
-                                         SearchBound* bound, std::vector<SearchHit>* hits,
-                                         SearchStats* stats) const {
+                              SearchStats* stats, SearchBound* bound) const {
   hits->clear();
+  if (!(min_similarity >= options_.tau)) {  // NaN fails too
+    return InvalidArgumentError("SearchTopK min_similarity " +
+                                std::to_string(min_similarity) +
+                                " below the index's configured tau " +
+                                std::to_string(options_.tau));
+  }
+  SearchBound local_bound(min_similarity);
+  if (bound == nullptr) bound = &local_bound;
   const bool has_deadline = control.deadline_seconds > 0.0;
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -527,7 +409,7 @@ Status KJoinIndex::SearchTopKProgressive(const Object& query, int32_t k,
   // accumulation, no tightening possible without a k-th best.
   std::vector<SearchHit> best;
   if (status.ok()) {
-    const std::vector<int32_t> candidates = Candidates(query, bound, stats);
+    const std::vector<int32_t> candidates = Candidates(query, *bound, stats);
     candidate_count = static_cast<int64_t>(candidates.size());
     // One query, a stream of candidates: build the query's grouping plan
     // once for the whole probe instead of once per verified pair.
@@ -566,7 +448,7 @@ Status KJoinIndex::SearchTopKProgressive(const Object& query, int32_t k,
       }
       if (!similar) continue;
       const double similarity = object_sim_.Similarity(query, object);
-      // Same floor rule as the plain SearchTopK filter.
+      // The floor keeps the verifier's 1e-9 accept tolerance.
       if (similarity + 1e-9 < min_similarity) continue;
       const SearchHit hit{i, similarity};
       if (k <= 0) {

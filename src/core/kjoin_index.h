@@ -14,7 +14,8 @@
 //
 //   KJoinIndex index(tree, options, objects);
 //   index.Insert(more_objects[i]);
-//   std::vector<SearchHit> hits = index.Search(query);
+//   std::vector<SearchHit> hits;
+//   index.SearchTopK(query, /*k=*/0, options.tau, JoinControl{}, &hits);
 //
 // Delta layering (the serving write path): a KJoinIndex built over a
 // shared_ptr base stores only its own objects and postings; probes merge
@@ -25,14 +26,14 @@
 // object indexes are never reused, deleted entries are skipped at probe
 // time and dropped when the chain is flattened.
 //
-// Thread safety: Search and SearchTopK are safe for any number of
-// concurrent callers — every mutable state they touch (verifier scratch,
-// SimCache L1, the last_candidates observability slot) is per-thread, and
-// concurrent results are identical to serial execution. Insert and
-// DeleteObject mutate the index and require external synchronization: no
-// Search may run concurrently with them (serve/index_manager.h never
-// mutates a published index; it layers a delta over it instead). A base
-// an immutable delta chain is built over must no longer be mutated.
+// Thread safety: SearchTopK is safe for any number of concurrent callers
+// — every mutable state it touches (verifier and probe scratch, the
+// SimCache L1) is per-thread, and concurrent results are identical to
+// serial execution. Insert and DeleteObject mutate the index and require
+// external synchronization: no search may run concurrently with them
+// (serve/index_manager.h never mutates a published index; it layers a
+// delta over it instead). A base an immutable delta chain is built over
+// must no longer be mutated.
 
 #include <algorithm>
 #include <atomic>
@@ -121,10 +122,9 @@ class SearchBound {
   std::atomic<uint64_t> bits_;
 };
 
-// Per-call observability for the controlled Search overloads. The bound_*
-// counters are only touched by the progressive SearchTopK overload: they
-// record how often this probe advanced the shared bound and how much
-// probe/verify work the tightened bound let it skip.
+// Per-call observability for SearchTopK. The bound_* counters record how
+// often this probe advanced the bound and how much probe/verify work the
+// tightened bound let it skip.
 struct SearchStats {
   // Probed objects sent to verification: live, sharing a prefix signature,
   // and not ruled out by their sizes at τ.
@@ -178,69 +178,49 @@ class KJoinIndex {
   explicit KJoinIndex(std::shared_ptr<const KJoinIndex> base);
 
   // Appends one object; it becomes immediately searchable. Returns its
-  // (chain-global) index. NOT safe to call concurrently with Search (see
-  // header).
+  // (chain-global) index. NOT safe to call concurrently with SearchTopK
+  // (see header).
   int32_t Insert(const Object& object);
 
   // Tombstones an object anywhere in the chain: it stops matching
   // queries immediately and is dropped by the next Flatten(). Idempotent
   // — returns false when the object was already deleted. `index` must be
-  // in [0, num_indexed()). NOT safe to call concurrently with Search.
+  // in [0, num_indexed()). NOT safe to call concurrently with SearchTopK.
   bool DeleteObject(int32_t index);
 
-  // All indexed objects with SIMδ(query, object) >= τ, sorted by the
-  // documented total order (HitBefore: similarity descending, ties by
-  // ascending object index). The query must come from the same
-  // ObjectBuilder as the indexed collection.
-  std::vector<SearchHit> Search(const Object& query) const;
-
-  // The top-k most similar indexed objects with SIMδ >= min_similarity
-  // (which must be >= the index's τ), in HitBefore order; the total
-  // order makes the k-th cut reproducible even through similarity ties.
-  // k <= 0 returns everything.
-  std::vector<SearchHit> SearchTopK(const Object& query, int32_t k,
-                                    double min_similarity) const;
-
-  // Controlled entry points (serving path). With a default JoinControl
-  // they compute the same hits as the overloads above and return OK. The
-  // deadline and cancel token are polled between verifications; on a trip
-  // (kDeadlineExceeded / kCancelled) *hits holds the similar objects
-  // proven so far, sorted — and for SearchTopK still filtered to
-  // min_similarity and truncated to k. The byte-budget fields of JoinControl do not
-  // apply to a single-probe search and are ignored. Unlike SearchTopK —
-  // whose threshold violation is a programming error and CHECKs — the
-  // controlled variant treats min_similarity < τ as untrusted input and
-  // returns kInvalidArgument.
-  Status Search(const Object& query, const JoinControl& control,
-                std::vector<SearchHit>* hits, SearchStats* stats = nullptr) const;
-  Status SearchTopK(const Object& query, int32_t k, double min_similarity,
-                    const JoinControl& control, std::vector<SearchHit>* hits,
-                    SearchStats* stats = nullptr) const;
-
-  // Progressive top-k (the scatter-gather serving path). Identical hits
-  // to the overload above, but `bound` — a shared, monotonically-
-  // tightening similarity floor, possibly advanced concurrently by other
-  // probes of the same logical query — lets the probe skip work that can
-  // no longer place in the final top-k:
+  // The one search entry point: the top-k most similar indexed objects
+  // with SIMδ(query, object) >= min_similarity, in the documented total
+  // order (HitBefore: similarity descending, ties by ascending object
+  // index), so the k-th cut is reproducible even through similarity ties.
+  // k <= 0 is a threshold search: every object at or above the floor.
+  // The query must come from the same ObjectBuilder as the indexed
+  // collection. Candidates are generated at the index's configured τ, so
+  // min_similarity < τ would be incomplete and returns kInvalidArgument.
+  //
+  // The deadline and cancel token of `control` are polled between
+  // verifications; on a trip (kDeadlineExceeded / kCancelled) *hits holds
+  // the similar objects proven so far, sorted, filtered to
+  // min_similarity and truncated to k. The byte-budget fields of
+  // JoinControl do not apply to a single-probe search and are ignored.
+  //
+  // `bound` is a shared, monotonically-tightening similarity floor,
+  // possibly advanced concurrently by other probes of the same logical
+  // query (the scatter-gather serving path); null means a probe-local
+  // bound seeded at min_similarity. The probe skips work that can no
+  // longer place in the final top-k:
   //  - the signature prefix is recomputed at the risen bound, so whole
   //    posting lists (and their blocks) are never probed;
   //  - candidates verify at max(τ, bound - slack), so the count-pruning
   //    and adaptive bounds reject earlier;
   //  - once this probe holds k hits it reports its running k-th best
   //    back through Tighten().
-  // A null `bound` behaves exactly like the plain overload. Hits with
-  // similarity >= the final k-th best are never pruned (the slack keeps
-  // ties float-safe), so results — including tie-break order — match the
-  // non-progressive path byte for byte. The bound's floor should be the
+  // Hits with similarity >= the final k-th best are never pruned (the
+  // slack keeps ties float-safe), so results — including tie-break order
+  // — do not depend on the bound. A shared bound's floor should be the
   // caller's min_similarity (lower floors are sound, just less pruned).
   Status SearchTopK(const Object& query, int32_t k, double min_similarity,
-                    const JoinControl& control, SearchBound* bound,
-                    std::vector<SearchHit>* hits, SearchStats* stats = nullptr) const;
-
-  // Candidate count of the last Search executed by the calling thread
-  // (observability for benches; the slot is thread-local, shared by all
-  // indexes the thread searches).
-  static int64_t last_candidates();
+                    const JoinControl& control, std::vector<SearchHit>* hits,
+                    SearchStats* stats = nullptr, SearchBound* bound = nullptr) const;
 
   // Objects ever indexed across the chain, deleted ones included (object
   // indexes are stable, never compacted away while the chain lives).
@@ -336,27 +316,17 @@ class KJoinIndex {
 
  private:
   // Signature-prefix probe: the live objects sharing a prefix signature
-  // with the query whose sizes do not rule them out at τ. With a non-null
-  // `bound`, the prefix length is re-derived from the bound's current
-  // value before each posting list; lists past the tightened prefix are
-  // skipped and accounted in `stats` (both may be null).
-  std::vector<int32_t> Candidates(const Object& query, SearchBound* bound,
+  // with the query whose sizes do not rule them out at τ. The prefix
+  // length is re-derived from the bound's current value before each
+  // posting list; lists past the tightened prefix are skipped and
+  // accounted in `stats` (which may be null).
+  std::vector<int32_t> Candidates(const Object& query, const SearchBound& bound,
                                   SearchStats* stats) const;
-  std::vector<int32_t> Candidates(const Object& query) const {
-    return Candidates(query, nullptr, nullptr);
-  }
-  // The progressive verify loop behind the SearchBound overload: local
-  // top-k heap in HitBefore order, thresholds raised as `bound` tightens.
-  Status SearchTopKProgressive(const Object& query, int32_t k, double min_similarity,
-                               const JoinControl& control, SearchBound* bound,
-                               std::vector<SearchHit>* hits, SearchStats* stats) const;
   void IndexObject(int32_t index);
   // Moves the mutable tail into the frozen CSR store (only legal while
   // the store is empty — the flat build path).
   void FreezeTail();
   void CollectLayers(std::vector<const KJoinIndex*>* layers) const;
-  Status SearchControlled(const Object& query, const JoinControl& control,
-                          std::vector<SearchHit>* hits, SearchStats* stats) const;
 
   const Hierarchy* hierarchy_;
   KJoinOptions options_;
@@ -374,9 +344,9 @@ class KJoinIndex {
   // Shared so snapshot restores and epoch clones reuse one table.
   std::shared_ptr<const LcaIndex> lca_;
   // Declared before element_sim_, which captures the raw pointer (null
-  // when options_.sim_cache is off). A delta layer shares its base's
-  // cache: node-pair keys and append-only token-id keys mean the same in
-  // every layer of a chain, so the chain keeps one warm cache.
+  // unless MakeSimCache builds one). A delta layer shares its base's
+  // cache: append-only token-id keys mean the same in every layer of a
+  // chain, so the chain keeps one warm cache.
   std::shared_ptr<SimCache> sim_cache_;
   ElementSimilarity element_sim_;
   SignatureGenerator signatures_;

@@ -8,8 +8,8 @@
 namespace kjoin {
 namespace {
 
-// All-ones never collides with a real key: packed keys have node ids below
-// 2^31, so bit 63 is always clear.
+// All-ones never collides with a real key: packed token ids stay below
+// 2^31, so bits 31 and 63 are always clear.
 constexpr uint64_t kEmptyKey = ~uint64_t{0};
 
 constexpr int kNumStripes = 64;      // power of two

@@ -1,14 +1,14 @@
 #ifndef KJOIN_CORE_SIM_CACHE_H_
 #define KJOIN_CORE_SIM_CACHE_H_
 
-// Pair-similarity cache (docs/performance.md).
+// Element-pair similarity cache for K-Join+ (docs/performance.md).
 //
 // Real joins evaluate the same element pairs across thousands of
-// candidate object pairs. SimCache memoizes pair -> similarity under two
-// disjoint key spaces: node pairs (a NodeSim is an RMQ plus two depth
-// lookups) and token-id pairs (a plus-mode element Sim is a whole
-// mapping-pair loop of NodeSims), so the hot path becomes mostly one
-// array probe. Two levels:
+// candidate object pairs. SimCache memoizes token-id pair -> similarity
+// (a plus-mode element Sim is a whole mapping-pair loop of NodeSims), so
+// the hot path becomes mostly one array probe. Pure K-Join runs without
+// it: its element Sim is a single NodeSim, which the verifier resolves in
+// batches faster than a cache probe. Two levels:
 //
 //   L1 — a small direct-mapped (key, value) array living in thread-local
 //        storage: no locks, no atomics on the lookup path. A thread's L1
@@ -37,8 +37,6 @@
 #include <memory>
 #include <mutex>
 
-#include "hierarchy/hierarchy.h"
-
 namespace kjoin {
 
 struct SimCacheStats {
@@ -64,44 +62,29 @@ class SimCache {
   SimCache(const SimCache&) = delete;
   SimCache& operator=(const SimCache&) = delete;
 
-  // Canonical symmetric key: NodeSim(x, y) == NodeSim(y, x).
-  static uint64_t Key(NodeId x, NodeId y) {
+  // Canonical symmetric key for a token-id pair: Sim(x, y) == Sim(y, x).
+  // Token ids stay below 2^31, so neither half is ever all-ones and no
+  // key equals the vacant-slot sentinel. Equal token ids imply equal
+  // mapping sets (ObjectBuilder interning), so the key determines Sim.
+  static uint64_t TokenKey(int32_t x, int32_t y) {
     const auto a = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? x : y));
     const auto b = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? y : x));
     return (a << 32) | b;
   }
 
-  // Canonical symmetric key for a token-id pair, disjoint from every node
-  // key (bit 63 set; node ids stay below 2^31, so node keys keep it
-  // clear) and from the vacant-slot sentinel (token ids below 2^31 keep
-  // bit 31 clear, so the low word is never all-ones). Used to memoize
-  // whole-element Sim in plus mode, where equal token ids imply equal
-  // mapping sets (ObjectBuilder interning guarantees this).
-  static uint64_t TokenKey(int32_t x, int32_t y) {
-    const auto a = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? x : y));
-    const auto b = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? y : x));
-    return (uint64_t{1} << 63) | (a << 32) | b;
-  }
-
-  // The cached similarity of (x, y), calling `compute` (a pure function of
-  // the pair) on a miss and remembering its result.
+  // The cached similarity for `key` (packed by TokenKey), calling
+  // `compute` (a pure function of the key) on a miss and remembering its
+  // result.
   //
   // The hit path is deliberately frugal — the uncached computation it
-  // replaces is itself only a handful of loads and one divide, so every
-  // instruction here shows up in join time: one multiply for the hash
+  // replaces is a short loop of RMQ lookups, so every instruction here
+  // shows up in join time: one multiply for the hash
   // (Fibonacci hashing; the top bits are the best-mixed), one interleaved
   // key+value entry (a single cache line, where split arrays would touch
   // two), and a relaxed load/store pair instead of an atomic RMW for the
   // hit counter (the counter slot is effectively thread-private).
   template <typename ComputeFn>
-  double GetOrCompute(NodeId x, NodeId y, const ComputeFn& compute) const {
-    return GetOrComputeKey(Key(x, y), compute);
-  }
-
-  // As GetOrCompute, for a key already packed by Key() or TokenKey().
-  // `compute` must be a pure function of the key.
-  template <typename ComputeFn>
-  double GetOrComputeKey(uint64_t key, const ComputeFn& compute) const {
+  double GetOrCompute(uint64_t key, const ComputeFn& compute) const {
     const uint64_t hash = key * kHashMul;
     L1Block& l1 = LocalL1();
     L1Entry& entry = l1.entries[hash >> (64 - kL1SlotBits)];

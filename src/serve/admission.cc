@@ -92,7 +92,6 @@ void AdmissionController::NoteOutcome(bool deadline_missed) {
 Status AdmissionController::ShedStatus(Outcome outcome, double deadline_seconds) {
   const double queue_delay = queue_delay_ewma_seconds();
   if (metrics_ != nullptr) {
-    metrics_->counter(prefix_ + ".shed")->Increment();  // legacy total
     metrics_->counter(prefix_ + ".shed_total")->Increment();
     metrics_->counter(outcome == Outcome::kShedCap
                           ? prefix_ + ".shed_cap"

@@ -1,9 +1,8 @@
 #ifndef KJOIN_SERVE_ADMISSION_H_
 #define KJOIN_SERVE_ADMISSION_H_
 
-// Adaptive admission control, factored out of SearchService so every
-// serving front end (the single-index SearchService, the sharded
-// ShardRouter) sheds load the same way.
+// Adaptive admission control for the serving front end (ShardRouter,
+// over one shard or many).
 //
 // The controller bounds the number of queries admitted (queued +
 // executing) at once and, when adaptive, sheds *early* on two load
@@ -19,10 +18,9 @@
 //    max_in_flight — halved when a window of queries misses too often,
 //    +1 per clean window.
 //
-// Metrics are published under "<prefix>." ("service" keeps the
-// historical service.* names): <prefix>.shed (legacy total),
-// <prefix>.shed_total, <prefix>.shed_cap,
-// <prefix>.shed_deadline_infeasible, <prefix>.effective_cap (gauge),
+// Metrics are published under "<prefix>.": <prefix>.shed_total,
+// <prefix>.shed_cap, <prefix>.shed_deadline_infeasible,
+// <prefix>.effective_cap (gauge),
 // <prefix>.queue_delay_seconds (histogram). Shed statuses carry the load
 // picture and a machine-readable retry_after_ms= hint
 // (docs/robustness.md, "Failure modes and degraded operation").
@@ -45,7 +43,7 @@ struct AdmissionOptions {
   // max_in_flight cap and no early deadline-infeasible shedding.
   bool adaptive = true;
   // AIMD floor: the effective cap never drops below this, so a miss
-  // storm cannot shed the service to zero.
+  // storm cannot shed the front end to zero.
   int min_in_flight = 4;
   // Weight of the newest queue-delay sample in the EWMA (0..1].
   double queue_delay_ewma_alpha = 0.2;
@@ -60,7 +58,7 @@ class AdmissionController {
   enum class Outcome { kAdmitted, kShedCap, kShedDeadlineInfeasible };
 
   // `metrics` may be null. `metric_prefix` names this controller's
-  // metrics ("service", "router", ...).
+  // metrics ("router", ...).
   AdmissionController(AdmissionOptions options, std::string metric_prefix,
                       MetricsRegistry* metrics);
 

@@ -39,7 +39,7 @@
 //   IndexManager manager(std::move(loaded), &pool, &metrics);
 //   KJOIN_RETURN_IF_ERROR(manager.AttachWal("/data/kjoin.wal"));
 //   auto epoch = manager.Acquire();            // reader, never blocks
-//   epoch->index->Search(query);
+//   epoch->index->SearchTopK(query, k, tau, control, &hits);
 //   manager.InsertBatch(std::move(objects));   // writer, durable + async
 //   manager.Flush();                           // barrier: all applied
 

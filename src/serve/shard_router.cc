@@ -71,19 +71,22 @@ int StatusRank(const Status& status) {
 }  // namespace
 
 LocalShard::LocalShard(const ShardedIndexManager* manager, int shard)
-    : manager_(manager), shard_(shard) {
-  KJOIN_CHECK(manager_ != nullptr) << "LocalShard needs a ShardedIndexManager";
-  tau_ = manager_->shard(shard_)->Acquire()->index->options().tau;
+    : LocalShard(manager->shard(shard)) {
+  sharded_ = manager;
+  shard_ = shard;
 }
+
+LocalShard::LocalShard(const IndexManager* manager)
+    : manager_(manager), tau_(manager->Acquire()->index->options().tau) {}
 
 void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int count) {
   // One snapshot + one mapping per batch: every query in the batch sees
   // the same shard state. Epoch first, mapping second — the mapping is
   // updated before a batch is handed to the shard, so reading in this
   // order guarantees the mapping covers every index the epoch can emit.
-  const std::shared_ptr<const IndexEpoch> epoch = manager_->shard(shard_)->Acquire();
+  const std::shared_ptr<const IndexEpoch> epoch = manager_->Acquire();
   const std::shared_ptr<const std::vector<int32_t>> to_global =
-      manager_->GlobalIndexes(shard_);
+      sharded_ != nullptr ? sharded_->GlobalIndexes(shard_) : nullptr;
   const KJoinIndex& index = *epoch->index;
   std::vector<SearchHit> hits;
   Object resolved;
@@ -99,17 +102,15 @@ void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int 
     // may carry token_id = -1 for a token the epoch now indexes.
     const Object& query =
         ResolveUnknownTokens(*q.query, epoch->tokens, &resolved) ? resolved : *q.query;
-    if (q.top_k > 0) {
-      reply.status = index.SearchTopK(query, q.top_k, q.min_similarity, control, q.bound,
-                                      &hits, &reply.stats);
-    } else {
-      reply.status = index.Search(query, control, &hits, &reply.stats);
-    }
+    reply.status = index.SearchTopK(query, q.top_k, q.min_similarity, control, &hits,
+                                    &reply.stats, q.bound);
     reply.hits.clear();
     reply.hits.reserve(hits.size());
     for (const SearchHit& hit : hits) {
-      reply.hits.push_back(
-          {(*to_global)[static_cast<size_t>(hit.object_index)], hit.similarity});
+      const int32_t global =
+          to_global != nullptr ? (*to_global)[static_cast<size_t>(hit.object_index)]
+                               : hit.object_index;
+      reply.hits.push_back({global, hit.similarity});
     }
   }
 }
@@ -214,7 +215,8 @@ QueryResponse ShardRouter::Search(const QueryRequest& request) {
   const double deadline = EffectiveDeadline(request);
   const AdmissionController::Outcome outcome = admission_.TryAdmit(deadline);
   if (outcome != AdmissionController::Outcome::kAdmitted) return Shed(outcome, deadline);
-  // Synchronous callers never queue (mirrors SearchService::Search).
+  // Synchronous callers never queue; their zero wait pulls the EWMA back
+  // down as load drains.
   admission_.RecordQueueDelay(0.0);
   WallTimer timer;
   QueryResponse response;
@@ -427,7 +429,7 @@ void ShardRouter::DispatcherLoop() {
         batch[i].done(std::move(responses[i]));
       } catch (...) {
         KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
-                            "callback contract in search_service.h";
+                            "callback contract in shard_router.h";
         if (metrics_ != nullptr) {
           metrics_->counter("router.callback_exceptions")->Increment();
         }

@@ -36,10 +36,25 @@
 //
 // The ShardBackend interface is deliberately address-space-agnostic:
 // the router only ever sends it value-typed ShardQuery/ShardReply
-// batches. LocalShard adapts an in-process ShardedIndexManager shard; a
-// remote transport would marshal the same structs (the SearchBound
-// pointer degrades to "poll your own local bound", which is still
-// correct — the bound is a hint, never a correctness input).
+// batches. LocalShard adapts an in-process ShardedIndexManager shard, or
+// a whole unsharded IndexManager; a remote transport would marshal the
+// same structs (the SearchBound pointer degrades to "poll your own local
+// bound", which is still correct — the bound is a hint, never a
+// correctness input).
+//
+// One shard is the unsharded front end: every query acquires the
+// manager's current epoch once and runs against that consistent view,
+// admission sheds past its cap instead of queueing without bound, and
+// deadlines and cancel tokens ride the index's search path (a tripped
+// query returns the hits proven so far with kDeadlineExceeded).
+//
+//   LocalShard local(&manager);
+//   ShardRouter router({&local}, &pool,
+//                      {.default_deadline_seconds = 0.1,
+//                       .admission = {.max_in_flight = 64}},
+//                      &metrics);
+//   router.Submit(std::move(request), [](QueryResponse r) { ... });
+//   QueryResponse response = router.Search(request);  // sync
 
 #include <chrono>
 #include <condition_variable>
@@ -56,16 +71,44 @@
 #include "common/thread_pool.h"
 #include "core/kjoin_index.h"
 #include "serve/admission.h"
-#include "serve/search_service.h"
+#include "serve/index_manager.h"
 #include "serve/sharded_index_manager.h"
 
 namespace kjoin::serve {
+
+struct QueryRequest {
+  // Must be built by a builder token-id-compatible with the indexed
+  // collection (MakeQueryPipeline for snapshot-loaded stacks).
+  Object query;
+  // > 0 = top-k search; 0 = all objects at or above the floor.
+  int32_t top_k = 0;
+  // Similarity floor for both kinds; < 0 (the default) uses the index's
+  // configured tau. An explicit value — including 0.0 — is forwarded to
+  // the index, which validates it (values below tau return
+  // kInvalidArgument). The sentinel mirrors deadline_seconds below.
+  double min_similarity = -1.0;
+  // Per-request deadline; < 0 = router default, 0 = explicitly none.
+  double deadline_seconds = -1.0;
+  // Optional external cancel signal; not owned, must outlive the query.
+  const CancelToken* cancel_token = nullptr;
+};
+
+struct QueryResponse {
+  // OK, or why the query stopped (kResourceExhausted = shed before
+  // execution, kDeadlineExceeded / kCancelled = partial hits inside).
+  Status status;
+  std::vector<SearchHit> hits;
+  SearchStats stats;
+  // Epoch the query ran against (0 when shed).
+  int64_t epoch_version = 0;
+  double seconds = 0.0;
+};
 
 // One query as a shard sees it: the floor is already resolved (no
 // sentinel), indexes in the reply are global.
 struct ShardQuery {
   const Object* query = nullptr;
-  int32_t top_k = 0;          // > 0 top-k, 0 = all above min_similarity
+  int32_t top_k = 0;          // > 0 top-k, 0 = all at or above min_similarity
   double min_similarity = 0.0;
   double deadline_seconds = 0.0;  // remaining budget; <= 0 = none
   const CancelToken* cancel_token = nullptr;
@@ -104,17 +147,23 @@ class ShardBackend {
   virtual double tau() const = 0;
 };
 
-// In-process backend over one ShardedIndexManager shard.
+// In-process backend over one ShardedIndexManager shard, or over a whole
+// unsharded IndexManager (the single-shard router).
 class LocalShard : public ShardBackend {
  public:
+  // Shard `shard` of `manager`; hits are translated to global indexes.
   LocalShard(const ShardedIndexManager* manager, int shard);
+  // All of `manager` as one shard: local indexes are the global ones.
+  explicit LocalShard(const IndexManager* manager);
 
   void ProbeBatch(const ShardQuery* queries, ShardReply* replies, int count) override;
   double tau() const override { return tau_; }
 
  private:
-  const ShardedIndexManager* manager_;
-  int shard_;
+  const IndexManager* manager_;
+  // Null for an unsharded manager (no index translation).
+  const ShardedIndexManager* sharded_ = nullptr;
+  int shard_ = 0;
   double tau_;
 };
 
@@ -161,8 +210,12 @@ class ShardRouter {
 
   // Asynchronous batched path: admits, enqueues, and returns; `done`
   // runs on the dispatcher thread. Shed queries invoke `done` inline
-  // with kResourceExhausted. Same callback contract as
-  // SearchService::Submit (exceptions are caught and counted).
+  // with kResourceExhausted.
+  //
+  // Callback contract: `done` should not throw. If it does anyway, the
+  // exception is caught and logged (router.callback_exceptions counts
+  // them) and the admission slot is released regardless, so one bad
+  // callback can neither leak capacity nor stall the dispatcher.
   void Submit(QueryRequest request, std::function<void(QueryResponse)> done);
 
   // Convenience: Submit()s every request and waits; responses in request

@@ -42,7 +42,7 @@
 //   KJOIN_RETURN_IF_ERROR(SaveIndexSnapshot({&index, builder.TokenTable(),
 //                                            dataset.synonyms}, path));
 //   KJOIN_ASSIGN_OR_RETURN(LoadedIndex loaded, LoadIndexSnapshot(path));
-//   loaded.index->Search(query);
+//   loaded.index->SearchTopK(query, k, tau, control, &hits);
 
 #include <cstdint>
 #include <memory>

@@ -33,7 +33,7 @@
 #include "core/kjoin_index.h"
 #include "data/benchmark_suite.h"
 #include "serve/index_manager.h"
-#include "serve/search_service.h"
+#include "serve/shard_router.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "serve/wal.h"
@@ -455,117 +455,121 @@ TEST(AdmissionTest, DeadlineInfeasibleRequestsShedBeforeQueueing) {
   MetricsRegistry metrics;
   ThreadPool pool(2);
   auto manager = MakeManager(&pool);
-  serve::SearchServiceOptions options;
-  options.max_in_flight = 8;
+  serve::LocalShard shard(manager.get());
+  serve::ShardRouterOptions options;
+  options.admission.max_in_flight = 8;
   options.default_deadline_seconds = 0.01;
-  serve::SearchService service(manager.get(), &pool, options, &metrics);
+  serve::ShardRouter router({&shard}, &pool, options, &metrics);
 
-  // Plant a queue-delay estimate far above any deadline: the service
+  // Plant a queue-delay estimate far above any deadline: the router
   // must shed up front, without touching the index.
-  service.SetQueueDelayEwmaForTest(1.0);
+  router.SetQueueDelayEwmaForTest(1.0);
   serve::QueryRequest request;
   request.query = MakeQuery(1);
-  serve::QueryResponse response = service.Search(request);
+  serve::QueryResponse response = router.Search(request);
   EXPECT_TRUE(IsResourceExhausted(response.status)) << response.status.ToString();
   EXPECT_EQ(response.epoch_version, 0);
   EXPECT_NE(response.status.message().find("deadline-infeasible"), std::string::npos);
   EXPECT_NE(response.status.message().find("retry_after_ms="), std::string::npos);
-  EXPECT_EQ(metrics.counter("service.shed_deadline_infeasible")->value(), 1);
-  EXPECT_EQ(metrics.counter("service.shed_total")->value(), 1);
-  EXPECT_EQ(metrics.counter("service.queries")->value(), 0);
+  EXPECT_EQ(metrics.counter("router.shed_deadline_infeasible")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.queries")->value(), 0);
 
   // An explicit "no deadline" request is always feasible.
   request.deadline_seconds = 0.0;
-  response = service.Search(request);
+  response = router.Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
 
   // So is any request once the estimate subsides.
-  service.SetQueueDelayEwmaForTest(0.0);
+  router.SetQueueDelayEwmaForTest(0.0);
   request.deadline_seconds = -1.0;
-  response = service.Search(request);
+  response = router.Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
 }
 
 TEST(AdmissionTest, AimdCapHalvesOnMissStormAndRecoversAdditively) {
   MetricsRegistry metrics;
-  ThreadPool pool(1);  // synchronous: window boundaries are deterministic
+  ThreadPool pool(1);
   auto manager = MakeManager(&pool);
-  serve::SearchServiceOptions options;
-  options.max_in_flight = 16;
-  options.min_in_flight = 2;
-  options.aimd_window = 4;
-  serve::SearchService service(manager.get(), &pool, options, &metrics);
-  EXPECT_EQ(service.effective_cap(), 16);
+  serve::LocalShard shard(manager.get());
+  serve::ShardRouterOptions options;
+  options.admission.max_in_flight = 16;
+  options.admission.min_in_flight = 2;
+  options.admission.aimd_window = 4;
+  const int window = options.admission.aimd_window;
+  // Synchronous Search only: window boundaries are deterministic.
+  serve::ShardRouter router({&shard}, &pool, options, &metrics);
+  EXPECT_EQ(router.effective_cap(), 16);
 
   // Impossible deadlines: every query misses, every window halves.
   serve::QueryRequest doomed;
   doomed.query = MakeQuery(2);
   doomed.deadline_seconds = 1e-9;
-  for (int i = 0; i < options.aimd_window; ++i) {
-    const serve::QueryResponse response = service.Search(doomed);
+  for (int i = 0; i < window; ++i) {
+    const serve::QueryResponse response = router.Search(doomed);
     EXPECT_TRUE(IsDeadlineExceeded(response.status)) << response.status.ToString();
   }
-  EXPECT_EQ(service.effective_cap(), 8);
-  for (int i = 0; i < options.aimd_window; ++i) service.Search(doomed);
-  EXPECT_EQ(service.effective_cap(), 4);
-  for (int i = 0; i < options.aimd_window; ++i) service.Search(doomed);
-  EXPECT_EQ(service.effective_cap(), 2);
-  // The floor holds: a miss storm cannot shed the service to zero.
-  for (int i = 0; i < options.aimd_window; ++i) service.Search(doomed);
-  EXPECT_EQ(service.effective_cap(), 2);
-  EXPECT_EQ(metrics.gauge("service.effective_cap")->value(), 2);
+  EXPECT_EQ(router.effective_cap(), 8);
+  for (int i = 0; i < window; ++i) router.Search(doomed);
+  EXPECT_EQ(router.effective_cap(), 4);
+  for (int i = 0; i < window; ++i) router.Search(doomed);
+  EXPECT_EQ(router.effective_cap(), 2);
+  // The floor holds: a miss storm cannot shed the router to zero.
+  for (int i = 0; i < window; ++i) router.Search(doomed);
+  EXPECT_EQ(router.effective_cap(), 2);
+  EXPECT_EQ(metrics.gauge("router.effective_cap")->value(), 2);
 
   // Clean windows walk the cap back up one step at a time.
   serve::QueryRequest healthy;
   healthy.query = MakeQuery(3);
-  for (int i = 0; i < options.aimd_window; ++i) {
-    const serve::QueryResponse response = service.Search(healthy);
+  for (int i = 0; i < window; ++i) {
+    const serve::QueryResponse response = router.Search(healthy);
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   }
-  EXPECT_EQ(service.effective_cap(), 3);
-  for (int i = 0; i < options.aimd_window; ++i) service.Search(healthy);
-  EXPECT_EQ(service.effective_cap(), 4);
+  EXPECT_EQ(router.effective_cap(), 3);
+  for (int i = 0; i < window; ++i) router.Search(healthy);
+  EXPECT_EQ(router.effective_cap(), 4);
 }
 
 TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   MetricsRegistry metrics;
-  ThreadPool pool(2);  // exactly one background lane
+  ThreadPool pool(2);
   auto manager = MakeManager(&pool);
-  serve::SearchServiceOptions options;
-  options.max_in_flight = 1;
-  options.min_in_flight = 1;
-  serve::SearchService service(manager.get(), &pool, options, &metrics);
-
-  // Occupy the worker lane so the admitted query below cannot start, then
-  // fill the single admission slot; the synchronous Search must shed with
-  // the full load picture in its message.
-  std::promise<void> blocker_running, release_blocker;
-  pool.Schedule([&] {
-    blocker_running.set_value();
-    release_blocker.get_future().wait();
-  });
-  blocker_running.get_future().wait();
-
+  serve::LocalShard shard(manager.get());
+  serve::ShardRouterOptions options;
+  options.admission.max_in_flight = 1;
+  options.admission.min_in_flight = 1;
+  // Declared before the router, so they outlive its dispatcher.
   std::promise<serve::QueryResponse> async_done;
+  std::promise<void> release_callback;
+  serve::ShardRouter router({&shard}, &pool, options, &metrics);
+
+  // A submitted query holds its admission slot until its done callback
+  // returns; blocking the callback fills the single slot, so the
+  // synchronous Search must shed with the full load picture in its
+  // message.
   serve::QueryRequest request;
   request.query = MakeQuery(4);
-  service.Submit(request,
-                 [&](serve::QueryResponse r) { async_done.set_value(std::move(r)); });
-  EXPECT_EQ(service.in_flight(), 1);
+  router.Submit(request, [&async_done, released = release_callback.get_future().share()](
+                             serve::QueryResponse r) {
+    async_done.set_value(std::move(r));
+    released.wait();
+  });
+  const serve::QueryResponse admitted = async_done.get_future().get();
+  EXPECT_EQ(router.in_flight(), 1);
 
-  const serve::QueryResponse shed = service.Search(request);
+  const serve::QueryResponse shed = router.Search(request);
   ASSERT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
   EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
   EXPECT_NE(shed.status.message().find("in_flight=1"), std::string::npos)
       << shed.status.ToString();
   EXPECT_NE(shed.status.message().find("effective_cap=1"), std::string::npos);
   EXPECT_NE(shed.status.message().find("retry_after_ms="), std::string::npos);
-  EXPECT_EQ(metrics.counter("service.shed_cap")->value(), 1);
-  EXPECT_EQ(metrics.counter("service.shed_total")->value(), 1);
-  EXPECT_EQ(metrics.counter("service.shed")->value(), 1);  // legacy alias moves too
+  EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
 
-  release_blocker.set_value();
-  EXPECT_TRUE(async_done.get_future().get().status.ok());
+  release_callback.set_value();
+  EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
 }
 
 // ------------------------------------------------- fault schedules
@@ -677,8 +681,9 @@ void RunChaosTrial(uint64_t trial) {
         control.deadline_seconds = 0.05;
         std::vector<SearchHit> hits;
         SearchStats stats;
-        const Status searched = epoch->index->Search(MakeQuery(SplitMix(&rng)), control,
-                                                     &hits, &stats);
+        const Status searched =
+            epoch->index->SearchTopK(MakeQuery(SplitMix(&rng)), 0, epoch->index->options().tau,
+                                     control, &hits, &stats);
         ASSERT_TRUE(searched.ok() || IsDeadlineExceeded(searched)) << searched.ToString();
       } else {
         // Publishing may fail under the storm; it must never corrupt.
@@ -722,7 +727,10 @@ void RunChaosTrial(uint64_t trial) {
   JoinControl control;
   std::vector<SearchHit> hits;
   SearchStats stats;
-  ASSERT_TRUE(epoch->index->Search(MakeQuery(trial), control, &hits, &stats).ok());
+  ASSERT_TRUE(epoch->index
+                  ->SearchTopK(MakeQuery(trial), 0, epoch->index->options().tau, control,
+                               &hits, &stats)
+                  .ok());
 
   recovered->reset();
   RemoveTree(dir);

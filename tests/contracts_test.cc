@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "core/kjoin.h"
 #include "core/kjoin_index.h"
 #include "core/topk_join.h"
@@ -48,7 +52,15 @@ TEST_F(ContractsTest, SearchTopKRejectsSubThresholdFloor) {
   KJoinOptions options;
   options.tau = 0.8;
   const KJoinIndex index(tree_, options, objects);
-  EXPECT_DEATH(index.SearchTopK(objects[0], 5, 0.5), "tau");
+  // A floor below tau is untrusted input, not a programming error: the
+  // search returns kInvalidArgument (NaN included) and no hits.
+  std::vector<SearchHit> hits = {SearchHit{0, 1.0}};
+  const Status status = index.SearchTopK(objects[0], 5, 0.5, JoinControl{}, &hits);
+  EXPECT_TRUE(IsInvalidArgument(status)) << status.ToString();
+  EXPECT_NE(status.message().find("tau"), std::string::npos);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_TRUE(IsInvalidArgument(
+      index.SearchTopK(objects[0], 0, std::nan(""), JoinControl{}, &hits)));
 }
 
 TEST_F(ContractsTest, TopKJoinValidatesSchedule) {

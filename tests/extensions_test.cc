@@ -12,9 +12,13 @@
 #include "data/benchmark_suite.h"
 #include "data/dataset_io.h"
 #include "hierarchy/hierarchy_builder.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
+
+using test::SearchAll;
+using test::TopK;
 
 // ------------------------------------------------------------ KJoinIndex
 
@@ -48,7 +52,7 @@ TEST_F(SearchFixture, SearchMatchesLinearScan) {
       }
     }
     std::set<int32_t> got;
-    for (const SearchHit& hit : index.Search(query)) {
+    for (const SearchHit& hit : SearchAll(index, query)) {
       if (hit.object_index != q) got.insert(hit.object_index);
     }
     ASSERT_EQ(got, expected) << "query " << q;
@@ -57,7 +61,7 @@ TEST_F(SearchFixture, SearchMatchesLinearScan) {
 
 TEST_F(SearchFixture, HitsSortedBySimilarity) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  const auto hits = index.Search(prepared_.objects[3]);
+  const auto hits = SearchAll(index, prepared_.objects[3]);
   for (size_t i = 1; i < hits.size(); ++i) {
     EXPECT_GE(hits[i - 1].similarity, hits[i].similarity);
   }
@@ -69,18 +73,18 @@ TEST_F(SearchFixture, HitsSortedBySimilarity) {
 
 TEST_F(SearchFixture, TopKRespectsKAndThreshold) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  const auto all = index.Search(prepared_.objects[5]);
-  const auto top2 = index.SearchTopK(prepared_.objects[5], 2, options_.tau);
+  const auto all = SearchAll(index, prepared_.objects[5]);
+  const auto top2 = TopK(index, prepared_.objects[5], 2, options_.tau);
   EXPECT_LE(top2.size(), 2u);
   for (size_t i = 0; i < top2.size(); ++i) EXPECT_EQ(top2[i], all[i]);
-  const auto strict = index.SearchTopK(prepared_.objects[5], 0, 0.99);
+  const auto strict = TopK(index, prepared_.objects[5], 0, 0.99);
   for (const SearchHit& hit : strict) EXPECT_GE(hit.similarity, 0.99 - 1e-9);
 }
 
 TEST_F(SearchFixture, QueryWithUnknownTokensIsSafe) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
   Object query = prepared_.builder->Build(9999, {"zzzzneverseen", "qqqqalsonew"});
-  EXPECT_TRUE(index.Search(query).empty());
+  EXPECT_TRUE(SearchAll(index, query).empty());
 }
 
 TEST_F(SearchFixture, InsertMakesObjectSearchable) {
@@ -97,7 +101,7 @@ TEST_F(SearchFixture, InsertMakesObjectSearchable) {
   EXPECT_EQ(index.num_indexed(), static_cast<int64_t>(prepared_.objects.size()));
   // Every object must now retrieve itself as a perfect hit.
   for (int32_t q : {0, 100, 500, 863}) {
-    const auto hits = index.Search(prepared_.objects[q]);
+    const auto hits = SearchAll(index, prepared_.objects[q]);
     ASSERT_FALSE(hits.empty()) << q;
     EXPECT_EQ(hits[0].object_index, q);
     EXPECT_NEAR(hits[0].similarity, 1.0, 1e-9);
@@ -113,16 +117,78 @@ TEST_F(SearchFixture, InsertMatchesRebuiltIndex) {
   }
   const KJoinIndex rebuilt(data_.hierarchy, options_, prepared_.objects);
   for (int32_t q = 0; q < 30; ++q) {
-    ASSERT_EQ(incremental.Search(prepared_.objects[q]),
-              rebuilt.Search(prepared_.objects[q]))
+    ASSERT_EQ(SearchAll(incremental, prepared_.objects[q]),
+              SearchAll(rebuilt, prepared_.objects[q]))
         << "query " << q;
   }
 }
 
 TEST_F(SearchFixture, CandidateCountIsBounded) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  index.Search(prepared_.objects[0]);
-  EXPECT_LE(index.last_candidates(), index.num_indexed());
+  std::vector<SearchHit> hits;
+  SearchStats stats;
+  ASSERT_TRUE(
+      index.SearchTopK(prepared_.objects[0], 0, options_.tau, JoinControl{}, &hits, &stats)
+          .ok());
+  EXPECT_LE(stats.candidates, index.num_indexed());
+}
+
+// A threshold search at τ is exactly "every indexed object the verifier
+// accepts at τ", scored by ObjectSimilarity and sorted by HitBefore —
+// including a hit whose similarity sits within 1e-9 below τ, which the
+// verifier's tolerance accepts and the floor must not drop.
+TEST_F(SearchFixture, ThresholdSearchAtTauIsTheVerifierScan) {
+  const auto scan = [&](const KJoinOptions& options, const Object& query) {
+    const LcaIndex lca(data_.hierarchy);
+    const ElementSimilarity esim(lca, options.element_metric);
+    const SignatureGenerator signatures(data_.hierarchy, options.element_metric,
+                                        options.scheme, options.delta);
+    const Verifier verifier(
+        esim, signatures,
+        VerifierOptions{options.delta, options.tau, options.verify_mode, options.set_metric,
+                        options.count_pruning, options.weighted_count_pruning,
+                        options.plus_mode});
+    const ObjectSimilarity osim(esim, options.delta, options.set_metric);
+    std::vector<SearchHit> hits;
+    VerifyStats stats;
+    for (int32_t i = 0; i < static_cast<int32_t>(prepared_.objects.size()); ++i) {
+      if (verifier.Verify(query, prepared_.objects[i], &stats)) {
+        hits.push_back({i, osim.Similarity(query, prepared_.objects[i])});
+      }
+    }
+    std::sort(hits.begin(), hits.end(), HitBefore);
+    return hits;
+  };
+
+  const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
+  for (int32_t q = 0; q < 25; ++q) {
+    ASSERT_EQ(TopK(index, prepared_.objects[q], 0, options_.tau),
+              scan(options_, prepared_.objects[q]))
+        << "query " << q;
+  }
+
+  // Re-threshold just above the first imperfect hit's similarity.
+  int32_t q = 0;
+  SearchHit near;
+  for (; q < static_cast<int32_t>(prepared_.objects.size()); ++q) {
+    const std::vector<SearchHit> hits = SearchAll(index, prepared_.objects[q]);
+    const auto it = std::find_if(hits.begin(), hits.end(),
+                                 [](const SearchHit& hit) { return hit.similarity < 0.99; });
+    if (it != hits.end()) {
+      near = *it;
+      break;
+    }
+  }
+  ASSERT_LT(q, static_cast<int32_t>(prepared_.objects.size())) << "no imperfect hit";
+  const Object& query = prepared_.objects[q];
+  KJoinOptions edge = options_;
+  edge.tau = near.similarity + 2e-10;
+  const KJoinIndex edge_index(data_.hierarchy, edge, prepared_.objects);
+  const std::vector<SearchHit> expected = scan(edge, query);
+  ASSERT_TRUE(std::any_of(expected.begin(), expected.end(), [&](const SearchHit& hit) {
+    return hit.object_index == near.object_index;
+  })) << "the verifier must accept the hit 2e-10 below tau";
+  EXPECT_EQ(TopK(edge_index, query, 0, edge.tau), expected);
 }
 
 // ------------------------------------------------------------ clustering

@@ -453,6 +453,39 @@ TEST(NetServerTest, SearchMatchesInProcessRouterExactly) {
   }
 }
 
+// A SEARCH request's floor is applied like a TOPK's: a floor above tau
+// returns only the hits at or above it, and a floor below tau is
+// rejected with kInvalidArgument for both kinds.
+TEST(NetServerTest, SearchFloorAboveTauIsApplied) {
+  auto stack = MakeServer();
+  KJoinClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  constexpr double kFloor = 0.8;  // above tau = 0.6
+  int dropped = 0;
+  for (int q = 0; q < 24; ++q) {
+    const std::vector<std::string> tokens = QueryTokens(q);
+    StatusOr<NetResponse> all = client.Search(tokens);
+    StatusOr<NetResponse> floored = client.Search(tokens, kFloor);
+    ASSERT_TRUE(all.ok() && floored.ok());
+    ASSERT_EQ(all->code, 0u) << all->message;
+    ASSERT_EQ(floored->code, 0u) << floored->message;
+    std::vector<SearchHit> expected;
+    for (const SearchHit& hit : all->hits) {
+      if (hit.similarity + 1e-9 >= kFloor) expected.push_back(hit);
+    }
+    dropped += static_cast<int>(all->hits.size() - expected.size());
+    EXPECT_EQ(floored->hits, expected) << "query " << q;
+  }
+  EXPECT_GT(dropped, 0) << "no query had a hit between tau and the floor";
+
+  StatusOr<NetResponse> below = client.Search(QueryTokens(0), 0.3);
+  ASSERT_TRUE(below.ok());
+  EXPECT_EQ(below->code, static_cast<uint32_t>(StatusCode::kInvalidArgument)) << below->message;
+  StatusOr<NetResponse> below_topk = client.TopK(QueryTokens(0), 3, 0.3);
+  ASSERT_TRUE(below_topk.ok());
+  EXPECT_EQ(below_topk->code, below->code);
+}
+
 TEST(NetServerTest, HealthAndMetrics) {
   auto stack = MakeServer();
   KJoinClient client;

@@ -1,12 +1,13 @@
 // Serving-stack suite (docs/serving.md): snapshot round-trip fidelity,
 // the corruption matrix (truncation at every boundary, bit flips, forged
 // checksums, version skew), loader fault points, RCU epoch swapping in
-// IndexManager, and the SearchService guard rails. The concurrency tests
-// run under the tsan preset; the byte-surgery tests under asan.
+// IndexManager, and the one-shard router's guard rails. The concurrency
+// tests run under the tsan preset; the byte-surgery tests under asan.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -26,11 +27,15 @@
 #include "core/kjoin_index.h"
 #include "data/benchmark_suite.h"
 #include "serve/index_manager.h"
-#include "serve/search_service.h"
+#include "serve/shard_router.h"
 #include "serve/snapshot.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
+
+using test::SearchAll;
+using test::TopK;
 
 // ------------------------------------------------------- shared fixture
 
@@ -157,7 +162,7 @@ TEST(SnapshotTest, RoundTripSearchIdentical) {
   EXPECT_EQ(loaded->synonyms, stack.dataset.synonyms);
 
   // Queries built by the restored pipeline must be token-id-compatible:
-  // every Search and SearchTopK answer (hits, candidate counts, verify
+  // every threshold and top-k answer (hits, candidate counts, verify
   // stats) is byte-identical to the original index's.
   serve::QueryPipeline pipeline = serve::MakeQueryPipeline(*loaded);
   const std::vector<Object> original_queries = MakeQueries(stack.prepared.builder.get(), 40);
@@ -168,14 +173,20 @@ TEST(SnapshotTest, RoundTripSearchIdentical) {
     const JoinControl control;
     std::vector<SearchHit> expected, actual;
     SearchStats expected_stats, actual_stats;
-    ASSERT_TRUE(stack.index->Search(original_queries[q], control, &expected, &expected_stats).ok());
-    ASSERT_TRUE(loaded->index->Search(loaded_queries[q], control, &actual, &actual_stats).ok());
+    const double tau = stack.index->options().tau;
+    ASSERT_TRUE(stack.index
+                    ->SearchTopK(original_queries[q], 0, tau, control, &expected,
+                                 &expected_stats)
+                    .ok());
+    ASSERT_TRUE(loaded->index
+                    ->SearchTopK(loaded_queries[q], 0, tau, control, &actual, &actual_stats)
+                    .ok());
     EXPECT_EQ(expected, actual) << "query " << q;
     EXPECT_EQ(expected_stats.candidates, actual_stats.candidates) << "query " << q;
     total_hits += static_cast<int64_t>(actual.size());
 
-    const auto expected_topk = stack.index->SearchTopK(original_queries[q], 3, 0.6);
-    const auto actual_topk = loaded->index->SearchTopK(loaded_queries[q], 3, 0.6);
+    const auto expected_topk = TopK(*stack.index, original_queries[q], 3, 0.6);
+    const auto actual_topk = TopK(*loaded->index, loaded_queries[q], 3, 0.6);
     EXPECT_EQ(expected_topk, actual_topk) << "query " << q;
   }
   EXPECT_GT(total_hits, 0);  // the workload must actually exercise search
@@ -212,7 +223,7 @@ TEST(SnapshotTest, EmptyTokenTableIsReconstructedFromObjects) {
   // referenced by an indexed object survived the reconstruction.
   const Record& record = stack.dataset.records[7];
   const Object query = pipeline.builder->Build(-1, record.tokens);
-  const std::vector<SearchHit> hits = loaded->index->Search(query);
+  const std::vector<SearchHit> hits = SearchAll(*loaded->index, query);
   bool found_self = false;
   for (const SearchHit& hit : hits) found_self |= hit.object_index == 7;
   EXPECT_TRUE(found_self);
@@ -465,8 +476,8 @@ TEST(SnapshotFaultTest, WriteFaultIsDataLossAndRemovesFile) {
 
 // ------------------------------------------- concurrent index search
 
-// Satellite of docs/serving.md: Search/SearchTopK are safe for any number
-// of concurrent readers, and concurrency never changes answers. Runs
+// Satellite of docs/serving.md: SearchTopK is safe for any number of
+// concurrent readers, and concurrency never changes answers. Runs
 // under the tsan preset.
 TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   ServeStack& stack = Stack();
@@ -474,8 +485,8 @@ TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   std::vector<std::vector<SearchHit>> serial(queries.size());
   std::vector<std::vector<SearchHit>> serial_topk(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    serial[q] = stack.index->Search(queries[q]);
-    serial_topk[q] = stack.index->SearchTopK(queries[q], 3, 0.6);
+    serial[q] = SearchAll(*stack.index, queries[q]);
+    serial_topk[q] = TopK(*stack.index, queries[q], 3, 0.6);
   }
 
   constexpr int kThreads = 8;
@@ -485,8 +496,8 @@ TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t q = t % 3; q < queries.size(); ++q) {  // staggered starts
-        if (stack.index->Search(queries[q]) != serial[q]) mismatches.fetch_add(1);
-        if (stack.index->SearchTopK(queries[q], 3, 0.6) != serial_topk[q]) {
+        if (SearchAll(*stack.index, queries[q]) != serial[q]) mismatches.fetch_add(1);
+        if (TopK(*stack.index, queries[q], 3, 0.6) != serial_topk[q]) {
           mismatches.fetch_add(1);
         }
       }
@@ -570,7 +581,7 @@ TEST(IndexManagerTest, InsertPublishesNewEpochOldReadersUnaffected) {
   const Record& record = Stack().dataset.records[0];
   const Object query = Stack().prepared.builder->Build(-1, record.tokens);
   bool found_insert = false;
-  for (const SearchHit& hit : new_epoch->index->Search(query)) {
+  for (const SearchHit& hit : SearchAll(*new_epoch->index, query)) {
     found_insert |= hit.object_index >= static_cast<int32_t>(before);
   }
   EXPECT_TRUE(found_insert);
@@ -609,7 +620,7 @@ TEST(IndexManagerTest, ConcurrentReadersDuringSwaps) {
         if (epoch->index->num_indexed() < last_size) violations.fetch_add(1);
         last_version = epoch->version;
         last_size = epoch->index->num_indexed();
-        if (epoch->index->Search(query).empty()) violations.fetch_add(1);
+        if (SearchAll(*epoch->index, query).empty()) violations.fetch_add(1);
       }
     });
   }
@@ -719,7 +730,7 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
 
   auto hit_indexes = [&](const std::shared_ptr<const serve::IndexEpoch>& epoch) {
     std::set<int32_t> indexes;
-    for (const SearchHit& hit : epoch->index->Search(self_query)) {
+    for (const SearchHit& hit : SearchAll(*epoch->index, self_query)) {
       indexes.insert(hit.object_index);
     }
     return indexes;
@@ -749,7 +760,7 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
   const Object probe = Stack().prepared.builder->Build(
       -1, Stack().dataset.records[6].tokens);
   std::set<int32_t> indexes;
-  for (const SearchHit& hit : after_update->index->Search(probe)) {
+  for (const SearchHit& hit : SearchAll(*after_update->index, probe)) {
     indexes.insert(hit.object_index);
   }
   EXPECT_FALSE(indexes.count(6));
@@ -778,17 +789,42 @@ TEST(IndexManagerTest, SaveSnapshotAndLoadFrom) {
   std::remove(path.c_str());
 }
 
-// --------------------------------------------------- SearchService
+// ------------------------------------------- the one-shard router
+
+// The unsharded front end: the router over one LocalShard that covers a
+// whole IndexManager. The suite keeps its historical SearchServiceTest
+// name so the case IDs stay stable.
+struct OneShardRouter {
+  explicit OneShardRouter(ThreadPool* pool, serve::ShardRouterOptions options = {},
+                          MetricsRegistry* metrics = nullptr)
+      : manager(MakeManager(pool)),
+        shard(manager.get()),
+        router({&shard}, pool, options, metrics) {}
+
+  std::unique_ptr<serve::IndexManager> manager;
+  serve::LocalShard shard;
+  serve::ShardRouter router;
+};
+
+// Waits (bounded) until every admitted query has released its slot.
+bool DrainsToZero(const serve::ShardRouter& router) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (router.in_flight() != 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 TEST(SearchServiceTest, ThresholdAndTopKBasics) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchService service(manager.get(), &pool, {}, &metrics);
+  OneShardRouter stack(&pool, {}, &metrics);
+  serve::ShardRouter& router = stack.router;
 
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];  // an indexed object verbatim
-  serve::QueryResponse response = service.Search(request);
+  serve::QueryResponse response = router.Search(request);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_EQ(response.epoch_version, 1);
   ASSERT_FALSE(response.hits.empty());
@@ -796,205 +832,207 @@ TEST(SearchServiceTest, ThresholdAndTopKBasics) {
   for (const SearchHit& hit : response.hits) found_self |= hit.object_index == 5;
   EXPECT_TRUE(found_self);
   EXPECT_GT(response.stats.candidates, 0);
+  // One shard: hits keep the manager's own object indexes.
+  EXPECT_EQ(response.hits, SearchAll(*stack.manager->Acquire()->index, request.query));
 
   request.top_k = 2;
-  response = service.Search(request);
+  response = router.Search(request);
   ASSERT_TRUE(response.status.ok());
   EXPECT_LE(response.hits.size(), 2u);
   for (size_t i = 1; i < response.hits.size(); ++i) {
     EXPECT_GE(response.hits[i - 1].similarity, response.hits[i].similarity);
   }
-  EXPECT_EQ(metrics.counter("service.queries")->value(), 2);
-  EXPECT_EQ(metrics.histogram("service.latency_seconds")->count(), 2);
-  EXPECT_EQ(service.in_flight(), 0);
+  EXPECT_EQ(metrics.counter("router.queries")->value(), 2);
+  EXPECT_EQ(metrics.histogram("router.latency_seconds")->count(), 2);
+  EXPECT_EQ(router.in_flight(), 0);
 }
 
 TEST(SearchServiceTest, PreCancelledAndTinyDeadline) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchService service(manager.get(), &pool, {}, &metrics);
+  OneShardRouter stack(&pool, {}, &metrics);
+  serve::ShardRouter& router = stack.router;
 
   CancelToken token;
   token.Cancel();
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[0];
   request.cancel_token = &token;
-  serve::QueryResponse response = service.Search(request);
+  serve::QueryResponse response = router.Search(request);
   EXPECT_TRUE(IsCancelled(response.status)) << response.status.ToString();
-  EXPECT_EQ(metrics.counter("service.cancelled")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.cancelled")->value(), 1);
 
   request.cancel_token = nullptr;
   request.deadline_seconds = 1e-12;  // expired before the first poll
-  response = service.Search(request);
+  response = router.Search(request);
   EXPECT_TRUE(IsDeadlineExceeded(response.status)) << response.status.ToString();
-  EXPECT_EQ(metrics.counter("service.deadline_exceeded")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.deadline_exceeded")->value(), 1);
 }
 
 TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
-  ThreadPool pool(2);  // exactly one background lane
+  ThreadPool pool(2);
   MetricsRegistry metrics;
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchServiceOptions options;
-  options.max_in_flight = 1;
-  serve::SearchService service(manager.get(), &pool, options, &metrics);
-
-  // Occupy the worker lane so the admitted query below cannot start, then
-  // fill the single admission slot; the synchronous Search must shed.
-  std::promise<void> blocker_running, release_blocker;
-  pool.Schedule([&] {
-    blocker_running.set_value();
-    release_blocker.get_future().wait();
-  });
-  blocker_running.get_future().wait();
-
+  serve::ShardRouterOptions options;
+  options.admission.max_in_flight = 1;
+  // Declared before the router, so they outlive its dispatcher.
   std::promise<serve::QueryResponse> async_done;
+  std::promise<void> release_callback;
+  OneShardRouter stack(&pool, options, &metrics);
+  serve::ShardRouter& router = stack.router;
+
+  // A submitted query holds its admission slot until its done callback
+  // returns; blocking the callback fills the single slot, so the
+  // synchronous Search must shed.
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];
-  service.Submit(request, [&](serve::QueryResponse r) { async_done.set_value(std::move(r)); });
-  EXPECT_EQ(service.in_flight(), 1);
+  router.Submit(request, [&async_done, released = release_callback.get_future().share()](
+                             serve::QueryResponse r) {
+    async_done.set_value(std::move(r));
+    released.wait();
+  });
+  const serve::QueryResponse admitted = async_done.get_future().get();
+  EXPECT_EQ(router.in_flight(), 1);
 
-  serve::QueryResponse shed = service.Search(request);
+  serve::QueryResponse shed = router.Search(request);
   EXPECT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
   EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
   EXPECT_TRUE(shed.hits.empty());
-  EXPECT_EQ(metrics.counter("service.shed")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
 
-  release_blocker.set_value();
-  const serve::QueryResponse admitted = async_done.get_future().get();
+  release_callback.set_value();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
   EXPECT_FALSE(admitted.hits.empty());
+  EXPECT_TRUE(DrainsToZero(router));
 }
 
 TEST(SearchServiceTest, SubmitRunsOnPoolAndDestructorDrains) {
   ThreadPool pool(2);
   std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
+  serve::LocalShard shard(manager.get());
   constexpr int kQueries = 8;
   std::atomic<int> completed{0};
   std::atomic<int> failed{0};
   {
-    serve::SearchService service(manager.get(), &pool);
+    serve::ShardRouter router({&shard}, &pool);
     for (int q = 0; q < kQueries; ++q) {
       serve::QueryRequest request;
       request.query = Stack().prepared.objects[q];
-      service.Submit(std::move(request), [&](serve::QueryResponse response) {
+      router.Submit(std::move(request), [&](serve::QueryResponse response) {
         if (!response.status.ok()) failed.fetch_add(1);
         completed.fetch_add(1);
       });
     }
-  }  // ~SearchService is the drain barrier: every done callback has run
+  }  // ~ShardRouter is the drain barrier: every done callback has run
   EXPECT_EQ(completed.load(), kQueries);
   EXPECT_EQ(failed.load(), 0);
 }
 
-// A pool of 1 spawns no workers, so a Schedule()d query would sit in a
-// queue nothing drains and the destructor would hang on the drain wait.
-// Submit must detect the missing background lane and run inline instead.
+// A pool of 1 spawns no workers, so a scatter handed to a worker would
+// sit in a queue nothing drains. The dispatcher must probe the shard
+// inline and complete the query before the destructor's drain.
 TEST(SearchServiceTest, SubmitOnSingleLanePoolRunsInline) {
   ThreadPool pool(1);
   std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  bool called = false;
+  serve::LocalShard shard(manager.get());
+  std::promise<void> called;
+  std::future<void> done = called.get_future();
   {
-    serve::SearchService service(manager.get(), &pool);
+    serve::ShardRouter router({&shard}, &pool);
     serve::QueryRequest request;
     request.query = Stack().prepared.objects[5];
-    service.Submit(std::move(request), [&](serve::QueryResponse response) {
+    router.Submit(std::move(request), [&](serve::QueryResponse response) {
       EXPECT_TRUE(response.status.ok()) << response.status.ToString();
       EXPECT_FALSE(response.hits.empty());
-      called = true;
+      called.set_value();
     });
-    EXPECT_TRUE(called);  // ran inline on the calling thread
-  }  // ~SearchService must not deadlock on the drain wait
-  EXPECT_TRUE(called);
+    EXPECT_EQ(done.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  }  // ~ShardRouter must not deadlock on the drain
 }
 
-// Regression for the drain-hang bug: a done callback that throws used to
-// skip the async_outstanding_ decrement, so ~SearchService waited
-// forever. The bookkeeping is now scope-guarded; the exception is caught,
-// counted, and destruction completes (this test finishing IS the assert).
+// A done callback that throws must not leak its admission slot or stall
+// the dispatcher: the exception is caught, counted, and later queries
+// still run (this test finishing IS the no-hang assert).
 TEST(SearchServiceTest, ThrowingDoneCallbackDoesNotHangDestructor) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
   std::atomic<int> clean_callbacks{0};
   {
-    serve::SearchService service(manager.get(), &pool, {}, &metrics);
+    OneShardRouter stack(&pool, {}, &metrics);
     serve::QueryRequest request;
     request.query = Stack().prepared.objects[5];
-    service.Submit(request, [](serve::QueryResponse) {
+    stack.router.Submit(request, [](serve::QueryResponse) {
       throw std::runtime_error("callback contract violation");
     });
     // A well-behaved query after the thrower: the admission slot the
     // thrower held must have been released.
-    service.Submit(request,
-                   [&](serve::QueryResponse) { clean_callbacks.fetch_add(1); });
+    stack.router.Submit(request,
+                        [&](serve::QueryResponse) { clean_callbacks.fetch_add(1); });
   }  // must not deadlock
   EXPECT_EQ(clean_callbacks.load(), 1);
-  EXPECT_EQ(metrics.counter("service.callback_exceptions")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 1);
 
-  // The inline (single-lane) path swallows the throw the same way rather
-  // than propagating it out of Submit.
+  // On a single-lane pool the throw is swallowed the same way rather
+  // than propagating out of Submit, and the slot still comes back.
   ThreadPool single(1);
-  std::unique_ptr<serve::IndexManager> inline_manager = MakeManager(&single);
   {
-    serve::SearchService service(inline_manager.get(), &single, {}, &metrics);
+    OneShardRouter stack(&single, {}, &metrics);
     serve::QueryRequest request;
     request.query = Stack().prepared.objects[5];
-    EXPECT_NO_THROW(service.Submit(request, [](serve::QueryResponse) {
+    EXPECT_NO_THROW(stack.router.Submit(request, [](serve::QueryResponse) {
       throw std::runtime_error("inline violation");
     }));
-    EXPECT_EQ(service.in_flight(), 0);
+    EXPECT_TRUE(DrainsToZero(stack.router));
   }
-  EXPECT_EQ(metrics.counter("service.callback_exceptions")->value(), 2);
+  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 2);
 }
 
-// Regression for the min_similarity sentinel bug: the service used to
-// treat only values > 0 as "caller set it", so an explicit floor of 0.0
-// silently became tau instead of reaching the index's validation. The
-// unset sentinel is now negative, mirroring deadline_seconds.
+// Regression for the min_similarity sentinel bug: only values < 0 mean
+// "unset", so an explicit floor of 0.0 reaches the index's validation
+// instead of silently becoming tau.
 TEST(SearchServiceTest, ExplicitZeroMinSimilarityReachesTheIndex) {
   ThreadPool pool(2);
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchService service(manager.get(), &pool);
+  OneShardRouter stack(&pool);
+  serve::ShardRouter& router = stack.router;
 
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];
   request.top_k = 2;
 
   // Default (-1): index tau applies, the query succeeds.
-  serve::QueryResponse response = service.Search(request);
+  serve::QueryResponse response = router.Search(request);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   ASSERT_FALSE(response.hits.empty());
 
   // Explicit 0.0: below tau (0.6), the index must reject it — not run
   // a silently-tau'd query that looks like 0.0 worked.
   request.min_similarity = 0.0;
-  response = service.Search(request);
+  response = router.Search(request);
   ASSERT_FALSE(response.status.ok());
   EXPECT_TRUE(IsInvalidArgument(response.status)) << response.status.ToString();
 
   // Explicit floors at and above tau behave as before.
   request.min_similarity = 0.6;
-  response = service.Search(request);
+  response = router.Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   request.min_similarity = 0.9;
-  response = service.Search(request);
+  response = router.Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   for (const SearchHit& hit : response.hits) {
     EXPECT_GE(hit.similarity + 1e-9, 0.9);
   }
 }
 
-// The acceptance bar for the serving PR: eight clients with deadlines and
-// admission control armed (but sized to never trip) return exactly the
-// serial answers. Runs under the tsan preset.
+// Eight clients with deadlines and admission control armed (but sized
+// to never trip) return exactly the serial answers. Runs under the tsan
+// preset.
 TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
   ThreadPool pool(2);
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchServiceOptions options;
-  options.max_in_flight = 64;              // armed, never reached
+  serve::ShardRouterOptions options;
+  options.admission.max_in_flight = 64;    // armed, never reached
   options.default_deadline_seconds = 3600; // armed, never trips
-  serve::SearchService service(manager.get(), &pool, options);
+  OneShardRouter stack(&pool, options);
+  serve::ShardRouter& router = stack.router;
 
   const std::vector<Object> queries = MakeQueries(Stack().prepared.builder.get(), 32);
   std::vector<serve::QueryRequest> requests(queries.size());
@@ -1004,7 +1042,7 @@ TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
   }
   std::vector<std::vector<SearchHit>> serial(requests.size());
   for (size_t q = 0; q < requests.size(); ++q) {
-    const serve::QueryResponse response = service.Search(requests[q]);
+    const serve::QueryResponse response = router.Search(requests[q]);
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     serial[q] = response.hits;
   }
@@ -1017,7 +1055,7 @@ TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t q = c; q < requests.size(); q += 2) {  // overlapping slices
-        const serve::QueryResponse response = service.Search(requests[q]);
+        const serve::QueryResponse response = router.Search(requests[q]);
         if (!response.status.ok()) errors.fetch_add(1);
         if (response.hits != serial[q]) mismatches.fetch_add(1);
         if (response.epoch_version != 1) mismatches.fetch_add(1);
@@ -1031,15 +1069,14 @@ TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
 
 TEST(SearchServiceTest, SearchBatchPreservesRequestOrder) {
   ThreadPool pool(2);
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::SearchService service(manager.get(), &pool);
+  OneShardRouter stack(&pool);
 
   std::vector<serve::QueryRequest> requests(6);
   for (size_t q = 0; q < requests.size(); ++q) {
     requests[q].query = Stack().prepared.objects[q];
     requests[q].top_k = 1;
   }
-  const std::vector<serve::QueryResponse> responses = service.SearchBatch(requests);
+  const std::vector<serve::QueryResponse> responses = stack.router.SearchBatch(requests);
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t q = 0; q < responses.size(); ++q) {
     ASSERT_TRUE(responses[q].status.ok()) << responses[q].status.ToString();

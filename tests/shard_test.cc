@@ -30,11 +30,16 @@
 #include "core/object_similarity.h"
 #include "data/benchmark_suite.h"
 #include "hierarchy/lca.h"
+#include "serve/index_manager.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
+
+using test::SearchAll;
+using test::TopK;
 
 constexpr int64_t kRecords = 240;
 
@@ -182,17 +187,49 @@ TEST(ShardDeterminismTest, IdenticalToSingleIndexAcrossShardsAndThreads) {
         request.query = queries[q];
         serve::QueryResponse response = stack.router->Search(request);
         ASSERT_TRUE(response.status.ok()) << where << ": " << response.status.ToString();
-        ExpectHitsIdentical(reference.Search(queries[q]), response.hits,
+        ExpectHitsIdentical(SearchAll(reference, queries[q]), response.hits,
                             where + " threshold");
         // Top-k (k chosen to cut through the result set).
         request.top_k = 5;
         response = stack.router->Search(request);
         ASSERT_TRUE(response.status.ok()) << where << ": " << response.status.ToString();
-        ExpectHitsIdentical(reference.SearchTopK(queries[q], 5, Options().tau),
+        ExpectHitsIdentical(TopK(reference, queries[q], 5, Options().tau),
                             response.hits, where + " top-k");
       }
     }
   }
+}
+
+// A threshold request's floor reaches every shard: above tau, the router
+// returns exactly the single index's hits at that floor, at any shard
+// count (the one-shard router over an unsharded manager included).
+TEST(ShardDeterminismTest, ThresholdSearchAppliesFloorAboveTau) {
+  const std::vector<Object> queries = MakeQueries(40);
+  const KJoinIndex& reference = *Stack().reference;
+  constexpr double kFloor = 0.8;  // above tau = 0.6
+  ThreadPool pool(2);
+  serve::IndexManager unsharded(Stack().hierarchy, Options(), Stack().prepared.objects,
+                                Stack().prepared.builder->TokenTable(),
+                                Stack().dataset.synonyms, &pool);
+  serve::LocalShard whole(&unsharded);
+  serve::ShardRouter one_shard({&whole}, &pool);
+  RouterStack three = MakeRouter(3, &pool);
+  size_t dropped = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    serve::QueryRequest request;
+    request.query = queries[q];
+    request.min_similarity = kFloor;
+    const std::vector<SearchHit> expected = TopK(reference, queries[q], 0, kFloor);
+    dropped += SearchAll(reference, queries[q]).size() - expected.size();
+    for (serve::ShardRouter* router : {&one_shard, three.router.get()}) {
+      const serve::QueryResponse response = router->Search(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ExpectHitsIdentical(expected, response.hits,
+                          "query " + std::to_string(q) + " shards " +
+                              std::to_string(router->num_shards()));
+    }
+  }
+  EXPECT_GT(dropped, 0u) << "no query had a hit between tau and the floor";
 }
 
 // ------------------------------------------------- stale dictionaries
@@ -329,7 +366,7 @@ TEST(TopKTieBreakTest, TiedSimilaritiesBreakByAscendingObjectIndex) {
   KJoinIndex index(*stack.hierarchy, Options(), objects);
 
   const Object& query = stack.prepared.objects[0];
-  const std::vector<SearchHit> top = index.SearchTopK(query, 4, Options().tau);
+  const std::vector<SearchHit> top = TopK(index, query, 4, Options().tau);
   ASSERT_EQ(top.size(), 4u);
   // The six copies tie at the maximum similarity; the cut keeps the four
   // lowest object indexes, in ascending order.
@@ -338,7 +375,7 @@ TEST(TopKTieBreakTest, TiedSimilaritiesBreakByAscendingObjectIndex) {
     EXPECT_EQ(top[i].similarity, top[0].similarity);
   }
   // The full result set is in the documented total order.
-  const std::vector<SearchHit> all = index.Search(query);
+  const std::vector<SearchHit> all = SearchAll(index, query);
   ASSERT_GE(all.size(), 6u);
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_TRUE(HitBefore(all[i - 1], all[i]) || !HitBefore(all[i], all[i - 1]));
@@ -564,7 +601,7 @@ TEST(ShardChaosTest, DegradedShardKeepsServingReads) {
       request.top_k = 5;
       const serve::QueryResponse response = stack.router->Search(request);
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      ExpectHitsIdentical(reference.SearchTopK(query, 5, Options().tau), response.hits,
+      ExpectHitsIdentical(TopK(reference, query, 5, Options().tau), response.hits,
                           "degraded read");
     }
   }

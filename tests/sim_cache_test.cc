@@ -1,6 +1,6 @@
-// Tests for the node-pair similarity cache (src/core/sim_cache.h): key
-// canonicalization, hit/miss accounting, bit-exactness of cached values
-// vs recomputation, eviction under tiny capacity, thread-local L1
+// Tests for the element-pair similarity cache (src/core/sim_cache.h):
+// key canonicalization, hit/miss accounting, bit-exactness of cached
+// values vs recomputation, eviction under tiny capacity, thread-local L1
 // ownership switching between caches, and a multi-threaded hammer (the
 // tsan/asan target).
 
@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/element.h"
 #include "core/element_similarity.h"
 #include "core/sim_cache.h"
 #include "hierarchy/hierarchy_generator.h"
@@ -30,45 +32,35 @@ Hierarchy MakeTree(int num_nodes, uint64_t seed) {
   return GenerateHierarchy(params);
 }
 
-// A deterministic stand-in for NodeSim so tests can verify the cache
-// returns exactly what the compute function would.
-double Oracle(NodeId x, NodeId y, double salt) {
-  const uint64_t key = SimCache::Key(x, y);
+// A deterministic stand-in for Sim so tests can verify the cache returns
+// exactly what the compute function would.
+double Oracle(int32_t x, int32_t y, double salt) {
+  const uint64_t key = SimCache::TokenKey(x, y);
   return static_cast<double>(key % 9973) / 9973.0 + salt;
 }
 
-TEST(SimCacheTest, KeyIsSymmetricAndCanonical) {
-  EXPECT_EQ(SimCache::Key(3, 7), SimCache::Key(7, 3));
-  EXPECT_EQ(SimCache::Key(0, 0), 0u);
-  EXPECT_NE(SimCache::Key(1, 2), SimCache::Key(2, 3));
-  // min in the high half, max in the low half.
-  EXPECT_EQ(SimCache::Key(5, 9), (uint64_t{5} << 32) | 9);
+// One pure K-Join element per node: a single φ = 1 mapping, token id =
+// node id (a distinct token per node, as ObjectBuilder interning gives).
+std::vector<Element> NodeElements(const Hierarchy& tree) {
+  std::vector<Element> elements(static_cast<size_t>(tree.num_nodes()));
+  for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+    Element& e = elements[static_cast<size_t>(v)];
+    e.token = "n" + std::to_string(v);
+    e.token_id = v;
+    e.mappings.push_back({v, 1.0});
+  }
+  return elements;
 }
 
-TEST(SimCacheTest, TokenKeySpaceIsDisjointFromNodeKeySpace) {
+TEST(SimCacheTest, KeyIsSymmetricAndCanonical) {
   EXPECT_EQ(SimCache::TokenKey(3, 7), SimCache::TokenKey(7, 3));
-  EXPECT_EQ(SimCache::TokenKey(5, 9), (uint64_t{1} << 63) | (uint64_t{5} << 32) | 9);
-  // The same id pair under the two key spaces must never collide, and no
-  // token key may equal the vacant-slot sentinel (all-ones).
-  EXPECT_NE(SimCache::TokenKey(5, 9), SimCache::Key(5, 9));
+  EXPECT_EQ(SimCache::TokenKey(0, 0), 0u);
+  EXPECT_NE(SimCache::TokenKey(1, 2), SimCache::TokenKey(2, 3));
+  // min in the high half, max in the low half.
+  EXPECT_EQ(SimCache::TokenKey(5, 9), (uint64_t{5} << 32) | 9);
+  // No key may equal the vacant-slot sentinel (all-ones).
   constexpr int32_t kMaxId = 0x7fffffff;
   EXPECT_NE(SimCache::TokenKey(kMaxId, kMaxId), ~uint64_t{0});
-  EXPECT_NE(SimCache::Key(kMaxId, kMaxId), ~uint64_t{0});
-}
-
-TEST(SimCacheTest, NodeAndTokenEntriesForSameIdsCoexist) {
-  SimCache cache(1 << 12);
-  const double node_value =
-      cache.GetOrComputeKey(SimCache::Key(4, 11), [] { return 0.25; });
-  const double token_value =
-      cache.GetOrComputeKey(SimCache::TokenKey(4, 11), [] { return 0.75; });
-  EXPECT_EQ(node_value, 0.25);
-  EXPECT_EQ(token_value, 0.75);
-  // Both entries hit independently — neither evicted or aliased the other.
-  EXPECT_EQ(cache.GetOrComputeKey(SimCache::Key(4, 11), [] { return -1.0; }), 0.25);
-  EXPECT_EQ(cache.GetOrComputeKey(SimCache::TokenKey(4, 11), [] { return -1.0; }), 0.75);
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits(), 2);
 }
 
 TEST(SimCacheTest, RepeatLookupHitsWithoutRecompute) {
@@ -78,9 +70,9 @@ TEST(SimCacheTest, RepeatLookupHitsWithoutRecompute) {
     ++computes;
     return 0.25;
   };
-  EXPECT_EQ(cache.GetOrCompute(3, 7, compute), 0.25);
-  EXPECT_EQ(cache.GetOrCompute(7, 3, compute), 0.25);  // symmetric key
-  EXPECT_EQ(cache.GetOrCompute(3, 7, compute), 0.25);
+  EXPECT_EQ(cache.GetOrCompute(SimCache::TokenKey(3, 7), compute), 0.25);
+  EXPECT_EQ(cache.GetOrCompute(SimCache::TokenKey(7, 3), compute), 0.25);  // symmetric
+  EXPECT_EQ(cache.GetOrCompute(SimCache::TokenKey(3, 7), compute), 0.25);
   EXPECT_EQ(computes, 1);
   const SimCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1);
@@ -90,18 +82,22 @@ TEST(SimCacheTest, RepeatLookupHitsWithoutRecompute) {
 }
 
 TEST(SimCacheTest, CachedNodeSimBitIdenticalToUncached) {
+  // Single-node elements reach the cache through their token-id pair;
+  // the memoized Sim must be the exact NodeSim double.
   const Hierarchy tree = MakeTree(800, 3);
   const LcaIndex lca(tree);
   SimCache cache(1 << 14);
   const ElementSimilarity cached(lca, ElementMetric::kKJoin, &cache);
   const ElementSimilarity plain(lca, ElementMetric::kKJoin);
+  const std::vector<Element> elements = NodeElements(tree);
   Rng rng(17);
   for (int trial = 0; trial < 20000; ++trial) {
     const NodeId x = static_cast<NodeId>(rng.NextUint64(tree.num_nodes()));
     const NodeId y = static_cast<NodeId>(rng.NextUint64(tree.num_nodes()));
     // Exact double equality: a hit must be indistinguishable from a
     // recompute, or joins would not be byte-identical with the cache on.
-    ASSERT_EQ(cached.NodeSim(x, y), plain.NodeSim(x, y)) << x << " vs " << y;
+    ASSERT_EQ(cached.Sim(elements[x], elements[y]), plain.NodeSim(x, y))
+        << x << " vs " << y;
   }
   EXPECT_GT(cache.stats().hits(), 0);
 }
@@ -111,10 +107,11 @@ TEST(SimCacheTest, TinyCapacityEvictsButStaysCorrect) {
   EXPECT_GE(cache.capacity(), 1);
   Rng rng(23);
   for (int trial = 0; trial < 100000; ++trial) {
-    const NodeId x = static_cast<NodeId>(rng.NextUint64(5000));
-    const NodeId y = static_cast<NodeId>(rng.NextUint64(5000));
+    const int32_t x = static_cast<int32_t>(rng.NextUint64(5000));
+    const int32_t y = static_cast<int32_t>(rng.NextUint64(5000));
     const double expected = Oracle(x, y, 0.0);
-    ASSERT_EQ(cache.GetOrCompute(x, y, [&] { return expected; }), expected);
+    ASSERT_EQ(cache.GetOrCompute(SimCache::TokenKey(x, y), [&] { return expected; }),
+              expected);
   }
   const SimCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups(), 100000);
@@ -128,12 +125,12 @@ TEST(SimCacheTest, OwnershipSwitchBetweenCachesNeverCrossContaminates) {
   SimCache a(1 << 10);
   SimCache b(1 << 10);
   for (int i = 0; i < 2000; ++i) {
-    const NodeId x = static_cast<NodeId>(i % 37);
-    const NodeId y = static_cast<NodeId>(i % 53);
+    const int32_t x = i % 37;
+    const int32_t y = i % 53;
     const double expect_a = Oracle(x, y, 1.0);
     const double expect_b = Oracle(x, y, 2.0);
-    ASSERT_EQ(a.GetOrCompute(x, y, [&] { return expect_a; }), expect_a);
-    ASSERT_EQ(b.GetOrCompute(x, y, [&] { return expect_b; }), expect_b);
+    ASSERT_EQ(a.GetOrCompute(SimCache::TokenKey(x, y), [&] { return expect_a; }), expect_a);
+    ASSERT_EQ(b.GetOrCompute(SimCache::TokenKey(x, y), [&] { return expect_b; }), expect_b);
   }
 }
 
@@ -144,10 +141,11 @@ TEST(SimCacheTest, RecreatedCacheDoesNotReviveStaleEntries) {
     auto cache = std::make_unique<SimCache>(1 << 10);
     const double salt = static_cast<double>(round);
     for (int i = 0; i < 256; ++i) {
-      const NodeId x = static_cast<NodeId>(i);
-      const NodeId y = static_cast<NodeId>(i + 1);
+      const int32_t x = i;
+      const int32_t y = i + 1;
       const double expected = Oracle(x, y, salt);
-      ASSERT_EQ(cache->GetOrCompute(x, y, [&] { return expected; }), expected)
+      ASSERT_EQ(cache->GetOrCompute(SimCache::TokenKey(x, y), [&] { return expected; }),
+                expected)
           << "round " << round << " entry " << i;
     }
   }
@@ -160,6 +158,7 @@ TEST(SimCacheTest, MultiThreadedHammerIsExact) {
   SimCache cache(1 << 10);
   const ElementSimilarity cached(lca, ElementMetric::kKJoin, &cache);
   const ElementSimilarity plain(lca, ElementMetric::kKJoin);
+  const std::vector<Element> elements = NodeElements(tree);
 
   ThreadPool pool(8);
   std::atomic<int64_t> mismatches{0};
@@ -168,7 +167,9 @@ TEST(SimCacheTest, MultiThreadedHammerIsExact) {
     for (int trial = 0; trial < 20000; ++trial) {
       const NodeId x = static_cast<NodeId>(rng.NextUint64(tree.num_nodes()));
       const NodeId y = static_cast<NodeId>(rng.NextUint64(tree.num_nodes()));
-      if (cached.NodeSim(x, y) != plain.NodeSim(x, y)) mismatches.fetch_add(1);
+      if (cached.Sim(elements[x], elements[y]) != plain.NodeSim(x, y)) {
+        mismatches.fetch_add(1);
+      }
     }
   });
   EXPECT_EQ(mismatches.load(), 0);

@@ -24,9 +24,12 @@
 #include "core/posting_store.h"
 #include "core/simd.h"
 #include "data/benchmark_suite.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
+
+using test::SearchAll;
 
 using simd::IsaLevel;
 
@@ -413,11 +416,11 @@ TEST_F(SimdDispatchTest, IndexSearchIdenticalAtEveryLevelAndAfterInserts) {
 
   std::vector<std::vector<SearchHit>> baseline;
   simd::SetActiveLevelForTest(IsaLevel::kScalar);
-  for (size_t q = 0; q < 40; ++q) baseline.push_back(index.Search(prepared.objects[q]));
+  for (size_t q = 0; q < 40; ++q) baseline.push_back(SearchAll(index, prepared.objects[q]));
   for (IsaLevel level : SupportedLevels()) {
     simd::SetActiveLevelForTest(level);
     for (size_t q = 0; q < 40; ++q) {
-      EXPECT_EQ(index.Search(prepared.objects[q]), baseline[q])
+      EXPECT_EQ(SearchAll(index, prepared.objects[q]), baseline[q])
           << simd::IsaLevelName(level) << " query=" << q;
     }
   }

@@ -212,44 +212,52 @@ TEST(ThreadingDeterminismTest, RsJoinIsIdenticalAcrossThreadCounts) {
   }
 }
 
-// Acceptance bar for the similarity cache: a cached NodeSim must be the
-// bit-identical double a recompute would produce, so join output cannot
-// depend on whether the cache is on, how big it is, or how many threads
-// race on it. Cache hit/miss counters DO vary with scheduling, so they
-// are deliberately absent from ExpectSameCounters.
+// Acceptance bar for the similarity cache: a cached element Sim must be
+// the bit-identical double a recompute would produce, so join output
+// cannot depend on whether the cache is on, how big it is, or how many
+// threads race on it. Cache hit/miss counters DO vary with scheduling, so
+// they are deliberately absent from ExpectSameCounters. Only K-Join+
+// builds a cache (MakeSimCache): pure mode must see no cache traffic with
+// the option on or off.
 TEST(ThreadingDeterminismTest, SimCacheOnOffIsByteIdenticalAcrossThreadCounts) {
   const TestData data = MakeTestData(220);
-  KJoinOptions options;
-  options.delta = 0.7;
-  options.tau = 0.6;
-  options.num_threads = 1;
-  options.sim_cache = false;
-  const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
-  ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
-  EXPECT_EQ(baseline.stats.sim_cache_hits, 0);
-  EXPECT_EQ(baseline.stats.sim_cache_misses, 0);
+  for (bool plus : {false, true}) {
+    KJoinOptions options;
+    options.delta = 0.7;
+    options.tau = 0.6;
+    options.plus_mode = plus;
+    options.num_threads = 1;
+    options.sim_cache = false;
+    const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+    ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
+    EXPECT_EQ(baseline.stats.sim_cache_hits, 0);
+    EXPECT_EQ(baseline.stats.sim_cache_misses, 0);
 
-  for (bool cache : {false, true}) {
-    for (int threads : {1, 2, 8}) {
-      options.sim_cache = cache;
-      options.sim_cache_capacity = int64_t{1} << 20;
-      options.num_threads = threads;
-      const JoinResult result = KJoin(data.hierarchy, options).SelfJoin(data.objects);
-      EXPECT_EQ(result.pairs, baseline.pairs)
-          << "cache=" << cache << " threads=" << threads;
-      ExpectSameCounters(result.stats, baseline.stats, threads);
-      if (cache) {
-        EXPECT_GT(result.stats.sim_cache_hits + result.stats.sim_cache_misses, 0)
-            << "cache enabled but saw no traffic at " << threads << " threads";
+    for (bool cache : {false, true}) {
+      for (int threads : {1, 2, 8}) {
+        options.sim_cache = cache;
+        options.sim_cache_capacity = int64_t{1} << 20;
+        options.num_threads = threads;
+        const JoinResult result = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+        EXPECT_EQ(result.pairs, baseline.pairs)
+            << "plus=" << plus << " cache=" << cache << " threads=" << threads;
+        ExpectSameCounters(result.stats, baseline.stats, threads);
+        const int64_t traffic = result.stats.sim_cache_hits + result.stats.sim_cache_misses;
+        if (cache && plus) {
+          EXPECT_GT(traffic, 0) << "cache enabled but saw no traffic at " << threads
+                                << " threads";
+        } else {
+          EXPECT_EQ(traffic, 0) << "plus=" << plus << " cache=" << cache;
+        }
       }
     }
-  }
 
-  // A deliberately starved cache evicts constantly; results still match.
-  options.sim_cache = true;
-  options.sim_cache_capacity = 1;
-  options.num_threads = 8;
-  EXPECT_EQ(KJoin(data.hierarchy, options).SelfJoin(data.objects).pairs, baseline.pairs);
+    // A deliberately starved cache evicts constantly; results still match.
+    options.sim_cache = true;
+    options.sim_cache_capacity = 1;
+    options.num_threads = 8;
+    EXPECT_EQ(KJoin(data.hierarchy, options).SelfJoin(data.objects).pairs, baseline.pairs);
+  }
 }
 
 TEST(ThreadingDeterminismTest, ShardCandidateCountsSumToTotal) {

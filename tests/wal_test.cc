@@ -28,9 +28,13 @@
 #include "serve/index_manager.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
+
+using test::SearchAll;
+using test::TopK;
 
 // ------------------------------------------------------- shared fixture
 
@@ -489,9 +493,9 @@ TEST(WalRecoveryTest, KillAndReplayReachesByteIdenticalState) {
   EXPECT_EQ(rec->index->num_live(), live->index->num_live());
   EXPECT_EQ(StateBytes(**recovered), live_bytes);
   for (const Object& query : queries) {
-    EXPECT_EQ(rec->index->Search(query), live->index->Search(query));
-    EXPECT_EQ(rec->index->SearchTopK(query, 3, 0.6),
-              live->index->SearchTopK(query, 3, 0.6));
+    EXPECT_EQ(SearchAll(*rec->index, query), SearchAll(*live->index, query));
+    EXPECT_EQ(TopK(*rec->index, query, 3, 0.6),
+              TopK(*live->index, query, 3, 0.6));
   }
   // The deleted objects stay deleted and the replacement is live.
   EXPECT_TRUE(rec->index->deleted(2));
@@ -642,7 +646,7 @@ TEST(CompactionTest, DeepChainFoldsToFlatBaseWithIdenticalAnswers) {
   EXPECT_EQ(compacted->index->num_indexed(), chained->index->num_indexed());
   EXPECT_EQ(compacted->index->num_live(), chained->index->num_live());
   for (const Object& query : MakeQueries(16)) {
-    EXPECT_EQ(compacted->index->Search(query), chained->index->Search(query));
+    EXPECT_EQ(SearchAll(*compacted->index, query), SearchAll(*chained->index, query));
   }
 }
 
