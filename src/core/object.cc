@@ -8,43 +8,57 @@ ObjectBuilder::ObjectBuilder(const EntityMatcher& matcher, bool multi_mapping)
     : matcher_(&matcher), multi_mapping_(multi_mapping) {}
 
 int32_t ObjectBuilder::InternToken(const std::string& token) {
-  auto [it, inserted] = token_ids_.emplace(token, static_cast<int32_t>(token_ids_.size()));
+  const auto [it, inserted] = token_ids_.emplace(token, static_cast<int32_t>(tokens_.size()));
+  if (inserted) {
+    tokens_.push_back(token);
+    mappings_.ranges.emplace_back();
+  }
   return it->second;
 }
 
 void ObjectBuilder::PreloadTokens(const std::vector<std::string>& tokens) {
-  KJOIN_CHECK(token_ids_.empty()) << "PreloadTokens needs a fresh builder";
+  KJOIN_CHECK(tokens_.empty()) << "PreloadTokens needs a fresh builder";
   for (const std::string& token : tokens) {
     const int32_t id = InternToken(token);
-    KJOIN_CHECK_EQ(static_cast<size_t>(id) + 1, token_ids_.size())
+    KJOIN_CHECK_EQ(static_cast<size_t>(id) + 1, tokens_.size())
         << "duplicate token in preload table: " << token;
   }
 }
 
-std::vector<std::string> ObjectBuilder::TokenTable() const {
-  std::vector<std::string> table(token_ids_.size());
-  for (const auto& [token, id] : token_ids_) table[id] = token;
-  return table;
-}
-
 std::shared_ptr<const TokenDictionary> ObjectBuilder::Dictionary() {
-  if (published_ == nullptr || published_->size() != num_distinct_tokens()) {
-    published_ = std::make_shared<const TokenDictionary>(token_ids_);
+  if (published_ == nullptr || published_->size() != num_distinct_tokens() ||
+      published_resolved_ != num_resolved_) {
+    published_ = std::make_shared<const TokenDictionary>(token_ids_, mappings_);
+    published_resolved_ = num_resolved_;
   }
   return published_;
 }
 
-Element ObjectBuilder::MakeElement(std::string token, int32_t token_id) const {
-  Element element;
+std::vector<ElementMapping> ObjectBuilder::Match(const std::string& token) const {
+  std::vector<ElementMapping> mappings;
   if (multi_mapping_) {
     for (const EntityMatch& match : matcher_->MatchAll(token)) {
-      element.mappings.push_back({match.node, match.phi});
+      mappings.push_back({match.node, match.phi});
     }
   } else if (auto match = matcher_->MatchOne(token); match.has_value()) {
-    element.mappings.push_back({match->node, match->phi});
+    mappings.push_back({match->node, match->phi});
   }
+  return mappings;
+}
+
+Element ObjectBuilder::MakeElement(std::string token, int32_t token_id) {
+  if (!mappings_.resolved(token_id)) {
+    const std::vector<ElementMapping> matched = Match(token);
+    mappings_.ranges[static_cast<size_t>(token_id)] = {
+        static_cast<int64_t>(mappings_.mappings.size()), static_cast<int32_t>(matched.size())};
+    mappings_.mappings.insert(mappings_.mappings.end(), matched.begin(), matched.end());
+    ++num_resolved_;
+  }
+  const std::span<const ElementMapping> mappings = mappings_.of(token_id);
+  Element element;
   element.token = std::move(token);
   element.token_id = token_id;
+  element.mappings.assign(mappings.begin(), mappings.end());
   return element;
 }
 
@@ -63,6 +77,7 @@ Object ObjectBuilder::Build(int32_t id, const std::vector<std::string>& tokens) 
 
 Object ObjectBuilder::BuildQuery(int32_t id, const std::vector<std::string>& tokens,
                                  const TokenDictionary& dictionary) const {
+  const TokenMappingTable& known = dictionary.mappings();
   Object object;
   object.id = id;
   object.dictionary_size = dictionary.size();
@@ -70,8 +85,16 @@ Object ObjectBuilder::BuildQuery(int32_t id, const std::vector<std::string>& tok
   for (const std::string& raw : tokens) {
     std::string token = tokenizer_.Normalize(raw);
     if (token.empty()) continue;
-    const int32_t token_id = dictionary.Find(token);
-    object.elements.push_back(MakeElement(std::move(token), token_id));
+    Element element;
+    element.token_id = dictionary.Find(token);
+    if (element.token_id >= 0 && known.resolved(element.token_id)) {
+      const std::span<const ElementMapping> mappings = known.of(element.token_id);
+      element.mappings.assign(mappings.begin(), mappings.end());
+    } else {
+      element.mappings = Match(token);
+    }
+    element.token = std::move(token);
+    object.elements.push_back(std::move(element));
   }
   return object;
 }

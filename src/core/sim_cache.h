@@ -17,9 +17,12 @@
 //        thread first touches a different cache.
 //   L2 — a shared open-addressing table split into stripes, each stripe a
 //        power-of-two slot array. Reads are lock-free (atomic loads plus a
-//        key re-validation; see LookupL2); only inserts take the stripe's
+//        tag re-validation; see LookupL2); only inserts take the stripe's
 //        write mutex. Bounded linear probing; a full neighborhood
-//        overwrites (it is a cache, not a map).
+//        overwrites (it is a cache, not a map). A slot holds the tag ~key,
+//        so a vacant slot is zero and the slots live in anonymous zero
+//        pages: construction writes nothing, and a join faults in only
+//        the pages it inserts into, whatever the capacity.
 //
 // Determinism invariant: the cached value for a key is a pure function of
 // the key (the hierarchy is immutable for the cache's lifetime), so hits
@@ -63,9 +66,10 @@ class SimCache {
   SimCache& operator=(const SimCache&) = delete;
 
   // Canonical symmetric key for a token-id pair: Sim(x, y) == Sim(y, x).
-  // Token ids stay below 2^31, so neither half is ever all-ones and no
-  // key equals the vacant-slot sentinel. Equal token ids imply equal
-  // mapping sets (ObjectBuilder interning), so the key determines Sim.
+  // Token ids stay below 2^31, so neither half is ever all-ones: no key
+  // is all-ones (the L1 vacancy sentinel) and no L2 tag ~key is zero (the
+  // L2 vacancy). Equal token ids imply equal mapping sets (ObjectBuilder
+  // interning), so the key determines Sim.
   static uint64_t TokenKey(int32_t x, int32_t y) {
     const auto a = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? x : y));
     const auto b = static_cast<uint64_t>(static_cast<uint32_t>(x < y ? y : x));

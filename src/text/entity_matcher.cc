@@ -47,7 +47,8 @@ EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions op
 }
 
 int EntityMatcher::AddSynonym(std::string_view alias, std::string_view node_label) {
-  KJOIN_CHECK(approx_index_ == nullptr) << "register synonyms before the first lookup";
+  KJOIN_CHECK(!frozen_.load(std::memory_order_relaxed))
+      << "register synonyms before the first lookup";
   const std::string normalized_alias = NormalizeLabel(alias);
   const int32_t entry = FindEntry(NormalizeLabel(node_label));
   if (entry < 0 || normalized_alias.empty()) return 0;
@@ -82,6 +83,7 @@ void EntityMatcher::EnsureApproxIndex() const {
 }
 
 std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const {
+  Freeze();
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return std::nullopt;
   const int32_t entry = FindEntry(normalized);
@@ -95,6 +97,7 @@ std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const
 }
 
 std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
+  Freeze();
   std::vector<EntityMatch> matches;
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return matches;

@@ -14,6 +14,7 @@
 // Tokens that match nothing are still elements (they can only match an
 // identical token on the other side).
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -56,6 +57,9 @@ class EntityMatcher {
 
   // Registers `alias` as a synonym of every node labeled `node_label`
   // (φ = 1). Returns the number of nodes the alias now points at.
+  // CHECK-fails once any MatchOne/MatchAll has run: a token's mappings
+  // are a function of the token alone from the first lookup on, which is
+  // what lets ObjectBuilder resolve each token once.
   int AddSynonym(std::string_view alias, std::string_view node_label);
 
   // K-Join mode: the single best mapping — exact label match first, then
@@ -79,6 +83,10 @@ class EntityMatcher {
   // Index of `normalized` in entries_, or -1.
   int32_t FindEntry(std::string_view normalized) const;
   void EnsureApproxIndex() const;
+  // Marks the synonym table frozen (every Match* call).
+  void Freeze() const {
+    if (!frozen_.load(std::memory_order_relaxed)) frozen_.store(true, std::memory_order_relaxed);
+  }
 
   const Hierarchy* hierarchy_;
   EntityMatcherOptions options_;
@@ -90,6 +98,8 @@ class EntityMatcher {
   // once_flag makes the first build safe under concurrent MatchAll calls.
   mutable std::once_flag approx_once_;
   mutable std::unique_ptr<QGramIndex> approx_index_;
+  // Set by the first MatchOne/MatchAll; AddSynonym refuses after it.
+  mutable std::atomic<bool> frozen_{false};
 };
 
 }  // namespace kjoin

@@ -85,6 +85,17 @@ TEST_F(ContractsTest, SynonymRegistrationFrozenAfterLookup) {
   EXPECT_DEATH(matcher.AddSynonym("alias", "KFC"), "synonyms");
 }
 
+TEST_F(ContractsTest, SynonymRegistrationFrozenAfterExactLookup) {
+  // Without approximate matching no q-gram index is ever built, yet a
+  // lookup still fixes the token's mappings (ObjectBuilder resolves each
+  // token once), so a later synonym must be refused all the same.
+  EntityMatcherOptions options;
+  options.enable_approximate = false;
+  EntityMatcher matcher(tree_, options);
+  EXPECT_FALSE(matcher.MatchOne("alias").has_value());
+  EXPECT_DEATH(matcher.AddSynonym("alias", "KFC"), "synonyms");
+}
+
 TEST_F(ContractsTest, HierarchyRejectsMalformedParents) {
   // Parent after child.
   EXPECT_DEATH(Hierarchy({kInvalidNode, 2, 1}, {"r", "a", "b"}), "parents must precede");

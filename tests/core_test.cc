@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "core/element_similarity.h"
@@ -16,10 +21,12 @@
 #include "core/prefix.h"
 #include "core/signature.h"
 #include "core/verifier.h"
+#include "data/benchmark_suite.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "hierarchy/lca.h"
 #include "matching/hungarian.h"
 #include "text/entity_matcher.h"
+#include "text/tokenizer.h"
 
 namespace kjoin {
 namespace {
@@ -724,6 +731,253 @@ TEST_F(VerifierFixture, AdaptiveUsesEarlyTermination) {
   EXPECT_EQ(stats.hungarian_runs, 0);
   EXPECT_EQ(stats.accepted_by_lower_bound, 1);
 }
+
+// ------------------------------------------------------------- token table
+
+// ObjectBuilder resolves each token id's mappings once and copies them for
+// every later occurrence. These tests hold that table to the matcher run
+// directly on every occurrence, in both modes.
+
+// `token`'s mappings as the matcher gives them, per occurrence.
+std::vector<ElementMapping> DirectMappings(const EntityMatcher& matcher, bool plus,
+                                           const std::string& token) {
+  std::vector<ElementMapping> mappings;
+  if (plus) {
+    for (const EntityMatch& match : matcher.MatchAll(token)) {
+      mappings.push_back({match.node, match.phi});
+    }
+  } else if (const auto match = matcher.MatchOne(token); match.has_value()) {
+    mappings.push_back({match->node, match->phi});
+  }
+  return mappings;
+}
+
+// Build without a token table: ids from a plain first-seen map, and the
+// matcher called on every occurrence.
+class ReferenceBuilder {
+ public:
+  ReferenceBuilder(const EntityMatcher& matcher, bool plus) : matcher_(matcher), plus_(plus) {}
+
+  Object Build(int32_t id, const std::vector<std::string>& tokens) {
+    Object object;
+    object.id = id;
+    for (const std::string& raw : tokens) {
+      const std::string token = tokenizer_.Normalize(raw);
+      if (token.empty()) continue;
+      Element element;
+      element.token = token;
+      element.token_id = ids_.emplace(token, static_cast<int32_t>(ids_.size())).first->second;
+      element.mappings = DirectMappings(matcher_, plus_, token);
+      object.elements.push_back(std::move(element));
+    }
+    return object;
+  }
+
+ private:
+  const EntityMatcher& matcher_;
+  bool plus_;
+  Tokenizer tokenizer_;
+  std::unordered_map<std::string, int32_t> ids_;
+};
+
+void ExpectSameObject(const Object& actual, const Object& expected) {
+  EXPECT_EQ(actual.id, expected.id);
+  EXPECT_EQ(actual.dictionary_size, expected.dictionary_size);
+  ASSERT_EQ(actual.size(), expected.size()) << "object " << expected.id;
+  for (int32_t i = 0; i < expected.size(); ++i) {
+    const Element& a = actual.elements[i];
+    const Element& e = expected.elements[i];
+    EXPECT_EQ(a.token, e.token);
+    EXPECT_EQ(a.token_id, e.token_id) << e.token;
+    EXPECT_EQ(a.mappings, e.mappings) << e.token;
+  }
+}
+
+class TokenTableTest : public testing::TestWithParam<bool> {
+ protected:
+  // min_phi = δ = 0.8, as joins run it; lower floors only slow the typo
+  // channel down.
+  TokenTableTest()
+      : data_(MakePoiBenchmark(150, 61)),
+        prepared_(BuildObjects(data_.hierarchy, data_.dataset, GetParam(), 0.8)) {}
+
+  bool plus() const { return GetParam(); }
+  const EntityMatcher& matcher() const { return *prepared_.matcher; }
+  const std::vector<Record>& records() const { return data_.dataset.records; }
+
+  // DirectMappings of a normalized token, matched once per distinct token
+  // here; the builder under test never sees this memo.
+  const std::vector<ElementMapping>& Expected(const std::string& token) {
+    auto it = expected_.find(token);
+    if (it == expected_.end()) {
+      it = expected_.emplace(token, DirectMappings(matcher(), plus(), token)).first;
+    }
+    return it->second;
+  }
+
+  BenchmarkData data_;
+  PreparedObjects prepared_;
+  std::unordered_map<std::string, std::vector<ElementMapping>> expected_;
+};
+
+TEST_P(TokenTableTest, BuildEqualsPerOccurrenceMatching) {
+  ReferenceBuilder reference(matcher(), plus());
+  int64_t typo_mappings = 0;
+  int64_t repeats = 0;
+  std::set<int32_t> seen;
+  for (size_t r = 0; r < records().size(); ++r) {
+    const Object& built = prepared_.objects[r];
+    ExpectSameObject(built, reference.Build(records()[r].id, records()[r].tokens));
+    for (const Element& element : built.elements) {
+      repeats += seen.insert(element.token_id).second ? 0 : 1;
+      for (const ElementMapping& mapping : element.mappings) typo_mappings += mapping.phi < 1.0;
+    }
+  }
+  // The data exercises the table: tokens recur, and K-Join+ maps typos.
+  EXPECT_GT(repeats, 1000);
+  if (plus()) {
+    EXPECT_GT(typo_mappings, 0);
+  }
+  EXPECT_EQ(prepared_.builder->TokenTable().size(), seen.size());
+}
+
+TEST_P(TokenTableTest, BuildWithSpansMapsEveryElementLikeTheMatcher) {
+  ObjectBuilder builder(matcher(), plus());
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass copies resolved ids
+    for (const Record& record : records()) {
+      const Object object = builder.BuildWithSpans(record.id, record.tokens);
+      for (const Element& element : object.elements) {
+        ASSERT_EQ(builder.TokenTable()[element.token_id], element.token);
+        ASSERT_EQ(element.mappings, Expected(element.token)) << element.token;
+      }
+    }
+  }
+}
+
+TEST_P(TokenTableTest, PreloadedIdsResolveOnFirstBuild) {
+  ObjectBuilder builder(matcher(), plus());
+  builder.PreloadTokens(prepared_.builder->TokenTable());
+  const std::shared_ptr<const TokenDictionary> preloaded = builder.Dictionary();
+  for (int32_t id = 0; id < preloaded->size(); ++id) {
+    ASSERT_FALSE(preloaded->mappings().resolved(id)) << "preload ran the matcher";
+  }
+  for (size_t r = 0; r < records().size(); ++r) {
+    ExpectSameObject(builder.Build(records()[r].id, records()[r].tokens), prepared_.objects[r]);
+  }
+  // Resolving ids without new tokens still republishes.
+  EXPECT_EQ(builder.num_distinct_tokens(), preloaded->size());
+  const std::shared_ptr<const TokenDictionary> resolved = builder.Dictionary();
+  EXPECT_NE(resolved, preloaded);
+  for (int32_t id = 0; id < resolved->size(); ++id) {
+    ASSERT_TRUE(resolved->mappings().resolved(id));
+  }
+}
+
+TEST_P(TokenTableTest, BuildQueryMatchesBuildAcrossDictionaries) {
+  // Preload the first half's tokens, build a quarter of the records (some
+  // ids resolved, some only interned), publish; build the rest, publish.
+  const size_t n = records().size();
+  ObjectBuilder half(matcher(), plus());
+  for (size_t r = 0; r < n / 2; ++r) half.Build(records()[r].id, records()[r].tokens);
+  ObjectBuilder builder(matcher(), plus());
+  builder.PreloadTokens(half.TokenTable());
+  for (size_t r = 0; r < n / 4; ++r) builder.Build(records()[r].id, records()[r].tokens);
+  const std::shared_ptr<const TokenDictionary> old_dictionary = builder.Dictionary();
+  for (size_t r = n / 4; r < n; ++r) builder.Build(records()[r].id, records()[r].tokens);
+  const std::shared_ptr<const TokenDictionary> new_dictionary = builder.Dictionary();
+  ASSERT_LT(old_dictionary->size(), new_dictionary->size());
+
+  // Queries: every record, plus each record with a typo no record holds.
+  std::vector<std::vector<std::string>> queries;
+  for (const Record& record : records()) {
+    queries.push_back(record.tokens);
+    std::vector<std::string> typo = record.tokens;
+    typo.front() += "qx";
+    queries.push_back(std::move(typo));
+  }
+  for (const auto& dictionary : {old_dictionary, new_dictionary}) {
+    int64_t resolved = 0;
+    int64_t unresolved = 0;
+    int64_t unknown = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Object query = builder.BuildQuery(static_cast<int32_t>(q), queries[q], *dictionary);
+      EXPECT_EQ(query.dictionary_size, dictionary->size());
+      for (const Element& element : query.elements) {
+        ASSERT_EQ(element.token_id, dictionary->Find(element.token));
+        ASSERT_EQ(element.mappings, Expected(element.token)) << element.token;
+        if (element.token_id < 0) {
+          ++unknown;
+        } else if (dictionary->mappings().resolved(element.token_id)) {
+          ++resolved;
+        } else {
+          ++unresolved;
+        }
+      }
+    }
+    EXPECT_GT(resolved, 0);
+    EXPECT_GT(unknown, 0);
+    if (dictionary == old_dictionary) {
+      EXPECT_GT(unresolved, 0);
+    } else {
+      EXPECT_EQ(unresolved, 0);
+    }
+  }
+}
+
+TEST_P(TokenTableTest, BuildQueryOnFourThreadsWhileTheOwnerBuilds) {
+  const size_t n = records().size();
+  ObjectBuilder builder(matcher(), plus());
+  for (size_t r = 0; r < n / 3; ++r) builder.Build(records()[r].id, records()[r].tokens);
+  std::mutex mu;
+  std::shared_ptr<const TokenDictionary> current = builder.Dictionary();
+  // Expected mappings, filled before the race and only read during it.
+  Tokenizer tokenizer;
+  for (const Record& record : records()) {
+    for (const std::string& raw : record.tokens) {
+      const std::string token = tokenizer.Normalize(raw);
+      if (!token.empty()) Expected(token);
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t q = static_cast<size_t>(t); !done.load() || q < n; q += 4) {
+        std::shared_ptr<const TokenDictionary> dictionary;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          dictionary = current;
+        }
+        const Record& record = records()[q % n];
+        const Object query = builder.BuildQuery(record.id, record.tokens, *dictionary);
+        for (const Element& element : query.elements) {
+          if (element.token_id != dictionary->Find(element.token) ||
+              element.mappings != expected_.at(element.token)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (size_t r = n / 3; r < n; ++r) {
+    builder.Build(records()[r].id, records()[r].tokens);
+    if (r % 16 == 0) {
+      std::shared_ptr<const TokenDictionary> published = builder.Dictionary();
+      std::lock_guard<std::mutex> lock(mu);
+      current = std::move(published);
+    }
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, TokenTableTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Plus" : "Pure";
+                         });
 
 }  // namespace
 }  // namespace kjoin

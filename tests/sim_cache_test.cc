@@ -1,14 +1,19 @@
 // Tests for the element-pair similarity cache (src/core/sim_cache.h):
 // key canonicalization, hit/miss accounting, bit-exactness of cached
 // values vs recomputation, eviction under tiny capacity, thread-local L1
-// ownership switching between caches, and a multi-threaded hammer (the
-// tsan/asan target).
+// ownership switching between caches, the zero-vacant L2 encoding and its
+// lazily faulted slot pages, and a multi-threaded hammer (the tsan/asan
+// target).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -58,9 +63,87 @@ TEST(SimCacheTest, KeyIsSymmetricAndCanonical) {
   EXPECT_NE(SimCache::TokenKey(1, 2), SimCache::TokenKey(2, 3));
   // min in the high half, max in the low half.
   EXPECT_EQ(SimCache::TokenKey(5, 9), (uint64_t{5} << 32) | 9);
-  // No key may equal the vacant-slot sentinel (all-ones).
+  // No key may be all-ones: that is the L1 vacancy, and its L2 tag ~key
+  // would be the vacant zero.
   constexpr int32_t kMaxId = 0x7fffffff;
   EXPECT_NE(SimCache::TokenKey(kMaxId, kMaxId), ~uint64_t{0});
+}
+
+TEST(SimCacheTest, KeyZeroMissesThenHitsBitIdentical) {
+  // TokenKey(0, 0) == 0 is a real key, and an L2 slot is vacant at zero:
+  // the cache must tell the two apart in both directions.
+  SimCache cache(1 << 10);
+  const uint64_t key = SimCache::TokenKey(0, 0);
+  ASSERT_EQ(key, 0u);
+  const double value = std::bit_cast<double>(uint64_t{0x3fd5555555555555});  // ~1/3
+  int computes = 0;
+  auto compute = [&] {
+    ++computes;
+    return value;
+  };
+  EXPECT_EQ(std::bit_cast<uint64_t>(cache.GetOrCompute(key, compute)),
+            std::bit_cast<uint64_t>(value));
+  EXPECT_EQ(std::bit_cast<uint64_t>(cache.GetOrCompute(key, compute)),
+            std::bit_cast<uint64_t>(value));  // L1
+  // A new thread starts with an empty L1, so its lookup reaches L2.
+  double from_l2 = 0.0;
+  std::thread([&] { from_l2 = cache.GetOrCompute(key, compute); }).join();
+  EXPECT_EQ(std::bit_cast<uint64_t>(from_l2), std::bit_cast<uint64_t>(value));
+  EXPECT_EQ(computes, 1);
+  const SimCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.l1_hits, 1);
+  EXPECT_EQ(stats.l2_hits, 1);
+}
+
+TEST(SimCacheTest, ReplacedL2SlotNeverAnswersForTheEvictedKey) {
+  // More keys than the smallest table holds: inserts replace occupied
+  // slots. A second thread (empty L1) then reads every key from L2; each
+  // must come back with its own value or be recomputed, never with the
+  // value of a key that held the slot before.
+  SimCache cache(1);
+  const int32_t keys = static_cast<int32_t>(cache.capacity()) * 3 / 2;
+  // Token ids below 2^20 keep keys below 2^53: exact, distinct doubles.
+  auto value_of = [](uint64_t key) { return static_cast<double>(key); };
+  for (int32_t i = 0; i < keys; ++i) {
+    const uint64_t key = SimCache::TokenKey(i, i + 7);
+    ASSERT_EQ(cache.GetOrCompute(key, [&] { return value_of(key); }), value_of(key));
+  }
+  const SimCacheStats before = cache.stats();
+  int64_t wrong = 0;
+  std::thread([&] {
+    for (int32_t i = 0; i < keys; ++i) {
+      const uint64_t key = SimCache::TokenKey(i, i + 7);
+      wrong += cache.GetOrCompute(key, [&] { return value_of(key); }) != value_of(key);
+    }
+  }).join();
+  EXPECT_EQ(wrong, 0);
+  const SimCacheStats after = cache.stats();
+  EXPECT_EQ(after.l1_hits, before.l1_hits);
+  EXPECT_GT(after.l2_hits, before.l2_hits);
+  EXPECT_GT(after.misses, before.misses);  // evicted keys recompute
+}
+
+TEST(SimCacheTest, LargeCacheFaultsInOnlyTouchedPages) {
+  // The L2 slots are anonymous zero pages that mean "vacant": building a
+  // 2^24-slot cache writes none of them, and each insert faults in at
+  // most its own page.
+  const int64_t page = sysconf(_SC_PAGESIZE);
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  int64_t table_pages = 0;
+  {
+    SimCache cache(int64_t{1} << 24);
+    table_pages = cache.capacity() * 2 * static_cast<int64_t>(sizeof(uint64_t)) / page;
+    for (int32_t i = 0; i < 1000; ++i) {
+      const uint64_t key = SimCache::TokenKey(i, 2 * i + 1);
+      ASSERT_EQ(cache.GetOrCompute(key, [&] { return 0.5; }), 0.5);
+    }
+  }
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, table_pages / 4)
+      << "of a " << table_pages << "-page table";
 }
 
 TEST(SimCacheTest, RepeatLookupHitsWithoutRecompute) {
