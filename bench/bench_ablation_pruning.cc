@@ -2,7 +2,9 @@
 // isolation on one POI workload —
 //   * count pruning / weighted count pruning (paper §3.2, Lemmas 3-4);
 //     in pure mode the count bound runs in the probe, so "no-count" shows
-//     up as a jump in candidates and a zero count-filtered column
+//     up as a jump in candidates and a zero count-filtered column; the
+//     sketch-filtered column is the part of count-filtered that the
+//     signature sketches rejected without a merge
 //   * the probe-side size bound (size-filtered, every configuration)
 //   * weighted vs plain path prefix (Definition 9 vs 8)
 //   * adaptive bounds vs plain subgraph matching (§5.2)
@@ -22,13 +24,14 @@ void Run(const std::string& label, const kjoin::BenchmarkData& data,
   const kjoin::JoinResult result =
       kjoin::bench::RunKJoin(data.hierarchy, prepared.objects, options);
   PrintRow({label, std::to_string(result.stats.size_filtered),
-            std::to_string(result.stats.count_filtered), std::to_string(result.stats.candidates),
+            std::to_string(result.stats.count_filtered),
+            std::to_string(result.stats.sketch_filtered), std::to_string(result.stats.candidates),
             std::to_string(result.stats.verify.pruned_by_count),
             std::to_string(result.stats.verify.pruned_by_weighted_count),
             std::to_string(result.stats.verify.hungarian_runs),
             Fmt(result.stats.verify_seconds, 3), Fmt(result.stats.total_seconds, 3),
             std::to_string(result.stats.results)},
-           14);
+           16);
 }
 
 }  // namespace
@@ -46,9 +49,9 @@ int main(int argc, char** argv) {
 
   kjoin::bench::PrintHeader("Ablation (POI, n=" + std::to_string(*n) + ", delta=" +
                             Fmt(*delta, 2) + ", tau=" + Fmt(*tau, 2) + ")");
-  PrintRow({"config", "size-filtered", "count-filtered", "candidates", "count-pruned",
-            "wcount-pruned", "hungarian", "verify-s", "total-s", "results"},
-           14);
+  PrintRow({"config", "size-filtered", "count-filtered", "sketch-filtered", "candidates",
+            "count-pruned", "wcount-pruned", "hungarian", "verify-s", "total-s", "results"},
+           16);
 
   kjoin::KJoinOptions base;
   base.delta = *delta;

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <new>
 #include <string>
-#include <unordered_map>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -179,17 +178,17 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
   Prepared prepared;
   prepared.sigs.resize(n);
   prepared.plans.resize(n);
+  prepared.screen.resize(n);
   prepared.prefix_len.assign(n, 0);
   prepared.prefix_ranks.resize(n);
   const int lanes = ShardsForWork(n, kMinPrepareObjectsPerShard, pool_->num_threads());
 
-  // Pass 1: per-shard signature generation with shard-local df maps; the
-  // maps merge into the order afterwards (order-insensitive sums), so the
-  // final global order is independent of num_threads. Each object's
-  // grouping plan is built here too, once per join: the probe's count
-  // bound and every verification batch read it.
-  std::vector<std::unordered_map<SigId, int32_t>> shard_df(lanes);
+  // Pass 1: per-shard signature generation. Each object's grouping plan
+  // and screen record are built here too, once per join: the probe's
+  // bounds and every verification batch read them. Shards also note the
+  // largest signature id, which sizes the order's dense arrays.
   std::vector<int64_t> shard_total(lanes, 0);
+  std::vector<SigId> shard_max_id(lanes, kUnknownTokenSignature);
   stats->prepare_tasks +=
       pool_->ParallelFor(n, lanes, [&](int shard, int64_t begin, int64_t end) {
         int64_t since_poll = 0;
@@ -200,14 +199,28 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
           }
           prepared.sigs[i] = signatures_.Generate(*objects[i]);
           verifier_.BuildPlan(*objects[i], &prepared.plans[i]);
-          GlobalSignatureOrder::CountDistinct(prepared.sigs[i], &shard_df[shard]);
+          prepared.screen[i] = {prepared.plans[i].sketch, objects[i]->size()};
           shard_total[shard] += static_cast<int64_t>(prepared.sigs[i].size());
+          for (const Signature& sig : prepared.sigs[i]) {
+            shard_max_id[shard] = std::max(shard_max_id[shard], sig.id);
+          }
         }
       });
   if (controller->tripped()) return prepared;
+  SigId max_id = kUnknownTokenSignature;
   for (int s = 0; s < lanes; ++s) {
-    order->MergeCounts(shard_df[s]);
+    max_id = std::max(max_id, shard_max_id[s]);
     stats->total_signatures += shard_total[s];
+  }
+  // Document frequencies, counted once over all objects in input order
+  // into the order's dense arrays (one copy per join, whatever the lane
+  // count), so the final order is independent of num_threads.
+  order->Reserve(max_id);
+  for (int64_t i = 0; i < n; ++i) {
+    if (polled && (i % kIndexPollStride) == 0 && !controller->Poll(JoinPhase::kPrepare)) {
+      return prepared;
+    }
+    order->CountObject(prepared.sigs[i]);
   }
   order->Finalize();
 
@@ -496,15 +509,25 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   // observes (verification restores candidate order, results are sets).
   //
   // Every extracted pair then passes the verifier's Screen: the size
-  // bound, and in pure mode with count_pruning the count bound. Only
-  // pairs that could become results are emitted (docs/THEORY.md,
-  // section 6); the dropped ones are tallied per shard, in
-  // cache-line-padded slots so concurrent shards never share a line.
+  // bound, and in pure mode with count_pruning the count bound, which
+  // the two objects' sketches settle for most pairs. The screen reads the
+  // flat records first (Prepared::screen) and a plan only when the
+  // sketches pass. Only pairs that could become results are emitted
+  // (docs/THEORY.md, section 6); the dropped ones are tallied per shard,
+  // in cache-line-padded slots so concurrent shards never share a line.
   struct alignas(64) ScreenTally {
     int64_t size = 0;
     int64_t count = 0;
+    int64_t sketch = 0;
   };
   std::vector<ScreenTally> screened(static_cast<size_t>(pool_->num_threads()));
+  const std::span<const ScreenRecord> left_screen(prepared.screen.data(), left.size());
+  const std::span<const ScreenRecord> right_screen(prepared.screen.data() + probe_sig_offset,
+                                                   rhs.size());
+  int32_t max_left_size = 0;
+  for (const ScreenRecord& record : left_screen) {
+    max_left_size = std::max(max_left_size, record.size);
+  }
   auto probe = [&](int shard, int32_t begin, int32_t end,
                    std::vector<std::pair<int32_t, int32_t>>* out) {
     const size_t shard_base = out->size();
@@ -516,6 +539,10 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
         (static_cast<int64_t>(left.size()) + simd::kCounterBlock - 1) / simd::kCounterBlock;
     std::vector<uint64_t> touched(static_cast<size_t>((counter_blocks + 63) / 64), 0);
     int32_t block_buf[simd::kCounterBlock];
+    // A probe's demands depend only on the partner's size: memoised per
+    // probe, valid where demand_probe holds the probe's id.
+    std::vector<PairDemand> demand(static_cast<size_t>(max_left_size) + 1);
+    std::vector<int32_t> demand_probe(demand.size(), -1);
     int64_t since_poll = 0;
     for (int32_t p = begin; p < end; ++p) {
       if (polled && (since_poll++ % kProbePollStride) == 0 &&
@@ -535,6 +562,7 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
           }
           simd::AccumulateCounts(list, n, counts.data(), touched.data());
         }
+        const ScreenRecord& probe_record = right_screen[p];
         for (size_t w = 0; w < touched.size(); ++w) {
           uint64_t bits = touched[w];
           if (bits == 0) continue;
@@ -551,12 +579,22 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
                 /*threshold=*/1, block_buf);
             for (int32_t v = 0; v < found; ++v) {
               const int32_t x = block_buf[v];
-              switch (verifier_.Screen(left[x], rhs[p], left_plans[x], right_plans[p])) {
+              const ScreenRecord& record = left_screen[x];
+              if (demand_probe[record.size] != p) {
+                demand_probe[record.size] = p;
+                demand[record.size] = verifier_.Demand(record.size, probe_record.size);
+              }
+              switch (Verifier::Screen(demand[record.size], record.sketch, probe_record.sketch,
+                                       left_plans[x], right_plans[p])) {
                 case PairScreen::kVerify:
                   out->emplace_back(x, p);
                   break;
                 case PairScreen::kSizeBound:
                   ++tally.size;
+                  break;
+                case PairScreen::kSketchBound:
+                  ++tally.sketch;
+                  ++tally.count;
                   break;
                 case PairScreen::kCountBound:
                   ++tally.count;
@@ -661,6 +699,7 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   for (const ScreenTally& tally : screened) {
     result->stats.size_filtered += tally.size;
     result->stats.count_filtered += tally.count;
+    result->stats.sketch_filtered += tally.sketch;
   }
 
   // ---- verify (final batch) ----

@@ -152,6 +152,10 @@ struct JoinStats {
   // `candidates`, neither depends on num_threads.
   int64_t size_filtered = 0;
   int64_t count_filtered = 0;
+  // The part of count_filtered that the plans' signature sketches
+  // rejected without a merge (SignatureSketch, core/verifier.h). Like
+  // the counters above, independent of num_threads and of the ISA level.
+  int64_t sketch_filtered = 0;
   // Every pair the prefix-signature probe found, before its bounds: the
   // signature filter's output, which is what the paper's filtering
   // figures count as candidates.
@@ -243,17 +247,27 @@ class KJoin {
   // in kjoin.cc. Thread-safe: shards poll and trip it concurrently.
   class JoinController;
 
+  // The probe's screen input for one object, flat so that screening a
+  // found pair reads one 32-byte record: the object's size and its plan's
+  // sketch. The object and its plan are read only for pairs the sketch
+  // cannot reject.
+  struct alignas(32) ScreenRecord {
+    SignatureSketch sketch;
+    int32_t size = 0;
+  };
+
   // Per-object signature lists sorted by global order plus prefix length.
   // prefix_ranks[i] is object i's prefix as deduplicated global ranks
   // (ascending) — the filter phase indexes and probes through it without
-  // ever re-resolving SigId -> rank hashes. plans[i] is object i's
-  // grouping plan, shared read-only by the probe's count bound and by
-  // every verification batch.
+  // ever re-resolving SigId -> rank. plans[i] is object i's grouping
+  // plan, shared read-only by the probe's count bound and by every
+  // verification batch; screen[i] is its record for the probe.
   struct Prepared {
     std::vector<std::vector<Signature>> sigs;
     std::vector<int32_t> prefix_len;
     std::vector<std::vector<int32_t>> prefix_ranks;
     std::vector<ObjectGroupPlan> plans;
+    std::vector<ScreenRecord> screen;
   };
 
   // Both public joins funnel here; `self` selects self-join semantics

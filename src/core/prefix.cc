@@ -6,80 +6,113 @@
 
 namespace kjoin {
 
+namespace {
+
+// Per-element walk state of the prefix routines, indexed by
+// Signature::element. Every routine leaves the entries it touched zeroed.
+struct ElementWalk {
+  int32_t total = 0;        // the element's signatures in the list (weighted rule)
+  int32_t removed = 0;      // of those, in the removed suffix
+  double max_weight = 0.0;  // largest removed weight (weighted rule)
+};
+
+std::vector<ElementWalk>& WalkState(const std::vector<Signature>& sigs) {
+  static thread_local std::vector<ElementWalk> state;
+  int32_t max_element = 0;
+  for (const Signature& sig : sigs) {
+    KJOIN_CHECK_GE(sig.element, 0);
+    max_element = std::max(max_element, sig.element);
+  }
+  if (state.size() <= static_cast<size_t>(max_element)) {
+    state.resize(static_cast<size_t>(max_element) + 1);
+  }
+  return state;
+}
+
+}  // namespace
+
+void GlobalSignatureOrder::Grow(size_t slots) {
+  if (slots <= df_.size()) return;
+  df_.resize(slots, 0);
+  stamp_.resize(slots, 0);
+}
+
+void GlobalSignatureOrder::Reserve(SigId max_id) {
+  KJOIN_CHECK(!finalized_);
+  KJOIN_CHECK_GE(max_id, kUnknownTokenSignature);
+  Grow(static_cast<size_t>(max_id) + 2);
+}
+
 void GlobalSignatureOrder::CountObject(const std::vector<Signature>& sigs) {
   KJOIN_CHECK(!finalized_);
-  CountDistinct(sigs, &df_);
-}
-
-void GlobalSignatureOrder::CountDistinct(const std::vector<Signature>& sigs,
-                                         std::unordered_map<SigId, int32_t>* df) {
-  // Dedupe within the object: df counts objects, not occurrences.
-  // Signature lists are short; a sorted scratch of ids is cheap.
-  static thread_local std::vector<SigId> scratch;
-  scratch.clear();
-  for (const Signature& sig : sigs) scratch.push_back(sig.id);
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  for (SigId id : scratch) ++(*df)[id];
-}
-
-void GlobalSignatureOrder::MergeCounts(const std::unordered_map<SigId, int32_t>& df) {
-  KJOIN_CHECK(!finalized_);
-  for (const auto& [id, count] : df) df_[id] += count;
+  KJOIN_CHECK_LT(objects_counted_, UINT32_MAX);
+  // Dedupe within the object: df counts objects, not occurrences. A slot
+  // already stamped with this object's number has counted it.
+  const uint32_t stamp = ++objects_counted_;
+  for (const Signature& sig : sigs) {
+    KJOIN_CHECK_GE(sig.id, kUnknownTokenSignature);
+    const size_t slot = static_cast<size_t>(sig.id + 1);
+    if (slot >= df_.size()) Grow(slot + 1);
+    if (stamp_[slot] == stamp) continue;
+    stamp_[slot] = stamp;
+    ++df_[slot];
+  }
 }
 
 void GlobalSignatureOrder::Finalize() {
   KJOIN_CHECK(!finalized_);
   finalized_ = true;
-  by_rank_.reserve(df_.size());
-  for (const auto& [id, df] : df_) by_rank_.push_back(id);
-  std::sort(by_rank_.begin(), by_rank_.end(), [this](SigId a, SigId b) {
-    const int32_t dfa = df_.at(a);
-    const int32_t dfb = df_.at(b);
-    if (dfa != dfb) return dfa < dfb;
-    return a < b;
-  });
-  rank_.reserve(by_rank_.size());
-  for (int32_t r = 0; r < static_cast<int32_t>(by_rank_.size()); ++r) {
-    rank_.emplace(by_rank_[r], r);
+  stamp_.clear();
+  stamp_.shrink_to_fit();
+  // Counting sort by df. Slots are visited in ascending id order, so ids
+  // with equal df keep ascending id order: rank order (df, id).
+  int32_t max_df = 0;
+  for (const int32_t df : df_) max_df = std::max(max_df, df);
+  std::vector<int32_t> next_rank(static_cast<size_t>(max_df) + 1, 0);
+  for (const int32_t df : df_) {
+    if (df > 0) ++next_rank[df];
+  }
+  int32_t ranked = 0;
+  for (int32_t& slot_count : next_rank) {
+    const int32_t count = slot_count;
+    slot_count = ranked;
+    ranked += count;
+  }
+  by_rank_.resize(static_cast<size_t>(ranked));
+  rank_.assign(df_.size(), -1);
+  for (size_t slot = 0; slot < df_.size(); ++slot) {
+    if (df_[slot] == 0) continue;
+    const int32_t r = next_rank[df_[slot]]++;
+    by_rank_[r] = static_cast<SigId>(slot) - 1;
+    rank_[slot] = r;
   }
 }
 
 int32_t GlobalSignatureOrder::Rank(SigId id) const {
   KJOIN_CHECK(finalized_);
-  auto it = rank_.find(id);
-  KJOIN_CHECK(it != rank_.end()) << "signature " << id << " was never counted";
-  return it->second;
-}
-
-int32_t GlobalSignatureOrder::RankOr(SigId id, int32_t fallback) const {
-  KJOIN_CHECK(finalized_);
-  auto it = rank_.find(id);
-  return it == rank_.end() ? fallback : it->second;
+  // Ids below -1 wrap to slots past the end.
+  const uint64_t slot = static_cast<uint64_t>(id) + 1;
+  KJOIN_CHECK(slot < rank_.size() && rank_[slot] >= 0) << "signature " << id
+                                                        << " was never counted";
+  return rank_[slot];
 }
 
 int32_t GlobalSignatureOrder::DocumentFrequency(SigId id) const {
   KJOIN_CHECK(finalized_) << "DocumentFrequency before Finalize";
-  auto it = df_.find(id);
-  return it == df_.end() ? 0 : it->second;
+  const uint64_t slot = static_cast<uint64_t>(id) + 1;
+  return slot < df_.size() ? df_[slot] : 0;
 }
 
 void SortByGlobalOrder(const GlobalSignatureOrder& order, std::vector<Signature>* sigs) {
-  // Precompute ranks once, then sort by them.
-  std::vector<std::pair<int32_t, Signature>> keyed;
-  keyed.reserve(sigs->size());
-  for (const Signature& sig : *sigs) keyed.emplace_back(order.Rank(sig.id), sig);
-  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second.element < b.second.element;
-  });
-  for (size_t i = 0; i < keyed.size(); ++i) (*sigs)[i] = keyed[i].second;
+  static thread_local std::vector<int32_t> ranks;
+  SortByGlobalOrderWithRanks(order, sigs, &ranks);
 }
 
 void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order,
                                 std::vector<Signature>* sigs, std::vector<int32_t>* ranks) {
-  std::vector<std::pair<int32_t, Signature>> keyed;
-  keyed.reserve(sigs->size());
+  // Resolve each rank once, then sort by it.
+  static thread_local std::vector<std::pair<int32_t, Signature>> keyed;
+  keyed.clear();
   for (const Signature& sig : *sigs) keyed.emplace_back(order.Rank(sig.id), sig);
   std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;
@@ -98,22 +131,21 @@ int32_t PrefixLengthDistinct(const std::vector<Signature>& sigs,
   if (min_similar_elements <= 0) return static_cast<int32_t>(sigs.size());
   // Walk from the tail, removing signatures while the removed set touches
   // at most τ_S − 1 distinct elements.
-  std::unordered_map<int32_t, int32_t> removed_of_element;
+  std::vector<ElementWalk>& walk = WalkState(sigs);
+  int32_t removed_elements = 0;
   int32_t prefix = static_cast<int32_t>(sigs.size());
   while (prefix > 1) {
-    const Signature& sig = sigs[prefix - 1];
-    auto it = removed_of_element.find(sig.element);
-    const bool new_element = (it == removed_of_element.end());
-    if (new_element &&
-        static_cast<int32_t>(removed_of_element.size()) + 1 > min_similar_elements - 1) {
+    ElementWalk& element = walk[sigs[prefix - 1].element];
+    const bool new_element = element.removed == 0;
+    if (new_element && removed_elements + 1 > min_similar_elements - 1) {
       break;  // removing this signature would let the suffix cover τ_S elements
     }
-    if (new_element) {
-      removed_of_element.emplace(sig.element, 1);
-    } else {
-      ++it->second;
-    }
+    removed_elements += new_element ? 1 : 0;
+    ++element.removed;
     --prefix;
+  }
+  for (size_t k = static_cast<size_t>(prefix); k < sigs.size(); ++k) {
+    walk[sigs[k].element].removed = 0;
   }
   return prefix;
 }
@@ -123,38 +155,32 @@ int32_t PrefixLengthWeighted(const std::vector<Signature>& sigs, double overlap_
   if (overlap_budget <= 0.0) return static_cast<int32_t>(sigs.size());
 
   // Total signature count per element, to detect full removal.
-  std::unordered_map<int32_t, int32_t> total_of_element;
-  for (const Signature& sig : sigs) ++total_of_element[sig.element];
+  std::vector<ElementWalk>& walk = WalkState(sigs);
+  for (const Signature& sig : sigs) ++walk[sig.element].total;
 
-  struct Removed {
-    int32_t count = 0;
-    double max_weight = 0.0;
-  };
-  std::unordered_map<int32_t, Removed> removed;
-  double mass = 0.0;
-
-  auto contribution = [&](const Removed& r, int32_t total) {
-    if (r.count == 0) return 0.0;
+  auto contribution = [](const ElementWalk& element) {
+    if (element.removed == 0) return 0.0;
     // A fully removed element can still be matched (similarity 1) by an
     // identical token whose own prefix survived, so it costs at least 1.
-    return r.count >= total ? std::max(1.0, r.max_weight) : r.max_weight;
+    return element.removed >= element.total ? std::max(1.0, element.max_weight)
+                                            : element.max_weight;
   };
 
+  double mass = 0.0;
   int32_t prefix = static_cast<int32_t>(sigs.size());
   while (prefix > 1) {
     const Signature& sig = sigs[prefix - 1];
-    Removed& r = removed[sig.element];
-    const int32_t total = total_of_element.at(sig.element);
-    const double before = contribution(r, total);
-    Removed after = r;
-    ++after.count;
+    ElementWalk& element = walk[sig.element];
+    ElementWalk after = element;
+    ++after.removed;
     after.max_weight = std::max(after.max_weight, static_cast<double>(sig.weight));
-    const double new_mass = mass - before + contribution(after, total);
+    const double new_mass = mass - contribution(element) + contribution(after);
     if (new_mass >= overlap_budget - 1e-9) break;  // Definition 9's stop condition
-    r = after;
+    element = after;
     mass = new_mass;
     --prefix;
   }
+  for (const Signature& sig : sigs) walk[sig.element] = ElementWalk{};
   return prefix;
 }
 

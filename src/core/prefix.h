@@ -19,7 +19,6 @@
 // τ-similar (Lemmas 2, 6, 7).
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/signature.h"
@@ -29,41 +28,44 @@ namespace kjoin {
 // Maps SigId -> dense rank. Rank order = (document frequency ascending,
 // SigId ascending). Build by feeding every object's signature list, then
 // Finalize.
+//
+// Counts and ranks live in dense arrays indexed by `SigId + 1` (so
+// kUnknownTokenSignature, -1, is countable like any other id), sized by
+// the largest id counted. Ids are dense by construction — hierarchy
+// nodes, then `num_nodes + token_id` (SignatureGenerator), or interned
+// ids in the baselines — so the arrays hold one slot per id in that
+// range, once per join.
 class GlobalSignatureOrder {
  public:
   // Counts each distinct SigId of the object once (document frequency).
+  // Ids must be >= kUnknownTokenSignature.
   void CountObject(const std::vector<Signature>& sigs);
 
-  // Sharded counting: CountDistinct accumulates one object's distinct
-  // SigIds into a caller-owned (typically per-worker) map; MergeCounts
-  // folds such a map in. MergeCounts over any partition of the objects is
-  // equivalent to CountObject on each of them, in any merge order.
-  static void CountDistinct(const std::vector<Signature>& sigs,
-                            std::unordered_map<SigId, int32_t>* df);
-  void MergeCounts(const std::unordered_map<SigId, int32_t>& df);
+  // Sizes the dense arrays for ids up to `max_id`, so counting objects
+  // whose largest id is known up front never regrows them. Optional.
+  void Reserve(SigId max_id);
 
-  // Freezes the order. No CountObject/MergeCounts afterwards.
+  // Freezes the order. No CountObject afterwards.
   void Finalize();
 
-  // Dense rank in [0, num_signatures()). The id must have been counted.
+  // Dense rank in [0, num_signatures()). The id must have been counted:
+  // any other id CHECK-fails.
   int32_t Rank(SigId id) const;
-
-  // Rank, or `fallback` for ids never counted. Unknown signatures have
-  // document frequency 0, so callers ordering "rarest first" should pass
-  // a fallback below every real rank (e.g. -1). Used by KJoinIndex, whose
-  // queries may carry signatures the indexed collection never produced.
-  int32_t RankOr(SigId id, int32_t fallback) const;
 
   int32_t num_signatures() const { return static_cast<int32_t>(by_rank_.size()); }
 
-  // Final document frequency (0 for ids never counted). Like Rank/RankOr,
-  // only answerable once the order is frozen.
+  // Final document frequency (0 for ids never counted). Like Rank, only
+  // answerable once the order is frozen.
   int32_t DocumentFrequency(SigId id) const;
 
  private:
+  void Grow(size_t slots);
+
   bool finalized_ = false;
-  std::unordered_map<SigId, int32_t> df_;     // until Finalize: counts
-  std::unordered_map<SigId, int32_t> rank_;   // after Finalize
+  std::vector<int32_t> df_;       // by id + 1: objects carrying the id
+  std::vector<uint32_t> stamp_;   // by id + 1: last object that counted it; freed at Finalize
+  uint32_t objects_counted_ = 0;
+  std::vector<int32_t> rank_;     // by id + 1, after Finalize: -1 = never counted
   std::vector<SigId> by_rank_;
 };
 
@@ -80,6 +82,11 @@ void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order, std::vector<S
 // Prefix length under the distinct-element rule. `sigs` must be sorted by
 // global order. `min_similar_elements` is τ_S. Returns a value in
 // [1, sigs.size()] for non-empty input (0 only for empty input).
+//
+// Both prefix routines keep their per-element walk state in thread-local
+// arrays indexed by Signature::element (an index within the object, so
+// >= 0 and below the object's size) and clear what they touched before
+// returning: no allocation once a thread has seen its largest object.
 int32_t PrefixLengthDistinct(const std::vector<Signature>& sigs, int32_t min_similar_elements);
 
 // Prefix length under the weighted rule; `overlap_budget` is τ|S| (or the

@@ -406,6 +406,27 @@ __attribute__((target("avx2"))) int32_t ExtractAvx2Impl(uint8_t* counts, int32_t
 
 #endif  // KJOIN_SIMD_X86
 
+// ---------------------------------------------------------------------------
+// Sketch overlap.
+
+int32_t SketchMinSumScalar(const uint8_t* a, const uint8_t* b) {
+  int32_t sum = 0;
+  for (int i = 0; i < kSketchBytes; ++i) sum += std::min(a[i], b[i]);
+  return sum;
+}
+
+#if KJOIN_SIMD_X86
+
+__attribute__((target("sse2"))) int32_t SketchMinSumSse2(const uint8_t* a, const uint8_t* b) {
+  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
+  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
+  // |min - 0| summed per 8-byte half into the low bits of each 64-bit lane.
+  const __m128i halves = _mm_sad_epu8(_mm_min_epu8(va, vb), _mm_setzero_si128());
+  return _mm_cvtsi128_si32(halves) + _mm_cvtsi128_si32(_mm_unpackhi_epi64(halves, halves));
+}
+
+#endif  // KJOIN_SIMD_X86
+
 }  // namespace
 
 const char* IsaLevelName(IsaLevel level) {
@@ -550,6 +571,19 @@ int32_t ExtractAndClearBlockAt(IsaLevel level, uint8_t* counts, int32_t block_be
 int32_t ExtractAndClearBlock(uint8_t* counts, int32_t block_begin, int32_t len, int threshold,
                              int32_t* out) {
   return ExtractAndClearBlockAt(ActiveLevel(), counts, block_begin, len, threshold, out);
+}
+
+int32_t SketchMinSumAt(IsaLevel level, const uint8_t* a, const uint8_t* b) {
+#if KJOIN_SIMD_X86
+  if (level != IsaLevel::kScalar) return SketchMinSumSse2(a, b);
+#else
+  (void)level;
+#endif
+  return SketchMinSumScalar(a, b);
+}
+
+int32_t SketchMinSum(const uint8_t* a, const uint8_t* b) {
+  return SketchMinSumAt(ActiveLevel(), a, b);
 }
 
 }  // namespace kjoin::simd

@@ -4,7 +4,7 @@
 // Runtime-dispatched vector kernels for the filter hot path
 // (docs/performance.md, "Filter engine").
 //
-// Three kernel families, each with scalar / SSE4.2 / AVX2 variants:
+// Four kernel families, each with scalar / SSE4.2 / AVX2 variants:
 //
 //   * block decode — bit-unpack a delta-compressed posting block back to
 //     absolute doc ids (core/posting_store.h owns the block format);
@@ -16,7 +16,10 @@
 //     posting lists bump a dense per-probe uint8 counter array (scalar
 //     stores; gathers/scatters lose to the store buffer here) and the
 //     survivors are extracted by thresholding 256-bit strides of
-//     counters and reading the compare mask, clearing as it goes.
+//     counters and reading the compare mask, clearing as it goes;
+//   * sketch overlap — the byte-wise min of two 16-byte count sketches,
+//     summed (core/verifier.h's SignatureSketch), which screens Lemma 3's
+//     count bound for every probed pair.
 //
 // Dispatch: every public entry point takes the kernels from
 // ActiveLevel(), resolved once from CPUID — overridable by the
@@ -115,6 +118,17 @@ int32_t ExtractAndClearBlock(uint8_t* counts, int32_t block_begin, int32_t len, 
                              int32_t* out);
 int32_t ExtractAndClearBlockAt(IsaLevel level, uint8_t* counts, int32_t block_begin,
                                int32_t len, int threshold, int32_t* out);
+
+// ---------------------------------------------------------------------------
+// Sketch overlap: sum over i < kSketchBytes of min(a[i], b[i]), in
+// [0, 16 * 255]. The scalar variant is a plain loop; the SSE4.2 and AVX2
+// tiers share one SSE2 body (a 16-byte sketch fills one 128-bit lane):
+// _mm_min_epu8, then _mm_sad_epu8 against zero sums each 8-byte half.
+
+inline constexpr int kSketchBytes = 16;
+
+int32_t SketchMinSum(const uint8_t* a, const uint8_t* b);
+int32_t SketchMinSumAt(IsaLevel level, const uint8_t* a, const uint8_t* b);
 
 }  // namespace kjoin::simd
 

@@ -8,6 +8,7 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "core/simd.h"
 #include "matching/bounds.h"
 #include "matching/greedy_matching.h"
 #include "matching/hungarian.h"
@@ -248,6 +249,44 @@ void BuildGroupBigraph(const ObjectSimilarity& object_sim, const Object& x, cons
   }
 }
 
+// Lemma 3's integer demand for a real-valued overlap demand: the count
+// bound is an integer, so it falls below needed - kEps exactly when it
+// stays below this. 0 when nothing is needed.
+int64_t CountDemand(double needed) {
+  const double target = needed - kEps;
+  return target <= 0.0 ? 0 : static_cast<int64_t>(std::ceil(target));
+}
+
+// Lemma 3 at integer demand `want` > 0 (docs/THEORY.md, section 6): the
+// sketches first, then — only if they cannot rule the pair out — the
+// exact multiset intersection of the two sorted signature arrays. A
+// shared run pairs off one entry per side until the shorter run ends,
+// contributing min(run_x, run_y).
+PairScreen CountScreen(const SignatureSketch& sketch_x, const SignatureSketch& sketch_y,
+                       const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
+                       int64_t want) {
+  if (sketch_x.usable && sketch_y.usable &&
+      simd::SketchMinSum(sketch_x.counts, sketch_y.counts) < want) {
+    return PairScreen::kSketchBound;
+  }
+  const SigId* a = plan_x.sigs.data();
+  const SigId* b = plan_y.sigs.data();
+  const int64_t n = static_cast<int64_t>(plan_x.sigs.size());
+  const int64_t m = static_cast<int64_t>(plan_y.sigs.size());
+  int64_t bound = 0;
+  int64_t i = 0, j = 0;
+  // Stop once the answer is certain: each further match consumes an entry
+  // on both sides, so bound + min(n - i, m - j) caps the final value.
+  while (bound < want && bound + std::min(n - i, m - j) >= want) {
+    const SigId u = a[i];
+    const SigId v = b[j];
+    bound += u == v;  // branch-free steps
+    i += u <= v;
+    j += v <= u;
+  }
+  return bound < want ? PairScreen::kCountBound : PairScreen::kVerify;
+}
+
 int32_t UnionFindRoot(std::vector<int32_t>& parent, int32_t x) {
   while (parent[x] != x) {
     parent[x] = parent[parent[x]];
@@ -276,6 +315,17 @@ Verifier::Verifier(const ElementSimilarity& element_sim, const SignatureGenerato
       options_(options),
       object_sim_(element_sim, options.delta, options.set_metric) {}
 
+SignatureSketch SignatureSketch::Of(std::span<const SigId> sigs) {
+  int64_t counts[kBuckets] = {};
+  for (const SigId sig : sigs) ++counts[Bucket(sig)];
+  SignatureSketch sketch;
+  for (int b = 0; b < kBuckets; ++b) {
+    sketch.usable = sketch.usable && counts[b] <= 255;
+    sketch.counts[b] = static_cast<uint8_t>(std::min<int64_t>(counts[b], 255));
+  }
+  return sketch;
+}
+
 void Verifier::BuildPlan(const Object& object, ObjectGroupPlan* plan) const {
   plan->entries.clear();
   static thread_local std::vector<SigId> sig_buffer;
@@ -293,43 +343,32 @@ void Verifier::BuildPlan(const Object& object, ObjectGroupPlan* plan) const {
   });
   plan->sigs.resize(entries.size());
   for (size_t k = 0; k < entries.size(); ++k) plan->sigs[k] = entries[plan->by_sig[k]].sig;
+  // Plus mode never asks the plans' count bound (its groups merge across
+  // elements), so it skips the sketch; an unusable one forces a merge.
+  plan->sketch =
+      options_.plus_mode ? SignatureSketch{.usable = false} : SignatureSketch::Of(plan->sigs);
 }
 
 bool Verifier::CountBoundBelow(const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
                                double needed) {
-  // The bound is the multiset intersection size of the two sorted arrays:
-  // a shared run pairs off one entry per side until the shorter run ends,
-  // contributing min(run_x, run_y). It is an integer, so it falls below
-  // needed - kEps exactly when it stays below `want`.
-  const double target = needed - kEps;
-  if (target <= 0.0) return false;
-  const int64_t want = static_cast<int64_t>(std::ceil(target));
-  const SigId* a = plan_x.sigs.data();
-  const SigId* b = plan_y.sigs.data();
-  const int64_t n = static_cast<int64_t>(plan_x.sigs.size());
-  const int64_t m = static_cast<int64_t>(plan_y.sigs.size());
-  int64_t bound = 0;
-  int64_t i = 0, j = 0;
-  // Stop once the answer is certain: each further match consumes an entry
-  // on both sides, so bound + min(n - i, m - j) caps the final value.
-  while (bound < want && bound + std::min(n - i, m - j) >= want) {
-    const SigId u = a[i];
-    const SigId v = b[j];
-    bound += u == v;  // branch-free steps: the probe runs this on every pair
-    i += u <= v;
-    j += v <= u;
-  }
-  return bound < want;
+  const int64_t want = CountDemand(needed);
+  return want > 0 &&
+         CountScreen(plan_x.sketch, plan_y.sketch, plan_x, plan_y, want) != PairScreen::kVerify;
 }
 
-PairScreen Verifier::Screen(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
-                            const ObjectGroupPlan& plan_y) const {
-  const double needed = MinFuzzyOverlap(x.size(), y.size(), options_.tau, options_.set_metric);
-  if (OverlapOutOfReach(needed, x.size(), y.size())) return PairScreen::kSizeBound;
-  if (options_.count_pruning && !options_.plus_mode && CountBoundBelow(plan_x, plan_y, needed)) {
-    return PairScreen::kCountBound;
-  }
-  return PairScreen::kVerify;
+PairDemand Verifier::Demand(int32_t size_x, int32_t size_y) const {
+  const double needed = MinFuzzyOverlap(size_x, size_y, options_.tau, options_.set_metric);
+  if (OverlapOutOfReach(needed, size_x, size_y)) return {.out_of_reach = true};
+  if (!options_.count_pruning || options_.plus_mode) return {};
+  return {.count = CountDemand(needed)};
+}
+
+PairScreen Verifier::Screen(const PairDemand& demand, const SignatureSketch& sketch_x,
+                            const SignatureSketch& sketch_y, const ObjectGroupPlan& plan_x,
+                            const ObjectGroupPlan& plan_y) {
+  if (demand.out_of_reach) return PairScreen::kSizeBound;
+  if (demand.count <= 0) return PairScreen::kVerify;
+  return CountScreen(sketch_x, sketch_y, plan_x, plan_y, demand.count);
 }
 
 void Verifier::BuildGroups(const Object& x, const Object& y, const ObjectGroupPlan& px,

@@ -26,6 +26,7 @@
 // state verifies candidates without touching the allocator.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/element_similarity.h"
@@ -37,6 +38,30 @@ namespace kjoin {
 
 // Per-thread verification arena; defined in verifier.cc.
 struct VerifyScratch;
+
+// A lossless 16-byte summary of a plan's partition signatures for Lemma
+// 3's count bound (docs/THEORY.md, section 6): how many of them fall in
+// each of 16 hash buckets. For two plans, the sum over buckets of
+// min(x's count, y's count) is at least the multiset intersection of
+// their signatures — a bucket's min is at least the sum of its
+// signatures' mins — so a pair whose sketch sum falls short of the count
+// bound's demand is rejected without merging the plans.
+struct SignatureSketch {
+  static constexpr int kBuckets = 16;
+
+  // Top four bits of a Fibonacci hash of the signature.
+  static int Bucket(SigId sig) {
+    return static_cast<int>((static_cast<uint64_t>(sig) * 0x9E3779B97F4A7C15ull) >> 60);
+  }
+  // The sketch of a signature multiset (any order).
+  static SignatureSketch Of(std::span<const SigId> sigs);
+
+  // Signatures per bucket (saturated at 255 when unusable).
+  uint8_t counts[kBuckets] = {};
+  // False when some bucket holds more than 255 signatures: a saturated
+  // count would undercount, so the count bound then always merges.
+  bool usable = true;
+};
 
 // The pair-invariant half of group construction, computed once per object:
 // the object's partition signatures in element order, plus an argsort by
@@ -52,13 +77,27 @@ struct ObjectGroupPlan {
   std::vector<Entry> entries;   // element-major (generation) order
   std::vector<int32_t> by_sig;  // argsort of entries by (sig, index)
   std::vector<SigId> sigs;      // entries[by_sig[k]].sig: ascending, contiguous
+  SignatureSketch sketch;       // SignatureSketch::Of(sigs); unusable in plus mode
+};
+
+// What a pair's sizes demand of the probe-side bounds at the configured
+// τ (Verifier::Demand). It depends on the two sizes only, so a probe can
+// reuse it across partners of equal size.
+struct PairDemand {
+  // The size bound rules the pair out (OverlapOutOfReach).
+  bool out_of_reach = false;
+  // Lemma 3 rejects the pair when the plans share fewer than `count`
+  // partition signatures (multiset intersection). 0 when no count bound
+  // applies: plus mode, count_pruning off, or no overlap needed.
+  int64_t count = 0;
 };
 
 // What a candidate screen decided (Verifier::Screen).
 enum class PairScreen {
-  kVerify,      // may be similar: verify it
-  kSizeBound,   // sizes alone rule it out (OverlapOutOfReach)
-  kCountBound,  // Lemma 3's count bound rules it out (pure mode)
+  kVerify,       // may be similar: verify it
+  kSizeBound,    // sizes alone rule it out (OverlapOutOfReach)
+  kCountBound,   // Lemma 3's count bound rules it out, by merging the plans
+  kSketchBound,  // Lemma 3's count bound rules it out, by the sketches alone
 };
 
 enum class VerifyMode {
@@ -136,21 +175,31 @@ class Verifier {
   // partition signatures both plans carry of min(run in x, run in y) —
   // exactly the groups' count bounds that pure-mode BuildGroups would
   // produce, summed — falls short of `needed` by more than the accept
-  // tolerance. One merge over the two sorted signature arrays, stopped as
-  // soon as the answer is certain; no group is built. Not a bound in plus
-  // mode, where groups sharing an element merge.
+  // tolerance. The plans' sketches answer first; only when they cannot
+  // rule the pair out does one merge over the two sorted signature
+  // arrays decide, stopped as soon as the answer is certain. No group is
+  // built. Not a bound in plus mode, where groups sharing an element
+  // merge.
   static bool CountBoundBelow(const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
                               double needed);
 
-  // The verifier's two cheapest rejections at the configured τ, decided
-  // before any group is built (docs/THEORY.md, section 6): the size bound
-  // (OverlapOutOfReach) in every mode, then — in pure mode with
-  // count_pruning on — the count bound (CountBoundBelow) that Verify's own
-  // count pruning applies. Every pair screened out is one Verify would
-  // reject, so a caller may drop it unverified; the join's probe does.
-  // Thread-safe.
-  PairScreen Screen(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
-                    const ObjectGroupPlan& plan_y) const;
+  // The demand of the verifier's two cheapest rejections, at the
+  // configured τ, on a pair of objects with these sizes (x's, then y's):
+  // the size bound (OverlapOutOfReach) in every mode and — in pure mode
+  // with count_pruning on — the integer count Lemma 3 requires, which
+  // Verify's own count pruning applies.
+  PairDemand Demand(int32_t size_x, int32_t size_y) const;
+
+  // Screens a pair against its Demand, before any group is built
+  // (docs/THEORY.md, section 6): the size bound, then the count bound
+  // through CountBoundBelow's logic. Every pair screened out is one
+  // Verify would reject, so a caller may drop it unverified; the join's
+  // probe does. The sketches are the plans' own, passed apart so that a
+  // caller holding them in a flat array reads a plan only when its sketch
+  // cannot reject the pair. Thread-safe.
+  static PairScreen Screen(const PairDemand& demand, const SignatureSketch& sketch_x,
+                           const SignatureSketch& sketch_y, const ObjectGroupPlan& plan_x,
+                           const ObjectGroupPlan& plan_y);
 
   // Exact similarity, bypassing every pruning step (test/quality oracle).
   double ExactSimilarity(const Object& x, const Object& y) const;

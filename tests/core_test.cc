@@ -492,13 +492,19 @@ TEST(GlobalOrderTest, RareSignaturesFirst) {
   EXPECT_EQ(oa[1].id, 2);
 }
 
-TEST(GlobalOrderTest, RankOrFallsBackForUnknownIds) {
+TEST(GlobalOrderDeathTest, RankOfNeverCountedIdDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   GlobalSignatureOrder order;
-  std::vector<Signature> object = {{7, 0, 1.0f}};
+  std::vector<Signature> object = {{7, 0, 1.0f}, {kUnknownTokenSignature, 1, 1.0f}};
   order.CountObject(object);
   order.Finalize();
-  EXPECT_EQ(order.RankOr(7, -1), order.Rank(7));
-  EXPECT_EQ(order.RankOr(999, -1), -1);
+  EXPECT_EQ(order.Rank(kUnknownTokenSignature), 0);
+  EXPECT_EQ(order.Rank(7), 1);
+  // Inside the dense range, but never counted.
+  EXPECT_DEATH(order.Rank(3), "never counted");
+  // Past the dense range's end, and below kUnknownTokenSignature.
+  EXPECT_DEATH(order.Rank(999), "never counted");
+  EXPECT_DEATH(order.Rank(-2), "never counted");
 }
 
 TEST(GlobalOrderTest, DuplicateSigsInOneObjectCountOnce) {

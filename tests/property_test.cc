@@ -4,18 +4,25 @@
 //  * prefix-rule invariants (never empty, monotone in τ, weighted ⊆
 //    plain);
 //  * end-to-end prefix soundness: δ-similar objects always share a prefix
-//    signature (Lemmas 2, 6, 7) on randomly built objects.
+//    signature (Lemmas 2, 6, 7) on randomly built objects;
+//  * the dense global order and the flat prefix routines agree with
+//    hash-map reference implementations;
+//  * the signature sketch is a sound upper bound on Lemma 3's count
+//    bound, and CountBoundBelow agrees with a merge-only reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "core/element_similarity.h"
 #include "core/object_similarity.h"
 #include "core/prefix.h"
 #include "core/signature.h"
+#include "core/simd.h"
+#include "core/verifier.h"
 #include "hierarchy/hierarchy_generator.h"
 #include "hierarchy/lca.h"
 
@@ -314,6 +321,255 @@ INSTANTIATE_TEST_SUITE_P(
       name += "T" + std::to_string(static_cast<int>(info.param.tau * 100));
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// Dense global order and flat prefix routines vs hash-map references.
+
+// The global order as hash maps: df by sort + unique per object, ranks by
+// sorting the counted ids on (df, id).
+class ReferenceOrder {
+ public:
+  void CountObject(const std::vector<Signature>& sigs) {
+    std::vector<SigId> ids;
+    for (const Signature& sig : sigs) ids.push_back(sig.id);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (SigId id : ids) ++df_[id];
+  }
+  void Finalize() {
+    std::vector<SigId> by_rank;
+    for (const auto& [id, df] : df_) by_rank.push_back(id);
+    std::sort(by_rank.begin(), by_rank.end(), [this](SigId a, SigId b) {
+      if (df_.at(a) != df_.at(b)) return df_.at(a) < df_.at(b);
+      return a < b;
+    });
+    for (int32_t r = 0; r < static_cast<int32_t>(by_rank.size()); ++r) rank_[by_rank[r]] = r;
+  }
+  const std::unordered_map<SigId, int32_t>& df() const { return df_; }
+  const std::unordered_map<SigId, int32_t>& rank() const { return rank_; }
+
+ private:
+  std::unordered_map<SigId, int32_t> df_;
+  std::unordered_map<SigId, int32_t> rank_;
+};
+
+int32_t ReferencePrefixDistinct(const std::vector<Signature>& sigs,
+                                int32_t min_similar_elements) {
+  if (sigs.empty()) return 0;
+  if (min_similar_elements <= 0) return static_cast<int32_t>(sigs.size());
+  std::unordered_map<int32_t, int32_t> removed_of_element;
+  int32_t prefix = static_cast<int32_t>(sigs.size());
+  while (prefix > 1) {
+    const Signature& sig = sigs[prefix - 1];
+    auto it = removed_of_element.find(sig.element);
+    const bool new_element = (it == removed_of_element.end());
+    if (new_element &&
+        static_cast<int32_t>(removed_of_element.size()) + 1 > min_similar_elements - 1) {
+      break;
+    }
+    if (new_element) {
+      removed_of_element.emplace(sig.element, 1);
+    } else {
+      ++it->second;
+    }
+    --prefix;
+  }
+  return prefix;
+}
+
+int32_t ReferencePrefixWeighted(const std::vector<Signature>& sigs, double overlap_budget) {
+  if (sigs.empty()) return 0;
+  if (overlap_budget <= 0.0) return static_cast<int32_t>(sigs.size());
+  std::unordered_map<int32_t, int32_t> total_of_element;
+  for (const Signature& sig : sigs) ++total_of_element[sig.element];
+  struct Removed {
+    int32_t count = 0;
+    double max_weight = 0.0;
+  };
+  std::unordered_map<int32_t, Removed> removed;
+  double mass = 0.0;
+  auto contribution = [&](const Removed& r, int32_t total) {
+    if (r.count == 0) return 0.0;
+    return r.count >= total ? std::max(1.0, r.max_weight) : r.max_weight;
+  };
+  int32_t prefix = static_cast<int32_t>(sigs.size());
+  while (prefix > 1) {
+    const Signature& sig = sigs[prefix - 1];
+    Removed& r = removed[sig.element];
+    const int32_t total = total_of_element.at(sig.element);
+    const double before = contribution(r, total);
+    Removed after = r;
+    ++after.count;
+    after.max_weight = std::max(after.max_weight, static_cast<double>(sig.weight));
+    const double new_mass = mass - before + contribution(after, total);
+    if (new_mass >= overlap_budget - 1e-9) break;
+    r = after;
+    mass = new_mass;
+    --prefix;
+  }
+  return prefix;
+}
+
+// One object's signatures: per element, one to four ids drawn from a
+// mix of node ids, token signatures far above the node range, and
+// kUnknownTokenSignature; deduplicated per element as Generate does.
+std::vector<Signature> RandomObjectSigs(Rng& rng, int32_t num_nodes) {
+  const int num_elements = 1 + static_cast<int>(rng.NextUint64(12));
+  std::vector<Signature> sigs;
+  for (int32_t e = 0; e < num_elements; ++e) {
+    std::set<SigId> ids;
+    const int count = 1 + static_cast<int>(rng.NextUint64(4));
+    for (int k = 0; k < count; ++k) {
+      const uint64_t kind = rng.NextUint64(10);
+      if (kind == 0) {
+        ids.insert(kUnknownTokenSignature);
+      } else if (kind <= 2) {
+        ids.insert(num_nodes + static_cast<SigId>(rng.NextUint64(200000)));
+      } else {
+        ids.insert(static_cast<SigId>(rng.NextUint64(static_cast<uint64_t>(num_nodes))));
+      }
+    }
+    for (SigId id : ids) {
+      sigs.push_back({id, e, static_cast<float>(0.1 + 0.9 * rng.NextDouble())});
+    }
+  }
+  rng.Shuffle(&sigs);
+  return sigs;
+}
+
+TEST(DenseOrderPropertyTest, DenseOrderMatchesHashMapReference) {
+  Rng rng(91);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int32_t num_nodes = 50 + static_cast<int32_t>(rng.NextUint64(400));
+    std::vector<std::vector<Signature>> objects(40 + rng.NextUint64(200));
+    for (auto& sigs : objects) sigs = RandomObjectSigs(rng, num_nodes);
+    GlobalSignatureOrder order;
+    ReferenceOrder reference;
+    // Half the trials size the dense arrays up front, as the join does.
+    if (trial % 2 == 0) {
+      SigId max_id = kUnknownTokenSignature;
+      for (const auto& sigs : objects) {
+        for (const Signature& sig : sigs) max_id = std::max(max_id, sig.id);
+      }
+      order.Reserve(max_id);
+    }
+    for (const auto& sigs : objects) {
+      order.CountObject(sigs);
+      reference.CountObject(sigs);
+    }
+    order.Finalize();
+    reference.Finalize();
+    ASSERT_EQ(order.num_signatures(), static_cast<int32_t>(reference.df().size()));
+    for (const auto& [id, df] : reference.df()) {
+      ASSERT_EQ(order.DocumentFrequency(id), df) << "id " << id;
+      ASSERT_EQ(order.Rank(id), reference.rank().at(id)) << "id " << id;
+    }
+    // Ids never counted: inside the dense range and past its end.
+    for (SigId id : {SigId{-7}, SigId{num_nodes} + 300000, SigId{1} << 40}) {
+      EXPECT_EQ(order.DocumentFrequency(id), 0) << "id " << id;
+    }
+
+    // Prefix lengths on the globally sorted lists, across budgets; the
+    // thread-local walk state must come back clean between calls.
+    for (auto& sigs : objects) {
+      SortByGlobalOrder(order, &sigs);
+      int32_t n = 0;
+      for (const Signature& sig : sigs) n = std::max(n, sig.element + 1);
+      for (int32_t tau_s = 0; tau_s <= n + 1; ++tau_s) {
+        ASSERT_EQ(PrefixLengthDistinct(sigs, tau_s), ReferencePrefixDistinct(sigs, tau_s))
+            << "trial " << trial << " tau_s " << tau_s;
+      }
+      for (double budget = 0.0; budget <= n + 1.0; budget += 0.35) {
+        ASSERT_EQ(PrefixLengthWeighted(sigs, budget), ReferencePrefixWeighted(sigs, budget))
+            << "trial " << trial << " budget " << budget;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The signature sketch against Lemma 3's exact count bound.
+
+ObjectGroupPlan PlanOf(std::vector<SigId> sigs) {
+  std::sort(sigs.begin(), sigs.end());
+  ObjectGroupPlan plan;
+  plan.sketch = SignatureSketch::Of(sigs);
+  plan.sigs = std::move(sigs);
+  return plan;
+}
+
+int64_t MultisetIntersection(const std::vector<SigId>& a, const std::vector<SigId>& b) {
+  std::vector<SigId> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(common));
+  return static_cast<int64_t>(common.size());
+}
+
+// Checks the sketch bound and CountBoundBelow against the merge-only
+// reference (multiset intersection < want) for every integer demand up to
+// min(|x|, |y|) + 1, at every ISA level.
+void ExpectCountBoundAgrees(const ObjectGroupPlan& x, const ObjectGroupPlan& y) {
+  const int64_t exact = MultisetIntersection(x.sigs, y.sigs);
+  const int64_t top =
+      static_cast<int64_t>(std::min(x.sigs.size(), y.sigs.size())) + 1;
+  for (int level = 0; level <= static_cast<int>(simd::IsaLevel::kAvx2); ++level) {
+    simd::SetActiveLevelForTest(static_cast<simd::IsaLevel>(level));
+    if (x.sketch.usable && y.sketch.usable) {
+      ASSERT_GE(simd::SketchMinSum(x.sketch.counts, y.sketch.counts), exact);
+    }
+    for (int64_t want = 0; want <= top; ++want) {
+      ASSERT_EQ(Verifier::CountBoundBelow(x, y, static_cast<double>(want)), exact < want)
+          << "want " << want << " exact " << exact;
+      ASSERT_EQ(Verifier::CountBoundBelow(y, x, static_cast<double>(want)), exact < want)
+          << "want " << want << " exact " << exact;
+    }
+  }
+  simd::ResetActiveLevelForTest();
+}
+
+TEST(SketchPropertyTest, SketchBoundsMultisetIntersection) {
+  Rng rng(93);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Narrow id ranges give long runs of one signature; wide ones give
+    // disjoint lists; empty lists are drawn too.
+    const uint64_t range = 1 + rng.NextUint64(trial % 4 == 0 ? 3 : 60);
+    auto draw = [&] {
+      std::vector<SigId> sigs(rng.NextUint64(40));
+      for (SigId& sig : sigs) sig = static_cast<SigId>(rng.NextUint64(range)) - 1;
+      return sigs;
+    };
+    const ObjectGroupPlan x = PlanOf(draw());
+    const ObjectGroupPlan y = PlanOf(draw());
+    ASSERT_TRUE(x.sketch.usable);
+    ExpectCountBoundAgrees(x, y);
+  }
+  // Empty plans: a zero sketch, and nothing shared.
+  const ObjectGroupPlan empty = PlanOf({});
+  for (uint8_t count : empty.sketch.counts) EXPECT_EQ(count, 0);
+  ExpectCountBoundAgrees(empty, empty);
+  ExpectCountBoundAgrees(empty, PlanOf({1, 2, 2, 3}));
+}
+
+TEST(SketchPropertyTest, OverfullBucketFallsBackToTheExactMerge) {
+  // Two distinct signatures sharing a bucket: 300 copies of each overflow
+  // a byte. A saturated sketch would claim 255 shared where none are.
+  const SigId first = 11;
+  SigId second = first + 1;
+  while (SignatureSketch::Bucket(second) != SignatureSketch::Bucket(first)) ++second;
+  const ObjectGroupPlan x = PlanOf(std::vector<SigId>(300, first));
+  const ObjectGroupPlan y = PlanOf(std::vector<SigId>(300, second));
+  EXPECT_FALSE(x.sketch.usable);
+  EXPECT_FALSE(y.sketch.usable);
+  EXPECT_TRUE(Verifier::CountBoundBelow(x, y, 1.0));
+  ExpectCountBoundAgrees(x, y);
+  ExpectCountBoundAgrees(x, x);
+  // One unusable side is enough to force the merge.
+  std::vector<SigId> mixed(40, first);
+  mixed.push_back(second);
+  const ObjectGroupPlan z = PlanOf(mixed);
+  EXPECT_TRUE(z.sketch.usable);
+  ExpectCountBoundAgrees(x, z);
+  ExpectCountBoundAgrees(y, z);
+}
 
 }  // namespace
 }  // namespace kjoin

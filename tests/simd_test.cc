@@ -224,6 +224,31 @@ TEST(SimdKernelTest, AccumulateSaturatesAt255) {
   }
 }
 
+TEST(SimdKernelTest, SketchMinSumMatchesScalarAtEveryLevel) {
+  Rng rng(75);
+  for (int iter = 0; iter < 2000; ++iter) {
+    uint8_t a[simd::kSketchBytes];
+    uint8_t b[simd::kSketchBytes];
+    // Mix small counts (the common case), saturated bytes and zeros.
+    const uint64_t cap = iter % 3 == 0 ? 256 : (iter % 3 == 1 ? 4 : 1);
+    for (int i = 0; i < simd::kSketchBytes; ++i) {
+      a[i] = static_cast<uint8_t>(rng.NextUint64(cap));
+      b[i] = static_cast<uint8_t>(rng.NextUint64(cap));
+    }
+    int32_t expect = 0;
+    for (int i = 0; i < simd::kSketchBytes; ++i) expect += std::min(a[i], b[i]);
+    for (IsaLevel level : SupportedLevels()) {
+      EXPECT_EQ(simd::SketchMinSumAt(level, a, b), expect) << simd::IsaLevelName(level);
+      EXPECT_EQ(simd::SketchMinSumAt(level, b, a), expect) << simd::IsaLevelName(level);
+    }
+  }
+  uint8_t full[simd::kSketchBytes];
+  std::fill(full, full + simd::kSketchBytes, uint8_t{255});
+  for (IsaLevel level : SupportedLevels()) {
+    EXPECT_EQ(simd::SketchMinSumAt(level, full, full), 16 * 255) << simd::IsaLevelName(level);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PostingStore round-trips.
 
@@ -331,6 +356,8 @@ void ExpectSameCounters(const JoinStats& a, const JoinStats& b, const char* labe
   EXPECT_EQ(a.candidates, b.candidates) << label;
   EXPECT_EQ(a.size_filtered, b.size_filtered) << label;
   EXPECT_EQ(a.count_filtered, b.count_filtered) << label;
+  EXPECT_EQ(a.sketch_filtered, b.sketch_filtered) << label;
+  EXPECT_LE(a.sketch_filtered, a.count_filtered) << label;
   // Tie-out: every pair the probe found was either screened out by one of
   // the probe-side bounds or sent to verification, exactly once.
   EXPECT_EQ(a.probe_pairs(), b.probe_pairs()) << label;

@@ -130,6 +130,8 @@ void ExpectSameCounters(const JoinStats& a, const JoinStats& b, int threads) {
   EXPECT_EQ(a.candidates, b.candidates) << threads << " threads";
   EXPECT_EQ(a.size_filtered, b.size_filtered) << threads << " threads";
   EXPECT_EQ(a.count_filtered, b.count_filtered) << threads << " threads";
+  EXPECT_EQ(a.sketch_filtered, b.sketch_filtered) << threads << " threads";
+  EXPECT_LE(a.sketch_filtered, a.count_filtered) << threads << " threads";
   // Tie-out: every pair the probe found was either screened out by one of
   // the probe-side bounds or sent to verification, exactly once.
   EXPECT_EQ(a.probe_pairs(), b.probe_pairs()) << threads << " threads";
@@ -210,6 +212,41 @@ TEST(ThreadingDeterminismTest, RsJoinIsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(result.pairs, baseline.pairs) << threads << " threads";
     ExpectSameCounters(result.stats, baseline.stats, threads);
   }
+}
+
+TEST(ThreadingDeterminismTest, PrepareShardsBuildTheSameOrderAndPrefixes) {
+  // Enough objects for Prepare to fan out (the join schedules one shard
+  // per 8192 objects): shards generate signatures concurrently, and the
+  // order's dense document-frequency arrays are counted once after them.
+  // Signature and prefix totals, pairs and screen counters must match a
+  // one-thread run, for a pure-mode self-join and an R-S join.
+  const TestData data = MakeTestData(17000);
+  std::vector<Object> left, right;
+  for (size_t i = 0; i < data.objects.size(); ++i) {
+    (i % 2 == 0 ? left : right).push_back(data.objects[i]);
+  }
+  KJoinOptions options;
+  options.delta = 0.7;
+  options.tau = 0.8;
+  options.num_threads = 1;
+  const KJoin serial(data.hierarchy, options);
+  options.num_threads = 4;
+  const KJoin parallel(data.hierarchy, options);
+
+  const JoinResult self_baseline = serial.SelfJoin(data.objects);
+  const JoinResult self_result = parallel.SelfJoin(data.objects);
+  ASSERT_FALSE(self_baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
+  ASSERT_GT(self_baseline.stats.sketch_filtered, 0);
+  EXPECT_GT(self_result.stats.prepare_tasks, 2) << "Prepare did not fan out";
+  EXPECT_EQ(self_result.pairs, self_baseline.pairs);
+  ExpectSameCounters(self_result.stats, self_baseline.stats, 4);
+
+  const JoinResult rs_baseline = serial.Join(left, right);
+  const JoinResult rs_result = parallel.Join(left, right);
+  ASSERT_FALSE(rs_baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
+  EXPECT_GT(rs_result.stats.prepare_tasks, 2) << "Prepare did not fan out";
+  EXPECT_EQ(rs_result.pairs, rs_baseline.pairs);
+  ExpectSameCounters(rs_result.stats, rs_baseline.stats, 4);
 }
 
 // Acceptance bar for the similarity cache: a cached element Sim must be
