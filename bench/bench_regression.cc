@@ -10,9 +10,8 @@
 //   micro_lca    queries/sec for naive LCA, sparse-table LCA and NodeSim.
 //   fig9_filter  signature-scheme sweep (node vs shallow/deep path):
 //                wall time, candidates, results.
-//   fig11_verify K-Join+ (plus-mode) verification with the SimCache off
-//                vs on (count prunings off, so the similarity work
-//                dominates).
+//   fig11_verify K-Join+ (plus-mode) verification time with count
+//                prunings off, so the similarity work dominates.
 //   micro_hungarian  solves/sec of the sparse scratch Hungarian matcher
 //                vs the dense oracle on verifier-group-shaped bigraphs,
 //                plus the scratch's capacity growths after warm-up
@@ -24,8 +23,8 @@
 //                control polling (docs/robustness.md).
 //
 // Every joined section also reports whether the result pairs were
-// identical across the compared configurations — the cache, the thread
-// count, and control polling must never change output.
+// identical across the compared configurations — the thread count, the
+// ISA level and control polling must never change output.
 
 #include <bit>
 #include <chrono>
@@ -137,14 +136,9 @@ struct FilterDeltaRow {
 };
 
 struct VerifyReport {
-  double cache_off_verify_seconds = 0.0;
-  double cache_on_verify_seconds = 0.0;
-  double verify_speedup = 0.0;
-  double sim_cache_hit_rate = 0.0;
-  int64_t sim_cache_hits = 0;
-  int64_t sim_cache_misses = 0;
+  double verify_seconds = 0.0;
   int64_t candidates = 0;
-  bool results_identical = false;
+  int64_t results = 0;
 };
 
 struct ThreadRow {
@@ -348,19 +342,12 @@ int main(int argc, char** argv) {
                 JsonBool(row.results_identical).c_str());
   }
 
-  // ---- fig11-style verification: SimCache off vs on (K-Join+) ----
-  // Plus-mode verification is the regime the SimCache is built for: every
-  // similarity-matrix cell runs the Eq. 2 mapping-pair loop (several
-  // NodeSims plus bound arithmetic), and near-duplicate candidate pairs
-  // re-evaluate the same token pairs thousands of times; a cached cell
-  // collapses to one probe. (Pure-mode cells are a single O(1) RMQ,
-  // resolved in batches, so pure mode runs without a cache; see
-  // docs/performance.md.) Count prunings off so verification does the
-  // full similarity work.
-  std::printf("== K-Join+ verification (n=%lld), SimCache off vs on ==\n",
-              static_cast<long long>(*verify_n));
+  // ---- fig11-style verification (K-Join+) ----
+  // Every plus-mode similarity-matrix cell runs the Eq. 2 mapping-pair
+  // loop (several NodeSims plus bound arithmetic). Count prunings off so
+  // verification does the full similarity work.
+  std::printf("== K-Join+ verification (n=%lld) ==\n", static_cast<long long>(*verify_n));
   VerifyReport verify;
-  kjoin::JoinResult off_result, on_result;
   {
     const kjoin::BenchmarkData verify_poi = kjoin::MakePoiBenchmark(*verify_n);
     const kjoin::PreparedObjects verify_prepared =
@@ -372,25 +359,14 @@ int main(int argc, char** argv) {
     options.plus_mode = true;
     options.count_pruning = false;
     options.weighted_count_pruning = false;
-    options.sim_cache = false;
-    off_result = kjoin::bench::RunKJoin(verify_poi.hierarchy, verify_prepared.objects, options);
-    options.sim_cache = true;
-    on_result = kjoin::bench::RunKJoin(verify_poi.hierarchy, verify_prepared.objects, options);
+    const kjoin::JoinResult result =
+        kjoin::bench::RunKJoin(verify_poi.hierarchy, verify_prepared.objects, options);
+    verify.verify_seconds = result.stats.verify_seconds;
+    verify.candidates = result.stats.candidates;
+    verify.results = result.stats.results;
   }
-  verify.cache_off_verify_seconds = off_result.stats.verify_seconds;
-  verify.cache_on_verify_seconds = on_result.stats.verify_seconds;
-  verify.verify_speedup = on_result.stats.verify_seconds > 0.0
-                              ? off_result.stats.verify_seconds / on_result.stats.verify_seconds
-                              : 0.0;
-  verify.sim_cache_hit_rate = on_result.stats.sim_cache_hit_rate;
-  verify.sim_cache_hits = on_result.stats.sim_cache_hits;
-  verify.sim_cache_misses = on_result.stats.sim_cache_misses;
-  verify.candidates = off_result.stats.candidates;
-  verify.results_identical = off_result.pairs == on_result.pairs;
-  std::printf("off %.3fs | on %.3fs (%.2fx) | hit rate %.3f | identical=%s\n",
-              verify.cache_off_verify_seconds, verify.cache_on_verify_seconds,
-              verify.verify_speedup, verify.sim_cache_hit_rate,
-              JsonBool(verify.results_identical).c_str());
+  std::printf("verify %.3fs | candidates=%lld results=%lld\n", verify.verify_seconds,
+              static_cast<long long>(verify.candidates), static_cast<long long>(verify.results));
 
   // ---- fig14-style thread sweep ----
   // Best of 3 per thread count (scheduler noise dwarfs the signal on a
@@ -524,18 +500,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "\n  ],\n");
   std::fprintf(f,
                "  \"fig11_verify\": {\"delta\": 0.8, \"tau\": 0.75, \"plus_mode\": true, "
-               "\"n\": %lld, "
-               "\"cache_off_verify_seconds\": %.4f, \"cache_on_verify_seconds\": %.4f, "
-               "\"verify_speedup\": %.3f, \"sim_cache_hit_rate\": %.4f, "
-               "\"sim_cache_hits\": %lld, \"sim_cache_misses\": %lld, "
-               "\"candidates\": %lld, \"results_identical\": %s},\n",
-               static_cast<long long>(*verify_n), verify.cache_off_verify_seconds,
-               verify.cache_on_verify_seconds, verify.verify_speedup,
-               verify.sim_cache_hit_rate,
-               static_cast<long long>(verify.sim_cache_hits),
-               static_cast<long long>(verify.sim_cache_misses),
+               "\"n\": %lld, \"verify_seconds\": %.4f, \"candidates\": %lld, "
+               "\"results\": %lld},\n",
+               static_cast<long long>(*verify_n), verify.verify_seconds,
                static_cast<long long>(verify.candidates),
-               JsonBool(verify.results_identical).c_str());
+               static_cast<long long>(verify.results));
   std::fprintf(f, "  \"fig14_threads\": [");
   for (size_t i = 0; i < thread_rows.size(); ++i) {
     const ThreadRow& row = thread_rows[i];

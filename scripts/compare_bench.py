@@ -27,8 +27,6 @@ import sys
 TRACKED = [
     (("micro_lca", "sparse_qps"), "higher"),
     (("micro_hungarian", "sparse_qps"), "higher"),
-    (("fig11_verify", "cache_on_verify_seconds"), "lower"),
-    (("fig11_verify", "cache_off_verify_seconds"), "lower"),
     (("deadline_overhead", "control_seconds"), "lower"),
     # Serving sections from bench_search (docs/serving.md): the snapshot
     # speedup is a ratio of the two cold-start paths, so it is stable
@@ -48,6 +46,12 @@ TRACKED = [
     # stable where raw QPS drifts with the machine.
     (("serving_sharded", "speedup_8shard_8client"), "higher"),
 ]
+
+# fig11's plus-mode verify time (lower is better). Reports written while
+# the K-Join+ similarity cache existed timed this same cache-less run as
+# cache_off_verify_seconds, so an older baseline is read under that name.
+FIG11_VERIFY = ("fig11_verify", "verify_seconds")
+FIG11_VERIFY_BEFORE_CACHE_DELETION = ("fig11_verify", "cache_off_verify_seconds")
 
 # Absolute gates checked on the fresh report alone — properties the
 # current build must hold regardless of what the baseline measured.
@@ -86,7 +90,6 @@ TRACKED_INTERSECT = "dispatched_qps"  # per length ratio, higher is better
 TRACKED_INTERSECT_RATIOS = ["1:1", "1:32", "1:1000"]
 
 IDENTICAL_FLAGS = [
-    ("fig11_verify", "results_identical"),
     ("micro_hungarian", "results_identical"),
     ("deadline_overhead", "results_identical"),
 ]
@@ -158,6 +161,12 @@ def main():
     for path, direction in TRACKED:
         compare_scalar("/".join(path), lookup(base, path), lookup(fresh, path), direction,
                        args.tolerance, failures)
+
+    base_verify = lookup(base, FIG11_VERIFY)
+    if base_verify is None:
+        base_verify = lookup(base, FIG11_VERIFY_BEFORE_CACHE_DELETION)
+    compare_scalar("/".join(FIG11_VERIFY), base_verify, lookup(fresh, FIG11_VERIFY), "lower",
+                   args.tolerance, failures)
 
     for path, ceiling in ABSOLUTE_CEILINGS:
         label = "/".join(path)

@@ -15,9 +15,8 @@ int CeilSafe(double x) { return static_cast<int>(std::ceil(x - 1e-9)); }
 
 }  // namespace
 
-ElementSimilarity::ElementSimilarity(const LcaIndex& lca, ElementMetric metric,
-                                     const SimCache* cache)
-    : lca_(&lca), metric_(metric), cache_(cache) {}
+ElementSimilarity::ElementSimilarity(const LcaIndex& lca, ElementMetric metric)
+    : lca_(&lca), metric_(metric) {}
 
 double ElementSimilarity::NodeSim(NodeId x, NodeId y) const {
   if (x == y) return 1.0;
@@ -46,19 +45,6 @@ double ElementSimilarity::Sim(const Element& x, const Element& y) const {
   // Identical tokens are maximally similar regardless of mappings.
   if (x.token_id >= 0 && x.token_id == y.token_id) return 1.0;
   if (x.token == y.token && !x.token.empty()) return 1.0;
-  // Anything else is a pure function of the token-id pair (ObjectBuilder
-  // interning: equal ids ⇒ equal mapping sets), so on a hit the whole
-  // mapping-pair loop collapses to one probe, with a value bit-identical
-  // to what SimUncached would return.
-  if (cache_ != nullptr && x.token_id >= 0 && y.token_id >= 0 && !x.mappings.empty() &&
-      !y.mappings.empty()) {
-    return cache_->GetOrCompute(SimCache::TokenKey(x.token_id, y.token_id),
-                                [&] { return SimUncached(x, y); });
-  }
-  return SimUncached(x, y);
-}
-
-double ElementSimilarity::SimUncached(const Element& x, const Element& y) const {
   // NodeSim <= 1 caps the maximum at max(φ_x)·max(φ_y); a `best >= 1`
   // exit could never fire with φ < 1.
   const double bound = x.max_phi() * y.max_phi();

@@ -4,7 +4,6 @@
 // Knowledge-aware element similarity (paper Definitions 1, Eq. 2, §6.2).
 
 #include "core/element.h"
-#include "core/sim_cache.h"
 #include "hierarchy/lca.h"
 
 namespace kjoin {
@@ -19,13 +18,8 @@ enum class ElementMetric {
 
 class ElementSimilarity {
  public:
-  // The LCA index (and its hierarchy) must outlive this object. When
-  // `cache` is non-null it must outlive this object too; element
-  // similarities of token-id pairs are then memoized through it (hits are
-  // bit-identical to recomputation, so results do not depend on the cache
-  // being present).
-  explicit ElementSimilarity(const LcaIndex& lca, ElementMetric metric = ElementMetric::kKJoin,
-                             const SimCache* cache = nullptr);
+  // The LCA index (and its hierarchy) must outlive this object.
+  explicit ElementSimilarity(const LcaIndex& lca, ElementMetric metric = ElementMetric::kKJoin);
 
   // Similarity between two tree nodes under the configured metric.
   double NodeSim(NodeId x, NodeId y) const;
@@ -38,11 +32,6 @@ class ElementSimilarity {
   ElementMetric metric() const { return metric_; }
   const LcaIndex& lca() const { return *lca_; }
   const Hierarchy& hierarchy() const { return lca_->hierarchy(); }
-
-  // True when a SimCache fronts Sim(). Callers that batch LCA resolution
-  // themselves (verifier.cc's bigraph build) must stay on Sim() when this
-  // is set, or cache hit counters would drift.
-  bool cached() const { return cache_ != nullptr; }
 
   // NodeSim with the LCA depth already in hand (LcaIndex::LcaDepthBatch).
   // Bit-identical to NodeSim(x, y).
@@ -74,12 +63,8 @@ class ElementSimilarity {
   static double MaxSimThroughDepth(int lca_depth, int node_depth, ElementMetric metric);
 
  private:
-  // The Eq. 2 mapping-pair loop, bypassing the cache.
-  double SimUncached(const Element& x, const Element& y) const;
-
   const LcaIndex* lca_;
   ElementMetric metric_;
-  const SimCache* cache_;  // may be null (caching off)
 };
 
 }  // namespace kjoin

@@ -19,12 +19,11 @@ namespace {
 // Minimum work per pool shard, per phase (docs/threading.md). An extra
 // shard is only worth scheduling once it carries enough items to amortize
 // waking a worker lane and warming that lane's per-thread state — the
-// verification arena, the Hungarian scratch, and the SimCache L1 are all
-// thread-local, so every additional shard starts them cold. Below the
-// threshold the work collapses into fewer shards; a single shard runs
-// inline on the calling thread with zero pool overhead, which keeps small
-// joins monotone in num_threads instead of paying for parallelism they
-// cannot use.
+// verification arena and the Hungarian scratch are thread-local, so
+// every additional shard starts them cold. Below the threshold the work
+// collapses into fewer shards; a single shard runs inline on the calling
+// thread with zero pool overhead, which keeps small joins monotone in
+// num_threads instead of paying for parallelism they cannot use.
 constexpr int64_t kMinPrepareObjectsPerShard = 8192;
 constexpr int64_t kMinProbesPerShard = 8192;
 constexpr int64_t kMinVerifyPairsPerShard = int64_t{1} << 18;
@@ -139,8 +138,7 @@ KJoin::KJoin(const Hierarchy& hierarchy, KJoinOptions options)
     : hierarchy_(&hierarchy),
       options_(options),
       lca_(hierarchy),
-      sim_cache_(MakeSimCache(options)),
-      element_sim_(lca_, options.element_metric, sim_cache_.get()),
+      element_sim_(lca_, options.element_metric),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       verifier_(element_sim_, signatures_,
                 VerifierOptions{options.delta, options.tau, options.verify_mode,
@@ -314,35 +312,8 @@ void KJoin::VerifyCandidates(const std::vector<Object>& left,
   const int max_shards =
       ShardsForWork(n, kMinVerifyPairsPerShard, pool_->num_threads());
 
-  // Verification order: within each probe's candidate run, the pairs with
-  // the largest cheap similarity upper bound — the similarity the two
-  // objects would reach if every element of the smaller side matched
-  // perfectly — go first. Near-duplicates are verified while the SimCache
-  // lines their element pairs touch are hottest, and clear rejects sink to
-  // the end of the run. Acceptance is decided per pair, so the order
-  // cannot change the outcome; the flags below restore candidate order on
-  // emission, keeping results byte-identical to an unordered run.
-  std::vector<int64_t> order(n);
-  std::vector<double> bound(n);
-  for (int64_t i = 0; i < n; ++i) {
-    order[i] = i;
-    const auto& [l, r] = candidates[i];
-    const int32_t sx = left[l].size();
-    const int32_t sy = right[r].size();
-    bound[i] = CombineOverlap(std::min(sx, sy), sx, sy, options_.set_metric);
-  }
-  for (int64_t run = 0; run < n;) {
-    int64_t end = run;
-    while (end < n && candidates[end].second == candidates[run].second) ++end;
-    std::sort(order.begin() + run, order.begin() + end, [&](int64_t a, int64_t b) {
-      if (bound[a] != bound[b]) return bound[a] > bound[b];
-      return a < b;
-    });
-    run = end;
-  }
-
   // Accept flags (1 = similar), written by the shard that verifies the
-  // pair; contiguous shards over `order` touch disjoint flag slots.
+  // pair; contiguous shards touch disjoint flag slots.
   std::vector<char> similar(n, 0);
 
   // Runs inside a pool lane; never lets an exception escape into the pool
@@ -357,10 +328,9 @@ void KJoin::VerifyCandidates(const std::vector<Object>& left,
             !controller->Poll(JoinPhase::kVerify)) {
           return;
         }
-        const int64_t i = order[k];
-        const auto& [l, r] = candidates[i];
+        const auto& [l, r] = candidates[k];
         if (verifier_.Verify(left[l], right[r], left_plans[l], right_plans[r], vs)) {
-          similar[i] = 1;
+          similar[k] = 1;
         }
       }
     } catch (const std::bad_alloc&) {
@@ -379,33 +349,20 @@ void KJoin::VerifyCandidates(const std::vector<Object>& left,
       });
   result->stats.verify_tasks += tasks;
   for (int s = 0; s < tasks; ++s) result->stats.verify.Add(stats[s]);
-  // Emit in candidate order regardless of verification order or sharding.
+  // Emit in candidate order regardless of sharding.
   for (int64_t i = 0; i < n; ++i) {
     if (similar[i]) result->pairs.push_back(candidates[i]);
   }
   result->stats.verify_seconds += timer.ElapsedSeconds();
 }
 
-SimCacheStats KJoin::CacheStats() const {
-  return sim_cache_ != nullptr ? sim_cache_->stats() : SimCacheStats{};
-}
-
-void KJoin::FinishStats(const ThreadPoolStats& pool_before, const SimCacheStats& cache_before,
-                        JoinStats* stats) const {
+void KJoin::FinishStats(const ThreadPoolStats& pool_before, JoinStats* stats) const {
   const ThreadPoolStats after = pool_->stats();
   stats->threads = pool_->num_threads();
   stats->pool_busy_seconds = after.busy_seconds - pool_before.busy_seconds;
   if (stats->total_seconds > 0.0) {
     stats->pool_utilization =
         stats->pool_busy_seconds / (pool_->num_threads() * stats->total_seconds);
-  }
-  const SimCacheStats cache_after = CacheStats();
-  stats->sim_cache_hits = cache_after.hits() - cache_before.hits();
-  stats->sim_cache_misses = cache_after.misses - cache_before.misses;
-  const int64_t lookups = stats->sim_cache_hits + stats->sim_cache_misses;
-  if (lookups > 0) {
-    stats->sim_cache_hit_rate =
-        static_cast<double>(stats->sim_cache_hits) / static_cast<double>(lookups);
   }
 }
 
@@ -432,7 +389,6 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   JoinController controller(control);
   const bool polled = controller.active();
   const ThreadPoolStats pool_before = pool_->stats();
-  const SimCacheStats cache_before = CacheStats();
   WallTimer total_timer;
 
   // ---- prepare ----
@@ -712,7 +668,7 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   result->stats.total_seconds = total_timer.ElapsedSeconds();
   result->stats.stopped_phase = controller.phase();
   result->stats.control_polls = controller.polls();
-  FinishStats(pool_before, cache_before, &result->stats);
+  FinishStats(pool_before, &result->stats);
   return controller.status();
 }
 

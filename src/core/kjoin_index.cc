@@ -53,8 +53,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       options_(options),
       objects_(std::move(objects)),
       lca_(std::make_shared<LcaIndex>(hierarchy)),
-      sim_cache_(MakeSimCache(options)),
-      element_sim_(*lca_, options.element_metric, sim_cache_.get()),
+      element_sim_(*lca_, options.element_metric),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       object_sim_(element_sim_, options.delta, options.set_metric),
       verifier_(element_sim_, signatures_,
@@ -72,8 +71,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
       objects_(std::move(objects)),
       lca_(parts.lca != nullptr ? std::move(parts.lca)
                                 : std::make_shared<const LcaIndex>(hierarchy)),
-      sim_cache_(MakeSimCache(options)),
-      element_sim_(*lca_, options.element_metric, sim_cache_.get()),
+      element_sim_(*lca_, options.element_metric),
       signatures_(hierarchy, options.element_metric, options.scheme, options.delta),
       object_sim_(element_sim_, options.delta, options.set_metric),
       verifier_(element_sim_, signatures_,
@@ -99,8 +97,7 @@ KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base)
       depth_(base_->depth_ + 1),
       total_dead_(base_->total_dead_),
       lca_(base_->lca_),
-      sim_cache_(base_->sim_cache_),
-      element_sim_(*lca_, options_.element_metric, sim_cache_.get()),
+      element_sim_(*lca_, options_.element_metric),
       signatures_(*hierarchy_, options_.element_metric, options_.scheme, options_.delta),
       object_sim_(element_sim_, options_.delta, options_.set_metric),
       verifier_(element_sim_, signatures_,

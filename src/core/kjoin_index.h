@@ -27,9 +27,9 @@
 // time and dropped when the chain is flattened.
 //
 // Thread safety: SearchTopK is safe for any number of concurrent callers
-// — every mutable state it touches (verifier and probe scratch, the
-// SimCache L1) is per-thread, and concurrent results are identical to
-// serial execution. Insert and DeleteObject mutate the index and require
+// — every mutable state it touches (verifier and probe scratch) is
+// per-thread, and concurrent results are identical to serial execution.
+// Insert and DeleteObject mutate the index and require
 // external synchronization: no search may run concurrently with them
 // (serve/index_manager.h never mutates a published index; it layers a
 // delta over it instead). A base an immutable delta chain is built over
@@ -343,11 +343,6 @@ class KJoinIndex {
   std::unordered_set<int32_t> dead_;
   // Shared so snapshot restores and epoch clones reuse one table.
   std::shared_ptr<const LcaIndex> lca_;
-  // Declared before element_sim_, which captures the raw pointer (null
-  // unless MakeSimCache builds one). A delta layer shares its base's
-  // cache: append-only token-id keys mean the same in every layer of a
-  // chain, so the chain keeps one warm cache.
-  std::shared_ptr<SimCache> sim_cache_;
   ElementSimilarity element_sim_;
   SignatureGenerator signatures_;
   ObjectSimilarity object_sim_;

@@ -162,11 +162,11 @@ bool IsSingleFullMapping(const Element& e) {
   return e.mappings.size() == 1 && e.mappings[0].phi == 1.0;
 }
 
-// Batched bigraph build for pure elements with caching off: every
+// Batched bigraph build for single-full-mapping elements: every
 // cross-node pair's LCA is resolved through LcaIndex::LcaDepthBatch in
 // one pass, so the sparse-table misses overlap instead of serializing
 // through Sim(). Edge set and weights are bit-identical to the scalar
-// loop (NodeSimFromDepth reproduces the uncached Sim arithmetic), and
+// loop (NodeSimFromDepth reproduces Sim's arithmetic), and
 // edges are inserted in the same (a, b) order.
 void BuildGroupBigraphBatched(const ObjectSimilarity& object_sim, const Object& x,
                               const Object& y, std::span<const int32_t> left,
@@ -218,7 +218,7 @@ void BuildGroupBigraph(const ObjectSimilarity& object_sim, const Object& x, cons
                        Bigraph* graph) {
   graph->Reset(static_cast<int32_t>(left.size()), static_cast<int32_t>(right.size()));
   const ElementSimilarity& esim = object_sim.element_similarity();
-  if (!esim.cached() && !left.empty() && !right.empty()) {
+  if (!left.empty() && !right.empty()) {
     bool pure = true;
     for (const int32_t i : left) {
       if (!IsSingleFullMapping(x.elements[i])) {

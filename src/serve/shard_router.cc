@@ -425,6 +425,9 @@ void ShardRouter::DispatcherLoop() {
       ExecuteBatch(live_requests, live_remaining, live_responses);
     }
     for (size_t i = 0; i < batch.size(); ++i) {
+      // Release first: a caller the callback wakes (SearchBatch) must
+      // already see this query out of in_flight().
+      admission_.Release();
       try {
         batch[i].done(std::move(responses[i]));
       } catch (...) {
@@ -434,7 +437,6 @@ void ShardRouter::DispatcherLoop() {
           metrics_->counter("router.callback_exceptions")->Increment();
         }
       }
-      admission_.Release();
     }
   }
 }

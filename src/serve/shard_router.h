@@ -209,12 +209,13 @@ class ShardRouter {
   QueryResponse Search(const QueryRequest& request);
 
   // Asynchronous batched path: admits, enqueues, and returns; `done`
-  // runs on the dispatcher thread. Shed queries invoke `done` inline
-  // with kResourceExhausted.
+  // runs on the dispatcher thread, after the query's admission slot is
+  // released, so in_flight() no longer counts it. Shed queries invoke
+  // `done` inline with kResourceExhausted.
   //
   // Callback contract: `done` should not throw. If it does anyway, the
   // exception is caught and logged (router.callback_exceptions counts
-  // them) and the admission slot is released regardless, so one bad
+  // them); the admission slot was already released, so one bad
   // callback can neither leak capacity nor stall the dispatcher.
   void Submit(QueryRequest request, std::function<void(QueryResponse)> done);
 

@@ -79,8 +79,6 @@ void WriteOptions(const KJoinOptions& o, ByteWriter* w) {
   w->U8(o.count_pruning ? 1 : 0);
   w->U8(o.weighted_count_pruning ? 1 : 0);
   w->U8(o.plus_mode ? 1 : 0);
-  w->U8(o.sim_cache ? 1 : 0);
-  w->I64(o.sim_cache_capacity);
   w->I32(o.num_threads);
 }
 
@@ -146,7 +144,7 @@ StatusOr<KJoinOptions> ParseOptions(std::string_view payload, const std::string&
   ByteReader r(payload, label);
   KJoinOptions o;
   uint32_t scheme, verify_mode, element_metric, set_metric;
-  uint8_t weighted_prefix, count_pruning, weighted_count_pruning, plus_mode, sim_cache;
+  uint8_t weighted_prefix, count_pruning, weighted_count_pruning, plus_mode;
   int32_t num_threads;
   KJOIN_RETURN_IF_ERROR(r.F64(&o.delta));
   KJOIN_RETURN_IF_ERROR(r.F64(&o.tau));
@@ -158,8 +156,6 @@ StatusOr<KJoinOptions> ParseOptions(std::string_view payload, const std::string&
   KJOIN_RETURN_IF_ERROR(r.U8(&count_pruning));
   KJOIN_RETURN_IF_ERROR(r.U8(&weighted_count_pruning));
   KJOIN_RETURN_IF_ERROR(r.U8(&plus_mode));
-  KJOIN_RETURN_IF_ERROR(r.U8(&sim_cache));
-  KJOIN_RETURN_IF_ERROR(r.I64(&o.sim_cache_capacity));
   KJOIN_RETURN_IF_ERROR(r.I32(&num_threads));
   KJOIN_RETURN_IF_ERROR(r.ExpectEnd());
 
@@ -182,9 +178,6 @@ StatusOr<KJoinOptions> ParseOptions(std::string_view payload, const std::string&
   if (set_metric > static_cast<uint32_t>(SetMetric::kCosine)) {
     return InvalidArgumentError(label + ": unknown set metric " + std::to_string(set_metric));
   }
-  if (o.sim_cache_capacity < 0 || o.sim_cache_capacity > (int64_t{1} << 34)) {
-    return InvalidArgumentError(label + ": sim_cache_capacity out of range");
-  }
   if (num_threads < 1 || num_threads > 65536) {
     return InvalidArgumentError(label + ": num_threads out of range");
   }
@@ -196,7 +189,6 @@ StatusOr<KJoinOptions> ParseOptions(std::string_view payload, const std::string&
   o.count_pruning = count_pruning != 0;
   o.weighted_count_pruning = weighted_count_pruning != 0;
   o.plus_mode = plus_mode != 0;
-  o.sim_cache = sim_cache != 0;
   o.num_threads = num_threads;
   return o;
 }

@@ -31,6 +31,8 @@
 // store, loaded by a linear repack into a PostingStore. No map is built
 // on either side.
 //
+// Format version 4 drops the two similarity-cache fields from OPTS.
+//
 // Every section payload carries its own CRC32; the loader verifies the
 // header, the table checksum and each section checksum before parsing,
 // then validates all structural invariants (id ranges, array shapes)
@@ -61,7 +63,7 @@ namespace kjoin::serve {
 
 // Bumped whenever the payload layout changes; the loader rejects other
 // versions with kInvalidArgument (no cross-version migration — re-save).
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 // CRC32 (IEEE 802.3, the zlib polynomial) of `bytes`. Exposed so tests
 // can forge and break section checksums deliberately (defined in

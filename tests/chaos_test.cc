@@ -539,26 +539,25 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
   options.admission.min_in_flight = 1;
-  // Declared before the router, so they outlive its dispatcher.
+  // A batch window far longer than the test: a submitted query waits in
+  // the dispatcher's queue, holding its admission slot, until the
+  // router's destructor flushes the queue.
+  options.batch_window_seconds = 3600.0;
+  // Declared before the router, so it outlives the dispatcher.
   std::promise<serve::QueryResponse> async_done;
-  std::promise<void> release_callback;
-  serve::ShardRouter router({&shard}, &pool, options, &metrics);
+  auto router = std::make_unique<serve::ShardRouter>(
+      std::vector<serve::ShardBackend*>{&shard}, &pool, options, &metrics);
 
-  // A submitted query holds its admission slot until its done callback
-  // returns; blocking the callback fills the single slot, so the
-  // synchronous Search must shed with the full load picture in its
-  // message.
+  // The queued query fills the single slot, so the synchronous Search
+  // must shed with the full load picture in its message.
   serve::QueryRequest request;
   request.query = MakeQuery(4);
-  router.Submit(request, [&async_done, released = release_callback.get_future().share()](
-                             serve::QueryResponse r) {
+  router->Submit(request, [&async_done](serve::QueryResponse r) {
     async_done.set_value(std::move(r));
-    released.wait();
   });
-  const serve::QueryResponse admitted = async_done.get_future().get();
-  EXPECT_EQ(router.in_flight(), 1);
+  EXPECT_EQ(router->in_flight(), 1);
 
-  const serve::QueryResponse shed = router.Search(request);
+  const serve::QueryResponse shed = router->Search(request);
   ASSERT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
   EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
   EXPECT_NE(shed.status.message().find("in_flight=1"), std::string::npos)
@@ -568,7 +567,8 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
   EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
 
-  release_callback.set_value();
+  router.reset();  // flushes the queue: the held query is answered
+  const serve::QueryResponse admitted = async_done.get_future().get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
 }
 

@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "core/element_similarity.h"
-#include "core/sim_cache.h"
 #include "core/object.h"
 #include "core/object_similarity.h"
 #include "core/prefix.h"
@@ -168,37 +167,6 @@ TEST_F(PaperFixture, MultiMappingSimMatchesBruteForceOnRandomElements) {
     }
     ASSERT_DOUBLE_EQ(esim_.Sim(x, y), brute) << "trial " << trial;
   }
-}
-
-TEST_F(PaperFixture, CachedMultiMappingSimBitIdenticalToUncached) {
-  // The token-pair cache path memoizes whole plus-mode Sim values. Every
-  // cached value must be bit-identical to the uncached loop, and repeat
-  // evaluations of the same token pair must hit instead of recompute.
-  SimCache cache(1 << 12);
-  const ElementSimilarity cached(lca_, ElementMetric::kKJoin, &cache);
-  Rng rng(91);
-  const auto random_element = [&](int32_t id) {
-    Element e;
-    e.token = "t" + std::to_string(id);
-    e.token_id = id;
-    const int n = 2 + static_cast<int>(rng.NextUint64(3));
-    for (int i = 0; i < n; ++i) {
-      e.mappings.push_back({static_cast<NodeId>(rng.NextUint64(tree_.num_nodes())),
-                            0.05 + 0.95 * rng.NextDouble()});
-    }
-    return e;
-  };
-  std::vector<Element> elements;
-  for (int32_t id = 0; id < 40; ++id) elements.push_back(random_element(id));
-  for (int trial = 0; trial < 4000; ++trial) {
-    const Element& x = elements[rng.NextUint64(elements.size())];
-    const Element& y = elements[rng.NextUint64(elements.size())];
-    ASSERT_EQ(cached.Sim(x, y), esim_.Sim(x, y)) << "trial " << trial;
-  }
-  const SimCacheStats stats = cache.stats();
-  EXPECT_GT(stats.hits(), 0);
-  // 40 elements give at most 40·39/2 distinct unequal token pairs.
-  EXPECT_LE(stats.misses, 40 * 39 / 2);
 }
 
 TEST(ThresholdGeometryTest, MinSignatureDepth) {

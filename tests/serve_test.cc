@@ -321,6 +321,17 @@ TEST(SnapshotCorruptionTest, VersionSkewIsInvalidArgument) {
       << status.ToString();
 }
 
+TEST(SnapshotCorruptionTest, FormatV3IsInvalidArgument) {
+  // v4 dropped OPTS's two similarity-cache fields; a v3 file is refused
+  // as version skew before any section is parsed.
+  std::string bytes = Stack().bytes;
+  WriteU32(&bytes, 4, 3);
+  const Status status = LoadStatus(bytes);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(IsInvalidArgument(status)) << status.ToString();
+  EXPECT_NE(status.message().find("version 3"), std::string::npos) << status.ToString();
+}
+
 TEST(SnapshotCorruptionTest, BadSectionCountFailsCleanly) {
   std::string bytes = Stack().bytes;
   WriteU32(&bytes, 8, 4096);  // table would run past EOF
@@ -874,23 +885,23 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   MetricsRegistry metrics;
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
-  // Declared before the router, so they outlive its dispatcher.
+  // A batch window far longer than the test: a submitted query waits in
+  // the dispatcher's queue, holding its admission slot, until the
+  // router's destructor flushes the queue.
+  options.batch_window_seconds = 3600.0;
+  // Declared before the router, so it outlives the dispatcher.
   std::promise<serve::QueryResponse> async_done;
-  std::promise<void> release_callback;
-  OneShardRouter stack(&pool, options, &metrics);
-  serve::ShardRouter& router = stack.router;
+  std::optional<OneShardRouter> stack;
+  stack.emplace(&pool, options, &metrics);
+  serve::ShardRouter& router = stack->router;
 
-  // A submitted query holds its admission slot until its done callback
-  // returns; blocking the callback fills the single slot, so the
-  // synchronous Search must shed.
+  // The queued query fills the single slot, so the synchronous Search
+  // must shed.
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];
-  router.Submit(request, [&async_done, released = release_callback.get_future().share()](
-                             serve::QueryResponse r) {
+  router.Submit(request, [&async_done](serve::QueryResponse r) {
     async_done.set_value(std::move(r));
-    released.wait();
   });
-  const serve::QueryResponse admitted = async_done.get_future().get();
   EXPECT_EQ(router.in_flight(), 1);
 
   serve::QueryResponse shed = router.Search(request);
@@ -900,10 +911,10 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
   EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
 
-  release_callback.set_value();
+  stack.reset();  // flushes the queue: the held query is answered
+  const serve::QueryResponse admitted = async_done.get_future().get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
   EXPECT_FALSE(admitted.hits.empty());
-  EXPECT_TRUE(DrainsToZero(router));
 }
 
 TEST(SearchServiceTest, SubmitRunsOnPoolAndDestructorDrains) {

@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -456,6 +458,42 @@ TEST(RouterBatchingTest, SubmitBatchesMatchSyncSearch) {
   EXPECT_GT(metrics.counter("router.batches")->value(), 0);
   EXPECT_EQ(metrics.counter("router.queries")->value(),
             static_cast<int64_t>(2 * requests.size()));
+}
+
+TEST(RouterBatchingTest, SlotIsReleasedBeforeTheCompletionCallback) {
+  // A Submit callback must observe its own admission slot already
+  // released, so a caller woken by it (SearchBatch) never sees a stale
+  // in_flight(). Checked on an answered query and on one whose deadline
+  // expires while the batch window holds it in the queue.
+  ThreadPool pool(1);
+  serve::ShardRouterOptions options;
+  options.batch_window_seconds = 0.05;
+  options.admission.adaptive = false;  // keep the expiring query admitted
+  RouterStack stack = MakeRouter(2, &pool, options);
+  serve::QueryRequest request;
+  request.query = MakeQueries(1)[0];
+  request.top_k = 3;
+  for (const double deadline : {0.0, 0.001}) {
+    request.deadline_seconds = deadline;
+    std::mutex mu;
+    std::condition_variable called;
+    std::optional<int64_t> in_flight_in_callback;
+    Status status;
+    stack.router->Submit(request, [&](serve::QueryResponse response) {
+      std::lock_guard<std::mutex> lock(mu);
+      in_flight_in_callback = stack.router->in_flight();
+      status = response.status;
+      called.notify_one();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    called.wait(lock, [&] { return in_flight_in_callback.has_value(); });
+    if (deadline > 0.0) {
+      EXPECT_TRUE(IsDeadlineExceeded(status)) << status.ToString();
+    } else {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_EQ(*in_flight_in_callback, 0) << "deadline " << deadline;
+  }
 }
 
 TEST(RouterAdmissionTest, DeadlineInfeasibleShedsBeforeDispatch) {

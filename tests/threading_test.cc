@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "baselines/naive_join.h"
 #include "common/thread_pool.h"
 #include "core/kjoin.h"
 #include "core/prefix.h"
@@ -98,7 +100,7 @@ struct TestData {
   std::vector<Object> objects;
 };
 
-TestData MakeTestData(int num_records) {
+TestData MakeTestData(int num_records, bool multi_mapping = false) {
   HierarchyGenParams tree_params;
   tree_params.num_nodes = 300;
   tree_params.height = 5;
@@ -118,7 +120,7 @@ TestData MakeTestData(int num_records) {
   data_params.unmatched_token_rate = 0.1;
   data_params.seed = 31;
   const Dataset dataset = DatasetGenerator(tree, data_params).Generate("threading");
-  std::vector<Object> objects = BuildObjects(tree, dataset, /*multi_mapping=*/false).objects;
+  std::vector<Object> objects = BuildObjects(tree, dataset, multi_mapping).objects;
   return {std::move(tree), std::move(objects)};
 }
 
@@ -249,51 +251,35 @@ TEST(ThreadingDeterminismTest, PrepareShardsBuildTheSameOrderAndPrefixes) {
   ExpectSameCounters(rs_result.stats, rs_baseline.stats, 4);
 }
 
-// Acceptance bar for the similarity cache: a cached element Sim must be
-// the bit-identical double a recompute would produce, so join output
-// cannot depend on whether the cache is on, how big it is, or how many
-// threads race on it. Cache hit/miss counters DO vary with scheduling, so
-// they are deliberately absent from ExpectSameCounters. Only K-Join+
-// builds a cache (MakeSimCache): pure mode must see no cache traffic with
-// the option on or off.
-TEST(ThreadingDeterminismTest, SimCacheOnOffIsByteIdenticalAcrossThreadCounts) {
-  const TestData data = MakeTestData(220);
-  for (bool plus : {false, true}) {
-    KJoinOptions options;
-    options.delta = 0.7;
-    options.tau = 0.6;
-    options.plus_mode = plus;
-    options.num_threads = 1;
-    options.sim_cache = false;
-    const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
-    ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
-    EXPECT_EQ(baseline.stats.sim_cache_hits, 0);
-    EXPECT_EQ(baseline.stats.sim_cache_misses, 0);
+// K-Join+ on objects whose elements really carry several weighted
+// mappings, so verification runs the full Eq. 2 mapping-pair loop: pairs
+// and counters must not depend on the thread count, and the pairs must
+// equal the exhaustive oracle's.
+TEST(ThreadingDeterminismTest, PlusModeIsIdenticalAcrossThreadCounts) {
+  const TestData data = MakeTestData(220, /*multi_mapping=*/true);
+  int64_t multi = 0;
+  for (const Object& object : data.objects) {
+    for (const Element& element : object.elements) multi += element.mappings.size() > 1;
+  }
+  ASSERT_GT(multi, 0) << "no element carries more than one mapping";
 
-    for (bool cache : {false, true}) {
-      for (int threads : {1, 2, 8}) {
-        options.sim_cache = cache;
-        options.sim_cache_capacity = int64_t{1} << 20;
-        options.num_threads = threads;
-        const JoinResult result = KJoin(data.hierarchy, options).SelfJoin(data.objects);
-        EXPECT_EQ(result.pairs, baseline.pairs)
-            << "plus=" << plus << " cache=" << cache << " threads=" << threads;
-        ExpectSameCounters(result.stats, baseline.stats, threads);
-        const int64_t traffic = result.stats.sim_cache_hits + result.stats.sim_cache_misses;
-        if (cache && plus) {
-          EXPECT_GT(traffic, 0) << "cache enabled but saw no traffic at " << threads
-                                << " threads";
-        } else {
-          EXPECT_EQ(traffic, 0) << "plus=" << plus << " cache=" << cache;
-        }
-      }
-    }
+  KJoinOptions options;
+  options.delta = 0.7;
+  options.tau = 0.6;
+  options.plus_mode = true;
+  options.num_threads = 1;
+  const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+  ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
+  // The oracle emits pairs in (left, right) order, the join in probe order.
+  std::vector<std::pair<int32_t, int32_t>> sorted = baseline.pairs;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, NaiveJoin(data.hierarchy, options).SelfJoin(data.objects).pairs);
 
-    // A deliberately starved cache evicts constantly; results still match.
-    options.sim_cache = true;
-    options.sim_cache_capacity = 1;
-    options.num_threads = 8;
-    EXPECT_EQ(KJoin(data.hierarchy, options).SelfJoin(data.objects).pairs, baseline.pairs);
+  for (int threads : {2, 8}) {
+    options.num_threads = threads;
+    const JoinResult result = KJoin(data.hierarchy, options).SelfJoin(data.objects);
+    EXPECT_EQ(result.pairs, baseline.pairs) << threads << " threads";
+    ExpectSameCounters(result.stats, baseline.stats, threads);
   }
 }
 
