@@ -1,25 +1,13 @@
-// Microbenchmark: the filter engine's intersection and count-pruning
-// kernels (core/simd.h) across list-length skews.
+// Microbenchmark: the filter engine's count-pruning kernels (core/simd.h).
 //
-//   ./bench_micro_intersect [--long_len 65536] [--reps 64]
-//                           [--out micro_intersect.json]
+//   ./bench_micro_intersect [--reps 64] [--out micro_intersect.json]
 //
-// Two sweeps:
-//
-//   * intersection — scalar merge vs vector merge vs galloping vs the
-//     dispatched IntersectSorted at length ratios from 1:1 to 1:1000.
-//     The interesting number is where galloping overtakes the merge
-//     (simd::kGallopRatio is the dispatch crossover; this bench is how
-//     that constant was picked);
-//   * count accumulation — ScanCount feed (AccumulateCounts) plus the
-//     thresholded extract (ExtractAndClearBlock), scalar vs dispatched,
-//     in counter bumps per second.
-//
-// Every variant is checked against every other: a mismatched
-// intersection size or extraction set flips identical=false in the JSON
+// Count accumulation — the ScanCount feed (AccumulateCounts) plus the
+// thresholded extract (ExtractAndClearBlock), scalar vs dispatched, in
+// counter bumps per second. The dispatched extraction set is checked
+// against the scalar one: a mismatch flips identical=false in the JSON
 // (and the compare script treats that like a regression).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,19 +38,6 @@ std::vector<int32_t> RandomList(kjoin::Rng& rng, int32_t len, int32_t universe) 
   return std::vector<int32_t>(ids.begin(), ids.end());
 }
 
-struct RatioRow {
-  std::string ratio;
-  int32_t short_len = 0;
-  int32_t long_len = 0;
-  double scalar_merge_qps = 0.0;
-  double simd_merge_qps = 0.0;
-  double scalar_gallop_qps = 0.0;
-  double simd_gallop_qps = 0.0;
-  double dispatched_qps = 0.0;
-  std::string dispatched_kernel;  // which variant IntersectSorted picks
-  bool identical = true;
-};
-
 struct AccumulateRow {
   double scalar_mops = 0.0;      // counter bumps/sec, scalar extract
   double dispatched_mops = 0.0;  // counter bumps/sec, dispatched extract
@@ -70,91 +45,19 @@ struct AccumulateRow {
   bool identical = true;
 };
 
-// Times `reps` passes of fn over the pair pool; returns intersections/sec
-// and accumulates the matched count so the loops stay observable.
-template <typename Fn>
-double MeasureQps(int reps, size_t pairs, int64_t* matched, const Fn& fn) {
-  int64_t total = 0;
-  const double start = NowSeconds();
-  for (int rep = 0; rep < reps; ++rep) {
-    for (size_t p = 0; p < pairs; ++p) total += fn(p);
-  }
-  const double elapsed = NowSeconds() - start;
-  *matched = total;
-  const double ops = static_cast<double>(reps) * static_cast<double>(pairs);
-  return elapsed > 0.0 ? ops / elapsed : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   kjoin::FlagSet flags("bench_micro_intersect");
-  int64_t* long_len = flags.Int("long_len", 65536, "length of the longer list");
-  int64_t* reps = flags.Int("reps", 64, "timed passes over the pair pool");
+  int64_t* reps = flags.Int("reps", 64, "timed passes / 4 per dispatch level");
   std::string* out = flags.String("out", "", "optional JSON report path");
   if (!flags.Parse(argc, argv)) return 1;
 
   const IsaLevel best = kjoin::simd::MaxSupportedLevel();
-  std::printf("dispatch: max=%s active=%s gallop ratio=%d\n",
-              kjoin::simd::IsaLevelName(best),
-              kjoin::simd::IsaLevelName(kjoin::simd::ActiveLevel()),
-              kjoin::simd::kGallopRatio);
+  std::printf("dispatch: max=%s active=%s\n", kjoin::simd::IsaLevelName(best),
+              kjoin::simd::IsaLevelName(kjoin::simd::ActiveLevel()));
 
-  // ---- intersection sweep ----
-  const std::pair<const char*, int32_t> ratios[] = {
-      {"1:1", 1}, {"1:4", 4}, {"1:16", 16}, {"1:32", 32},
-      {"1:128", 128}, {"1:1000", 1000},
-  };
   kjoin::Rng rng(20260808);
-  std::vector<RatioRow> rows;
-  std::printf("%-8s %10s %10s  %12s %12s %12s %12s %12s\n", "ratio", "short", "long",
-              "merge/s", "merge+simd/s", "gallop/s", "gallop+simd/s", "dispatched/s");
-  for (const auto& [name, ratio] : ratios) {
-    RatioRow row;
-    row.ratio = name;
-    row.long_len = static_cast<int32_t>(*long_len);
-    row.short_len = std::max<int32_t>(1, row.long_len / ratio);
-    // Universe 4x the long list keeps the lists ~25% dense, so matches
-    // are common without being degenerate.
-    const int32_t universe = row.long_len * 4;
-    constexpr size_t kPairs = 8;
-    std::vector<std::vector<int32_t>> shorts, longs;
-    for (size_t p = 0; p < kPairs; ++p) {
-      shorts.push_back(RandomList(rng, row.short_len, universe));
-      longs.push_back(RandomList(rng, row.long_len, universe));
-    }
-    std::vector<int32_t> scratch(static_cast<size_t>(row.short_len));
-    const auto run = [&](size_t p, auto&& kernel) {
-      return kernel(shorts[p].data(), row.short_len, longs[p].data(), row.long_len,
-                    scratch.data());
-    };
-    int64_t ref = 0, got = 0;
-    row.scalar_merge_qps = MeasureQps(static_cast<int>(*reps), kPairs, &ref, [&](size_t p) {
-      return run(p, [](auto... a) { return kjoin::simd::IntersectLinearAt(IsaLevel::kScalar, a...); });
-    });
-    row.simd_merge_qps = MeasureQps(static_cast<int>(*reps), kPairs, &got, [&](size_t p) {
-      return run(p, [&](auto... a) { return kjoin::simd::IntersectLinearAt(best, a...); });
-    });
-    row.identical &= got == ref;
-    row.scalar_gallop_qps = MeasureQps(static_cast<int>(*reps), kPairs, &got, [&](size_t p) {
-      return run(p, [](auto... a) { return kjoin::simd::IntersectGallopAt(IsaLevel::kScalar, a...); });
-    });
-    row.identical &= got == ref;
-    row.simd_gallop_qps = MeasureQps(static_cast<int>(*reps), kPairs, &got, [&](size_t p) {
-      return run(p, [&](auto... a) { return kjoin::simd::IntersectGallopAt(best, a...); });
-    });
-    row.identical &= got == ref;
-    row.dispatched_qps = MeasureQps(static_cast<int>(*reps), kPairs, &got, [&](size_t p) {
-      return run(p, [](auto... a) { return kjoin::simd::IntersectSorted(a...); });
-    });
-    row.identical &= got == ref;
-    row.dispatched_kernel = ratio >= kjoin::simd::kGallopRatio ? "gallop" : "merge";
-    rows.push_back(row);
-    std::printf("%-8s %10d %10d  %12.3g %12.3g %12.3g %12.3g %12.3g%s\n", name,
-                row.short_len, row.long_len, row.scalar_merge_qps, row.simd_merge_qps,
-                row.scalar_gallop_qps, row.simd_gallop_qps, row.dispatched_qps,
-                row.identical ? "" : "  MISMATCH");
-  }
 
   // ---- count accumulation + extraction ----
   // Workload shaped like one probe: a handful of posting lists bump a
@@ -230,22 +133,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"micro_intersect\": {\n");
     std::fprintf(f, "    \"isa\": \"%s\",\n", kjoin::simd::IsaLevelName(best));
-    std::fprintf(f, "    \"long_len\": %lld,\n", static_cast<long long>(*long_len));
-    std::fprintf(f, "    \"rows\": [");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const RatioRow& row = rows[i];
-      std::fprintf(f,
-                   "%s\n      {\"ratio\": \"%s\", \"short_len\": %d, \"long_len\": %d, "
-                   "\"scalar_merge_qps\": %.1f, \"simd_merge_qps\": %.1f, "
-                   "\"scalar_gallop_qps\": %.1f, \"simd_gallop_qps\": %.1f, "
-                   "\"dispatched_qps\": %.1f, \"dispatched_kernel\": \"%s\", "
-                   "\"identical\": %s}",
-                   i == 0 ? "" : ",", row.ratio.c_str(), row.short_len, row.long_len,
-                   row.scalar_merge_qps, row.simd_merge_qps, row.scalar_gallop_qps,
-                   row.simd_gallop_qps, row.dispatched_qps, row.dispatched_kernel.c_str(),
-                   row.identical ? "true" : "false");
-    }
-    std::fprintf(f, "\n    ],\n");
     std::fprintf(f,
                  "    \"accumulate\": {\"scalar_mops\": %.1f, \"dispatched_mops\": %.1f, "
                  "\"survivors\": %lld, \"identical\": %s}\n",

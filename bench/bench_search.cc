@@ -492,7 +492,6 @@ int main(int argc, char** argv) {
     std::atomic<int64_t> tightenings{0};
     std::atomic<int64_t> pruned_lists{0};
     std::atomic<int64_t> pruned_entries{0};
-    std::atomic<int64_t> pruned_blocks{0};
     std::atomic<int64_t> raised_verifies{0};
     std::atomic<int64_t> skipped_verifies{0};
     kjoin::WallTimer wall;
@@ -510,7 +509,6 @@ int main(int argc, char** argv) {
           tightenings.fetch_add(response.stats.bound_tightenings);
           pruned_lists.fetch_add(response.stats.bound_pruned_lists);
           pruned_entries.fetch_add(response.stats.bound_pruned_entries);
-          pruned_blocks.fetch_add(response.stats.bound_pruned_blocks);
           raised_verifies.fetch_add(response.stats.bound_raised_verifies);
           skipped_verifies.fetch_add(response.stats.bound_skipped_verifies);
         }
@@ -532,7 +530,6 @@ int main(int argc, char** argv) {
       prune_totals->bound_tightenings += tightenings.load();
       prune_totals->bound_pruned_lists += pruned_lists.load();
       prune_totals->bound_pruned_entries += pruned_entries.load();
-      prune_totals->bound_pruned_blocks += pruned_blocks.load();
       prune_totals->bound_raised_verifies += raised_verifies.load();
       prune_totals->bound_skipped_verifies += skipped_verifies.load();
     }
@@ -625,11 +622,10 @@ int main(int argc, char** argv) {
   const double batching_overhead_pct =
       (sharded_sync_qps / std::max(sharded_submit_qps, 1e-9) - 1.0) * 100.0;
   std::printf("8 shards / 8 clients: %.2fx the single-index path; bound tightened %lld "
-              "times, pruned %lld posting entries / %lld blocks, length-screened %lld "
+              "times, pruned %lld posting entries, length-screened %lld "
               "verifications across the runs\n",
               sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
               static_cast<long long>(prune_totals.bound_pruned_entries),
-              static_cast<long long>(prune_totals.bound_pruned_blocks),
               static_cast<long long>(prune_totals.bound_skipped_verifies));
   std::printf("batching (8 shards, 1 client): sync %.0f qps, submit %.0f qps, "
               "overhead %.2f%%\n",
@@ -875,14 +871,13 @@ int main(int argc, char** argv) {
                  "\n    ],\n    \"speedup_8shard_8client\": %.3f,\n"
                  "    \"tau_prune\": {\"bound_tightenings\": %lld, "
                  "\"bound_pruned_lists\": %lld, \"bound_pruned_entries\": %lld, "
-                 "\"bound_pruned_blocks\": %lld, \"bound_raised_verifies\": %lld, "
+                 "\"bound_raised_verifies\": %lld, "
                  "\"bound_skipped_verifies\": %lld},\n"
                  "    \"batching\": {\"shards\": 8, \"clients\": 1, \"sync_qps\": %.1f, "
                  "\"submit_qps\": %.1f, \"overhead_pct\": %.3f}\n  },\n",
                  sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
                  static_cast<long long>(prune_totals.bound_pruned_lists),
                  static_cast<long long>(prune_totals.bound_pruned_entries),
-                 static_cast<long long>(prune_totals.bound_pruned_blocks),
                  static_cast<long long>(prune_totals.bound_raised_verifies),
                  static_cast<long long>(prune_totals.bound_skipped_verifies),
                  sharded_sync_qps, sharded_submit_qps, batching_overhead_pct);

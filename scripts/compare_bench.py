@@ -75,19 +75,14 @@ ABSOLUTE_FLOORS = [
     (("serving_sharded", "speedup_8shard_8client"), 2.5),
 ]
 
-# fig9_filter, fig10_filter_delta, fig14_threads, serving_qps,
-# serving_delta_search and micro_intersect rows are arrays keyed by
-# scheme / delta / thread count / client count / delta depth / ratio.
+# fig9_filter, fig10_filter_delta, fig14_threads, serving_qps and
+# serving_delta_search rows are arrays keyed by scheme / delta / thread
+# count / client count / delta depth.
 TRACKED_FIG9 = "total_seconds"  # per scheme, lower is better
 TRACKED_FIG10 = "filter_seconds"  # per delta, lower is better
 TRACKED_FIG14 = "total_seconds"  # per thread count, lower is better
 TRACKED_SERVING = "qps"  # per client count, higher is better
 TRACKED_DELTA = "delta_qps"  # per delta depth, higher is better
-TRACKED_INTERSECT = "dispatched_qps"  # per length ratio, higher is better
-# The skews worth gating on: balanced (merge kernel), the dispatch
-# crossover, and heavy skew (gallop kernel). Intermediate rows are
-# reported in the JSON but too noisy to fail on.
-TRACKED_INTERSECT_RATIOS = ["1:1", "1:32", "1:1000"]
 
 IDENTICAL_FLAGS = [
     ("micro_hungarian", "results_identical"),
@@ -212,18 +207,6 @@ def main():
         if base_flag is True and fresh_flag is False:
             failures.append(f"fig10_filter_delta[{delta}]/results_identical flipped to false")
 
-    base_mi = index_rows(lookup(base, ("micro_intersect", "rows")) or [], "ratio")
-    fresh_mi = index_rows(lookup(fresh, ("micro_intersect", "rows")) or [], "ratio")
-    for ratio in TRACKED_INTERSECT_RATIOS:
-        if ratio not in base_mi:
-            continue
-        compare_scalar(f"micro_intersect[{ratio}]/{TRACKED_INTERSECT}",
-                       base_mi[ratio].get(TRACKED_INTERSECT),
-                       fresh_mi.get(ratio, {}).get(TRACKED_INTERSECT),
-                       "higher", args.tolerance, failures)
-        if base_mi[ratio].get("identical") is True and \
-                fresh_mi.get(ratio, {}).get("identical") is False:
-            failures.append(f"micro_intersect[{ratio}]/identical flipped to false")
     base_acc = lookup(base, ("micro_intersect", "accumulate"))
     fresh_acc = lookup(fresh, ("micro_intersect", "accumulate"))
     if isinstance(base_acc, dict):

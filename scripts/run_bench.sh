@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the release tree and runs the bench-regression harness, the
-# serving sections of bench_search and the filter-kernel microbench,
-# merging all three into one machine-readable report (default
-# BENCH_PR10.json in the repo root).
+# serving sections of bench_search and the count-pruning kernel
+# microbench (its accumulate-plus-extract sweep), merging all three into
+# one machine-readable report (default BENCH_PR10.json in the repo root).
 #
 #   scripts/run_bench.sh [out.json] [extra bench_regression flags...]
 #

@@ -3,7 +3,7 @@
 
 // PPJoin (Xiao, Wang, Lin, Yu: "Efficient similarity joins for near
 // duplicate detection", WWW 2008) — the classic exact token-Jaccard set
-// similarity join with prefix and positional filtering.
+// similarity join with prefix and position filtering.
 //
 // K-Join's related work builds on this line; having it as a baseline
 // separates the cost of *knowledge-aware* matching from plain set

@@ -132,7 +132,9 @@ std::string FlagSet::Usage() const {
 }
 
 bool FlagSet::Parse(int argc, char** argv) {
-  positional_.clear();
+  // The bool flag the previous argument set without '=', if any: a stray
+  // word right after it is most likely its intended value.
+  std::string bare_bool;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -140,9 +142,14 @@ bool FlagSet::Parse(int argc, char** argv) {
       return false;
     }
     if (!StartsWith(arg, "--")) {
-      positional_.push_back(arg);
-      continue;
+      const std::string name = bare_bool.empty() ? "name" : bare_bool;
+      std::fprintf(stderr,
+                   "Unexpected argument '%s'; a bool flag takes its value as "
+                   "--%s=false or --no%s\n%s",
+                   arg.c_str(), name.c_str(), name.c_str(), Usage().c_str());
+      return false;
     }
+    bare_bool.clear();
     arg = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -167,6 +174,7 @@ bool FlagSet::Parse(int argc, char** argv) {
     if (!has_value) {
       if (flag->type == Flag::Type::kBool) {
         flag->bool_value = true;
+        bare_bool = arg;
         continue;
       }
       if (i + 1 >= argc) {

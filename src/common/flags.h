@@ -8,8 +8,10 @@
 //   double* tau = flags.Double("tau", 0.85, "object threshold");
 //   if (!flags.Parse(argc, argv)) return 1;   // prints usage on error/--help
 //
-// Accepted syntaxes: --name=value, --name value, --flag (bool true),
-// --noflag (bool false).
+// Accepted syntaxes: --name=value, --name value (non-bool flags),
+// --flag (bool true), --noflag (bool false). Any other argument is an
+// error: a bool flag never takes its value from the next word, so
+// `--plus false` is rejected rather than read as `--plus`.
 
 #include <memory>
 #include <string>
@@ -34,11 +36,8 @@ class FlagSet {
                       const std::string& help);
 
   // Parses argv. Returns false (after printing usage) on unknown flags,
-  // malformed values, or --help.
+  // malformed values, non-flag arguments, or --help.
   bool Parse(int argc, char** argv);
-
-  // Positional (non-flag) arguments seen during Parse.
-  const std::vector<std::string>& positional() const { return positional_; }
 
   std::string Usage() const;
 
@@ -48,7 +47,6 @@ class FlagSet {
 
   std::string program_name_;
   std::vector<std::unique_ptr<Flag>> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace kjoin

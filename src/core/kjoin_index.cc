@@ -238,9 +238,9 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
       if (cut < k) cut = k;
       if (cut < prefix) {
         if (stats != nullptr) {
-          // Account the lists (and their entries/blocks) the tightened
-          // prefix lets this probe skip, deduplicating repeated
-          // signature ids the way the probe loop does.
+          // Account the lists (and their entries) the tightened prefix
+          // lets this probe skip, deduplicating repeated signature ids
+          // the way the probe loop does.
           SigId prev_id = cut > 0 ? sigs[cut - 1].id : 0;
           bool have_prev = cut > 0;
           for (int32_t j = cut; j < prefix; ++j) {
@@ -249,12 +249,6 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
             have_prev = true;
             ++stats->bound_pruned_lists;
             stats->bound_pruned_entries += df_of(sigs[j].id);
-            for (size_t l = 0; l < num_layers; ++l) {
-              const int32_t slot = layers[l]->store_.Find(sigs[j].id);
-              if (slot >= 0) {
-                stats->bound_pruned_blocks += layers[l]->store_.num_blocks(slot);
-              }
-            }
           }
         }
         prefix = cut;
@@ -265,8 +259,9 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
     previous = sigs[k].id;
     have_previous = true;
     for (size_t l = 0; l < num_layers; ++l) {
-      const int32_t slot = layers[l]->store_.Find(sigs[k].id);
-      if (slot >= 0) layers[l]->store_.AccumulateSlot(slot, counts, touched);
+      const PostingStore& store = layers[l]->store_;
+      const int32_t slot = store.Find(sigs[k].id);
+      if (slot >= 0) simd::AccumulateCounts(store.docs(slot), store.length(slot), counts, touched);
       auto it = layers[l]->tail_.find(sigs[k].id);
       if (it != layers[l]->tail_.end()) {
         simd::AccumulateCounts(it->second.data(), static_cast<int32_t>(it->second.size()),
@@ -342,17 +337,15 @@ void KJoinIndex::Flatten(std::vector<Object>* objects, RestoredParts* parts) con
 
   PostingStore::Builder builder;
   std::vector<int32_t> merged;
-  std::vector<int32_t> decode_buf;
   for (const SigId id : keys) {
     merged.clear();
     for (const KJoinIndex* layer : layers) {
       const int32_t slot = layer->store_.Find(id);
       if (slot >= 0) {
+        const int32_t* docs = layer->store_.docs(slot);
         const int32_t n = layer->store_.length(slot);
-        decode_buf.resize(static_cast<size_t>(n));
-        layer->store_.Decode(slot, decode_buf.data());
         for (int32_t v = 0; v < n; ++v) {
-          if (dead.find(decode_buf[v]) == dead.end()) merged.push_back(decode_buf[v]);
+          if (dead.find(docs[v]) == dead.end()) merged.push_back(docs[v]);
         }
       }
       auto it = layer->tail_.find(id);

@@ -132,11 +132,9 @@ struct SearchStats {
   // Tighten() calls that advanced the shared bound.
   int64_t bound_tightenings = 0;
   // Prefix posting lists never probed because the risen bound shortened
-  // the prefix, the entries those lists held, and the posting blocks the
-  // skip saved decoding.
+  // the prefix, and the entries those lists held.
   int64_t bound_pruned_lists = 0;
   int64_t bound_pruned_entries = 0;
-  int64_t bound_pruned_blocks = 0;
   // Verifications that ran at a threshold above the index's configured
   // tau (each rejects earlier than a tau-level verification would).
   int64_t bound_raised_verifies = 0;
@@ -209,7 +207,7 @@ class KJoinIndex {
   // bound seeded at min_similarity. The probe skips work that can no
   // longer place in the final top-k:
   //  - the signature prefix is recomputed at the risen bound, so whole
-  //    posting lists (and their blocks) are never probed;
+  //    posting lists are never probed;
   //  - candidates verify at max(τ, bound - slack), so the count-pruning
   //    and adaptive bounds reject earlier;
   //  - once this probe holds k hits it reports its running k-th best
@@ -268,16 +266,13 @@ class KJoinIndex {
   // serving layer sizes epochs by this; benches report it.
   int64_t posting_entries() const { return store_.num_entries() + tail_entries_; }
 
-  // This layer's frozen CSR store (empty for delta layers, which keep
-  // their postings in the mutable tail until a Flatten/compaction).
-  const PostingStore& packed_postings() const { return store_; }
-
   // Calls fn(SigId, const int32_t* docs, int32_t count) for every posting
   // list of THIS layer in ascending SigId order, frozen store and mutable
   // tail merged (tail entries follow store entries; both halves ascend,
   // so the combined list is ascending). The pointer is only valid during
   // the call. This is the snapshot writer's traversal: SigId-sorted
-  // without building a map copy.
+  // without building a map copy. Store lists are passed in place; only a
+  // store list that the tail extends is copied into scratch.
   template <typename Fn>
   void ForEachPosting(Fn&& fn) const {
     std::vector<std::pair<SigId, const std::vector<int32_t>*>> tail_sorted;
@@ -294,17 +289,17 @@ class KJoinIndex {
         fn(tail_sorted[t].first, tail_sorted[t].second->data(),
            static_cast<int32_t>(tail_sorted[t].second->size()));
       }
+      const int32_t* docs = store_.docs(slot);
       const int32_t n = store_.length(slot);
-      const std::vector<int32_t>* extra =
-          (t < tail_sorted.size() && tail_sorted[t].first == id) ? tail_sorted[t].second
-                                                                 : nullptr;
-      scratch.resize(static_cast<size_t>(n) + (extra != nullptr ? extra->size() : 0));
-      store_.Decode(slot, scratch.data());
-      if (extra != nullptr) {
-        std::copy(extra->begin(), extra->end(), scratch.begin() + n);
+      if (t < tail_sorted.size() && tail_sorted[t].first == id) {
+        const std::vector<int32_t>& extra = *tail_sorted[t].second;
+        scratch.assign(docs, docs + n);
+        scratch.insert(scratch.end(), extra.begin(), extra.end());
+        fn(id, scratch.data(), static_cast<int32_t>(scratch.size()));
         ++t;
+      } else {
+        fn(id, docs, n);
       }
-      fn(id, scratch.data(), static_cast<int32_t>(scratch.size()));
     }
     for (; t < tail_sorted.size(); ++t) {
       fn(tail_sorted[t].first, tail_sorted[t].second->data(),

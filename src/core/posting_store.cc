@@ -1,209 +1,35 @@
 #include "core/posting_store.h"
 
 #include <algorithm>
-
-#include "core/simd.h"
+#include <utility>
 
 namespace kjoin {
-namespace {
-
-int BitWidth(uint32_t v) { return v == 0 ? 0 : 32 - __builtin_clz(v); }
-
-}  // namespace
-
-PostingStore::Builder::Builder() {
-  entry_offset_.push_back(0);
-  block_offset_.push_back(0);
-}
 
 void PostingStore::Builder::Add(SigId id, const int32_t* docs, int32_t count) {
   KJOIN_CHECK(count > 0);
   KJOIN_CHECK(keys_.empty() || id > keys_.back());
+  KJOIN_CHECK(docs[0] >= 0);
+  for (int32_t i = 1; i < count; ++i) KJOIN_CHECK(docs[i] > docs[i - 1]);
   keys_.push_back(id);
-  max_length_ = std::max(max_length_, count);
-
-  for (int32_t begin = 0; begin < count; begin += kBlockEntries) {
-    const int32_t n = std::min(kBlockEntries, count - begin);
-    const int32_t* block_docs = docs + begin;
-    KJOIN_CHECK(block_docs[0] >= 0);
-    if (begin > 0) {
-      KJOIN_CHECK(block_docs[0] > docs[begin - 1]);
-    }
-    // Width = widest (delta - 1) in the block; 0 means a consecutive run.
-    uint32_t max_gap = 0;
-    for (int32_t i = 1; i < n; ++i) {
-      KJOIN_CHECK(block_docs[i] > block_docs[i - 1]);
-      max_gap |= static_cast<uint32_t>(block_docs[i] - block_docs[i - 1] - 1);
-    }
-    const int bits = BitWidth(max_gap);
-
-    Block block;
-    block.first = block_docs[0];
-    block.max = block_docs[n - 1];
-    block.word_begin = static_cast<int64_t>(words_.size());
-    block.bits = static_cast<uint8_t>(bits);
-    if (bits > 0) {
-      const int64_t payload_bits = static_cast<int64_t>(n - 1) * bits;
-      words_.resize(words_.size() + static_cast<size_t>((payload_bits + 63) / 64), 0);
-      uint64_t* words = words_.data() + block.word_begin;
-      uint64_t bit = 0;
-      for (int32_t i = 1; i < n; ++i, bit += static_cast<uint64_t>(bits)) {
-        const uint64_t v = static_cast<uint32_t>(block_docs[i] - block_docs[i - 1] - 1);
-        const uint64_t word = bit >> 6;
-        const int shift = static_cast<int>(bit & 63);
-        words[word] |= v << shift;
-        if (shift + bits > 64) words[word + 1] |= v >> (64 - shift);
-      }
-    }
-    blocks_.push_back(block);
-  }
-  entry_offset_.push_back(entry_offset_.back() + count);
-  block_offset_.push_back(static_cast<int64_t>(blocks_.size()));
+  docs_.insert(docs_.end(), docs, docs + count);
+  offsets_.push_back(static_cast<int64_t>(docs_.size()));
 }
 
 PostingStore PostingStore::Builder::Finish() {
-  // One zero pad word so a 32-bit value packed flush against the end of
-  // the payload can still be read with the two-word window in the decoder.
-  words_.push_back(0);
   PostingStore store;
   store.keys_ = std::move(keys_);
-  store.entry_offset_ = std::move(entry_offset_);
-  store.block_offset_ = std::move(block_offset_);
-  store.blocks_ = std::move(blocks_);
-  store.words_ = std::move(words_);
-  store.max_length_ = max_length_;
+  store.offsets_ = std::move(offsets_);
+  store.docs_ = std::move(docs_);
   store.keys_.shrink_to_fit();
-  store.blocks_.shrink_to_fit();
-  store.words_.shrink_to_fit();
+  store.offsets_.shrink_to_fit();
+  store.docs_.shrink_to_fit();
   return store;
-}
-
-int64_t PostingStore::packed_bytes() const {
-  return static_cast<int64_t>(keys_.size() * sizeof(SigId) +
-                              entry_offset_.size() * sizeof(int64_t) +
-                              block_offset_.size() * sizeof(int64_t) +
-                              blocks_.size() * sizeof(Block) + words_.size() * sizeof(uint64_t));
 }
 
 int32_t PostingStore::Find(SigId id) const {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), id);
   if (it == keys_.end() || *it != id) return -1;
   return static_cast<int32_t>(it - keys_.begin());
-}
-
-int32_t PostingStore::DecodeBlock(int32_t slot, int64_t b, int32_t* out) const {
-  const auto s = static_cast<size_t>(slot);
-  const int64_t list_len = entry_offset_[s + 1] - entry_offset_[s];
-  const int64_t local = b - block_offset_[s];
-  const int32_t n = static_cast<int32_t>(
-      std::min<int64_t>(kBlockEntries, list_len - local * kBlockEntries));
-  const Block& block = blocks_[static_cast<size_t>(b)];
-  out[0] = block.first;
-  simd::DecodeDeltaBlock(words_.data() + block.word_begin, block.bits, n - 1, block.first,
-                         out + 1);
-  return n;
-}
-
-void PostingStore::Decode(int32_t slot, int32_t* out) const {
-  const auto s = static_cast<size_t>(slot);
-  for (int64_t b = block_offset_[s]; b < block_offset_[s + 1]; ++b) {
-    out += DecodeBlock(slot, b, out);
-  }
-}
-
-void PostingStore::AccumulateSlot(int32_t slot, uint8_t* counts, uint64_t* touched) const {
-  const auto s = static_cast<size_t>(slot);
-  int32_t buf[kBlockEntries];
-  for (int64_t b = block_offset_[s]; b < block_offset_[s + 1]; ++b) {
-    const int32_t n = DecodeBlock(slot, b, buf);
-    simd::AccumulateCounts(buf, n, counts, touched);
-  }
-}
-
-void PostingStore::AccumulateSlotBelow(int32_t slot, int32_t limit, uint8_t* counts,
-                                       uint64_t* touched) const {
-  const auto s = static_cast<size_t>(slot);
-  int32_t buf[kBlockEntries];
-  for (int64_t b = block_offset_[s]; b < block_offset_[s + 1]; ++b) {
-    const Block& block = blocks_[static_cast<size_t>(b)];
-    if (block.first >= limit) break;  // blocks ascend; nothing further qualifies
-    const int32_t n = DecodeBlock(slot, b, buf);
-    int32_t take = n;
-    if (block.max >= limit) {
-      take = static_cast<int32_t>(std::lower_bound(buf, buf + n, limit) - buf);
-    }
-    simd::AccumulateCounts(buf, take, counts, touched);
-    if (take < n) break;
-  }
-}
-
-int32_t PostingStore::CountBelow(int32_t slot, int32_t limit) const {
-  const auto s = static_cast<size_t>(slot);
-  int32_t total = 0;
-  int32_t buf[kBlockEntries];
-  for (int64_t b = block_offset_[s]; b < block_offset_[s + 1]; ++b) {
-    const Block& block = blocks_[static_cast<size_t>(b)];
-    if (block.first >= limit) break;
-    const int64_t list_len = entry_offset_[s + 1] - entry_offset_[s];
-    const int64_t local = b - block_offset_[s];
-    const int32_t n = static_cast<int32_t>(
-        std::min<int64_t>(kBlockEntries, list_len - local * kBlockEntries));
-    if (block.max < limit) {
-      total += n;  // whole block qualifies, skip the decode
-      continue;
-    }
-    DecodeBlock(slot, b, buf);
-    total += static_cast<int32_t>(std::lower_bound(buf, buf + n, limit) - buf);
-    break;
-  }
-  return total;
-}
-
-int32_t PostingStore::IntersectSlots(int32_t slot_a, int32_t slot_b, int32_t* out) const {
-  // Drive with the shorter list so the skip table prunes the longer one.
-  if (length(slot_a) > length(slot_b)) return IntersectSlots(slot_b, slot_a, out);
-  const auto sa = static_cast<size_t>(slot_a);
-  const auto sb = static_cast<size_t>(slot_b);
-  int32_t abuf[kBlockEntries];
-  int32_t bbuf[kBlockEntries];
-  int32_t k = 0;
-  int64_t bb = block_offset_[sb];
-  const int64_t bb_end = block_offset_[sb + 1];
-  int32_t bn = 0;  // decoded length of the current b block (0 = not decoded)
-  for (int64_t ab = block_offset_[sa]; ab < block_offset_[sa + 1]; ++ab) {
-    const Block& ablock = blocks_[static_cast<size_t>(ab)];
-    const int32_t an = DecodeBlock(slot_a, ab, abuf);
-    const int32_t* a = abuf;
-    int32_t remaining = an;
-    while (remaining > 0 && bb < bb_end) {
-      const Block& bblock = blocks_[static_cast<size_t>(bb)];
-      if (bblock.max < a[0]) {  // b block entirely below the a window
-        ++bb;
-        bn = 0;
-        continue;
-      }
-      if (bblock.first > ablock.max) break;  // rest of b is past this a block
-      if (bn == 0) bn = DecodeBlock(slot_b, bb, bbuf);
-      // Intersect the a window against this b block, then advance
-      // whichever side is exhausted first.
-      const int32_t* b = bbuf;
-      const int32_t matched = simd::IntersectSorted(a, remaining, b, bn, out + k);
-      k += matched;
-      if (bblock.max <= a[remaining - 1]) {
-        // b block exhausted: drop the a prefix it covered and move on.
-        const int32_t consumed = static_cast<int32_t>(
-            std::upper_bound(a, a + remaining, bblock.max) - a);
-        a += consumed;
-        remaining -= consumed;
-        ++bb;
-        bn = 0;
-      } else {
-        break;  // a window exhausted inside this b block
-      }
-    }
-    if (bb >= bb_end) break;
-  }
-  return k;
 }
 
 }  // namespace kjoin

@@ -5,24 +5,14 @@
 //
 // The mutable tail of a KJoinIndex keeps its unordered_map; everything
 // that has been frozen (the flat build, Flatten output, snapshot loads)
-// lives here instead:
+// lives here instead, as the same three arrays the snapshot's POST
+// section stores:
 //
-//   keys_          SigId per list, strictly ascending — binary-searched
-//   entry_offset_  per-list cumulative doc counts (lists + 1 entries)
-//   block_offset_  per-list cumulative block counts (lists + 1 entries)
-//   blocks_        per-block {first doc, max doc, word offset, bit width}
-//   words_         the bit-packed (delta - 1) payload, one word-aligned
-//                  run per block
+//   keys_     SigId per list, strictly ascending — binary-searched
+//   offsets_  per-list cumulative doc counts (lists + 1 entries)
+//   docs_     every list's doc ids, concatenated in key order
 //
-// Lists are cut into fixed blocks of kBlockEntries docs. Each block
-// stores its first doc id raw in the block table; the remaining
-// (count - 1) ids are packed at the block's exact bit width (0 bits for
-// a consecutive run). The block table doubles as a skip index: `max` is
-// the block's last doc id, so probes and intersections can reject a
-// whole block without touching words_.
-//
-// All decode paths go through core/simd.h and are dispatch-invariant:
-// scalar and vector decodes of the same slot are bit-identical.
+// Lists are read in place: docs(slot) points straight into docs_.
 
 #include <cstdint>
 #include <vector>
@@ -34,30 +24,18 @@ namespace kjoin {
 
 class PostingStore {
  public:
-  static constexpr int32_t kBlockEntries = 128;
-
-  struct Block {
-    int32_t first = 0;       // first doc id of the block (stored raw)
-    int32_t max = 0;         // last doc id of the block (skip key)
-    int64_t word_begin = 0;  // offset into words_ of the packed payload
-    uint8_t bits = 0;        // packed width of each (delta - 1), 0..32
-  };
-
   // Appends lists in strictly-ascending SigId order with strictly-
-  // ascending non-empty doc lists; Finish() yields the frozen store.
+  // ascending, non-negative, non-empty doc lists; Finish() yields the
+  // frozen store.
   class Builder {
    public:
-    Builder();
     void Add(SigId id, const int32_t* docs, int32_t count);
     PostingStore Finish();
 
    private:
     std::vector<SigId> keys_;
-    std::vector<int64_t> entry_offset_;
-    std::vector<int64_t> block_offset_;
-    std::vector<Block> blocks_;
-    std::vector<uint64_t> words_;
-    int32_t max_length_ = 0;
+    std::vector<int64_t> offsets_{0};
+    std::vector<int32_t> docs_;
   };
 
   PostingStore() = default;
@@ -70,11 +48,7 @@ class PostingStore {
   int32_t num_lists() const { return static_cast<int32_t>(keys_.size()); }
   bool empty() const { return keys_.empty(); }
   // Total doc entries across every list.
-  int64_t num_entries() const { return entry_offset_.empty() ? 0 : entry_offset_.back(); }
-  // Bytes held by the packed payload + tables (the compressed footprint).
-  int64_t packed_bytes() const;
-  // Longest list in the store (sizes probe scratch).
-  int32_t max_length() const { return max_length_; }
+  int64_t num_entries() const { return static_cast<int64_t>(docs_.size()); }
 
   // Slot of `id`, or -1. Slots index the CSR tables, 0..num_lists).
   int32_t Find(SigId id) const;
@@ -82,59 +56,24 @@ class PostingStore {
   SigId key(int32_t slot) const { return keys_[static_cast<size_t>(slot)]; }
   int32_t length(int32_t slot) const {
     const auto s = static_cast<size_t>(slot);
-    return static_cast<int32_t>(entry_offset_[s + 1] - entry_offset_[s]);
+    return static_cast<int32_t>(offsets_[s + 1] - offsets_[s]);
   }
-  // Blocks in the slot's skip table (a list the progressive top-k probe
-  // skips saves this many block decodes; see SearchStats).
-  int64_t num_blocks(int32_t slot) const {
-    const auto s = static_cast<size_t>(slot);
-    return block_offset_[s + 1] - block_offset_[s];
+  // The slot's list, length(slot) ascending doc ids.
+  const int32_t* docs(int32_t slot) const {
+    return docs_.data() + offsets_[static_cast<size_t>(slot)];
   }
-
-  // Decodes the whole list into out[0..length(slot)).
-  void Decode(int32_t slot, int32_t* out) const;
-
-  // ScanCount feed: decodes the list block-by-block into a stack buffer
-  // and bumps the dense counter array (see simd::AccumulateCounts).
-  void AccumulateSlot(int32_t slot, uint8_t* counts, uint64_t* touched) const;
-
-  // Like AccumulateSlot but only docs < limit (self-join cutoff).
-  // Whole blocks past the limit are rejected via the skip table.
-  void AccumulateSlotBelow(int32_t slot, int32_t limit, uint8_t* counts,
-                           uint64_t* touched) const;
-
-  // Docs in the list strictly below `limit` (skip-table + block decode).
-  int32_t CountBelow(int32_t slot, int32_t limit) const;
-
-  // Intersects two slots into `out` (room for min of the two lengths);
-  // returns the size. The skip table rejects non-overlapping blocks
-  // before anything is decoded.
-  int32_t IntersectSlots(int32_t slot_a, int32_t slot_b, int32_t* out) const;
 
   // Calls fn(SigId, const int32_t* docs, int32_t count) for every list in
-  // ascending SigId order. Decodes through one reused scratch buffer, so
-  // the pointer is only valid during the call.
+  // ascending SigId order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    std::vector<int32_t> scratch(static_cast<size_t>(max_length_));
-    for (int32_t slot = 0; slot < num_lists(); ++slot) {
-      Decode(slot, scratch.data());
-      fn(keys_[static_cast<size_t>(slot)], scratch.data(), length(slot));
-    }
+    for (int32_t slot = 0; slot < num_lists(); ++slot) fn(key(slot), docs(slot), length(slot));
   }
 
  private:
-  friend class Builder;
-
-  // Decodes block `b` of `slot` into out; returns its doc count.
-  int32_t DecodeBlock(int32_t slot, int64_t b, int32_t* out) const;
-
   std::vector<SigId> keys_;
-  std::vector<int64_t> entry_offset_;
-  std::vector<int64_t> block_offset_;
-  std::vector<Block> blocks_;
-  std::vector<uint64_t> words_;
-  int32_t max_length_ = 0;
+  std::vector<int64_t> offsets_;
+  std::vector<int32_t> docs_;
 };
 
 }  // namespace kjoin

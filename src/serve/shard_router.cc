@@ -17,7 +17,6 @@ void AddStats(SearchStats* into, const SearchStats& other) {
   into->bound_tightenings += other.bound_tightenings;
   into->bound_pruned_lists += other.bound_pruned_lists;
   into->bound_pruned_entries += other.bound_pruned_entries;
-  into->bound_pruned_blocks += other.bound_pruned_blocks;
   into->bound_raised_verifies += other.bound_raised_verifies;
   into->bound_skipped_verifies += other.bound_skipped_verifies;
   into->verify.Add(other.verify);
@@ -184,8 +183,6 @@ void ShardRouter::Gather(const ShardReply* const* replies, int32_t top_k,
           ->Increment(reply.stats.bound_pruned_lists);
       metrics_->counter(ShardMetricName("router", s, "bound_pruned_entries"))
           ->Increment(reply.stats.bound_pruned_entries);
-      metrics_->counter(ShardMetricName("router", s, "bound_pruned_blocks"))
-          ->Increment(reply.stats.bound_pruned_blocks);
     }
   }
   if (best_rank == 0) response->status = OkStatus();

@@ -16,13 +16,13 @@
 // floor and hands it to every shard probe. Each probe publishes its
 // running k-th-best similarity into the bound and polls it between
 // candidates, so a shard that starts (or is still running) after another
-// shard found strong hits skips the prefix lists, posting blocks, and
-// verifications that can no longer reach the global top-k. The bound
-// only ever *helps*: pruning stays kSearchBoundSlack below it, so the
-// final top-k (ties included) is unchanged — only the work to find it
-// shrinks. On a single-lane pool the scatter degenerates to a sequential
-// cascade, which maximizes the effect: shard 0 completes and tightens
-// the bound before shard 1 starts.
+// shard found strong hits skips the prefix lists and verifications that
+// can no longer reach the global top-k. The bound only ever *helps*:
+// pruning stays kSearchBoundSlack below it, so the final top-k (ties
+// included) is unchanged — only the work to find it shrinks. On a
+// single-lane pool the scatter degenerates to a sequential cascade,
+// which maximizes the effect: shard 0 completes and tightens the bound
+// before shard 1 starts.
 //
 // Batching: Submit() enqueues and a dedicated dispatcher thread drains
 // the queue in batches of up to max_batch, probing each shard ONCE per
@@ -190,8 +190,7 @@ class ShardRouter {
   // router.batches, router.batch_size (histogram), router.queue_depth
   // (gauge), plus the admission controller's router.shed* family and
   // per-shard counters under ShardMetricName("router", s, ...): probes,
-  // hits, bound_tightenings, bound_pruned_lists, bound_pruned_entries,
-  // bound_pruned_blocks.
+  // hits, bound_tightenings, bound_pruned_lists, bound_pruned_entries.
   ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
               ShardRouterOptions options = {}, MetricsRegistry* metrics = nullptr);
 

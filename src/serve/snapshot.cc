@@ -282,8 +282,8 @@ StatusOr<PostingStore> ParsePostings(std::string_view payload, const std::string
       list_offsets.back() != static_cast<int64_t>(docs.size())) {
     return InvalidArgumentError(label + ": posting offset table shape mismatch");
   }
-  // A linear repack: each validated list feeds the CSR builder directly,
-  // no map and no re-sort — the on-disk order IS the index order.
+  // Each validated list feeds the CSR builder directly, no map and no
+  // re-sort — the on-disk order IS the index order.
   PostingStore::Builder builder;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0 && keys[i] <= keys[i - 1]) {

@@ -28,8 +28,8 @@
 // Format version 3 re-lays the POST section as the CSR postings form
 // (core/posting_store.h): one SigId key array (ascending), one
 // list-offset array, one flat doc array — written straight off the frozen
-// store, loaded by a linear repack into a PostingStore. No map is built
-// on either side.
+// store, validated into a PostingStore on load. No map is built on
+// either side.
 //
 // Format version 4 drops the two similarity-cache fields from OPTS.
 //

@@ -185,12 +185,27 @@ TEST(FlagsTest, RejectsBadValue) {
   EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
 }
 
-TEST(FlagsTest, CollectsPositional) {
-  FlagSet flags("test");
-  const char* argv[] = {"prog", "one", "two"};
-  ASSERT_TRUE(flags.Parse(3, const_cast<char**>(argv)));
-  ASSERT_EQ(flags.positional().size(), 2u);
-  EXPECT_EQ(flags.positional()[0], "one");
+TEST(FlagsTest, RejectsStrayArgument) {
+  {
+    // A bool flag never consumes the next word, so "--plus false" must
+    // fail instead of silently turning K-Join+ on.
+    FlagSet flags("test");
+    flags.Bool("plus", false, "");
+    const char* argv[] = {"prog", "--plus", "false"};
+    EXPECT_FALSE(flags.Parse(3, const_cast<char**>(argv)));
+  }
+  {
+    FlagSet flags("test");
+    bool* plus = flags.Bool("plus", true, "");
+    const char* argv[] = {"prog", "--plus=false"};
+    ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)));
+    EXPECT_FALSE(*plus);
+  }
+  {
+    FlagSet flags("test");
+    const char* argv[] = {"prog", "one"};
+    EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
+  }
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

@@ -201,6 +201,25 @@ TEST(SnapshotTest, SerializationIsDeterministic) {
   EXPECT_EQ(serve::SerializeIndexSnapshot(input), stack.bytes);
 }
 
+// A flat index keeps post-build inserts in its mutable tail, so the
+// writer merges each frozen store list with the tail entries that extend
+// it. Growing half the collection by Insert() must serialize to exactly
+// the bytes of the index built over all of it at once.
+TEST(SnapshotTest, FlatIndexGrownByInsertSerializesLikeOneBuiltAtOnce) {
+  ServeStack& stack = Stack();
+  const std::vector<Object>& objects = stack.prepared.objects;
+  const size_t half = objects.size() / 2;
+  KJoinIndex grown(*stack.hierarchy, stack.index->options(),
+                   std::vector<Object>(objects.begin(), objects.begin() + half));
+  for (size_t i = half; i < objects.size(); ++i) grown.Insert(objects[i]);
+  ASSERT_EQ(grown.delta_depth(), 0);
+  serve::SnapshotInput input;
+  input.index = &grown;
+  input.tokens = stack.prepared.builder->TokenTable();
+  input.synonyms = stack.dataset.synonyms;
+  EXPECT_EQ(serve::SerializeIndexSnapshot(input), stack.bytes);
+}
+
 TEST(SnapshotTest, ReloadOfResavedSnapshotIsByteIdentical) {
   ServeStack& stack = Stack();
   auto loaded = serve::LoadIndexSnapshotFromBytes(stack.bytes);

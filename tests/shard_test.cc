@@ -417,7 +417,6 @@ TEST(ProgressiveBoundTest, TopKProbesTightenAndPrune) {
     total.bound_tightenings += response.stats.bound_tightenings;
     total.bound_pruned_lists += response.stats.bound_pruned_lists;
     total.bound_pruned_entries += response.stats.bound_pruned_entries;
-    total.bound_pruned_blocks += response.stats.bound_pruned_blocks;
     total.bound_raised_verifies += response.stats.bound_raised_verifies;
   }
   // Across the workload the shared bound must have both tightened and
