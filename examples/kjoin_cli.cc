@@ -41,6 +41,20 @@ int main(int argc, char** argv) {
   std::string* load_snapshot = flags.String(
       "load-snapshot", "", "take hierarchy + objects from this snapshot (skips text parsing)");
   if (!flags.Parse(argc, argv)) return 1;
+  // Out-of-range values are input errors here, not the library CHECKs
+  // they would otherwise trip.
+  const char* bad_flag = nullptr;
+  if (*threads < 1) {
+    bad_flag = "--threads must be >= 1";
+  } else if (!(*delta > 0.0 && *delta <= 1.0)) {
+    bad_flag = "--delta must be in (0, 1]";
+  } else if (!(*tau >= 0.0 && *tau <= 1.0)) {
+    bad_flag = "--tau must be in [0, 1]";
+  }
+  if (bad_flag != nullptr) {
+    std::fprintf(stderr, "%s\n%s", bad_flag, flags.Usage().c_str());
+    return 1;
+  }
 
   // --- load or generate the workload --------------------------------------
   std::optional<kjoin::Hierarchy> hierarchy;

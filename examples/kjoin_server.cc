@@ -141,6 +141,20 @@ int main(int argc, char** argv) {
   int64_t* loops = flags.Int("loops", 2, "epoll event loops for --listen");
   std::string* connect = flags.String("connect", "", "host:port of a --listen server to exercise");
   if (!flags.Parse(argc, argv)) return 1;
+  // Out-of-range values are input errors here, not the library CHECKs
+  // they would otherwise trip.
+  const char* bad_flag = nullptr;
+  if (!(*delta > 0.0 && *delta <= 1.0)) {
+    bad_flag = "--delta must be in (0, 1]";
+  } else if (!(*tau >= 0.0 && *tau <= 1.0)) {
+    bad_flag = "--tau must be in [0, 1]";
+  } else if (*loops < 1) {
+    bad_flag = "--loops must be >= 1";
+  }
+  if (bad_flag != nullptr) {
+    std::fprintf(stderr, "%s\n%s", bad_flag, flags.Usage().c_str());
+    return 1;
+  }
 
   kjoin::ThreadPool pool(2);  // background lane for epoch rebuilds
   kjoin::MetricsRegistry metrics;

@@ -106,12 +106,14 @@ if [[ $run_no_simd -eq 1 ]]; then
   # Scalar-fallback pass: the same release binaries, with dispatch forced
   # to the scalar kernels before the first probe. Covers the suites that
   # exercise the filter engine (the simd_test identity sweeps assert the
-  # join results and JoinStats counters match the SIMD paths bit for bit).
+  # join results and JoinStats counters match the SIMD paths bit for bit;
+  # the extensions_test and shard_test brute-force oracles check the
+  # search index's ScanCount probe on flat indexes and delta chains).
   echo "==> [no-simd] release suites with KJOIN_FORCE_SCALAR=1"
   cmake -B "$repo/build" -S "$repo" >/dev/null
   cmake --build "$repo/build" -j "$(nproc)" >/dev/null
   (cd "$repo/build" && KJOIN_FORCE_SCALAR=1 ctest --output-on-failure \
-    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test)$')
+    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test|extensions_test|shard_test)$')
   echo "no-simd pass green"
 fi
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/prefix.h"
@@ -60,8 +62,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
                 VerifierOptions{options.delta, options.tau, options.verify_mode,
                                 options.set_metric, options.count_pruning,
                                 options.weighted_count_pruning, options.plus_mode}) {
-  for (int32_t i = 0; i < static_cast<int32_t>(objects_.size()); ++i) IndexObject(i);
-  FreezeTail();
+  IndexObjects();
 }
 
 KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
@@ -89,9 +90,11 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
   total_dead_ = static_cast<int64_t>(dead_.size());
 }
 
-KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base)
+KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base, std::vector<Object> objects,
+                       const std::vector<int32_t>& tombstones)
     : hierarchy_(base->hierarchy_),
       options_(base->options_),
+      objects_(std::move(objects)),
       base_(std::move(base)),
       base_total_(static_cast<int32_t>(base_->num_indexed())),
       depth_(base_->depth_ + 1),
@@ -103,49 +106,40 @@ KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base)
       verifier_(element_sim_, signatures_,
                 VerifierOptions{options_.delta, options_.tau, options_.verify_mode,
                                 options_.set_metric, options_.count_pruning,
-                                options_.weighted_count_pruning, options_.plus_mode}) {}
-
-void KJoinIndex::IndexObject(int32_t index) {
-  // Full signature set, deduplicated per object. New entries go to the
-  // mutable tail; the flat build freezes it into the CSR store once.
-  std::vector<SigId> ids;
-  for (const Signature& sig : signatures_.Generate(object_at(index))) ids.push_back(sig.id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (SigId id : ids) tail_[id].push_back(index);
-  tail_entries_ += static_cast<int64_t>(ids.size());
+                                options_.weighted_count_pruning, options_.plus_mode}) {
+  IndexObjects();
+  for (const int32_t index : tombstones) {
+    KJOIN_CHECK(index >= 0 && index < num_indexed())
+        << "tombstone " << index << " outside [0, " << num_indexed() << ")";
+    if (!deleted(index)) dead_.insert(index);
+  }
+  total_dead_ += static_cast<int64_t>(dead_.size());
 }
 
-void KJoinIndex::FreezeTail() {
-  KJOIN_CHECK(store_.empty());
+void KJoinIndex::IndexObjects() {
+  // Each object's full signature set, deduplicated per object, gathered
+  // per signature (objects are visited in index order, so every list
+  // ascends), then frozen into the store in ascending SigId order.
+  std::unordered_map<SigId, std::vector<int32_t>> lists;
+  std::vector<SigId> ids;
+  for (size_t slot = 0; slot < objects_.size(); ++slot) {
+    ids.clear();
+    for (const Signature& sig : signatures_.Generate(objects_[slot])) ids.push_back(sig.id);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    const int32_t index = base_total_ + static_cast<int32_t>(slot);
+    for (const SigId id : ids) lists[id].push_back(index);
+  }
   std::vector<SigId> keys;
-  keys.reserve(tail_.size());
-  for (const auto& [id, list] : tail_) keys.push_back(id);
+  keys.reserve(lists.size());
+  for (const auto& [id, list] : lists) keys.push_back(id);
   std::sort(keys.begin(), keys.end());
   PostingStore::Builder builder;
   for (const SigId id : keys) {
-    const std::vector<int32_t>& list = tail_.at(id);
+    const std::vector<int32_t>& list = lists.at(id);
     builder.Add(id, list.data(), static_cast<int32_t>(list.size()));
   }
   store_ = builder.Finish();
-  tail_.clear();
-  tail_entries_ = 0;
-}
-
-int32_t KJoinIndex::Insert(const Object& object) {
-  objects_.push_back(object);
-  const int32_t index = base_total_ + static_cast<int32_t>(objects_.size()) - 1;
-  IndexObject(index);
-  return index;
-}
-
-bool KJoinIndex::DeleteObject(int32_t index) {
-  KJOIN_CHECK(index >= 0 && index < num_indexed())
-      << "DeleteObject index " << index << " outside [0, " << num_indexed() << ")";
-  if (deleted(index)) return false;
-  dead_.insert(index);
-  ++total_dead_;
-  return true;
 }
 
 void KJoinIndex::CollectLayers(std::vector<const KJoinIndex*>* layers) const {
@@ -156,8 +150,7 @@ void KJoinIndex::CollectLayers(std::vector<const KJoinIndex*>* layers) const {
 std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBound& bound,
                                             SearchStats* stats) const {
   // The usual case is a flat index (one layer, no tombstones); deltas
-  // probe every layer's postings — the frozen CSR store plus the mutable
-  // tail of each.
+  // probe every layer's store.
   const KJoinIndex* flat[1] = {this};
   std::vector<const KJoinIndex*> chain;
   const KJoinIndex* const* layers = flat;
@@ -179,13 +172,11 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
     for (size_t l = 0; l < num_layers; ++l) {
       const int32_t slot = layers[l]->store_.Find(id);
       if (slot >= 0) df += layers[l]->store_.length(slot);
-      auto it = layers[l]->tail_.find(id);
-      if (it != layers[l]->tail_.end()) df += static_cast<int64_t>(it->second.size());
     }
     return df;
   };
   // Cache each signature's df before sorting: df_of walks every layer's
-  // store and tail per call, and the comparator would re-derive it
+  // store per call, and the comparator would re-derive it
   // O(s log s) times per probe (the probes-per-query factor of a sharded
   // scatter makes that per-probe cost visible).
   std::vector<std::pair<int64_t, Signature>> keyed(sigs.size());
@@ -262,11 +253,6 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
       const PostingStore& store = layers[l]->store_;
       const int32_t slot = store.Find(sigs[k].id);
       if (slot >= 0) simd::AccumulateCounts(store.docs(slot), store.length(slot), counts, touched);
-      auto it = layers[l]->tail_.find(sigs[k].id);
-      if (it != layers[l]->tail_.end()) {
-        simd::AccumulateCounts(it->second.data(), static_cast<int32_t>(it->second.size()),
-                               counts, touched);
-      }
     }
   }
 
@@ -323,14 +309,13 @@ void KJoinIndex::Flatten(std::vector<Object>* objects, RestoredParts* parts) con
   // Union of every layer's signatures, ascending, then one merged list
   // per signature fed straight to the CSR builder. Layers are ordered
   // deepest base first and each layer only indexes objects past its base,
-  // so concatenating per-layer lists (each layer: frozen store first,
-  // then its tail) keeps doc ids ascending without a sort.
+  // so concatenating per-layer lists keeps doc ids ascending without a
+  // sort.
   std::vector<SigId> keys;
   for (const KJoinIndex* layer : layers) {
     for (int32_t slot = 0; slot < layer->store_.num_lists(); ++slot) {
       keys.push_back(layer->store_.key(slot));
     }
-    for (const auto& [id, list] : layer->tail_) keys.push_back(id);
   }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -346,12 +331,6 @@ void KJoinIndex::Flatten(std::vector<Object>* objects, RestoredParts* parts) con
         const int32_t n = layer->store_.length(slot);
         for (int32_t v = 0; v < n; ++v) {
           if (dead.find(docs[v]) == dead.end()) merged.push_back(docs[v]);
-        }
-      }
-      auto it = layer->tail_.find(id);
-      if (it != layer->tail_.end()) {
-        for (const int32_t index : it->second) {
-          if (dead.find(index) == dead.end()) merged.push_back(index);
         }
       }
     }

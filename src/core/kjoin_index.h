@@ -1,19 +1,18 @@
 #ifndef KJOIN_CORE_KJOIN_INDEX_H_
 #define KJOIN_CORE_KJOIN_INDEX_H_
 
-// Knowledge-aware similarity *search*: index a collection once (and grow
-// it incrementally), then answer per-object queries.
+// Knowledge-aware similarity *search*: index a collection once, then
+// answer per-object queries.
 //
 // The paper's related work (§2.3) distinguishes joins from searches; the
 // same signature machinery supports both. KJoinIndex stores every indexed
 // object's FULL signature set in an inverted index; a query probes with
-// its own prefix only. That asymmetry keeps the index insertable and the
+// its own prefix only. That asymmetry keeps the index layerable and the
 // search complete: if a τ-similar indexed object shared no signature with
 // the query's prefix, all its common signatures would sit in the query's
 // suffix — which the prefix rules cap below the τ requirement.
 //
 //   KJoinIndex index(tree, options, objects);
-//   index.Insert(more_objects[i]);
 //   std::vector<SearchHit> hits;
 //   index.SearchTopK(query, /*k=*/0, options.tau, JoinControl{}, &hits);
 //
@@ -26,23 +25,18 @@
 // object indexes are never reused, deleted entries are skipped at probe
 // time and dropped when the chain is flattened.
 //
-// Thread safety: SearchTopK is safe for any number of concurrent callers
-// — every mutable state it touches (verifier and probe scratch) is
-// per-thread, and concurrent results are identical to serial execution.
-// Insert and DeleteObject mutate the index and require
-// external synchronization: no search may run concurrently with them
-// (serve/index_manager.h never mutates a published index; it layers a
-// delta over it instead). A base an immutable delta chain is built over
-// must no longer be mutated.
+// Thread safety: an index is immutable once constructed — every layer's
+// postings are built in its constructor, and a write is a new delta layer
+// over the published chain. SearchTopK is therefore safe for any number
+// of concurrent callers: every mutable state it touches (verifier and
+// probe scratch) is per-thread, and concurrent results are identical to
+// serial execution.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -148,18 +142,17 @@ struct SearchStats {
 
 class KJoinIndex {
  public:
-  // Copies `objects` into the index (it owns its collection so that
-  // Insert can grow it). The hierarchy must outlive the index. Options
-  // are interpreted as for KJoin; verify_mode/prunings control how
-  // candidates are checked at query time.
+  // Copies `objects` into the index. The hierarchy must outlive the
+  // index. Options are interpreted as for KJoin; verify_mode/prunings
+  // control how candidates are checked at query time.
   KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options, std::vector<Object> objects);
 
   // Snapshot/clone adoption: the inverted index and the LCA tables are
   // supplied instead of being re-derived from `objects` (serve/snapshot.h
   // restores them from disk; serve/index_manager.h shares them across
   // epochs). `lca` may be shared between indexes over the same hierarchy;
-  // `postings` is the frozen CSR store holding exactly the posting lists
-  // IndexObject would build; `tombstones` are the deleted object indexes
+  // `postings` is the CSR store holding exactly the posting lists the
+  // flat build would produce; `tombstones` are the deleted object indexes
   // (sorted or not).
   struct RestoredParts {
     std::shared_ptr<const LcaIndex> lca;  // null = build from the hierarchy
@@ -169,22 +162,14 @@ class KJoinIndex {
   KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options, std::vector<Object> objects,
              RestoredParts parts);
 
-  // Delta layer: an initially-empty index over `base` (which must no
-  // longer be mutated). Shares the base's hierarchy, options and LCA
-  // tables; Insert/DeleteObject touch only this layer, searches see the
-  // whole chain. Object indexes continue the base's numbering.
-  explicit KJoinIndex(std::shared_ptr<const KJoinIndex> base);
-
-  // Appends one object; it becomes immediately searchable. Returns its
-  // (chain-global) index. NOT safe to call concurrently with SearchTopK
-  // (see header).
-  int32_t Insert(const Object& object);
-
-  // Tombstones an object anywhere in the chain: it stops matching
-  // queries immediately and is dropped by the next Flatten(). Idempotent
-  // — returns false when the object was already deleted. `index` must be
-  // in [0, num_indexed()). NOT safe to call concurrently with SearchTopK.
-  bool DeleteObject(int32_t index);
+  // Delta layer over `base`: indexes `objects` (chain-global indexes
+  // continue the base's numbering), then tombstones every index in
+  // `tombstones`, each of which must be in [0, num_indexed()) of the new
+  // layer. An index already deleted lower in the chain, or listed twice,
+  // is a no-op. Shares the base's hierarchy, options and LCA tables;
+  // searches see the whole chain.
+  KJoinIndex(std::shared_ptr<const KJoinIndex> base, std::vector<Object> objects,
+             const std::vector<int32_t>& tombstones);
 
   // The one search entry point: the top-k most similar indexed objects
   // with SIMδ(query, object) >= min_similarity, in the documented total
@@ -242,8 +227,8 @@ class KJoinIndex {
     return layer->objects_[index - layer->base_total_];
   }
   // Objects stored by THIS layer only (the full collection for a flat
-  // index; the tail past the base for a delta). Snapshot writers flatten
-  // first (see Flatten).
+  // index; the objects past the base for a delta). Snapshot writers
+  // flatten first (see Flatten).
   const std::vector<Object>& objects() const { return objects_; }
   const KJoinOptions& options() const { return options_; }
   const Hierarchy& hierarchy() const { return *hierarchy_; }
@@ -251,7 +236,6 @@ class KJoinIndex {
   // Delta-chain observability: 0 for a flat index, layers above the
   // flat base otherwise.
   int delta_depth() const { return depth_; }
-  const std::shared_ptr<const KJoinIndex>& base() const { return base_; }
 
   // Collapses the chain into flat parts: the full object collection
   // (dead objects kept in place so indexes stay stable), merged postings
@@ -262,50 +246,13 @@ class KJoinIndex {
   // work.
   void Flatten(std::vector<Object>* objects, RestoredParts* parts) const;
 
-  // Posting entries stored by THIS layer (frozen + mutable tail). The
-  // serving layer sizes epochs by this; benches report it.
-  int64_t posting_entries() const { return store_.num_entries() + tail_entries_; }
-
-  // Calls fn(SigId, const int32_t* docs, int32_t count) for every posting
-  // list of THIS layer in ascending SigId order, frozen store and mutable
-  // tail merged (tail entries follow store entries; both halves ascend,
-  // so the combined list is ascending). The pointer is only valid during
-  // the call. This is the snapshot writer's traversal: SigId-sorted
-  // without building a map copy. Store lists are passed in place; only a
-  // store list that the tail extends is copied into scratch.
-  template <typename Fn>
-  void ForEachPosting(Fn&& fn) const {
-    std::vector<std::pair<SigId, const std::vector<int32_t>*>> tail_sorted;
-    tail_sorted.reserve(tail_.size());
-    for (const auto& [id, list] : tail_) tail_sorted.emplace_back(id, &list);
-    std::sort(tail_sorted.begin(), tail_sorted.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<int32_t> scratch;
-    size_t t = 0;
-    for (int32_t slot = 0; slot < store_.num_lists(); ++slot) {
-      const SigId id = store_.key(slot);
-      // Tail-only signatures below this store key first.
-      for (; t < tail_sorted.size() && tail_sorted[t].first < id; ++t) {
-        fn(tail_sorted[t].first, tail_sorted[t].second->data(),
-           static_cast<int32_t>(tail_sorted[t].second->size()));
-      }
-      const int32_t* docs = store_.docs(slot);
-      const int32_t n = store_.length(slot);
-      if (t < tail_sorted.size() && tail_sorted[t].first == id) {
-        const std::vector<int32_t>& extra = *tail_sorted[t].second;
-        scratch.assign(docs, docs + n);
-        scratch.insert(scratch.end(), extra.begin(), extra.end());
-        fn(id, scratch.data(), static_cast<int32_t>(scratch.size()));
-        ++t;
-      } else {
-        fn(id, docs, n);
-      }
-    }
-    for (; t < tail_sorted.size(); ++t) {
-      fn(tail_sorted[t].first, tail_sorted[t].second->data(),
-         static_cast<int32_t>(tail_sorted[t].second->size()));
-    }
-  }
+  // THIS layer's postings: signature -> objects of this layer carrying it
+  // (full sets, deduplicated per object, chain-global indexes, ascending
+  // SigId order). The snapshot writer serializes them as they are.
+  const PostingStore& postings() const { return store_; }
+  // Posting entries stored by THIS layer. The serving layer sizes epochs
+  // by this; benches report it.
+  int64_t posting_entries() const { return store_.num_entries(); }
 
   std::shared_ptr<const LcaIndex> shared_lca() const { return lca_; }
 
@@ -317,10 +264,9 @@ class KJoinIndex {
   // accounted in `stats` (which may be null).
   std::vector<int32_t> Candidates(const Object& query, const SearchBound& bound,
                                   SearchStats* stats) const;
-  void IndexObject(int32_t index);
-  // Moves the mutable tail into the frozen CSR store (only legal while
-  // the store is empty — the flat build path).
-  void FreezeTail();
+  // Builds store_ from this layer's objects (the flat build and the delta
+  // constructor; restores adopt a store instead).
+  void IndexObjects();
   void CollectLayers(std::vector<const KJoinIndex*>* layers) const;
 
   const Hierarchy* hierarchy_;
@@ -342,16 +288,10 @@ class KJoinIndex {
   SignatureGenerator signatures_;
   ObjectSimilarity object_sim_;
   Verifier verifier_;
-  // signature -> objects of THIS layer carrying it (full sets,
-  // deduplicated per object, chain-global indexes). The chain-summed
-  // list length doubles as the signature's document frequency for
-  // ordering query prefixes. Frozen lists live in the CSR store; objects
-  // inserted after the freeze go to the mutable tail (their indexes are
-  // strictly above everything frozen, so per-signature the concatenation
-  // store-then-tail stays ascending). Delta layers are tail-only.
+  // signature -> objects of THIS layer carrying it (see postings()). The
+  // chain-summed list length doubles as the signature's document
+  // frequency for ordering query prefixes.
   PostingStore store_;
-  std::unordered_map<SigId, std::vector<int32_t>> tail_;
-  int64_t tail_entries_ = 0;
 };
 
 }  // namespace kjoin

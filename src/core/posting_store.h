@@ -1,12 +1,12 @@
 #ifndef KJOIN_CORE_POSTING_STORE_H_
 #define KJOIN_CORE_POSTING_STORE_H_
 
-// Frozen CSR postings layout (docs/performance.md, "Filter engine").
+// CSR postings layout (docs/performance.md, "Frozen CSR postings").
 //
-// The mutable tail of a KJoinIndex keeps its unordered_map; everything
-// that has been frozen (the flat build, Flatten output, snapshot loads)
-// lives here instead, as the same three arrays the snapshot's POST
-// section stores:
+// Every KJoinIndex layer holds its postings here, built once when the
+// layer is constructed (the flat build, a delta layer, Flatten output,
+// snapshot loads), as the same three arrays the snapshot's POST section
+// stores:
 //
 //   keys_     SigId per list, strictly ascending — binary-searched
 //   offsets_  per-list cumulative doc counts (lists + 1 entries)
@@ -63,16 +63,14 @@ class PostingStore {
     return docs_.data() + offsets_[static_cast<size_t>(slot)];
   }
 
-  // Calls fn(SigId, const int32_t* docs, int32_t count) for every list in
-  // ascending SigId order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (int32_t slot = 0; slot < num_lists(); ++slot) fn(key(slot), docs(slot), length(slot));
-  }
+  // The three arrays whole, for the snapshot writer.
+  const std::vector<SigId>& keys() const { return keys_; }
+  const std::vector<int64_t>& offsets() const { return offsets_; }
+  const std::vector<int32_t>& all_docs() const { return docs_; }
 
  private:
   std::vector<SigId> keys_;
-  std::vector<int64_t> offsets_;
+  std::vector<int64_t> offsets_{0};
   std::vector<int32_t> docs_;
 };
 

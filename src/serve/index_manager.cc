@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -309,24 +310,23 @@ void IndexManager::ApplyBatches(std::vector<MutationBatch> batches) {
 
   int64_t inserted = 0;
   int64_t deleted = 0;
-  bool structural = false;
-  for (const MutationBatch& batch : batches) {
-    if (!batch.objects.empty() || !batch.deletes.empty()) structural = true;
+  std::vector<Object> objects;
+  std::vector<int32_t> deletes;
+  for (MutationBatch& batch : batches) {
+    std::move(batch.objects.begin(), batch.objects.end(), std::back_inserter(objects));
+    deletes.insert(deletes.end(), batch.deletes.begin(), batch.deletes.end());
   }
 
   std::shared_ptr<const KJoinIndex> next_index;
   int64_t published_bytes = 0;
-  if (structural) {
+  if (!objects.empty() || !deletes.empty()) {
     // Delta layer over the published index: the base's objects and
     // postings are shared, not copied, so this costs O(drained batches).
-    auto delta = std::make_shared<KJoinIndex>(current->index);
-    for (MutationBatch& batch : batches) {
-      for (int32_t index : batch.deletes) {
-        if (delta->DeleteObject(index)) ++deleted;
-      }
-      for (const Object& object : batch.objects) delta->Insert(object);
-      inserted += static_cast<int64_t>(batch.objects.size());
-    }
+    inserted = static_cast<int64_t>(objects.size());
+    auto delta = std::make_shared<const KJoinIndex>(current->index, std::move(objects), deletes);
+    // Repeated and already-deleted indexes tombstone nothing, so the
+    // live-count difference counts exactly the objects this drain hid.
+    deleted = current->index->num_live() + inserted - delta->num_live();
     published_bytes = PostingBytes(*delta);
     next_index = std::move(delta);
   } else {

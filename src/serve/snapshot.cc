@@ -109,24 +109,12 @@ void WriteSynonyms(const std::vector<std::pair<std::string, std::string>>& synon
   }
 }
 
-// Version-3 POST payload: the CSR form, three raw arrays. `traverse`
-// must call its callback once per list in ascending SigId order (both
-// posting sources — KJoinIndex::ForEachPosting and PostingStore::ForEach
-// — already traverse that way, so nothing is sorted here and identical
-// indexes serialize to identical bytes).
-template <typename Traverse>
-void WritePostings(const Traverse& traverse, ByteWriter* w) {
-  std::vector<SigId> keys;
-  std::vector<int64_t> list_offsets{0};
-  std::vector<int32_t> docs;
-  traverse([&](SigId id, const int32_t* list, int32_t count) {
-    keys.push_back(id);
-    docs.insert(docs.end(), list, list + count);
-    list_offsets.push_back(static_cast<int64_t>(docs.size()));
-  });
-  w->RawVec(keys);
-  w->RawVec(list_offsets);
-  w->RawVec(docs);
+// Version-3 POST payload: the CSR form, the store's three raw arrays
+// (keys ascend, so identical indexes serialize to identical bytes).
+void WritePostings(const PostingStore& postings, ByteWriter* w) {
+  w->RawVec(postings.keys());
+  w->RawVec(postings.offsets());
+  w->RawVec(postings.all_docs());
 }
 
 void WriteDurability(int64_t durable_seq, const std::vector<int32_t>& tombstones,
@@ -602,14 +590,7 @@ std::string SerializeIndexSnapshot(const SnapshotInput& input) {
   }
   {
     ByteWriter w;
-    // Both sources traverse ascending SigIds: the flattened chain through
-    // its freshly built CSR store, a flat live index through its frozen
-    // store merged with any post-freeze tail inserts.
-    if (collapse) {
-      WritePostings([&](auto&& fn) { flat_parts.postings.ForEach(fn); }, &w);
-    } else {
-      WritePostings([&](auto&& fn) { index.ForEachPosting(fn); }, &w);
-    }
+    WritePostings(collapse ? flat_parts.postings : index.postings(), &w);
     sections[6] = {kTagPostings, w.Take()};
   }
   {

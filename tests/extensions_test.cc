@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "baselines/naive_join.h"
 #include "core/clustering.h"
@@ -17,6 +21,8 @@
 namespace kjoin {
 namespace {
 
+using test::BruteForceSearch;
+using test::ExpectHitsMatchOracle;
 using test::SearchAll;
 using test::TopK;
 
@@ -88,17 +94,19 @@ TEST_F(SearchFixture, QueryWithUnknownTokensIsSafe) {
 }
 
 TEST_F(SearchFixture, InsertMakesObjectSearchable) {
-  // Start with the first half indexed, insert the second half, and check
-  // each inserted object finds itself and its duplicates.
-  std::vector<Object> half(prepared_.objects.begin(),
-                           prepared_.objects.begin() + prepared_.objects.size() / 2);
-  KJoinIndex index(data_.hierarchy, options_, std::move(half));
-  const int64_t before = index.num_indexed();
-  for (size_t i = static_cast<size_t>(before); i < prepared_.objects.size(); ++i) {
-    const int32_t at = index.Insert(prepared_.objects[i]);
-    ASSERT_EQ(at, static_cast<int32_t>(i));
-  }
+  // Start with the first half indexed, layer the second half over it, and
+  // check each layered object finds itself and its duplicates.
+  const auto half = static_cast<std::ptrdiff_t>(prepared_.objects.size() / 2);
+  const auto base = std::make_shared<const KJoinIndex>(
+      data_.hierarchy, options_,
+      std::vector<Object>(prepared_.objects.begin(), prepared_.objects.begin() + half));
+  const KJoinIndex index(
+      base, std::vector<Object>(prepared_.objects.begin() + half, prepared_.objects.end()), {});
   EXPECT_EQ(index.num_indexed(), static_cast<int64_t>(prepared_.objects.size()));
+  // Layered objects continue the base's numbering.
+  for (size_t i = static_cast<size_t>(half); i < prepared_.objects.size(); ++i) {
+    ASSERT_EQ(index.object_at(static_cast<int32_t>(i)).id, prepared_.objects[i].id) << i;
+  }
   // Every object must now retrieve itself as a perfect hit.
   for (int32_t q : {0, 100, 500, 863}) {
     const auto hits = SearchAll(index, prepared_.objects[q]);
@@ -109,18 +117,93 @@ TEST_F(SearchFixture, InsertMakesObjectSearchable) {
 }
 
 TEST_F(SearchFixture, InsertMatchesRebuiltIndex) {
-  std::vector<Object> half(prepared_.objects.begin(),
-                           prepared_.objects.begin() + 400);
-  KJoinIndex incremental(data_.hierarchy, options_, std::move(half));
-  for (size_t i = 400; i < prepared_.objects.size(); ++i) {
-    incremental.Insert(prepared_.objects[i]);
-  }
+  const auto base = std::make_shared<const KJoinIndex>(
+      data_.hierarchy, options_,
+      std::vector<Object>(prepared_.objects.begin(), prepared_.objects.begin() + 400));
+  const KJoinIndex layered(
+      base, std::vector<Object>(prepared_.objects.begin() + 400, prepared_.objects.end()), {});
   const KJoinIndex rebuilt(data_.hierarchy, options_, prepared_.objects);
   for (int32_t q = 0; q < 30; ++q) {
-    ASSERT_EQ(SearchAll(incremental, prepared_.objects[q]),
-              SearchAll(rebuilt, prepared_.objects[q]))
+    ASSERT_EQ(SearchAll(layered, prepared_.objects[q]), SearchAll(rebuilt, prepared_.objects[q]))
         << "query " << q;
   }
+}
+
+// A three-layer chain whose tombstones hit a base object, a middle-layer
+// object, an object its own layer inserted, one index twice (and one
+// already deleted lower down), and every carrier of one signature. Its
+// threshold and top-k answers, and those of the flat index rebuilt from
+// Flatten(), must equal brute force over the live objects.
+TEST_F(SearchFixture, DeltaChainWithTombstonesMatchesBruteForce) {
+  const std::vector<Object>& all = prepared_.objects;
+  const int32_t n = static_cast<int32_t>(all.size());
+  const int32_t a = n / 3;      // base: [0, a)
+  const int32_t b = 2 * n / 3;  // middle: [a, b); top: [b, n)
+  auto slice = [&](int32_t begin, int32_t end) {
+    return std::vector<Object>(all.begin() + begin, all.begin() + end);
+  };
+
+  // Every carrier of one signature: a short list of the index over all
+  // objects (chain-global indexes are collection positions).
+  const KJoinIndex whole(data_.hierarchy, options_, all);
+  std::vector<int32_t> carriers;
+  SigId emptied = 0;
+  for (int32_t slot = 0; slot < whole.postings().num_lists() && carriers.empty(); ++slot) {
+    const int32_t length = whole.postings().length(slot);
+    const int32_t* docs = whole.postings().docs(slot);
+    if (length >= 2 && length <= 4 && docs[0] < a && docs[length - 1] >= b) {
+      carriers.assign(docs, docs + length);
+      emptied = whole.postings().key(slot);
+    }
+  }
+  ASSERT_FALSE(carriers.empty()) << "no short signature list spans the chain";
+
+  const auto base = std::make_shared<const KJoinIndex>(data_.hierarchy, options_, slice(0, a));
+  const std::vector<int32_t> middle_dead = {3, a + 1, 3};
+  const auto middle = std::make_shared<const KJoinIndex>(base, slice(a, b), middle_dead);
+  std::vector<int32_t> top_dead = {a + 5, b + 2, 3};
+  top_dead.insert(top_dead.end(), carriers.begin(), carriers.end());
+  const auto top = std::make_shared<const KJoinIndex>(middle, slice(b, n), top_dead);
+  ASSERT_EQ(top->delta_depth(), 2);
+
+  std::vector<int32_t> tombstones = middle_dead;
+  tombstones.insert(tombstones.end(), top_dead.begin(), top_dead.end());
+  std::sort(tombstones.begin(), tombstones.end());
+  tombstones.erase(std::unique(tombstones.begin(), tombstones.end()), tombstones.end());
+  EXPECT_EQ(middle->num_live(), b - 2);
+  EXPECT_EQ(top->num_live(), n - static_cast<int64_t>(tombstones.size()));
+  for (const int32_t index : tombstones) EXPECT_TRUE(top->deleted(index)) << index;
+
+  std::vector<Object> flat_objects;
+  KJoinIndex::RestoredParts parts;
+  top->Flatten(&flat_objects, &parts);
+  EXPECT_EQ(parts.tombstones, tombstones);
+  EXPECT_EQ(parts.postings.Find(emptied), -1) << "a list of dead carriers only survived";
+  const KJoinIndex flat(data_.hierarchy, options_, std::move(flat_objects), std::move(parts));
+  EXPECT_EQ(flat.num_live(), top->num_live());
+
+  std::vector<int32_t> queries = tombstones;
+  for (int32_t q = 0; q < n; q += 23) queries.push_back(q);
+  int64_t total_hits = 0;
+  for (const int32_t q : queries) {
+    const Object& query = all[q];
+    const std::vector<SearchHit> expected =
+        BruteForceSearch(data_.hierarchy, all, query, options_, tombstones);
+    total_hits += static_cast<int64_t>(expected.size());
+    for (const KJoinIndex* index : {top.get(), &flat}) {
+      const std::string where =
+          std::string(index == &flat ? "flattened" : "chain") + " query " + std::to_string(q);
+      ExpectHitsMatchOracle(expected, TopK(*index, query, 0, options_.tau),
+                            where + " threshold");
+      for (const int32_t k : {1, 3}) {
+        ExpectHitsMatchOracle(
+            std::vector<SearchHit>(expected.begin(),
+                                   expected.begin() + std::min<size_t>(k, expected.size())),
+            TopK(*index, query, k, options_.tau), where + " top-" + std::to_string(k));
+      }
+    }
+  }
+  EXPECT_GT(total_hits, 0) << "the workload found no hits";
 }
 
 TEST_F(SearchFixture, CandidateCountIsBounded) {

@@ -2,15 +2,21 @@
 #define KJOIN_TESTS_SEARCH_HELPERS_H_
 
 // Test-side shorthands over KJoinIndex's one search entry point
-// (SearchTopK with a default JoinControl). A search that does not return
+// (SearchTopK with a default JoinControl), and the brute-force oracle
+// every search path is checked against. A search that does not return
 // OK fails the calling test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/element_similarity.h"
 #include "core/kjoin_index.h"
+#include "core/object_similarity.h"
+#include "hierarchy/lca.h"
 
 namespace kjoin::test {
 
@@ -26,6 +32,38 @@ inline std::vector<SearchHit> TopK(const KJoinIndex& index, const Object& query,
 // Every hit at or above the index's configured tau.
 inline std::vector<SearchHit> SearchAll(const KJoinIndex& index, const Object& query) {
   return TopK(index, query, 0, index.options().tau);
+}
+
+// Every live object whose similarity to `query` reaches tau, in HitBefore
+// order — computed pair by pair, sharing no filter or index code. Objects
+// are numbered by their position in `objects`; indexes in `tombstones`
+// are skipped. Its first k hits are the top-k answer.
+inline std::vector<SearchHit> BruteForceSearch(const Hierarchy& hierarchy,
+                                               const std::vector<Object>& objects,
+                                               const Object& query, const KJoinOptions& options,
+                                               const std::vector<int32_t>& tombstones = {}) {
+  const LcaIndex lca(hierarchy);
+  const ElementSimilarity element_sim(lca, options.element_metric);
+  const ObjectSimilarity object_sim(element_sim, options.delta, options.set_metric);
+  std::vector<SearchHit> hits;
+  for (int32_t i = 0; i < static_cast<int32_t>(objects.size()); ++i) {
+    if (std::find(tombstones.begin(), tombstones.end(), i) != tombstones.end()) continue;
+    const double similarity = object_sim.Similarity(query, objects[i]);
+    if (similarity >= options.tau - 1e-9) hits.push_back({i, similarity});
+  }
+  std::sort(hits.begin(), hits.end(), HitBefore);
+  return hits;
+}
+
+// Same hits in the same order, similarities within the verifier's 1e-9.
+inline void ExpectHitsMatchOracle(const std::vector<SearchHit>& expected,
+                                  const std::vector<SearchHit>& actual,
+                                  const std::string& where) {
+  ASSERT_EQ(expected.size(), actual.size()) << where;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].object_index, actual[i].object_index) << where << " hit " << i;
+    EXPECT_NEAR(expected[i].similarity, actual[i].similarity, 1e-9) << where << " hit " << i;
+  }
 }
 
 }  // namespace kjoin::test

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -201,20 +202,21 @@ TEST(SnapshotTest, SerializationIsDeterministic) {
   EXPECT_EQ(serve::SerializeIndexSnapshot(input), stack.bytes);
 }
 
-// A flat index keeps post-build inserts in its mutable tail, so the
-// writer merges each frozen store list with the tail entries that extend
-// it. Growing half the collection by Insert() must serialize to exactly
-// the bytes of the index built over all of it at once.
-TEST(SnapshotTest, FlatIndexGrownByInsertSerializesLikeOneBuiltAtOnce) {
+// A delta layer serializes through the collapse path (Flatten merges the
+// layers' stores). Layering half the collection over the other half must
+// serialize to exactly the bytes of the index built over all of it at
+// once.
+TEST(SnapshotTest, DeltaLayerSerializesLikeOneBuiltAtOnce) {
   ServeStack& stack = Stack();
   const std::vector<Object>& objects = stack.prepared.objects;
-  const size_t half = objects.size() / 2;
-  KJoinIndex grown(*stack.hierarchy, stack.index->options(),
-                   std::vector<Object>(objects.begin(), objects.begin() + half));
-  for (size_t i = half; i < objects.size(); ++i) grown.Insert(objects[i]);
-  ASSERT_EQ(grown.delta_depth(), 0);
+  const auto half = static_cast<std::ptrdiff_t>(objects.size() / 2);
+  const auto base = std::make_shared<const KJoinIndex>(
+      *stack.hierarchy, stack.index->options(),
+      std::vector<Object>(objects.begin(), objects.begin() + half));
+  const KJoinIndex layered(base, std::vector<Object>(objects.begin() + half, objects.end()), {});
+  ASSERT_EQ(layered.delta_depth(), 1);
   serve::SnapshotInput input;
-  input.index = &grown;
+  input.index = &layered;
   input.tokens = stack.prepared.builder->TokenTable();
   input.synonyms = stack.dataset.synonyms;
   EXPECT_EQ(serve::SerializeIndexSnapshot(input), stack.bytes);
@@ -507,34 +509,44 @@ TEST(SnapshotFaultTest, WriteFaultIsDataLossAndRemovesFile) {
 // ------------------------------------------- concurrent index search
 
 // Satellite of docs/serving.md: SearchTopK is safe for any number of
-// concurrent readers, and concurrency never changes answers. Runs
-// under the tsan preset.
+// concurrent readers, and concurrency never changes answers — on a flat
+// index and on a two-layer chain with tombstones. Runs under the tsan
+// preset.
 TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   ServeStack& stack = Stack();
   const std::vector<Object> queries = MakeQueries(stack.prepared.builder.get(), 24);
-  std::vector<std::vector<SearchHit>> serial(queries.size());
-  std::vector<std::vector<SearchHit>> serial_topk(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    serial[q] = SearchAll(*stack.index, queries[q]);
-    serial_topk[q] = TopK(*stack.index, queries[q], 3, 0.6);
-  }
+  const std::vector<Object>& objects = stack.prepared.objects;
+  const auto cut = static_cast<std::ptrdiff_t>(objects.size() * 2 / 3);
+  const auto base = std::make_shared<const KJoinIndex>(
+      *stack.hierarchy, stack.index->options(),
+      std::vector<Object>(objects.begin(), objects.begin() + cut));
+  const std::vector<int32_t> tombstones = {1, 5, 97, static_cast<int32_t>(cut) + 3};
+  const KJoinIndex chain(base, std::vector<Object>(objects.begin() + cut, objects.end()),
+                         tombstones);
 
-  constexpr int kThreads = 8;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t q = t % 3; q < queries.size(); ++q) {  // staggered starts
-        if (SearchAll(*stack.index, queries[q]) != serial[q]) mismatches.fetch_add(1);
-        if (TopK(*stack.index, queries[q], 3, 0.6) != serial_topk[q]) {
-          mismatches.fetch_add(1);
+  for (const KJoinIndex* index : {static_cast<const KJoinIndex*>(&*stack.index), &chain}) {
+    std::vector<std::vector<SearchHit>> serial(queries.size());
+    std::vector<std::vector<SearchHit>> serial_topk(queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      serial[q] = SearchAll(*index, queries[q]);
+      serial_topk[q] = TopK(*index, queries[q], 3, 0.6);
+    }
+
+    constexpr int kThreads = 8;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t q = t % 3; q < queries.size(); ++q) {  // staggered starts
+          if (SearchAll(*index, queries[q]) != serial[q]) mismatches.fetch_add(1);
+          if (TopK(*index, queries[q], 3, 0.6) != serial_topk[q]) mismatches.fetch_add(1);
         }
-      }
-    });
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << "delta depth " << index->delta_depth();
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // A top-k search that trips its deadline mid-scan still honors the
@@ -754,7 +766,9 @@ TEST(IndexManagerTest, RacingTokenTablesValidatedAppendOnly) {
 }
 
 TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(nullptr);
+  MetricsRegistry metrics;
+  std::unique_ptr<serve::IndexManager> manager = MakeManager(nullptr, &metrics);
+  const auto deletes = [&] { return metrics.counter("manager.deletes")->value(); };
   const Record& record = Stack().dataset.records[5];
   const Object self_query = Stack().prepared.builder->Build(-1, record.tokens);
 
@@ -769,6 +783,7 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
 
   ASSERT_TRUE(manager->DeleteObjects({5}).ok());
   manager->Flush();
+  EXPECT_EQ(deletes(), 1);
   const auto after_delete = manager->Acquire();
   EXPECT_FALSE(hit_indexes(after_delete).count(5));
   EXPECT_TRUE(after_delete->index->deleted(5));
@@ -777,12 +792,14 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
   ASSERT_TRUE(manager->DeleteObjects({5}).ok());
   manager->Flush();
   EXPECT_EQ(manager->Acquire()->index->num_live(), Stack().index->num_indexed() - 1);
+  EXPECT_EQ(deletes(), 1);
 
   // Update: object 6 moves to a fresh index in one published epoch.
   const Object replacement = Stack().prepared.builder->Build(
       6, Stack().dataset.records[6].tokens);
   ASSERT_TRUE(manager->UpdateObject(6, replacement).ok());
   manager->Flush();
+  EXPECT_EQ(deletes(), 2);
   const auto after_update = manager->Acquire();
   EXPECT_TRUE(after_update->index->deleted(6));
   const int32_t new_slot = static_cast<int32_t>(after_update->index->num_indexed()) - 1;
@@ -795,6 +812,12 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
   }
   EXPECT_FALSE(indexes.count(6));
   EXPECT_TRUE(indexes.count(new_slot));
+
+  // An index listed twice in one batch hides one object.
+  ASSERT_TRUE(manager->DeleteObjects({7, 7}).ok());
+  manager->Flush();
+  EXPECT_EQ(deletes(), 3);
+  EXPECT_EQ(manager->Acquire()->index->num_live(), Stack().index->num_indexed() - 2);
 
   // Bounds are validated before anything is acked.
   const Status oob = manager->DeleteObjects({static_cast<int32_t>(1 << 20)});

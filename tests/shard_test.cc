@@ -29,9 +29,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/kjoin_index.h"
-#include "core/object_similarity.h"
 #include "data/benchmark_suite.h"
-#include "hierarchy/lca.h"
 #include "serve/index_manager.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
@@ -40,6 +38,8 @@
 namespace kjoin {
 namespace {
 
+using test::BruteForceSearch;
+using test::ExpectHitsMatchOracle;
 using test::SearchAll;
 using test::TopK;
 
@@ -236,31 +236,6 @@ TEST(ShardDeterminismTest, ThresholdSearchAppliesFloorAboveTau) {
 
 // ------------------------------------------------- stale dictionaries
 
-// Every live object whose similarity to `query` reaches tau, in HitBefore
-// order — computed pair by pair, sharing no filter or index code.
-std::vector<SearchHit> BruteForceSearch(const std::vector<Object>& objects,
-                                        const Object& query, const KJoinOptions& options) {
-  const LcaIndex lca(*Stack().hierarchy);
-  const ElementSimilarity element_sim(lca, options.element_metric);
-  const ObjectSimilarity object_sim(element_sim, options.delta, options.set_metric);
-  std::vector<SearchHit> hits;
-  for (int32_t i = 0; i < static_cast<int32_t>(objects.size()); ++i) {
-    const double similarity = object_sim.Similarity(query, objects[i]);
-    if (similarity >= options.tau - 1e-9) hits.push_back({i, similarity});
-  }
-  std::sort(hits.begin(), hits.end(), HitBefore);
-  return hits;
-}
-
-void ExpectHitsMatchOracle(const std::vector<SearchHit>& expected,
-                           const std::vector<SearchHit>& actual, const std::string& where) {
-  ASSERT_EQ(expected.size(), actual.size()) << where;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].object_index, actual[i].object_index) << where << " hit " << i;
-    EXPECT_NEAR(expected[i].similarity, actual[i].similarity, 1e-9) << where << " hit " << i;
-  }
-}
-
 // Normalized labels of length 5-6 turned into unseen typos: each maps
 // back with φ = 1 − 1/len <= 0.834, below 1.
 std::vector<std::string> LabelTypos(const ObjectBuilder& builder,
@@ -329,7 +304,8 @@ TEST(StaleDictionaryTest, QueryBuiltBeforeInsertMatchesBruteForce) {
     }
     std::vector<Object> live = stack.prepared.objects;
     auto check = [&](const std::string& where) {
-      const std::vector<SearchHit> expected = BruteForceSearch(live, stale, options);
+      const std::vector<SearchHit> expected =
+          BruteForceSearch(*stack.hierarchy, live, stale, options);
       serve::QueryRequest request;
       request.query = stale;
       const serve::QueryResponse threshold = router.Search(request);
@@ -349,7 +325,8 @@ TEST(StaleDictionaryTest, QueryBuiltBeforeInsertMatchesBruteForce) {
     ASSERT_TRUE(manager.InsertBatch({live.back()}, builder.TokenTable()).ok());
     manager.Flush();
     check(name + " after insert");
-    const std::vector<SearchHit> after = BruteForceSearch(live, stale, options);
+    const std::vector<SearchHit> after =
+        BruteForceSearch(*stack.hierarchy, live, stale, options);
     ASSERT_FALSE(after.empty());
     EXPECT_EQ(after.front().object_index, static_cast<int32_t>(live.size()) - 1) << name;
   }

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -167,16 +169,14 @@ TEST(PostingStoreTest, BuildDecodeRoundTrip) {
       EXPECT_TRUE(std::equal(stored, stored + store.length(slot), docs.begin()));
     }
     EXPECT_EQ(store.Find(id + 1), -1);
-    // ForEach visits every list ascending with the same payloads.
-    size_t visited = 0;
-    store.ForEach([&](SigId key, const int32_t* docs, int32_t count) {
-      ASSERT_LT(visited, lists.size());
-      EXPECT_EQ(key, lists[visited].first);
-      ASSERT_EQ(count, static_cast<int32_t>(lists[visited].second.size()));
-      EXPECT_TRUE(std::equal(docs, docs + count, lists[visited].second.begin()));
-      ++visited;
-    });
-    EXPECT_EQ(visited, lists.size());
+    // Slots walk every list ascending with the same payloads.
+    for (int32_t slot = 0; slot < store.num_lists(); ++slot) {
+      const auto& [key, docs] = lists[static_cast<size_t>(slot)];
+      EXPECT_EQ(store.key(slot), key);
+      ASSERT_EQ(store.length(slot), static_cast<int32_t>(docs.size()));
+      EXPECT_TRUE(std::equal(store.docs(slot), store.docs(slot) + store.length(slot),
+                             docs.begin()));
+    }
   }
 }
 
@@ -265,15 +265,14 @@ TEST_F(SimdDispatchTest, IndexSearchIdenticalAtEveryLevelAndAfterInserts) {
   KJoinOptions options;
   options.delta = 0.8;
   options.tau = 0.7;
-  // Split: most objects frozen into the flat store, the rest inserted
-  // into the mutable tail — Search must cross both identically.
-  const size_t cut = prepared.objects.size() - 50;
-  std::vector<Object> base(prepared.objects.begin(),
-                           prepared.objects.begin() + static_cast<long>(cut));
-  KJoinIndex index(data.hierarchy, options, std::move(base));
-  for (size_t i = cut; i < prepared.objects.size(); ++i) {
-    index.Insert(prepared.objects[i]);
-  }
+  // Split: most objects in the flat base, the rest in a delta layer over
+  // it — Search must cross both layers' stores identically.
+  const auto cut = static_cast<std::ptrdiff_t>(prepared.objects.size() - 50);
+  const auto base = std::make_shared<const KJoinIndex>(
+      data.hierarchy, options,
+      std::vector<Object>(prepared.objects.begin(), prepared.objects.begin() + cut));
+  const KJoinIndex index(
+      base, std::vector<Object>(prepared.objects.begin() + cut, prepared.objects.end()), {});
 
   std::vector<std::vector<SearchHit>> baseline;
   simd::SetActiveLevelForTest(IsaLevel::kScalar);
