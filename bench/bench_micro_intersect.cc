@@ -1,12 +1,12 @@
-// Microbenchmark: the filter engine's count-pruning kernels (core/simd.h).
+// Microbenchmark: the filter engine's probe set (core/probe_set.h).
 //
 //   ./bench_micro_intersect [--reps 64] [--out micro_intersect.json]
 //
-// Count accumulation — the ScanCount feed (AccumulateCounts) plus the
-// thresholded extract (ExtractAndClearBlock), scalar vs dispatched, in
-// counter bumps per second. The dispatched extraction set is checked
-// against the scalar one: a mismatch flips identical=false in the JSON
-// (and the compare script treats that like a regression).
+// One probe's candidate generation: ProbeSet::Add over a handful of
+// posting lists, then Drain, in list entries per second. The drained ids
+// are checked against a std::set union of the lists: a mismatch flips
+// identical=false in the JSON (and the compare script treats that like a
+// regression).
 
 #include <chrono>
 #include <cstdint>
@@ -17,11 +17,9 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "core/simd.h"
+#include "core/probe_set.h"
 
 namespace {
-
-using kjoin::simd::IsaLevel;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -39,9 +37,8 @@ std::vector<int32_t> RandomList(kjoin::Rng& rng, int32_t len, int32_t universe) 
 }
 
 struct AccumulateRow {
-  double scalar_mops = 0.0;      // counter bumps/sec, scalar extract
-  double dispatched_mops = 0.0;  // counter bumps/sec, dispatched extract
-  int64_t survivors = 0;
+  double dispatched_mops = 0.0;  // list entries/sec, Add + Drain
+  int64_t survivors = 0;         // distinct ids drained per pass
   bool identical = true;
 };
 
@@ -49,80 +46,50 @@ struct AccumulateRow {
 
 int main(int argc, char** argv) {
   kjoin::FlagSet flags("bench_micro_intersect");
-  int64_t* reps = flags.Int("reps", 64, "timed passes / 4 per dispatch level");
+  int64_t* reps = flags.Int("reps", 64, "timed passes / 4");
   std::string* out = flags.String("out", "", "optional JSON report path");
   if (!flags.Parse(argc, argv)) return 1;
 
-  const IsaLevel best = kjoin::simd::MaxSupportedLevel();
-  std::printf("dispatch: max=%s active=%s\n", kjoin::simd::IsaLevelName(best),
-              kjoin::simd::IsaLevelName(kjoin::simd::ActiveLevel()));
-
   kjoin::Rng rng(20260808);
 
-  // ---- count accumulation + extraction ----
-  // Workload shaped like one probe: a handful of posting lists bump a
-  // dense counter array, then every touched block is threshold-extracted
-  // and cleared. Throughput is counter bumps per second (the accumulate
-  // loop dominates; the extract is charged to the same timer because the
-  // probe always pays both).
+  // Workload shaped like one probe: a handful of posting lists are added
+  // to the probe set, then every touched id is drained in ascending order
+  // (which clears the set). The drain is charged to the same timer
+  // because the probe always pays both.
   AccumulateRow acc;
   {
     constexpr int32_t kUniverse = 1 << 16;
     constexpr int kLists = 24;
     std::vector<std::vector<int32_t>> lists;
+    std::set<int32_t> reference;
     int64_t entries = 0;
     for (int l = 0; l < kLists; ++l) {
       lists.push_back(RandomList(rng, 4096, kUniverse));
+      reference.insert(lists.back().begin(), lists.back().end());
       entries += static_cast<int64_t>(lists.back().size());
     }
-    std::vector<uint8_t> counts(static_cast<size_t>(kUniverse), 0);
-    const int32_t num_blocks = kUniverse / kjoin::simd::kCounterBlock;
-    std::vector<uint64_t> touched(static_cast<size_t>(num_blocks + 63) / 64, 0);
-    std::vector<int32_t> extracted;
-    extracted.reserve(static_cast<size_t>(kUniverse));
-    const auto pass = [&](IsaLevel level) {
-      extracted.clear();
+    kjoin::ProbeSet probe_set;
+    probe_set.Reserve(kUniverse);
+    std::vector<int32_t> drained;
+    drained.reserve(static_cast<size_t>(kUniverse));
+    const auto pass = [&] {
+      drained.clear();
       for (const auto& list : lists) {
-        kjoin::simd::AccumulateCounts(list.data(), static_cast<int32_t>(list.size()),
-                                      counts.data(), touched.data());
+        probe_set.Add(list.data(), static_cast<int32_t>(list.size()));
       }
-      int32_t buf[kjoin::simd::kCounterBlock];
-      for (size_t w = 0; w < touched.size(); ++w) {
-        uint64_t bits = touched[w];
-        touched[w] = 0;
-        while (bits != 0) {
-          const int bit = __builtin_ctzll(bits);
-          bits &= bits - 1;
-          const int32_t begin =
-              static_cast<int32_t>(w * 64 + static_cast<size_t>(bit)) *
-              kjoin::simd::kCounterBlock;
-          const int32_t n = kjoin::simd::ExtractAndClearBlockAt(
-              level, counts.data() + begin, begin, kjoin::simd::kCounterBlock,
-              /*threshold=*/2, buf);
-          extracted.insert(extracted.end(), buf, buf + n);
-        }
-      }
-      return static_cast<int64_t>(extracted.size());
+      probe_set.Drain([&drained](int32_t id) { drained.push_back(id); });
     };
     const int acc_reps = static_cast<int>(*reps) * 4;
-    int64_t ref_survivors = 0;
-    double start = NowSeconds();
-    for (int rep = 0; rep < acc_reps; ++rep) ref_survivors = pass(IsaLevel::kScalar);
-    const double scalar_seconds = NowSeconds() - start;
-    start = NowSeconds();
-    int64_t survivors = 0;
-    for (int rep = 0; rep < acc_reps; ++rep) survivors = pass(best);
-    const double simd_seconds = NowSeconds() - start;
-    acc.identical = survivors == ref_survivors;
-    acc.survivors = survivors;
-    const double bumps = static_cast<double>(entries) * acc_reps;
-    acc.scalar_mops = scalar_seconds > 0.0 ? bumps / scalar_seconds / 1e6 : 0.0;
-    acc.dispatched_mops = simd_seconds > 0.0 ? bumps / simd_seconds / 1e6 : 0.0;
-    std::printf("accumulate+extract: scalar %.1f Mbumps/s | dispatched %.1f Mbumps/s "
-                "(%.2fx) | survivors=%lld identical=%s\n",
-                acc.scalar_mops, acc.dispatched_mops,
-                acc.scalar_mops > 0.0 ? acc.dispatched_mops / acc.scalar_mops : 0.0,
-                static_cast<long long>(acc.survivors), acc.identical ? "true" : "false");
+    const double start = NowSeconds();
+    for (int rep = 0; rep < acc_reps; ++rep) pass();
+    const double seconds = NowSeconds() - start;
+    acc.identical = drained == std::vector<int32_t>(reference.begin(), reference.end());
+    acc.survivors = static_cast<int64_t>(drained.size());
+    const double total_entries = static_cast<double>(entries) * acc_reps;
+    acc.dispatched_mops = seconds > 0.0 ? total_entries / seconds / 1e6 : 0.0;
+    std::printf("probe set add+drain: %.1f Mentries/s | survivors=%lld identical=%s\n",
+                acc.dispatched_mops, static_cast<long long>(acc.survivors),
+                acc.identical ? "true" : "false");
   }
 
   if (!out->empty()) {
@@ -132,12 +99,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"micro_intersect\": {\n");
-    std::fprintf(f, "    \"isa\": \"%s\",\n", kjoin::simd::IsaLevelName(best));
     std::fprintf(f,
-                 "    \"accumulate\": {\"scalar_mops\": %.1f, \"dispatched_mops\": %.1f, "
-                 "\"survivors\": %lld, \"identical\": %s}\n",
-                 acc.scalar_mops, acc.dispatched_mops,
-                 static_cast<long long>(acc.survivors), acc.identical ? "true" : "false");
+                 "    \"accumulate\": {\"dispatched_mops\": %.1f, \"survivors\": %lld, "
+                 "\"identical\": %s}\n",
+                 acc.dispatched_mops, static_cast<long long>(acc.survivors),
+                 acc.identical ? "true" : "false");
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out->c_str());

@@ -150,6 +150,16 @@ int main(int argc, char** argv) {
     bad_flag = "--tau must be in [0, 1]";
   } else if (*loops < 1) {
     bad_flag = "--loops must be >= 1";
+  } else if (*n < 1) {
+    bad_flag = "--n must be >= 1";
+  } else if (*clients < 1) {
+    bad_flag = "--clients must be >= 1";
+  } else if (*queries < 0) {
+    bad_flag = "--queries must be >= 0";
+  } else if (*insert < 0) {
+    bad_flag = "--insert must be >= 0";
+  } else if (*shards < 1) {
+    bad_flag = "--shards must be >= 1";
   }
   if (bad_flag != nullptr) {
     std::fprintf(stderr, "%s\n%s", bad_flag, flags.Usage().c_str());

@@ -108,12 +108,14 @@ if [[ $run_no_simd -eq 1 ]]; then
   # exercise the filter engine (the simd_test identity sweeps assert the
   # join results and JoinStats counters match the SIMD paths bit for bit;
   # the extensions_test and shard_test brute-force oracles check the
-  # search index's ScanCount probe on flat indexes and delta chains).
+  # search index's probe on flat indexes and delta chains; resilience_test
+  # drives the join's probe and sketch screen through byte-budget chunks
+  # and per-probe caps).
   echo "==> [no-simd] release suites with KJOIN_FORCE_SCALAR=1"
   cmake -B "$repo/build" -S "$repo" >/dev/null
   cmake --build "$repo/build" -j "$(nproc)" >/dev/null
   (cd "$repo/build" && KJOIN_FORCE_SCALAR=1 ctest --output-on-failure \
-    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test|extensions_test|shard_test)$')
+    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test|extensions_test|shard_test|resilience_test)$')
   echo "no-simd pass green"
 fi
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the release tree and runs the bench-regression harness, the
-# serving sections of bench_search and the count-pruning kernel
-# microbench (its accumulate-plus-extract sweep), merging all three into
+# serving sections of bench_search and the probe-set microbench (its
+# add-plus-drain sweep), merging all three into
 # one machine-readable report (default BENCH_PR10.json in the repo root).
 #
 #   scripts/run_bench.sh [out.json] [extra bench_regression flags...]

@@ -1,10 +1,12 @@
 #ifndef KJOIN_CORE_INVERTED_INDEX_H_
 #define KJOIN_CORE_INVERTED_INDEX_H_
 
-// The signature inverted index used for candidate generation (paper §3.3):
-// L(g) lists the objects whose *prefix* contains signature g. Keys are
-// dense global ranks (GlobalSignatureOrder), so lists live in one flat
-// vector.
+// A signature inverted index for the baselines' candidate generation
+// (paper §3.3): L(g) lists the objects whose *prefix* contains signature
+// g. Keys are dense global ranks (GlobalSignatureOrder), one vector per
+// rank. Only the FastJoin and SynonymJoin baselines use it; K-Join's own
+// filter probes a rank-keyed CSR (core/kjoin.cc) and KJoinIndex's
+// PostingStore, both through the ProbeSet (core/probe_set.h).
 
 #include <cstdint>
 #include <vector>

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/prefix.h"
-#include "core/simd.h"
+#include "core/probe_set.h"
 
 namespace kjoin {
 
@@ -329,7 +329,8 @@ void KJoin::VerifyCandidates(const std::vector<Object>& left,
           return;
         }
         const auto& [l, r] = candidates[k];
-        if (verifier_.Verify(left[l], right[r], left_plans[l], right_plans[r], vs)) {
+        if (verifier_.Verify(left[l], right[r], left_plans[l], right_plans[r], options_.tau,
+                             vs)) {
           similar[k] = 1;
         }
       }
@@ -404,10 +405,12 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   phase_timer.Restart();
   // Rank-keyed CSR over the indexed prefixes: one flat doc array plus a
   // rank -> [begin, end) offset table. Lists ascend by construction (the
-  // fill pass walks objects in order), which the self-join cutoff and the
-  // ScanCount accumulator both rely on. Built in a count + fill pass; a
-  // mid-build trip leaves the arrays inconsistent, but a tripped
-  // controller zeroes num_probes so they are never probed.
+  // fill pass walks objects in order), which the self-join cutoff relies
+  // on. Keys are dense ranks addressed directly, where a PostingStore
+  // binary-searches SigIds, so the two stores stay separate and share only
+  // the ProbeSet. Built in a count + fill pass; a mid-build trip leaves the
+  // arrays inconsistent, but a tripped controller zeroes num_probes so
+  // they are never probed.
   const int32_t num_ranks = order.num_signatures();
   const int32_t num_indexed = static_cast<int32_t>(left.size());
   std::vector<int64_t> rank_offset(static_cast<size_t>(num_ranks) + 1, 0);
@@ -457,14 +460,11 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   // (indexed id, probe id) pairs in probe order; self mode additionally
   // stops each posting list at the probe itself (ascending lists).
   //
-  // Each probe ScanCounts its prefix's posting lists into a dense
-  // per-shard counter array and extracts the touched objects in ascending
-  // order (simd.h kernels). The candidate SET per probe is identical to
-  // the old per-list dedup walk; within a probe the emission order is
-  // ascending-by-index instead of first-occurrence, which no consumer
-  // observes (verification restores candidate order, results are sets).
+  // Each probe adds its prefix's posting lists to the thread's ProbeSet
+  // and drains the touched objects in ascending order, so every object
+  // sharing a prefix signature with the probe is found once.
   //
-  // Every extracted pair then passes the verifier's Screen: the size
+  // Every drained pair then passes the verifier's Screen: the size
   // bound, and in pure mode with count_pruning the count bound, which
   // the two objects' sketches settle for most pairs. The screen reads the
   // flat records first (Prepared::screen) and a plan only when the
@@ -488,13 +488,8 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
                    std::vector<std::pair<int32_t, int32_t>>* out) {
     const size_t shard_base = out->size();
     ScreenTally& tally = screened[static_cast<size_t>(shard)];
-    // Counters stay all-zero between probes: extraction clears as it
-    // drains, so only touched blocks are ever revisited.
-    std::vector<uint8_t> counts(left.size(), 0);
-    const int64_t counter_blocks =
-        (static_cast<int64_t>(left.size()) + simd::kCounterBlock - 1) / simd::kCounterBlock;
-    std::vector<uint64_t> touched(static_cast<size_t>((counter_blocks + 63) / 64), 0);
-    int32_t block_buf[simd::kCounterBlock];
+    ProbeSet& probe_set = ThreadProbeSet();
+    probe_set.Reserve(num_indexed);
     // A probe's demands depend only on the partner's size: memoised per
     // probe, valid where demand_probe holds the probe's id.
     std::vector<PairDemand> demand(static_cast<size_t>(max_left_size) + 1);
@@ -512,53 +507,35 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
           const int32_t* list = rank_docs.data() + rank_offset[rank];
           int32_t n = static_cast<int32_t>(rank_offset[rank + 1] - rank_offset[rank]);
           if (self && n > 0 && list[n - 1] >= limit) {
-            // Ascending list: clip to entries below the probe BEFORE
-            // accumulating, so counters past the cutoff stay untouched.
+            // Ascending list: clip to entries below the probe.
             n = static_cast<int32_t>(std::lower_bound(list, list + n, limit) - list);
           }
-          simd::AccumulateCounts(list, n, counts.data(), touched.data());
+          probe_set.Add(list, n);
         }
         const ScreenRecord& probe_record = right_screen[p];
-        for (size_t w = 0; w < touched.size(); ++w) {
-          uint64_t bits = touched[w];
-          if (bits == 0) continue;
-          touched[w] = 0;
-          while (bits != 0) {
-            const int bit = __builtin_ctzll(bits);
-            bits &= bits - 1;
-            const int64_t block_begin =
-                (static_cast<int64_t>(w) * 64 + bit) * simd::kCounterBlock;
-            const int32_t len = static_cast<int32_t>(std::min<int64_t>(
-                simd::kCounterBlock, static_cast<int64_t>(left.size()) - block_begin));
-            const int32_t found = simd::ExtractAndClearBlock(
-                counts.data() + block_begin, static_cast<int32_t>(block_begin), len,
-                /*threshold=*/1, block_buf);
-            for (int32_t v = 0; v < found; ++v) {
-              const int32_t x = block_buf[v];
-              const ScreenRecord& record = left_screen[x];
-              if (demand_probe[record.size] != p) {
-                demand_probe[record.size] = p;
-                demand[record.size] = verifier_.Demand(record.size, probe_record.size);
-              }
-              switch (Verifier::Screen(demand[record.size], record.sketch, probe_record.sketch,
-                                       left_plans[x], right_plans[p])) {
-                case PairScreen::kVerify:
-                  out->emplace_back(x, p);
-                  break;
-                case PairScreen::kSizeBound:
-                  ++tally.size;
-                  break;
-                case PairScreen::kSketchBound:
-                  ++tally.sketch;
-                  ++tally.count;
-                  break;
-                case PairScreen::kCountBound:
-                  ++tally.count;
-                  break;
-              }
-            }
+        probe_set.Drain([&](int32_t x) {
+          const ScreenRecord& record = left_screen[x];
+          if (demand_probe[record.size] != p) {
+            demand_probe[record.size] = p;
+            demand[record.size] = verifier_.Demand(record.size, probe_record.size);
           }
-        }
+          switch (Verifier::Screen(demand[record.size], record.sketch, probe_record.sketch,
+                                   left_plans[x], right_plans[p])) {
+            case PairScreen::kVerify:
+              out->emplace_back(x, p);
+              break;
+            case PairScreen::kSizeBound:
+              ++tally.size;
+              break;
+            case PairScreen::kSketchBound:
+              ++tally.sketch;
+              ++tally.count;
+              break;
+            case PairScreen::kCountBound:
+              ++tally.count;
+              break;
+          }
+        });
         if (max_per_probe > 0 &&
             static_cast<int64_t>(out->size() - probe_base) > max_per_probe) {
           controller.Trip(

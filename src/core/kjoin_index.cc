@@ -7,7 +7,7 @@
 
 #include "common/logging.h"
 #include "core/prefix.h"
-#include "core/simd.h"
+#include "core/probe_set.h"
 
 namespace kjoin {
 
@@ -25,27 +25,6 @@ constexpr int kControlStride = 8;
 // The verifier's own accept tolerance is 1e-9; 1e-7 dominates it by two
 // orders while costing no measurable extra work.
 constexpr double kSearchBoundSlack = 1e-7;
-
-// Per-thread probe scratch (shared across all indexes the thread
-// searches): dense ScanCount counters plus the touched-block bitmap.
-// Invariant between calls: every counter is zero and every bitmap word is
-// zero — extraction restores both as it drains, so repeated searches
-// never re-touch cold memory.
-struct ProbeScratch {
-  std::vector<uint8_t> counts;
-  std::vector<uint64_t> touched;
-
-  void EnsureCapacity(int64_t num_objects) {
-    if (static_cast<int64_t>(counts.size()) < num_objects) {
-      counts.resize(static_cast<size_t>(num_objects), 0);
-      const int64_t blocks =
-          (num_objects + simd::kCounterBlock - 1) / simd::kCounterBlock;
-      touched.resize(static_cast<size_t>((blocks + 63) / 64), 0);
-    }
-  }
-};
-
-thread_local ProbeScratch tls_probe_scratch;
 
 }  // namespace
 
@@ -208,16 +187,14 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
   // the bound has risen past it).
   double level = options_.tau;
 
-  // ScanCount the prefix's posting lists into the dense counter array,
-  // then extract every object touched at least once, block by block in
-  // ascending index order; every consumer either sorts hits or treats
-  // candidates as a set. An object whose size rules it out at τ (the
-  // size bound, docs/THEORY.md) is dropped here: verification could only
-  // reject it, after building its grouping plan.
-  ProbeScratch& scratch = tls_probe_scratch;
-  scratch.EnsureCapacity(num_indexed());
-  uint8_t* counts = scratch.counts.data();
-  uint64_t* touched = scratch.touched.data();
+  // Add the prefix's posting lists to the thread's probe set, then drain
+  // every object touched at least once in ascending index order; every
+  // consumer either sorts hits or treats candidates as a set. An object
+  // whose size rules it out at τ (the size bound, docs/THEORY.md) is
+  // dropped here: verification could only reject it, after building its
+  // grouping plan.
+  ProbeSet& probe_set = ThreadProbeSet();
+  probe_set.Reserve(num_indexed());
 
   SigId previous = 0;
   bool have_previous = false;
@@ -252,38 +229,20 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
     for (size_t l = 0; l < num_layers; ++l) {
       const PostingStore& store = layers[l]->store_;
       const int32_t slot = store.Find(sigs[k].id);
-      if (slot >= 0) simd::AccumulateCounts(store.docs(slot), store.length(slot), counts, touched);
+      if (slot >= 0) probe_set.Add(store.docs(slot), store.length(slot));
     }
   }
 
   std::vector<int32_t> candidates;
-  const int64_t total = num_indexed();
-  const int64_t words =
-      ((total + simd::kCounterBlock - 1) / simd::kCounterBlock + 63) / 64;
-  int32_t buf[simd::kCounterBlock];
-  for (int64_t w = 0; w < words; ++w) {
-    uint64_t bits = touched[w];
-    touched[w] = 0;
-    while (bits != 0) {
-      const int bit = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const int64_t block_begin = (w * 64 + bit) * simd::kCounterBlock;
-      const int32_t len =
-          static_cast<int32_t>(std::min<int64_t>(simd::kCounterBlock, total - block_begin));
-      const int32_t n = simd::ExtractAndClearBlock(
-          counts + block_begin, static_cast<int32_t>(block_begin), len, 1, buf);
-      for (int32_t v = 0; v < n; ++v) {
-        if (check_dead && deleted(buf[v])) continue;
-        const int32_t size = object_at(buf[v]).size();
-        if (OverlapOutOfReach(
-                MinFuzzyOverlap(query.size(), size, options_.tau, options_.set_metric),
-                query.size(), size)) {
-          continue;
-        }
-        candidates.push_back(buf[v]);
-      }
+  probe_set.Drain([&](int32_t index) {
+    if (check_dead && deleted(index)) return;
+    const int32_t size = object_at(index).size();
+    if (OverlapOutOfReach(MinFuzzyOverlap(query.size(), size, options_.tau, options_.set_metric),
+                          query.size(), size)) {
+      return;
     }
-  }
+    candidates.push_back(index);
+  });
   return candidates;
 }
 
@@ -381,9 +340,11 @@ Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similar
     const std::vector<int32_t> candidates = Candidates(query, *bound, stats);
     candidate_count = static_cast<int64_t>(candidates.size());
     // One query, a stream of candidates: build the query's grouping plan
-    // once for the whole probe instead of once per verified pair.
+    // once for the whole probe instead of once per verified pair, and each
+    // candidate's into one plan reused across the loop.
     ObjectGroupPlan query_plan;
     verifier_.BuildPlan(query, &query_plan);
+    ObjectGroupPlan object_plan;
     int since_poll = 0;
     for (int32_t i : candidates) {
       if (++since_poll >= kControlStride) {
@@ -398,10 +359,9 @@ Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similar
       // also lose the k-th cut.
       const double threshold = std::max(options_.tau, bound->value() - kSearchBoundSlack);
       const Object& object = object_at(i);
-      bool similar;
       if (threshold > options_.tau) {
         // The size bound again at the raised threshold (Candidates applied
-        // it at τ): VerifyAt could only reject, so skip the plan building
+        // it at τ): Verify could only reject, so skip the plan building
         // and grouping outright.
         if (OverlapOutOfReach(
                 MinFuzzyOverlap(query.size(), object.size(), threshold, options_.set_metric),
@@ -410,12 +370,11 @@ Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similar
           continue;
         }
         if (stats != nullptr) ++stats->bound_raised_verifies;
-        similar = verifier_.VerifyAt(query, query_plan, object, threshold, &verify_stats);
-      } else {
-        similar =
-            verifier_.VerifyAt(query, query_plan, object, options_.tau, &verify_stats);
       }
-      if (!similar) continue;
+      verifier_.BuildPlan(object, &object_plan);
+      if (!verifier_.Verify(query, object, query_plan, object_plan, threshold, &verify_stats)) {
+        continue;
+      }
       const double similarity = object_sim_.Similarity(query, object);
       // The floor keeps the verifier's 1e-9 accept tolerance.
       if (similarity + 1e-9 < min_similarity) continue;

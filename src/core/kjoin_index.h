@@ -28,9 +28,9 @@
 // Thread safety: an index is immutable once constructed — every layer's
 // postings are built in its constructor, and a write is a new delta layer
 // over the published chain. SearchTopK is therefore safe for any number
-// of concurrent callers: every mutable state it touches (verifier and
-// probe scratch) is per-thread, and concurrent results are identical to
-// serial execution.
+// of concurrent callers: every mutable state it touches (the verifier's
+// scratch arena and the probe set, core/probe_set.h) is per-thread, and
+// concurrent results are identical to serial execution.
 
 #include <atomic>
 #include <cstdint>
@@ -135,7 +135,7 @@ struct SearchStats {
   // Candidates dropped before verification because their sizes cannot
   // reach the current bound: fuzzy overlap is a matching with per-pair
   // weights <= 1, so it never exceeds min(|x|, |y|); when the overlap the
-  // bound demands is above that, VerifyAt could only reject.
+  // bound demands is above that, Verify could only reject.
   int64_t bound_skipped_verifies = 0;
   VerifyStats verify;
 };

@@ -73,9 +73,6 @@ struct VerifyScratch {
   std::vector<int32_t> group_of_root;     // dense root -> raw group id
   std::vector<int32_t> elem_group_x, elem_group_y;
   std::vector<int32_t> group_left_count, group_right_count, group_final;
-  // Plans built on the fly by the plan-less Verify overload (tests and
-  // one-off callers); the join precomputes plans per object instead.
-  ObjectGroupPlan plan_x, plan_y;
 
   // ---- weighted count pruning ----
   std::vector<int32_t> tokens_left, tokens_right;
@@ -115,12 +112,6 @@ struct VerifyScratch {
     ClampRetainedCapacity(&consumed);
     ClampRetainedCapacity(&build_order);
     ClampRetainedCapacity(&built);
-    ClampRetainedCapacity(&plan_x.entries);
-    ClampRetainedCapacity(&plan_x.by_sig);
-    ClampRetainedCapacity(&plan_x.sigs);
-    ClampRetainedCapacity(&plan_y.entries);
-    ClampRetainedCapacity(&plan_y.by_sig);
-    ClampRetainedCapacity(&plan_y.sigs);
     ClampRetainedCapacity(&greedy.order);
     ClampRetainedCapacity(&greedy.left_used);
     ClampRetainedCapacity(&greedy.right_used);
@@ -685,9 +676,21 @@ bool Verifier::VerifyAdaptive(const Object& x, const Object& y, VerifyScratch* s
   return total_lower >= needed - kEps;
 }
 
-bool Verifier::VerifyWithPlans(const Object& x, const Object& y, double tau,
-                               const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
-                               VerifyScratch* scratch, VerifyStats* stats) const {
+namespace {
+
+VerifyScratch& ThreadScratch() {
+  static thread_local VerifyScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+bool Verifier::Verify(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
+                      const ObjectGroupPlan& plan_y, double tau, VerifyStats* stats) const {
+  KJOIN_DCHECK(tau >= options_.tau)
+      << "a verify threshold below the configured tau would be incomplete";
+  VerifyScratch* scratch = &ThreadScratch();
+  const ScratchGuard guard(scratch);
   ++stats->pairs_verified;
   const double needed = MinFuzzyOverlap(x.size(), y.size(), tau, options_.set_metric);
   if (needed <= kEps) {
@@ -729,51 +732,6 @@ bool Verifier::VerifyWithPlans(const Object& x, const Object& y, double tau,
   }
   if (similar) ++stats->results;
   return similar;
-}
-
-namespace {
-
-VerifyScratch& ThreadScratch() {
-  static thread_local VerifyScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-bool Verifier::Verify(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
-                      const ObjectGroupPlan& plan_y, VerifyStats* stats) const {
-  VerifyScratch& scratch = ThreadScratch();
-  const ScratchGuard guard(&scratch);
-  return VerifyWithPlans(x, y, options_.tau, plan_x, plan_y, &scratch, stats);
-}
-
-bool Verifier::Verify(const Object& x, const Object& y, VerifyStats* stats) const {
-  VerifyScratch& scratch = ThreadScratch();
-  const ScratchGuard guard(&scratch);
-  BuildPlan(x, &scratch.plan_x);
-  BuildPlan(y, &scratch.plan_y);
-  return VerifyWithPlans(x, y, options_.tau, scratch.plan_x, scratch.plan_y, &scratch, stats);
-}
-
-bool Verifier::VerifyAt(const Object& x, const Object& y, double tau,
-                        VerifyStats* stats) const {
-  KJOIN_DCHECK(tau >= options_.tau)
-      << "VerifyAt threshold below the configured tau would be incomplete";
-  VerifyScratch& scratch = ThreadScratch();
-  const ScratchGuard guard(&scratch);
-  BuildPlan(x, &scratch.plan_x);
-  BuildPlan(y, &scratch.plan_y);
-  return VerifyWithPlans(x, y, tau, scratch.plan_x, scratch.plan_y, &scratch, stats);
-}
-
-bool Verifier::VerifyAt(const Object& x, const ObjectGroupPlan& plan_x, const Object& y,
-                        double tau, VerifyStats* stats) const {
-  KJOIN_DCHECK(tau >= options_.tau)
-      << "VerifyAt threshold below the configured tau would be incomplete";
-  VerifyScratch& scratch = ThreadScratch();
-  const ScratchGuard guard(&scratch);
-  BuildPlan(y, &scratch.plan_y);
-  return VerifyWithPlans(x, y, tau, plan_x, scratch.plan_y, &scratch, stats);
 }
 
 double Verifier::ExactSimilarity(const Object& x, const Object& y) const {

@@ -141,31 +141,18 @@ class Verifier {
   Verifier(const ElementSimilarity& element_sim, const SignatureGenerator& signatures,
            VerifierOptions options);
 
-  // True iff SIMδ(x, y) >= τ. Thread-safe: every mutable state is in a
+  // True iff SIMδ(x, y) >= tau, given both objects' grouping plans
+  // (BuildPlan). The join builds each object's plan once and shares it,
+  // read-only, across all of its candidate pairs and verification shards;
+  // the search builds the query's plan once per probe. `tau` must be at
+  // least the configured options().tau: the join passes it, and the
+  // progressive top-k search raises it mid-query as the shared k-th-best
+  // bound tightens (core/kjoin_index.h, SearchBound). A higher tau means
+  // a higher required overlap, so every pruning lemma stays sound and
+  // rejections come earlier. Thread-safe: every mutable state is in a
   // per-thread scratch arena.
-  bool Verify(const Object& x, const Object& y, VerifyStats* stats) const;
-
-  // True iff SIMδ(x, y) >= tau, for a per-call threshold at or above the
-  // configured options().tau. The progressive top-k search raises its
-  // effective threshold mid-query as the shared k-th-best bound tightens
-  // (core/kjoin_index.h, SearchBound); a higher tau means a higher
-  // required overlap, so every pruning lemma stays sound and rejections
-  // come earlier.
-  bool VerifyAt(const Object& x, const Object& y, double tau, VerifyStats* stats) const;
-
-  // VerifyAt with x's grouping plan prebuilt (BuildPlan). The search
-  // probe loop verifies one query against a stream of candidates;
-  // building the query's plan once per probe instead of once per pair
-  // removes the dominant fixed cost of each verification. `tau` may
-  // equal the configured options().tau.
-  bool VerifyAt(const Object& x, const ObjectGroupPlan& plan_x, const Object& y,
-                double tau, VerifyStats* stats) const;
-
-  // Same, with the objects' precomputed grouping plans (BuildPlan). This
-  // is the join's hot path: plans are built once per object and shared,
-  // read-only, across all candidate pairs and verification shards.
   bool Verify(const Object& x, const Object& y, const ObjectGroupPlan& plan_x,
-              const ObjectGroupPlan& plan_y, VerifyStats* stats) const;
+              const ObjectGroupPlan& plan_y, double tau, VerifyStats* stats) const;
 
   // Fills `plan` for one object (signatures + argsort). The plan stays
   // valid as long as the object and the verifier's signature scheme do.
@@ -207,12 +194,6 @@ class Verifier {
   const VerifierOptions& options() const { return options_; }
 
  private:
-  // Shared tail of the Verify overloads (prunes + mode dispatch) at the
-  // given threshold (options_.tau for the plain overloads).
-  bool VerifyWithPlans(const Object& x, const Object& y, double tau,
-                       const ObjectGroupPlan& plan_x, const ObjectGroupPlan& plan_y,
-                       VerifyScratch* scratch, VerifyStats* stats) const;
-
   // Partitions both objects' elements into node-signature groups, merging
   // groups that share an element (plus mode). The partition is stored as
   // flat member arrays in the scratch (no per-group vectors).

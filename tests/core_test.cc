@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "core/object.h"
 #include "core/object_similarity.h"
 #include "core/prefix.h"
+#include "core/probe_set.h"
 #include "core/signature.h"
 #include "core/verifier.h"
 #include "data/benchmark_suite.h"
@@ -26,6 +28,7 @@
 #include "matching/hungarian.h"
 #include "text/entity_matcher.h"
 #include "text/tokenizer.h"
+#include "verify_helpers.h"
 
 namespace kjoin {
 namespace {
@@ -506,8 +509,8 @@ TEST_F(VerifierFixture, CountPruningPaperExampleS1S6) {
   options.weighted_count_pruning = false;
   const Verifier verifier(esim_, gen, options);
   VerifyStats stats;
-  EXPECT_FALSE(verifier.Verify(Make(1, {"BurgerKing", "MountainView"}),
-                               Make(6, {"Fastfood", "Manhattan"}), &stats));
+  EXPECT_FALSE(test::VerifyWithFreshPlans(verifier, Make(1, {"BurgerKing", "MountainView"}),
+                                          Make(6, {"Fastfood", "Manhattan"}), &stats));
   EXPECT_EQ(stats.pruned_by_count, 1);
   EXPECT_EQ(stats.hungarian_runs, 0);
 }
@@ -521,8 +524,8 @@ TEST_F(VerifierFixture, WeightedCountPruningPaperExampleS1S4) {
   options.tau = 0.6;
   const Verifier verifier(esim_, gen, options);
   VerifyStats stats;
-  EXPECT_FALSE(verifier.Verify(Make(1, {"BurgerKing", "MountainView"}),
-                               Make(4, {"PizzaHut", "KFC", "CA"}), &stats));
+  EXPECT_FALSE(test::VerifyWithFreshPlans(verifier, Make(1, {"BurgerKing", "MountainView"}),
+                                          Make(4, {"PizzaHut", "KFC", "CA"}), &stats));
   EXPECT_EQ(stats.pruned_by_count, 0);
   EXPECT_EQ(stats.pruned_by_weighted_count, 1);
   EXPECT_EQ(stats.hungarian_runs, 0);
@@ -537,8 +540,9 @@ TEST_F(VerifierFixture, AcceptsPaperAnswerS1S3) {
     options.mode = mode;
     const Verifier verifier(esim_, gen, options);
     VerifyStats stats;
-    EXPECT_TRUE(verifier.Verify(Make(1, {"BurgerKing", "MountainView"}),
-                                Make(3, {"Fastfood", "GoogleHeadquarters"}), &stats));
+    EXPECT_TRUE(test::VerifyWithFreshPlans(verifier, Make(1, {"BurgerKing", "MountainView"}),
+                                           Make(3, {"Fastfood", "GoogleHeadquarters"}),
+                                           &stats));
   }
 }
 
@@ -560,7 +564,7 @@ TEST_F(VerifierFixture, RejectsPaperSection52ExampleS8S9) {
     options.mode = mode;
     const Verifier verifier(esim_, gen, options);
     VerifyStats stats;
-    EXPECT_FALSE(verifier.Verify(s8, s9, &stats));
+    EXPECT_FALSE(test::VerifyWithFreshPlans(verifier, s8, s9, &stats));
   }
 }
 
@@ -595,7 +599,7 @@ TEST_F(VerifierFixture, AllModesAgreeOnRandomPairs) {
         options.weighted_count_pruning = pruning;
         const Verifier verifier(esim_, gen, options);
         VerifyStats stats;
-        ASSERT_EQ(verifier.Verify(x, y, &stats), expected)
+        ASSERT_EQ(test::VerifyWithFreshPlans(verifier, x, y, &stats), expected)
             << "trial " << trial << " mode " << static_cast<int>(mode) << " pruning "
             << pruning;
       }
@@ -637,7 +641,7 @@ TEST_F(VerifierFixture, AllModesAgreeOnRandomPlusModePairs) {
         options.weighted_count_pruning = pruning;
         const Verifier verifier(esim_, gen, options);
         VerifyStats stats;
-        ASSERT_EQ(verifier.Verify(x, y, &stats), expected)
+        ASSERT_EQ(test::VerifyWithFreshPlans(verifier, x, y, &stats), expected)
             << "trial " << trial << " mode " << static_cast<int>(mode) << " pruning "
             << pruning;
       }
@@ -647,8 +651,9 @@ TEST_F(VerifierFixture, AllModesAgreeOnRandomPlusModePairs) {
 
 TEST_F(VerifierFixture, PrecomputedPlansMatchPlanlessVerification) {
   // The join builds one ObjectGroupPlan per object and reuses it across
-  // every candidate pair; the plan-taking Verify overload must make the
-  // same decisions with the same counters as the plan-less one.
+  // every candidate pair; verifying with those reused plans must make the
+  // same decisions with the same counters as plans built fresh for the
+  // pair.
   Rng rng(777);
   const SignatureGenerator gen(tree_, ElementMetric::kKJoin, SignatureScheme::kNode, 0.6);
   std::vector<std::string> labels;
@@ -674,17 +679,19 @@ TEST_F(VerifierFixture, PrecomputedPlansMatchPlanlessVerification) {
 
     for (size_t i = 0; i < objects.size(); ++i) {
       for (size_t j = i + 1; j < objects.size(); ++j) {
-        VerifyStats planless, planned;
-        const bool a = verifier.Verify(objects[i], objects[j], &planless);
-        const bool b = verifier.Verify(objects[i], objects[j], plans[i], plans[j], &planned);
+        VerifyStats fresh, reused;
+        const bool a = test::VerifyWithFreshPlans(verifier, objects[i], objects[j], &fresh);
+        const bool b = verifier.Verify(objects[i], objects[j], plans[i], plans[j],
+                                       options.tau, &reused);
         ASSERT_EQ(a, b) << (plus ? "plus" : "pure") << " pair " << i << "," << j;
-        EXPECT_EQ(planless.pruned_by_count, planned.pruned_by_count);
-        EXPECT_EQ(planless.pruned_by_weighted_count, planned.pruned_by_weighted_count);
-        EXPECT_EQ(planless.accepted_by_lower_bound, planned.accepted_by_lower_bound);
-        EXPECT_EQ(planless.rejected_by_upper_bound, planned.rejected_by_upper_bound);
-        EXPECT_EQ(planless.hungarian_runs, planned.hungarian_runs);
-        EXPECT_EQ(planless.groups_pinned, planned.groups_pinned);
-        EXPECT_EQ(planless.results, planned.results);
+        EXPECT_EQ(fresh.pairs_verified, reused.pairs_verified);
+        EXPECT_EQ(fresh.pruned_by_count, reused.pruned_by_count);
+        EXPECT_EQ(fresh.pruned_by_weighted_count, reused.pruned_by_weighted_count);
+        EXPECT_EQ(fresh.accepted_by_lower_bound, reused.accepted_by_lower_bound);
+        EXPECT_EQ(fresh.rejected_by_upper_bound, reused.rejected_by_upper_bound);
+        EXPECT_EQ(fresh.hungarian_runs, reused.hungarian_runs);
+        EXPECT_EQ(fresh.groups_pinned, reused.groups_pinned);
+        EXPECT_EQ(fresh.results, reused.results);
       }
     }
   }
@@ -701,7 +708,7 @@ TEST_F(VerifierFixture, AdaptiveUsesEarlyTermination) {
   const Object a = Make(0, {"BurgerKing", "Pizza", "Manhattan", "CA"});
   const Object b = Make(1, {"BurgerKing", "Pizza", "Manhattan", "CA"});
   VerifyStats stats;
-  EXPECT_TRUE(verifier.Verify(a, b, &stats));
+  EXPECT_TRUE(test::VerifyWithFreshPlans(verifier, a, b, &stats));
   EXPECT_EQ(stats.hungarian_runs, 0);
   EXPECT_EQ(stats.accepted_by_lower_bound, 1);
 }
@@ -952,6 +959,55 @@ INSTANTIATE_TEST_SUITE_P(Modes, TokenTableTest, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& info) {
                            return info.param ? "Plus" : "Pure";
                          });
+
+// --------------------------------------------------------------- probe set
+
+TEST(ProbeSetTest, DrainVisitsTheUnionAscendingAndClears) {
+  Rng rng(73);
+  const int32_t n = 5000;  // two summary words, the second one partial
+  ProbeSet set;
+  set.Reserve(n);
+  const auto drain = [&set] {
+    std::vector<int32_t> docs;
+    set.Drain([&docs](int32_t doc) { docs.push_back(doc); });
+    return docs;
+  };
+  for (int iter = 0; iter < 100; ++iter) {
+    std::set<int32_t> expect;
+    const int lists = 1 + static_cast<int>(rng.NextUint64(6));
+    for (int l = 0; l < lists; ++l) {
+      std::set<int32_t> docs;
+      const uint64_t len = 1 + rng.NextUint64(600);
+      while (docs.size() < len) docs.insert(static_cast<int32_t>(rng.NextUint64(n)));
+      const std::vector<int32_t> list(docs.begin(), docs.end());
+      set.Add(list.data(), static_cast<int32_t>(list.size()));
+      expect.insert(list.begin(), list.end());
+    }
+    ASSERT_EQ(drain(), std::vector<int32_t>(expect.begin(), expect.end())) << "iter " << iter;
+    ASSERT_TRUE(drain().empty()) << "iter " << iter;
+  }
+
+  // Word and summary-word boundaries, each added twice.
+  const std::vector<int32_t> edges = {0, 63, 64, 4095, 4096, n - 1};
+  set.Add(edges.data(), static_cast<int32_t>(edges.size()));
+  set.Add(edges.data(), static_cast<int32_t>(edges.size()));
+  EXPECT_EQ(drain(), edges);
+  EXPECT_TRUE(drain().empty());
+
+  // Growing keeps what was added and adds only zero words.
+  const int32_t small = 7;
+  set.Add(&small, 1);
+  set.Reserve(70000);
+  const int32_t last = 69999;
+  set.Add(&last, 1);
+  EXPECT_EQ(drain(), (std::vector<int32_t>{small, last}));
+  EXPECT_TRUE(drain().empty());
+
+  // A visit that throws still leaves the set empty.
+  set.Add(edges.data(), static_cast<int32_t>(edges.size()));
+  EXPECT_THROW(set.Drain([](int32_t) { throw std::bad_alloc(); }), std::bad_alloc);
+  EXPECT_TRUE(drain().empty());
+}
 
 }  // namespace
 }  // namespace kjoin

@@ -17,6 +17,7 @@
 #include "data/dataset_io.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "search_helpers.h"
+#include "verify_helpers.h"
 
 namespace kjoin {
 namespace {
@@ -235,7 +236,7 @@ TEST_F(SearchFixture, ThresholdSearchAtTauIsTheVerifierScan) {
     std::vector<SearchHit> hits;
     VerifyStats stats;
     for (int32_t i = 0; i < static_cast<int32_t>(prepared_.objects.size()); ++i) {
-      if (verifier.Verify(query, prepared_.objects[i], &stats)) {
+      if (test::VerifyWithFreshPlans(verifier, query, prepared_.objects[i], &stats)) {
         hits.push_back({i, osim.Similarity(query, prepared_.objects[i])});
       }
     }

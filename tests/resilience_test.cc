@@ -443,6 +443,7 @@ TEST(ResourceGuardTest, ByteBudgetSpillsVerificationAndPreservesResults) {
   const DupWorkload& workload = DuplicateWorkload();
   for (int threads : {1, 2}) {
     const KJoin join(workload.data.hierarchy, ControlOptions(threads));
+    const JoinResult unbudgeted = join.SelfJoin(workload.prepared.objects);
     JoinControl control;
     control.candidate_byte_budget = 64 * static_cast<int64_t>(sizeof(std::pair<int32_t, int32_t>));
     JoinResult result;
@@ -452,6 +453,14 @@ TEST(ResourceGuardTest, ByteBudgetSpillsVerificationAndPreservesResults) {
     EXPECT_GT(result.stats.budget_spills, 0) << "threads=" << threads;
     EXPECT_GT(result.stats.verify_batches, 1) << "threads=" << threads;
     EXPECT_EQ(result.stats.stopped_phase, JoinPhase::kNone);
+    // Chunked probing screens exactly the pairs one unbudgeted pass does.
+    EXPECT_EQ(result.stats.candidates, unbudgeted.stats.candidates) << "threads=" << threads;
+    EXPECT_EQ(result.stats.size_filtered, unbudgeted.stats.size_filtered)
+        << "threads=" << threads;
+    EXPECT_EQ(result.stats.count_filtered, unbudgeted.stats.count_filtered)
+        << "threads=" << threads;
+    EXPECT_EQ(result.stats.sketch_filtered, unbudgeted.stats.sketch_filtered)
+        << "threads=" << threads;
   }
 }
 

@@ -2,10 +2,9 @@
 // core/posting_store.h). Two layers:
 //
 //  * property tests sweep random inputs through every IsaLevel the
-//    machine supports and assert each kernel family (count
-//    accumulate/extract, sketch overlap) is bit-identical to a
-//    straightforward scalar reference, and that a PostingStore hands
-//    back exactly the lists it was built from;
+//    machine supports and assert the sketch overlap kernel is
+//    bit-identical to a straightforward scalar reference, and that a
+//    PostingStore hands back exactly the lists it was built from;
 //  * end-to-end tests run the same self-join, R-S join and index Search
 //    under each forced dispatch level and assert identical result pairs
 //    AND identical JoinStats counters — the dispatch level must be
@@ -54,65 +53,6 @@ std::vector<int32_t> RandomDocs(Rng& rng, int32_t max_len, int32_t universe) {
     docs.insert(static_cast<int32_t>(rng.NextUint64(static_cast<uint64_t>(universe))));
   }
   return std::vector<int32_t>(docs.begin(), docs.end());
-}
-
-TEST(SimdKernelTest, AccumulateExtractMatchesReferenceAndClears) {
-  Rng rng(73);
-  const int32_t kUniverse = 4096;  // 32 counter blocks
-  const int32_t num_blocks = kUniverse / simd::kCounterBlock;
-  for (int iter = 0; iter < 100; ++iter) {
-    std::vector<uint8_t> counts(static_cast<size_t>(kUniverse), 0);
-    std::vector<uint64_t> touched((static_cast<size_t>(num_blocks) + 63) / 64, 0);
-    std::vector<int> reference(static_cast<size_t>(kUniverse), 0);
-    const int lists = 1 + static_cast<int>(rng.NextUint64(6));
-    for (int l = 0; l < lists; ++l) {
-      const std::vector<int32_t> docs = RandomDocs(rng, 600, kUniverse);
-      simd::AccumulateCounts(docs.data(), static_cast<int32_t>(docs.size()), counts.data(),
-                             touched.data());
-      for (int32_t d : docs) reference[static_cast<size_t>(d)]++;
-    }
-    // Every touched block must be marked.
-    for (int32_t d = 0; d < kUniverse; ++d) {
-      if (reference[static_cast<size_t>(d)] == 0) continue;
-      const int32_t blk = d / simd::kCounterBlock;
-      ASSERT_TRUE(touched[static_cast<size_t>(blk) / 64] & (1ull << (blk % 64)));
-    }
-    const int threshold = 1 + static_cast<int>(rng.NextUint64(3));
-    const IsaLevel level = SupportedLevels()[iter % SupportedLevels().size()];
-    std::vector<int32_t> got;
-    for (int32_t blk = 0; blk < num_blocks; ++blk) {
-      int32_t buf[simd::kCounterBlock];
-      const int32_t begin = blk * simd::kCounterBlock;
-      const int32_t n = simd::ExtractAndClearBlockAt(level, counts.data() + begin, begin,
-                                                     simd::kCounterBlock, threshold, buf);
-      got.insert(got.end(), buf, buf + n);
-    }
-    std::vector<int32_t> expect;
-    for (int32_t d = 0; d < kUniverse; ++d) {
-      if (reference[static_cast<size_t>(d)] >= threshold) expect.push_back(d);
-    }
-    EXPECT_EQ(got, expect) << "level=" << simd::IsaLevelName(level)
-                           << " threshold=" << threshold;
-    // Extraction clears as it goes: the array must be all-zero again.
-    EXPECT_EQ(std::count(counts.begin(), counts.end(), 0),
-              static_cast<long>(counts.size()));
-  }
-}
-
-TEST(SimdKernelTest, AccumulateSaturatesAt255) {
-  std::vector<uint8_t> counts(static_cast<size_t>(simd::kCounterBlock), 0);
-  uint64_t touched = 0;
-  const int32_t doc = 7;
-  for (int i = 0; i < 300; ++i) simd::AccumulateCounts(&doc, 1, counts.data(), &touched);
-  EXPECT_EQ(counts[7], 255);
-  for (IsaLevel level : SupportedLevels()) {
-    std::vector<uint8_t> copy = counts;
-    int32_t buf[simd::kCounterBlock];
-    const int32_t n = simd::ExtractAndClearBlockAt(level, copy.data(), 0,
-                                                   simd::kCounterBlock, 255, buf);
-    ASSERT_EQ(n, 1) << simd::IsaLevelName(level);
-    EXPECT_EQ(buf[0], 7);
-  }
 }
 
 TEST(SimdKernelTest, SketchMinSumMatchesScalarAtEveryLevel) {
