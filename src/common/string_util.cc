@@ -13,15 +13,20 @@ std::string ToLowerAscii(std::string_view text) {
 }
 
 std::vector<std::string> Split(std::string_view text, char separator) {
-  std::vector<std::string> pieces;
+  std::vector<std::string_view> views;
+  SplitViews(text, separator, &views);
+  return {views.begin(), views.end()};
+}
+
+void SplitViews(std::string_view text, char separator, std::vector<std::string_view>* pieces) {
+  pieces->clear();
   size_t start = 0;
   for (size_t i = 0; i <= text.size(); ++i) {
     if (i == text.size() || text[i] == separator) {
-      pieces.emplace_back(text.substr(start, i - start));
+      pieces->push_back(text.substr(start, i - start));
       start = i + 1;
     }
   }
-  return pieces;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view text) {

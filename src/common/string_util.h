@@ -16,6 +16,10 @@ std::string ToLowerAscii(std::string_view text);
 // Splits on a single separator character; empty pieces are kept.
 std::vector<std::string> Split(std::string_view text, char separator);
 
+// Split without copies: the pieces are views into `text`, which must
+// outlive them, written over `pieces` so a caller reuses its capacity.
+void SplitViews(std::string_view text, char separator, std::vector<std::string_view>* pieces);
+
 // Splits on runs of whitespace; empty pieces are dropped.
 std::vector<std::string> SplitWhitespace(std::string_view text);
 

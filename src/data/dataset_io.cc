@@ -1,5 +1,6 @@
 #include "data/dataset_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "common/fault_injection.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace kjoin {
@@ -37,12 +39,16 @@ std::string SerializeDataset(const Dataset& dataset) {
 StatusOr<Dataset> ParseDataset(std::string_view text, std::string name) {
   Dataset dataset;
   dataset.name = std::move(name);
+  std::vector<std::string_view> fields;  // views into `text`, reused per line
+  std::string number;                    // a NUL-terminated copy for strtol
   int line_number = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
+  for (size_t start = 0; start <= text.size();) {
+    const size_t newline = std::min(text.find('\n', start), text.size());
+    const std::string_view line = StripAsciiWhitespace(text.substr(start, newline - start));
+    start = newline + 1;
     ++line_number;
-    const std::string_view line = StripAsciiWhitespace(raw_line);
     if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> fields = Split(line, '\t');
+    SplitViews(line, '\t', &fields);
     if (fields[0] == "S") {
       if (fields.size() != 3) {
         return ParseError(dataset.name, line_number,
@@ -60,12 +66,15 @@ StatusOr<Dataset> ParseDataset(std::string_view text, std::string name) {
         return ParseError(dataset.name, line_number,
                           "record lines need a cluster and >= 1 token");
       }
+      // strtol over the whole field, as on the field's own string.
+      number.assign(fields[1]);
       char* end = nullptr;
       errno = 0;
-      const long cluster = std::strtol(fields[1].c_str(), &end, 10);
-      if (end == fields[1].c_str() || *end != '\0' || errno == ERANGE ||
+      const long cluster = std::strtol(number.c_str(), &end, 10);
+      if (end == number.c_str() || *end != '\0' || errno == ERANGE ||
           cluster > INT32_MAX || cluster < INT32_MIN) {
-        return ParseError(dataset.name, line_number, "bad cluster '" + fields[1] + "'");
+        return ParseError(dataset.name, line_number,
+                          "bad cluster '" + std::string(fields[1]) + "'");
       }
       Record record;
       record.id = static_cast<int32_t>(dataset.records.size());
@@ -81,7 +90,7 @@ StatusOr<Dataset> ParseDataset(std::string_view text, std::string name) {
       continue;
     }
     return ParseError(dataset.name, line_number,
-                      "unknown line type '" + fields[0] + "'");
+                      "unknown line type '" + std::string(fields[0]) + "'");
   }
   return dataset;
 }
@@ -104,12 +113,11 @@ StatusOr<Dataset> ReadDatasetFile(const std::string& path) {
   if (!in || KJOIN_FAULT_POINT("dataset_io/open_fail")) {
     return NotFoundError("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad() || KJOIN_FAULT_POINT("dataset_io/short_read")) {
+  std::string bytes;
+  if (!ReadStreamToString(in, path, &bytes) || KJOIN_FAULT_POINT("dataset_io/short_read")) {
     return DataLossError("read failed for " + path);
   }
-  return ParseDataset(buffer.str(), path);
+  return ParseDataset(bytes, path);
 }
 
 }  // namespace kjoin

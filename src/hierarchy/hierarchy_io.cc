@@ -1,10 +1,12 @@
 #include "hierarchy/hierarchy_io.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/fault_injection.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "hierarchy/hierarchy_builder.h"
 
@@ -33,30 +35,43 @@ std::string SerializeHierarchy(const Hierarchy& hierarchy) {
 StatusOr<Hierarchy> ParseHierarchy(std::string_view text, std::string_view source_name) {
   std::vector<NodeId> parents;
   std::vector<std::string> labels;
+  std::vector<std::string_view> fields;  // views into `text`, reused per line
+  std::string number;                    // a NUL-terminated copy for strtol
+  // strtol over a whole field, as on the field's own string: leading
+  // whitespace and a sign are accepted, trailing bytes are not.
+  auto parse_id = [&](std::string_view field, long* value) {
+    number.assign(field);
+    char* end = nullptr;
+    *value = std::strtol(number.c_str(), &end, 10);
+    return end != number.c_str() && *end == '\0';
+  };
   int line_number = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
+  for (size_t start = 0; start <= text.size();) {
+    const size_t newline = std::min(text.find('\n', start), text.size());
+    const std::string_view line = StripAsciiWhitespace(text.substr(start, newline - start));
+    start = newline + 1;
     ++line_number;
-    const std::string_view line = StripAsciiWhitespace(raw_line);
     if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> fields = Split(line, '\t');
+    SplitViews(line, '\t', &fields);
     if (fields.size() != 3) {
       return ParseError(source_name, line_number,
                         "expected 3 tab-separated fields, got " +
                             std::to_string(fields.size()));
     }
-    char* end = nullptr;
-    const long id = std::strtol(fields[0].c_str(), &end, 10);
-    if (end == fields[0].c_str() || *end != '\0') {
-      return ParseError(source_name, line_number, "bad node id '" + fields[0] + "'");
+    long id = 0;
+    if (!parse_id(fields[0], &id)) {
+      return ParseError(source_name, line_number, "bad node id '" + std::string(fields[0]) + "'");
     }
     if (id != static_cast<long>(parents.size())) {
       return ParseError(source_name, line_number,
                         "ids must be dense and ascending: expected " +
-                            std::to_string(parents.size()) + ", got '" + fields[0] + "'");
+                            std::to_string(parents.size()) + ", got '" +
+                            std::string(fields[0]) + "'");
     }
-    const long parent = std::strtol(fields[1].c_str(), &end, 10);
-    if (end == fields[1].c_str() || *end != '\0') {
-      return ParseError(source_name, line_number, "bad parent id '" + fields[1] + "'");
+    long parent = 0;
+    if (!parse_id(fields[1], &parent)) {
+      return ParseError(source_name, line_number,
+                        "bad parent id '" + std::string(fields[1]) + "'");
     }
     if (id == 0) {
       if (parent != -1) {
@@ -71,7 +86,7 @@ StatusOr<Hierarchy> ParseHierarchy(std::string_view text, std::string_view sourc
       return ParseError(source_name, line_number, "label is not valid UTF-8");
     }
     parents.push_back(static_cast<NodeId>(parent));
-    labels.push_back(fields[2]);
+    labels.emplace_back(fields[2]);
   }
   if (parents.empty()) {
     return InvalidArgumentError(std::string(source_name) + ": hierarchy text has no nodes");
@@ -99,12 +114,11 @@ StatusOr<Hierarchy> ReadHierarchyFile(const std::string& path) {
   if (!in || KJOIN_FAULT_POINT("hierarchy_io/open_fail")) {
     return NotFoundError("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad() || KJOIN_FAULT_POINT("hierarchy_io/short_read")) {
+  std::string bytes;
+  if (!ReadStreamToString(in, path, &bytes) || KJOIN_FAULT_POINT("hierarchy_io/short_read")) {
     return DataLossError("read failed for " + path);
   }
-  return ParseHierarchy(buffer.str(), path);
+  return ParseHierarchy(bytes, path);
 }
 
 }  // namespace kjoin

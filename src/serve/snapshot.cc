@@ -679,6 +679,9 @@ QueryPipeline MakeQueryPipeline(const LoadedIndex& loaded, double min_phi) {
   const KJoinOptions& options = loaded.index->options();
   EntityMatcherOptions matcher_options;
   matcher_options.min_phi = min_phi > 0.0 ? min_phi : options.delta;
+  // A K-Join index maps tokens with MatchOne only, which never reads the
+  // q-gram index; without this the first lookup would still build it.
+  matcher_options.enable_approximate = options.plus_mode;
   QueryPipeline pipeline;
   pipeline.matcher = std::make_unique<EntityMatcher>(*loaded.hierarchy, matcher_options);
   for (const auto& [alias, node_label] : loaded.synonyms) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -29,75 +28,95 @@ std::string NormalizeLabel(std::string_view label) {
 
 }  // namespace
 
+void EntityMatcher::NodeTable::StartKey(std::string key) {
+  keys.push_back(std::move(key));
+  offsets.push_back(offsets.back());
+}
+
+void EntityMatcher::NodeTable::AppendNode(NodeId node) {
+  nodes.push_back(node);
+  ++offsets.back();
+}
+
+int32_t EntityMatcher::NodeTable::Find(std::string_view key) const {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return -1;
+  return static_cast<int32_t>(it - keys.begin());
+}
+
 EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions options)
     : hierarchy_(&hierarchy), options_(options) {
   KJOIN_CHECK_GT(options_.max_matches, 0);
-  std::unordered_map<std::string, std::vector<NodeId>> by_label;
-  for (NodeId v = 1; v < hierarchy.num_nodes(); ++v) {
-    std::string normalized = NormalizeLabel(hierarchy.label(v));
-    if (normalized.empty()) continue;
-    by_label[std::move(normalized)].push_back(v);
+  // One sort of the labelled nodes by (normalized label, node) groups each
+  // label's nodes in ascending order.
+  const auto n = static_cast<size_t>(hierarchy.num_nodes());
+  std::vector<std::string> normalized(n);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  for (NodeId v = 1; v < static_cast<NodeId>(n); ++v) {
+    normalized[static_cast<size_t>(v)] = NormalizeLabel(hierarchy.label(v));
+    if (!normalized[static_cast<size_t>(v)].empty()) order.push_back(v);
   }
-  entries_.reserve(by_label.size());
-  for (auto& [label, nodes] : by_label) {
-    entries_.push_back({label, std::move(nodes)});
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    const int c = normalized[static_cast<size_t>(a)].compare(normalized[static_cast<size_t>(b)]);
+    return c < 0 || (c == 0 && a < b);
+  });
+  for (const NodeId v : order) {
+    std::string& label = normalized[static_cast<size_t>(v)];
+    if (labels_.keys.empty() || labels_.keys.back() != label) labels_.StartKey(std::move(label));
+    labels_.AppendNode(v);
   }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const LabelEntry& a, const LabelEntry& b) { return a.normalized < b.normalized; });
 }
 
 int EntityMatcher::AddSynonym(std::string_view alias, std::string_view node_label) {
   KJOIN_CHECK(!frozen_.load(std::memory_order_relaxed))
       << "register synonyms before the first lookup";
-  const std::string normalized_alias = NormalizeLabel(alias);
-  const int32_t entry = FindEntry(NormalizeLabel(node_label));
+  std::string normalized_alias = NormalizeLabel(alias);
+  const int32_t entry = labels_.Find(NormalizeLabel(node_label));
   if (entry < 0 || normalized_alias.empty()) return 0;
-  auto it = std::lower_bound(synonyms_.begin(), synonyms_.end(), normalized_alias,
-                             [](const auto& a, const std::string& key) { return a.first < key; });
-  if (it == synonyms_.end() || it->first != normalized_alias) {
-    it = synonyms_.insert(it, {normalized_alias, {}});
-  }
-  for (NodeId node : entries_[entry].nodes) {
-    if (std::find(it->second.begin(), it->second.end(), node) == it->second.end()) {
-      it->second.push_back(node);
+  pending_synonyms_.emplace_back(std::move(normalized_alias), entry);
+  return static_cast<int>(labels_.NodesOf(entry).size());
+}
+
+void EntityMatcher::Finalize() const {
+  std::call_once(finalize_once_, [this] {
+    frozen_.store(true, std::memory_order_relaxed);
+    // A stable sort keeps each alias's registrations in order; an alias
+    // registered twice for the same node keeps its first position.
+    std::stable_sort(pending_synonyms_.begin(), pending_synonyms_.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (auto& [alias, entry] : pending_synonyms_) {
+      if (synonyms_.keys.empty() || synonyms_.keys.back() != alias) {
+        synonyms_.StartKey(std::move(alias));
+      }
+      const int32_t group = synonyms_.offsets[synonyms_.offsets.size() - 2];
+      for (const NodeId node : labels_.NodesOf(entry)) {
+        if (std::find(synonyms_.nodes.begin() + group, synonyms_.nodes.end(), node) ==
+            synonyms_.nodes.end()) {
+          synonyms_.AppendNode(node);
+        }
+      }
     }
-  }
-  return static_cast<int>(it->second.size());
-}
-
-int32_t EntityMatcher::FindEntry(std::string_view normalized) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), normalized,
-      [](const LabelEntry& entry, std::string_view key) { return entry.normalized < key; });
-  if (it == entries_.end() || it->normalized != normalized) return -1;
-  return static_cast<int32_t>(it - entries_.begin());
-}
-
-void EntityMatcher::EnsureApproxIndex() const {
-  std::call_once(approx_once_, [this] {
-    std::vector<std::string> labels;
-    labels.reserve(entries_.size());
-    for (const LabelEntry& entry : entries_) labels.push_back(entry.normalized);
-    approx_index_ = std::make_unique<QGramIndex>(std::move(labels), options_.qgram_q);
+    pending_synonyms_ = {};
+    if (options_.enable_approximate) approx_index_ = std::make_unique<QGramIndex>(labels_.keys);
   });
 }
 
 std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const {
-  Freeze();
+  Finalize();
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return std::nullopt;
-  const int32_t entry = FindEntry(normalized);
-  if (entry >= 0) return EntityMatch{entries_[entry].nodes.front(), 1.0};
-  auto it = std::lower_bound(synonyms_.begin(), synonyms_.end(), normalized,
-                             [](const auto& a, const std::string& key) { return a.first < key; });
-  if (it != synonyms_.end() && it->first == normalized) {
-    return EntityMatch{it->second.front(), 1.0};
+  if (const int32_t entry = labels_.Find(normalized); entry >= 0) {
+    return EntityMatch{labels_.NodesOf(entry).front(), 1.0};
+  }
+  if (const int32_t alias = synonyms_.Find(normalized); alias >= 0) {
+    return EntityMatch{synonyms_.NodesOf(alias).front(), 1.0};
   }
   return std::nullopt;
 }
 
 std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
-  Freeze();
+  Finalize();
   std::vector<EntityMatch> matches;
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return matches;
@@ -112,35 +131,34 @@ std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
     matches.push_back({node, phi});
   };
 
-  const int32_t entry = FindEntry(normalized);
-  if (entry >= 0) {
-    for (NodeId node : entries_[entry].nodes) add(node, 1.0);
+  if (const int32_t entry = labels_.Find(normalized); entry >= 0) {
+    for (const NodeId node : labels_.NodesOf(entry)) add(node, 1.0);
   }
-  auto it = std::lower_bound(synonyms_.begin(), synonyms_.end(), normalized,
-                             [](const auto& a, const std::string& key) { return a.first < key; });
-  if (it != synonyms_.end() && it->first == normalized) {
-    for (NodeId node : it->second) add(node, 1.0);
+  if (const int32_t alias = synonyms_.Find(normalized); alias >= 0) {
+    for (const NodeId node : synonyms_.NodesOf(alias)) add(node, 1.0);
   }
 
   if (options_.enable_approximate) {
-    EnsureApproxIndex();
-    const int max_len = static_cast<int>(normalized.size());
-    // φ >= min_phi constrains errors relative to the longer string; use
-    // the query-side length plus that budget as the longest admissible
-    // label, then verify φ per candidate.
-    int budget = MaxEditErrors(max_len, options_.min_phi);
-    // Longer labels allow more absolute errors; widen until stable.
-    for (int iter = 0; iter < 4; ++iter) {
-      const int next = MaxEditErrors(max_len + budget, options_.min_phi);
-      if (next == budget) break;
-      budget = next;
+    // The edit budget is the largest e with e <= MaxEditErrors(|query| + e):
+    // a label e edits away differs from the query in length by at most e,
+    // so φ >= min_phi needs that, and the bound minus e never grows with
+    // e. Each step jumps to the bound for one more edit, which never
+    // overshoots. No distance exceeds the query length plus the longest
+    // label, which also ends the loop when min_phi <= 0.
+    const int query_len = static_cast<int>(normalized.size());
+    const int cap = query_len + static_cast<int>(approx_index_->max_length());
+    int budget = std::min(MaxEditErrors(query_len, options_.min_phi), cap);
+    while (budget < cap) {
+      const int next = MaxEditErrors(query_len + budget + 1, options_.min_phi);
+      if (next <= budget) break;
+      budget = std::min(next, cap);
     }
-    for (int32_t id : approx_index_->SearchWithinDistance(normalized, budget)) {
-      const LabelEntry& candidate = entries_[id];
-      if (candidate.normalized == normalized) continue;  // already exact
-      const double phi = EditSimilarity(normalized, candidate.normalized);
+    for (const int32_t id : approx_index_->SearchWithinDistance(normalized, budget)) {
+      const std::string& label = labels_.keys[static_cast<size_t>(id)];
+      if (label == normalized) continue;  // already exact
+      const double phi = EditSimilarity(normalized, label);
       if (phi < options_.min_phi) continue;
-      for (NodeId node : candidate.nodes) add(node, phi);
+      for (const NodeId node : labels_.NodesOf(id)) add(node, phi);
     }
   }
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,8 +43,6 @@ struct EntityMatcherOptions {
   double min_phi = 0.6;
   // Approximate (typo) matching on/off; off = exact + synonyms only.
   bool enable_approximate = true;
-  // q for the q-gram index behind approximate matching.
-  int qgram_q = 2;
   // Cap on mappings returned per token (highest φ first).
   int max_matches = 8;
 };
@@ -56,7 +55,11 @@ class EntityMatcher {
   EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions options = {});
 
   // Registers `alias` as a synonym of every node labeled `node_label`
-  // (φ = 1). Returns the number of nodes the alias now points at.
+  // (φ = 1). Returns the number of nodes labeled `node_label` (0 when
+  // there is none, or when the alias normalizes to nothing; either way
+  // nothing is registered). Registration only appends: the first lookup
+  // sorts and groups every alias once, keeping each alias's nodes in
+  // registration order, so MatchOne answers the first-registered node.
   // CHECK-fails once any MatchOne/MatchAll has run: a token's mappings
   // are a function of the token alone from the first lookup on, which is
   // what lets ObjectBuilder resolve each token once.
@@ -75,29 +78,39 @@ class EntityMatcher {
   const Hierarchy& hierarchy() const { return *hierarchy_; }
 
  private:
-  struct LabelEntry {
-    std::string normalized;
+  // Sorted distinct normalized keys, each owning a run of nodes in one
+  // flat array: key i maps to nodes[offsets[i], offsets[i + 1]).
+  struct NodeTable {
+    std::vector<std::string> keys;
+    std::vector<int32_t> offsets{0};
     std::vector<NodeId> nodes;
+
+    // Starts key `key`'s run; the caller appends its nodes.
+    void StartKey(std::string key);
+    void AppendNode(NodeId node);
+    // Index of `key`, or -1.
+    int32_t Find(std::string_view key) const;
+    std::span<const NodeId> NodesOf(int32_t i) const {
+      return {nodes.data() + offsets[static_cast<size_t>(i)],
+              nodes.data() + offsets[static_cast<size_t>(i) + 1]};
+    }
   };
 
-  // Index of `normalized` in entries_, or -1.
-  int32_t FindEntry(std::string_view normalized) const;
-  void EnsureApproxIndex() const;
-  // Marks the synonym table frozen (every Match* call).
-  void Freeze() const {
-    if (!frozen_.load(std::memory_order_relaxed)) frozen_.store(true, std::memory_order_relaxed);
-  }
+  // Runs once, on the first lookup: freezes registration, sorts and
+  // groups the registered synonyms and, with approximate matching on,
+  // builds the q-gram index over the labels. std::call_once makes racing
+  // first lookups safe.
+  void Finalize() const;
 
   const Hierarchy* hierarchy_;
   EntityMatcherOptions options_;
-  std::vector<LabelEntry> entries_;  // sorted by normalized label
-  // alias (normalized) -> nodes; sorted by alias.
-  std::vector<std::pair<std::string, std::vector<NodeId>>> synonyms_;
-  // Lazily built q-gram index over entries_ labels (mutable: built on
-  // first approximate lookup, after synonyms are registered). The
-  // once_flag makes the first build safe under concurrent MatchAll calls.
-  mutable std::once_flag approx_once_;
-  mutable std::unique_ptr<QGramIndex> approx_index_;
+  NodeTable labels_;  // normalized label -> nodes, ascending
+  // (normalized alias, labels_ index) in registration order; emptied by
+  // Finalize into synonyms_.
+  mutable std::vector<std::pair<std::string, int32_t>> pending_synonyms_;
+  mutable NodeTable synonyms_;  // normalized alias -> nodes
+  mutable std::unique_ptr<QGramIndex> approx_index_;  // over labels_.keys
+  mutable std::once_flag finalize_once_;
   // Set by the first MatchOne/MatchAll; AddSynonym refuses after it.
   mutable std::atomic<bool> frozen_{false};
 };

@@ -12,23 +12,21 @@ namespace {
 constexpr char kLeftPad = '\x01';
 constexpr char kRightPad = '\x02';
 
-// Appends the padded q-grams of `text`, each packed big-endian into a
-// uint64 (q <= 8 bytes), in position order.
-void AppendPackedGrams(std::string_view text, int q, std::vector<uint64_t>* out) {
-  const int64_t pad = q - 1;
-  const int64_t padded = static_cast<int64_t>(text.size()) + 2 * pad;
-  const uint64_t mask = q == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * q)) - 1;
-  uint64_t window = 0;
-  for (int64_t p = 0; p < padded; ++p) {
-    char c = kRightPad;
-    if (p < pad) {
-      c = kLeftPad;
-    } else if (p - pad < static_cast<int64_t>(text.size())) {
-      c = text[static_cast<size_t>(p - pad)];
-    }
-    window = ((window << 8) | static_cast<uint8_t>(c)) & mask;
-    if (p + 1 >= q) out->push_back(window);
+// Calls visit(gram) for each padded q-gram of `text` (q is 1 or 2),
+// packed big-endian, in position order: |text| + q − 1 grams.
+template <typename Visit>
+void ForEachGram(std::string_view text, int q, const Visit& visit) {
+  if (q == 1) {
+    for (const char c : text) visit(uint32_t{static_cast<uint8_t>(c)});
+    return;
   }
+  uint32_t prev = static_cast<uint8_t>(kLeftPad);
+  for (const char c : text) {
+    const uint32_t byte = static_cast<uint8_t>(c);
+    visit((prev << 8) | byte);
+    prev = byte;
+  }
+  visit((prev << 8) | static_cast<uint8_t>(kRightPad));
 }
 
 // Per-thread ScanCount state, shared by every index the thread probes.
@@ -36,7 +34,7 @@ void AppendPackedGrams(std::string_view text, int q, std::vector<uint64_t>* out)
 struct CountScratch {
   std::vector<int32_t> counts;   // rank -> overlap
   std::vector<int32_t> touched;  // ranks with a non-zero counter
-  std::vector<uint64_t> grams;   // the query's packed grams
+  std::vector<uint32_t> grams;   // the query's packed grams
 };
 
 thread_local CountScratch tls_count_scratch;
@@ -59,60 +57,57 @@ std::vector<std::string> QGramIndex::PaddedQGrams(std::string_view text, int q) 
 
 QGramIndex::QGramIndex(std::vector<std::string> strings, int q)
     : q_(q), strings_(std::move(strings)) {
-  KJOIN_CHECK_GE(q, 1);
-  KJOIN_CHECK_LE(q, 8) << "q-grams are packed into 64-bit words";
+  KJOIN_CHECK(q == 1 || q == 2) << "q-grams index a 2^(8q)-slot table, so q is 1 or 2, got "
+                                << q;
   const auto n = static_cast<int32_t>(strings_.size());
-  auto length = [&](int32_t id) { return strings_[static_cast<size_t>(id)].size(); };
+  size_t max_length = 0;
+  int64_t total_grams = 0;  // an upper bound on the postings
+  for (const std::string& text : strings_) {
+    max_length = std::max(max_length, text.size());
+    total_grams += static_cast<int64_t>(text.size()) + q_ - 1;
+  }
+  KJOIN_CHECK_LE(total_grams, int64_t{INT32_MAX}) << "postings are addressed by int32";
 
+  // Counting sort by length: ranks in (length, id) order, and
+  // length_start_ is the prefix sum of the length histogram.
+  length_start_.assign(max_length + 2, 0);
+  for (const std::string& text : strings_) ++length_start_[text.size() + 1];
+  std::partial_sum(length_start_.begin(), length_start_.end(), length_start_.begin());
   id_of_rank_.resize(static_cast<size_t>(n));
-  std::iota(id_of_rank_.begin(), id_of_rank_.end(), 0);
-  std::stable_sort(id_of_rank_.begin(), id_of_rank_.end(),
-                   [&](int32_t a, int32_t b) { return length(a) < length(b); });
-  const size_t max_length = n == 0 ? 0 : length(id_of_rank_.back());
-  length_start_.resize(max_length + 2);
-  for (size_t l = 0; l < length_start_.size(); ++l) {
-    length_start_[l] = static_cast<int32_t>(
-        std::partition_point(id_of_rank_.begin(), id_of_rank_.end(),
-                             [&](int32_t id) { return length(id) < l; }) -
-        id_of_rank_.begin());
+  {
+    std::vector<int32_t> next(length_start_.begin(), length_start_.end() - 1);
+    for (int32_t id = 0; id < n; ++id) {
+      id_of_rank_[static_cast<size_t>(next[strings_[static_cast<size_t>(id)].size()]++)] = id;
+    }
   }
 
-  // The distinct grams, then a counting pass and a filling pass over the
-  // ranks in order, so every list comes out rank-ascending.
-  {
-    std::vector<uint64_t> all;
-    size_t total = 0;  // |s| + q − 1 grams per string
-    for (const std::string& text : strings_) total += text.size() + q_ - 1;
-    all.reserve(total);
-    for (const std::string& text : strings_) AppendPackedGrams(text, q_, &all);
-    std::sort(all.begin(), all.end());
-    grams_.assign(all.begin(), std::unique(all.begin(), all.end()));
-  }
-  std::vector<uint64_t> grams;  // one string's grams
-  auto for_each_gram = [&](int32_t rank, const auto& visit) {
-    grams.clear();
-    AppendPackedGrams(strings_[static_cast<size_t>(id_of_rank_[static_cast<size_t>(rank)])],
-                      q_, &grams);
-    std::sort(grams.begin(), grams.end());
-    for (size_t i = 0; i < grams.size();) {
-      size_t j = i;
-      while (j < grams.size() && grams[j] == grams[i]) ++j;
-      const auto slot = static_cast<size_t>(
-          std::lower_bound(grams_.begin(), grams_.end(), grams[i]) - grams_.begin());
-      visit(slot, static_cast<int32_t>(j - i));
-      i = j;
-    }
+  // A counting pass (each string counts a gram once), then a filling pass
+  // over the ranks in order, so every list comes out rank-ascending. A
+  // string's repeated gram finds its own posting at the list's cursor.
+  const size_t slots = size_t{1} << (8 * q_);
+  offsets_.assign(slots + 1, 0);
+  std::vector<int32_t> scratch(slots, -1);  // count pass: last rank per gram
+  auto text_of = [&](int32_t rank) -> std::string_view {
+    return strings_[static_cast<size_t>(id_of_rank_[static_cast<size_t>(rank)])];
   };
-  offsets_.assign(grams_.size() + 1, 0);
   for (int32_t rank = 0; rank < n; ++rank) {
-    for_each_gram(rank, [&](size_t slot, int32_t) { ++offsets_[slot + 1]; });
+    ForEachGram(text_of(rank), q_, [&](uint32_t gram) {
+      if (scratch[gram] == rank) return;
+      scratch[gram] = rank;
+      ++offsets_[gram + 1];
+    });
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
   postings_.resize(static_cast<size_t>(offsets_.back()));
-  std::vector<int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  std::copy(offsets_.begin(), offsets_.end() - 1, scratch.begin());  // fill pass: cursors
   for (int32_t rank = 0; rank < n; ++rank) {
-    for_each_gram(rank, [&](size_t slot, int32_t count) {
-      postings_[static_cast<size_t>(cursor[slot]++)] = {rank, count};
+    ForEachGram(text_of(rank), q_, [&](uint32_t gram) {
+      int32_t& cursor = scratch[gram];
+      if (cursor > offsets_[gram] && postings_[static_cast<size_t>(cursor - 1)].rank == rank) {
+        ++postings_[static_cast<size_t>(cursor - 1)].count;
+      } else {
+        postings_[static_cast<size_t>(cursor++)] = {rank, 1};
+      }
     });
   }
 }
@@ -147,20 +142,17 @@ std::vector<int32_t> QGramIndex::Candidates(std::string_view query, int max_erro
   CountScratch& s = tls_count_scratch;
   if (s.counts.size() < strings_.size()) s.counts.resize(strings_.size(), 0);
   s.grams.clear();
-  AppendPackedGrams(query, q_, &s.grams);
+  ForEachGram(query, q_, [&](uint32_t gram) { s.grams.push_back(gram); });
   std::sort(s.grams.begin(), s.grams.end());
   for (size_t i = 0; i < s.grams.size();) {
-    const uint64_t gram = s.grams[i];
+    const uint32_t gram = s.grams[i];
     size_t j = i;
     while (j < s.grams.size() && s.grams[j] == gram) ++j;
     const auto query_count = static_cast<int32_t>(j - i);
     i = j;
-    const auto g = std::lower_bound(grams_.begin(), grams_.end(), gram);
-    if (g == grams_.end() || *g != gram) continue;
-    const auto slot = static_cast<size_t>(g - grams_.begin());
-    const Posting* end = postings_.data() + offsets_[slot + 1];
+    const Posting* end = postings_.data() + offsets_[gram + 1];
     const Posting* p = std::lower_bound(
-        postings_.data() + offsets_[slot], end, lo,
+        postings_.data() + offsets_[gram], end, lo,
         [](const Posting& posting, int32_t rank) { return posting.rank < rank; });
     for (; p != end && p->rank < hi; ++p) {
       int32_t& count = s.counts[static_cast<size_t>(p->rank)];

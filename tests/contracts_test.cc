@@ -114,6 +114,11 @@ TEST_F(ContractsTest, QGramIndexRejectsNegativeBudget) {
   EXPECT_DEATH(index.Candidates("abc", -1), "");
 }
 
+TEST_F(ContractsTest, QGramIndexRejectsQAboveTwo) {
+  // Grams address a 2^(8q)-slot table directly, so only q = 1 and 2 build.
+  EXPECT_DEATH(QGramIndex({"abc"}, 3), "q is 1 or 2");
+}
+
 TEST_F(ContractsTest, NodesWithLabelHandlesUnknownAndDuplicates) {
   EXPECT_TRUE(tree_.NodesWithLabel("NoSuchLabel").empty());
   EXPECT_FALSE(tree_.FindByLabel("NoSuchLabel").has_value());

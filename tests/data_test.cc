@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/benchmark_suite.h"
 #include "data/dataset.h"
+#include "data/dataset_io.h"
 #include "data/generator.h"
 #include "data/quality.h"
 #include "hierarchy/hierarchy_generator.h"
@@ -180,6 +184,59 @@ TEST(BenchmarkSuiteTest, BuildObjectsSingleVsPlus) {
     for (const Element& e : plus.objects[i].elements) plus_mapped += e.has_node();
   }
   EXPECT_GT(plus_mapped, single_mapped);
+}
+
+TEST(DatasetIoTest, LineEndingsDoNotChangeTheParse) {
+  // LF or CRLF, with or without a final newline: the same records.
+  for (const char* text :
+       {"S\tcolonel\tKFC\nR\t3\tpizza\thut\nR\t-1\tkfc", "S\tcolonel\tKFC\nR\t3\tpizza\thut\nR\t-1\tkfc\n",
+        "S\tcolonel\tKFC\r\nR\t3\tpizza\thut\r\nR\t-1\tkfc",
+        "S\tcolonel\tKFC\r\nR\t3\tpizza\thut\r\nR\t-1\tkfc\r\n"}) {
+    auto parsed = ParseDataset(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    ASSERT_EQ(parsed->records.size(), 2u);
+    EXPECT_EQ(parsed->records[0].cluster, 3);
+    EXPECT_EQ(parsed->records[0].tokens, (std::vector<std::string>{"pizza", "hut"}));
+    EXPECT_EQ(parsed->records[1].id, 1);
+    EXPECT_EQ(parsed->records[1].tokens, std::vector<std::string>{"kfc"});
+    ASSERT_EQ(parsed->synonyms.size(), 1u);
+    EXPECT_EQ(parsed->synonyms[0], (std::pair<std::string, std::string>{"colonel", "KFC"}));
+  }
+}
+
+TEST(DatasetIoTest, EmptyTokenFieldsAreKept) {
+  // An empty field between tabs is an empty token; tabs at the end of a
+  // line are stripped with its other whitespace.
+  auto parsed = ParseDataset("R\t1\ta\t\tb\nR\t2\t\tc\nR\t3\td\t\t\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed->records.size(), 3u);
+  EXPECT_EQ(parsed->records[0].tokens, (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(parsed->records[1].tokens, (std::vector<std::string>{"", "c"}));
+  EXPECT_EQ(parsed->records[2].tokens, std::vector<std::string>{"d"});
+}
+
+TEST(DatasetIoTest, MalformedLineErrorsAreStable) {
+  // Every error names the source and the line; blank and comment lines
+  // count towards the line number.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"# c\n\nX\t1\ta", "data.tsv:3: unknown line type 'X'"},
+      {"R\t1\ta\r\n\r\n# x\r\nR\tabc\ttok\r\n", "data.tsv:4: bad cluster 'abc'"},
+      {"R\t 7x\ttok", "data.tsv:1: bad cluster ' 7x'"},
+      {"R\t99999999999\ttok", "data.tsv:1: bad cluster '99999999999'"},
+      {"R\t1\ta\nR\t1", "data.tsv:2: record lines need a cluster and >= 1 token"},
+      {"\n\nS\talias", "data.tsv:3: synonym lines need 3 fields, got 2"},
+      {"S\ta\tb\tc", "data.tsv:1: synonym lines need 3 fields, got 4"},
+      {"S\ta\t\xff", "data.tsv:1: synonym is not valid UTF-8"},
+      {"R\t1\tok\t\xc3\n", "data.tsv:1: token 1 is not valid UTF-8"},
+      {"\t\t\n R \t1\ta", "data.tsv:2: unknown line type 'R '"},
+      {"r\t1\ta", "data.tsv:1: unknown line type 'r'"},
+  };
+  for (const auto& [text, message] : cases) {
+    const auto parsed = ParseDataset(text, "data.tsv");
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_TRUE(IsInvalidArgument(parsed.status())) << text;
+    EXPECT_EQ(parsed.status().message(), message) << text;
+  }
 }
 
 TEST(BenchmarkSuiteTest, DatasetStatsComputesLengths) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -406,6 +409,48 @@ TEST(HierarchyIoTest, IgnoresCommentsAndBlankLines) {
   auto parsed = ParseHierarchy("# comment\n\n0\t-1\tRoot\n1\t0\tA\n");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->num_nodes(), 2);
+}
+
+TEST(HierarchyIoTest, LineEndingsDoNotChangeTheParse) {
+  // LF or CRLF, with or without a final newline: the same three nodes.
+  for (const char* text : {"0\t-1\tRoot\n1\t0\tA\n2\t1\tB", "0\t-1\tRoot\n1\t0\tA\n2\t1\tB\n",
+                           "0\t-1\tRoot\r\n1\t0\tA\r\n2\t1\tB",
+                           "0\t-1\tRoot\r\n1\t0\tA\r\n2\t1\tB\r\n"}) {
+    auto parsed = ParseHierarchy(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    ASSERT_EQ(parsed->num_nodes(), 3);
+    EXPECT_EQ(parsed->label(2), "B");
+    EXPECT_EQ(parsed->parent(2), 1);
+  }
+  // Ids go through strtol: leading blanks inside a field and a sign parse;
+  // trailing tabs are stripped with the line's other whitespace.
+  auto parsed = ParseHierarchy("0\t-1\tRoot\n1\t +0\tA\t\t\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->label(1), "A");
+}
+
+TEST(HierarchyIoTest, MalformedLineErrorsAreStable) {
+  // Every error names the source and the line; blank and comment lines
+  // count towards the line number.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"# c\n\n0\t-1\tRoot\n1\t0", "tree.txt:4: expected 3 tab-separated fields, got 2"},
+      {"0\t-1\tRoot\r\n\r\n# x\r\nx1\t0\tA\r\n", "tree.txt:4: bad node id 'x1'"},
+      {"0\t-1\tRoot\n2\t0\tA\n",
+       "tree.txt:2: ids must be dense and ascending: expected 1, got '2'"},
+      {"0\t-1\tRoot\n\n1\tp\tA", "tree.txt:3: bad parent id 'p'"},
+      {"0\t5\tRoot", "tree.txt:1: root parent must be -1, got 5"},
+      {"0\t-1\tRoot\n1\t1\tA", "tree.txt:2: parent must precede child, got 1"},
+      {"0\t-1\t\xff\n", "tree.txt:1: label is not valid UTF-8"},
+      {"0\t-1\tRoot\n1\t0\t\t\tA", "tree.txt:2: expected 3 tab-separated fields, got 5"},
+      {"", "tree.txt: hierarchy text has no nodes"},
+      {"\r\n# only a comment\r\n", "tree.txt: hierarchy text has no nodes"},
+  };
+  for (const auto& [text, message] : cases) {
+    const auto parsed = ParseHierarchy(text, "tree.txt");
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_TRUE(IsInvalidArgument(parsed.status())) << text;
+    EXPECT_EQ(parsed.status().message(), message) << text;
+  }
 }
 
 TEST(HierarchyIoTest, FileRoundTrip) {

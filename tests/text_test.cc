@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,22 +209,25 @@ std::vector<int32_t> BruteForceCandidates(const std::vector<std::string>& string
 }
 
 TEST(QGramIndexTest, CandidatesEqualBruteForceCountFilter) {
-  // Random words over a 3-letter alphabet repeat grams heavily; lengths
-  // 0-9 put short queries under the vacuous-bound fallback.
+  // Random words over a small alphabet repeat grams heavily; lengths 0-9
+  // put short queries under the vacuous-bound fallback. The alphabet
+  // holds bytes >= 0x80 (high gram slots) and the pad bytes 0x01/0x02, so
+  // a string's own bytes can collide with a padded end gram.
   Rng rng(2024);
-  const std::string alphabet = "aab";
+  const std::string alphabet = "aab\x01\x02\x80\xff";
   auto random_word = [&](int max_len) {
     std::string word;
     const int len = static_cast<int>(rng.NextUint64(max_len + 1));
     for (int k = 0; k < len; ++k) word += alphabet[rng.NextUint64(alphabet.size())];
     return word;
   };
-  std::vector<std::string> strings = {"aaaa", "aaaaaaaa", "abababab", "a", ""};
+  std::vector<std::string> strings = {"aaaa", "aaaaaaaa", "abababab", "a", "",
+                                      "\x01" "a" "\x02", "\x02\x01", "\xff\xfe\x80", "\x01\x01"};
   for (int i = 0; i < 300; ++i) strings.push_back(random_word(9));
-  for (int q = 1; q <= 3; ++q) {
+  for (int q = 1; q <= 2; ++q) {
     const QGramIndex index(strings, q);
     for (int trial = 0; trial < 120; ++trial) {
-      const std::string query = trial < 5 ? strings[trial] : random_word(9);
+      const std::string query = trial < 9 ? strings[trial] : random_word(9);
       for (int budget = 0; budget <= 3; ++budget) {
         ASSERT_EQ(index.Candidates(query, budget),
                   BruteForceCandidates(strings, query, q, budget))
@@ -329,16 +333,24 @@ TEST_F(EntityMatcherTest, AmbiguousLabelReturnsAllNodes) {
 }
 
 TEST_F(EntityMatcherTest, ConcurrentMatchAllOnFreshMatcher) {
-  // The first approximate lookup builds the q-gram index lazily; racing
-  // first lookups must build it once and all see the same answers.
+  // The first lookup sorts the registered synonyms and builds the q-gram
+  // index; racing first lookups must do that once and all see the same
+  // answers.
   const std::vector<std::string> tokens = {"pizzahat", "burgerkin", "fastfood", "kfc",
-                                           "qwertyuiop", "pizzahut"};
+                                           "qwertyuiop", "pizzahut", "thecolonel", "mcfood"};
+  auto register_synonyms = [](EntityMatcher& matcher) {
+    matcher.AddSynonym("thecolonel", "KFC");
+    matcher.AddSynonym("mcfood", "Fastfood");
+    matcher.AddSynonym("mcfood", "BurgerKing");
+  };
   std::vector<std::vector<EntityMatch>> expected;
   {
-    const EntityMatcher reference(tree_);
+    EntityMatcher reference(tree_);
+    register_synonyms(reference);
     for (const std::string& token : tokens) expected.push_back(reference.MatchAll(token));
   }
-  const EntityMatcher matcher(tree_);
+  EntityMatcher matcher(tree_);
+  register_synonyms(matcher);
   constexpr int kThreads = 8;
   std::vector<std::vector<std::vector<EntityMatch>>> got(
       kThreads, std::vector<std::vector<EntityMatch>>(tokens.size()));
@@ -364,6 +376,197 @@ TEST_F(EntityMatcherTest, MaxMatchesCapRespected) {
   options.max_matches = 2;
   const EntityMatcher matcher(tree_, options);
   EXPECT_LE(matcher.MatchAll("pizza").size(), 2u);
+}
+
+TEST_F(EntityMatcherTest, LongTokenTypoWithinMinPhiIsFound) {
+  // A 100-character token and a 166-character label 66 insertions away:
+  // φ = 1 − 66/166 ≈ 0.602 >= the default min_phi 0.6, so the edit budget
+  // must reach 66, the largest e with e <= floor(0.4 · (100 + e)).
+  std::string token;
+  for (int i = 0; i < 100; ++i) token += static_cast<char>('a' + i % 26);
+  const std::string label = token + std::string(66, 'q');
+  HierarchyBuilder builder;
+  const NodeId node = builder.AddChild(builder.root(), label);
+  const Hierarchy tree = std::move(builder).Build();
+  const EntityMatcher matcher(tree);
+  const auto matches = matcher.MatchAll(token);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].node, node);
+  EXPECT_DOUBLE_EQ(matches[0].phi, 1.0 - 66.0 / 166.0);
+}
+
+// Lower-case alphanumerics, as the matcher normalizes labels and tokens.
+std::string NormalizeForTest(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    if (c >= 'A' && c <= 'Z') {
+      out.push_back(static_cast<char>(c - 'A' + 'a'));
+    } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+// MatchAll by a linear scan: exact and synonym nodes at φ = 1, every other
+// label with EditSimilarity >= min_phi, the best φ per node, sorted by φ
+// descending then node, truncated to max_matches.
+// `labels` holds each node's normalized label, indexed by node.
+std::vector<EntityMatch> BruteForceMatchAll(
+    const std::vector<std::string>& labels,
+    const std::vector<std::pair<std::string, std::string>>& synonyms,
+    const EntityMatcherOptions& options, std::string_view token) {
+  const std::string query = NormalizeForTest(token);
+  std::vector<EntityMatch> matches;
+  if (query.empty()) return matches;
+  auto add = [&](NodeId node, double phi) {
+    for (EntityMatch& match : matches) {
+      if (match.node == node) {
+        match.phi = std::max(match.phi, phi);
+        return;
+      }
+    }
+    matches.push_back({node, phi});
+  };
+  for (NodeId v = 1; v < static_cast<NodeId>(labels.size()); ++v) {
+    const std::string& label = labels[static_cast<size_t>(v)];
+    if (label.empty()) continue;
+    if (label == query) {
+      add(v, 1.0);
+    } else if (options.enable_approximate) {
+      const double phi = EditSimilarity(query, label);
+      if (phi >= options.min_phi) add(v, phi);
+    }
+  }
+  for (const auto& [alias, target] : synonyms) {
+    if (NormalizeForTest(alias) != query) continue;
+    for (NodeId v = 1; v < static_cast<NodeId>(labels.size()); ++v) {
+      const std::string& label = labels[static_cast<size_t>(v)];
+      if (!label.empty() && label == NormalizeForTest(target)) add(v, 1.0);
+    }
+  }
+  std::sort(matches.begin(), matches.end(), [](const EntityMatch& a, const EntityMatch& b) {
+    if (a.phi != b.phi) return a.phi > b.phi;
+    return a.node < b.node;
+  });
+  if (static_cast<int>(matches.size()) > options.max_matches) {
+    matches.resize(static_cast<size_t>(options.max_matches));
+  }
+  return matches;
+}
+
+// MatchOne by a linear scan: the first node with the exact label, else the
+// first node of the first-registered synonym.
+std::optional<EntityMatch> BruteForceMatchOne(
+    const std::vector<std::string>& labels,
+    const std::vector<std::pair<std::string, std::string>>& synonyms, std::string_view token) {
+  const std::string query = NormalizeForTest(token);
+  if (query.empty()) return std::nullopt;
+  for (NodeId v = 1; v < static_cast<NodeId>(labels.size()); ++v) {
+    if (labels[static_cast<size_t>(v)] == query) return EntityMatch{v, 1.0};
+  }
+  for (const auto& [alias, target] : synonyms) {
+    if (NormalizeForTest(alias) != query) continue;
+    for (NodeId v = 1; v < static_cast<NodeId>(labels.size()); ++v) {
+      const std::string& label = labels[static_cast<size_t>(v)];
+      if (!label.empty() && label == NormalizeForTest(target)) return EntityMatch{v, 1.0};
+    }
+  }
+  return std::nullopt;
+}
+
+TEST_F(EntityMatcherTest, MatchAllEqualsBruteForce) {
+  // Short labels over a 4-letter alphabet have many typo neighbours and
+  // shared surface forms; long ones put the edit budget well past the
+  // query's own MaxEditErrors.
+  Rng rng(4242);
+  auto random_word = [&](int min_len, int max_len) {
+    std::string word;
+    const int len = min_len + static_cast<int>(rng.NextUint64(max_len - min_len + 1));
+    for (int k = 0; k < len; ++k) word += "abcd"[rng.NextUint64(4)];
+    return word;
+  };
+  HierarchyBuilder builder;
+  std::vector<std::string> labels;
+  for (int i = 0; i < 240; ++i) {
+    std::string label = i % 12 == 0 ? random_word(30, 120) : random_word(2, 12);
+    if (i % 9 == 0) label[0] = static_cast<char>(label[0] - 'a' + 'A');  // case folds
+    if (i % 10 == 0) label.insert(label.size() / 2, "-");                // punctuation drops
+    if (i % 15 == 0 && !labels.empty()) label = labels[rng.NextUint64(labels.size())];  // shared
+    const NodeId parent = static_cast<NodeId>(rng.NextUint64(builder.num_nodes()));
+    builder.AddChild(parent, label);
+    labels.push_back(label);
+  }
+  builder.AddChild(builder.root(), "!!!");  // normalizes to nothing
+  const Hierarchy tree = std::move(builder).Build();
+  std::vector<std::string> normalized(static_cast<size_t>(tree.num_nodes()));
+  for (NodeId v = 1; v < tree.num_nodes(); ++v) {
+    normalized[static_cast<size_t>(v)] = NormalizeForTest(tree.label(v));
+  }
+
+  std::vector<std::pair<std::string, std::string>> synonyms;
+  for (int i = 0; i < 60; ++i) {
+    synonyms.emplace_back("syn" + random_word(2, 8), labels[rng.NextUint64(labels.size())]);
+  }
+  synonyms.emplace_back("twolabels", labels[3]);  // one alias for two labels
+  synonyms.emplace_back("twolabels", labels[7]);
+  synonyms.emplace_back(labels[5], labels[11]);   // an alias equal to a label
+  synonyms.emplace_back("nolabel", "NoSuchLabel");
+  synonyms.emplace_back("?!", labels[2]);         // an alias normalizing to nothing
+
+  std::vector<std::string> queries = {"", "!!!", "--", "twolabels", "nolabel"};
+  for (const std::string& label : labels) queries.push_back(label);
+  for (const auto& [alias, target] : synonyms) queries.push_back(alias);
+  for (int i = 0; i < 400; ++i) {
+    std::string typo = NormalizeForTest(labels[rng.NextUint64(labels.size())]);
+    const int edits = 1 + static_cast<int>(rng.NextUint64(3));
+    for (int e = 0; e < edits && !typo.empty(); ++e) {
+      const size_t at = rng.NextUint64(typo.size());
+      switch (rng.NextUint64(3)) {
+        case 0: typo[at] = "abcdz"[rng.NextUint64(5)]; break;
+        case 1: typo.insert(at, 1, "abcdz"[rng.NextUint64(5)]); break;
+        default: typo.erase(at, 1); break;
+      }
+    }
+    queries.push_back(typo);
+  }
+  // A label with as many of its characters deleted as min_phi admits:
+  // the label is the longer side, exactly the edit budget away.
+  for (const double phi : {0.6, 0.8}) {
+    for (size_t i = 0; i < labels.size(); i += 3) {
+      std::string token = NormalizeForTest(labels[i]);
+      const int deletions = MaxEditErrors(static_cast<int>(token.size()), phi);
+      for (int d = 0; d < deletions && !token.empty(); ++d) {
+        token.erase(rng.NextUint64(token.size()), 1);
+      }
+      queries.push_back(token);
+    }
+  }
+  queries.push_back(labels[0] + std::string(70, 'z'));  // long tokens
+  queries.push_back(std::string(150, 'a'));
+
+  for (const double min_phi : {0.6, 0.8}) {
+    EntityMatcherOptions options;
+    options.min_phi = min_phi;
+    options.max_matches = 1000;
+    EntityMatcherOptions capped = options;
+    capped.max_matches = 1;
+    EntityMatcher matcher(tree, options);
+    EntityMatcher capped_matcher(tree, capped);
+    for (const auto& [alias, target] : synonyms) {
+      matcher.AddSynonym(alias, target);
+      capped_matcher.AddSynonym(alias, target);
+    }
+    for (const std::string& query : queries) {
+      std::vector<EntityMatch> expected = BruteForceMatchAll(normalized, synonyms, options, query);
+      ASSERT_EQ(matcher.MatchAll(query), expected) << "query '" << query << "' min_phi " << min_phi;
+      if (expected.size() > 1) expected.resize(1);  // the max_matches = 1 prefix
+      ASSERT_EQ(capped_matcher.MatchAll(query), expected)
+          << "query '" << query << "' min_phi " << min_phi << " max_matches 1";
+      ASSERT_EQ(matcher.MatchOne(query), BruteForceMatchOne(normalized, synonyms, query))
+          << "query '" << query << "'";
+    }
+  }
 }
 
 }  // namespace
