@@ -5,7 +5,8 @@
 //     up as a jump in candidates and a zero count-filtered column; the
 //     sketch-filtered column is the part of count-filtered that the
 //     signature sketches rejected without a merge
-//   * the probe-side size bound (size-filtered, every configuration)
+//   * the probe-side size window (size-skipped posting entries, every
+//     configuration)
 //   * weighted vs plain path prefix (Definition 9 vs 8)
 //   * adaptive bounds vs plain subgraph matching (§5.2)
 //
@@ -23,7 +24,7 @@ void Run(const std::string& label, const kjoin::BenchmarkData& data,
          const kjoin::PreparedObjects& prepared, kjoin::KJoinOptions options) {
   const kjoin::JoinResult result =
       kjoin::bench::RunKJoin(data.hierarchy, prepared.objects, options);
-  PrintRow({label, std::to_string(result.stats.size_filtered),
+  PrintRow({label, std::to_string(result.stats.size_skipped),
             std::to_string(result.stats.count_filtered),
             std::to_string(result.stats.sketch_filtered), std::to_string(result.stats.candidates),
             std::to_string(result.stats.verify.pruned_by_count),
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
 
   kjoin::bench::PrintHeader("Ablation (POI, n=" + std::to_string(*n) + ", delta=" +
                             Fmt(*delta, 2) + ", tau=" + Fmt(*tau, 2) + ")");
-  PrintRow({"config", "size-filtered", "count-filtered", "sketch-filtered", "candidates",
+  PrintRow({"config", "size-skipped", "count-filtered", "sketch-filtered", "candidates",
             "count-pruned", "wcount-pruned", "hungarian", "verify-s", "total-s", "results"},
            16);
 

@@ -119,12 +119,12 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "join: %lld candidates -> %zu pairs in %.3fs "
                "(signatures %.3fs, filter %.3fs, verify %.3fs)\n"
-               "probe bounds: %lld size-filtered, %lld count-filtered (%lld by sketch) "
-               "before verification\n",
+               "probe bounds: %lld posting entries size-skipped, %lld count-filtered "
+               "(%lld by sketch) before verification\n",
                static_cast<long long>(result.stats.candidates), result.pairs.size(),
                result.stats.total_seconds, result.stats.signature_seconds,
                result.stats.filter_seconds, result.stats.verify_seconds,
-               static_cast<long long>(result.stats.size_filtered),
+               static_cast<long long>(result.stats.size_skipped),
                static_cast<long long>(result.stats.count_filtered),
                static_cast<long long>(result.stats.sketch_filtered));
 

@@ -56,7 +56,13 @@
 #                                    # public-API break shows up here
 #                                    # first; every workload must pass its
 #                                    # oracle at tiny size and reject a
-#                                    # planted wrong answer
+#                                    # planted wrong answer. Then 20 tiny
+#                                    # serve_topk and 20 tiny serve_mixed
+#                                    # runs, each under a 120 s timeout:
+#                                    # a tiny run starts and shuts down
+#                                    # servers in quick succession, where
+#                                    # a lost event-loop stop once hung
+#                                    # shutdown
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -219,6 +225,17 @@ if [[ $run_perfbench -eq 1 ]]; then
   echo "==> [perfbench] benchmark self-test"
   (cd "$repo" && python3 perfbench/selftest.py)
   echo "perfbench self-test passed"
+  for workload in serve_topk serve_mixed; do
+    echo "==> [perfbench] 20 tiny $workload runs"
+    for seed in $(seq 1 20); do
+      if ! (cd "$repo" && timeout 120 python3 perfbench/run.py --workload "$workload" \
+              --seed "$seed" --seconds 1 --tiny >/dev/null); then
+        echo "[perfbench] tiny $workload run failed or hung (seed $seed)" >&2
+        exit 1
+      fi
+    done
+  done
+  echo "perfbench tiny serve runs passed"
 fi
 
 if [[ $run_bench -eq 1 ]]; then

@@ -154,7 +154,7 @@ KJoin::KJoin(const Hierarchy& hierarchy, KJoinOptions options)
   }
 }
 
-int32_t KJoin::PrefixLengthFor(const std::vector<Signature>& sigs, int32_t object_size) const {
+int32_t KJoin::PrefixLengthFor(std::span<const Signature> sigs, int32_t object_size) const {
   if (options_.weighted_prefix) {
     return PrefixLengthWeighted(
         sigs, MinOverlapWithAnyPartner(object_size, options_.tau, options_.set_metric));
@@ -162,6 +162,32 @@ int32_t KJoin::PrefixLengthFor(const std::vector<Signature>& sigs, int32_t objec
   return PrefixLengthDistinct(
       sigs, MinSimilarElements(object_size, options_.tau, options_.set_metric));
 }
+
+namespace {
+
+// Joins per-shard arenas in shard order (shards cover ascending
+// contiguous object ranges, so this is object order); one shard's arena
+// is moved, not copied.
+template <typename T>
+std::vector<T> ConcatenateShards(std::vector<std::vector<T>>* shards) {
+  if (shards->size() == 1) return std::move(shards->front());
+  size_t total = 0;
+  for (const std::vector<T>& shard : *shards) total += shard.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (std::vector<T>& shard : *shards) {
+    out.insert(out.end(), shard.begin(), shard.end());
+    std::vector<T>().swap(shard);
+  }
+  return out;
+}
+
+// Turns per-object counts in offsets[i + 1] into CSR offsets.
+void CountsToOffsets(std::vector<int64_t>* offsets) {
+  for (size_t i = 1; i < offsets->size(); ++i) (*offsets)[i] += (*offsets)[i - 1];
+}
+
+}  // namespace
 
 KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& collections,
                                GlobalSignatureOrder* order, JoinStats* stats,
@@ -174,59 +200,67 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
   const bool polled = controller->active();
 
   Prepared prepared;
-  prepared.sigs.resize(n);
   prepared.plans.resize(n);
   prepared.screen.resize(n);
-  prepared.prefix_len.assign(n, 0);
-  prepared.prefix_ranks.resize(n);
+  prepared.prefix_offset.assign(n + 1, 0);
   const int lanes = ShardsForWork(n, kMinPrepareObjectsPerShard, pool_->num_threads());
 
-  // Pass 1: per-shard signature generation. Each object's grouping plan
-  // and screen record are built here too, once per join: the probe's
-  // bounds and every verification batch read them. Shards also note the
-  // largest signature id, which sizes the order's dense arrays.
-  std::vector<int64_t> shard_total(lanes, 0);
+  // Pass 1: per-shard signature generation into one flat arena per shard;
+  // object i's signatures are sigs[sig_offset[i], sig_offset[i + 1]) once
+  // the shard arenas are joined. Each object's grouping plan and screen
+  // record are built here too, once per join: the probe's bounds and
+  // every verification batch read them. Shards also note the largest
+  // signature id, which sizes the order's dense arrays.
+  std::vector<std::vector<Signature>> shard_sigs(lanes);
+  std::vector<int64_t> sig_offset(n + 1, 0);
   std::vector<SigId> shard_max_id(lanes, kUnknownTokenSignature);
   stats->prepare_tasks +=
       pool_->ParallelFor(n, lanes, [&](int shard, int64_t begin, int64_t end) {
+        std::vector<Signature>& arena = shard_sigs[shard];
         int64_t since_poll = 0;
         for (int64_t i = begin; i < end; ++i) {
           if (polled && (since_poll++ % kPreparePollStride) == 0 &&
               !controller->Poll(JoinPhase::kPrepare)) {
             return;
           }
-          prepared.sigs[i] = signatures_.Generate(*objects[i]);
+          const size_t start = arena.size();
+          signatures_.AppendSignatures(*objects[i], &arena);
+          sig_offset[i + 1] = static_cast<int64_t>(arena.size() - start);
           verifier_.BuildPlan(*objects[i], &prepared.plans[i]);
           prepared.screen[i] = {prepared.plans[i].sketch, objects[i]->size()};
-          shard_total[shard] += static_cast<int64_t>(prepared.sigs[i].size());
-          for (const Signature& sig : prepared.sigs[i]) {
-            shard_max_id[shard] = std::max(shard_max_id[shard], sig.id);
+          for (size_t k = start; k < arena.size(); ++k) {
+            shard_max_id[shard] = std::max(shard_max_id[shard], arena[k].id);
           }
         }
       });
   if (controller->tripped()) return prepared;
-  SigId max_id = kUnknownTokenSignature;
-  for (int s = 0; s < lanes; ++s) {
-    max_id = std::max(max_id, shard_max_id[s]);
-    stats->total_signatures += shard_total[s];
-  }
+  std::vector<Signature> sigs = ConcatenateShards(&shard_sigs);
+  CountsToOffsets(&sig_offset);
+  stats->total_signatures += static_cast<int64_t>(sigs.size());
+  const auto object_sigs = [&](int64_t i) {
+    return std::span<Signature>(sigs.data() + sig_offset[i],
+                                static_cast<size_t>(sig_offset[i + 1] - sig_offset[i]));
+  };
   // Document frequencies, counted once over all objects in input order
   // into the order's dense arrays (one copy per join, whatever the lane
   // count), so the final order is independent of num_threads.
-  order->Reserve(max_id);
+  order->Reserve(*std::max_element(shard_max_id.begin(), shard_max_id.end()));
   for (int64_t i = 0; i < n; ++i) {
     if (polled && (i % kIndexPollStride) == 0 && !controller->Poll(JoinPhase::kPrepare)) {
       return prepared;
     }
-    order->CountObject(prepared.sigs[i]);
+    order->CountObject(object_sigs(i));
   }
   order->Finalize();
 
-  // Pass 2: global-order sort and prefix lengths, embarrassingly parallel
-  // per object.
+  // Pass 2: global-order sort of each object's slice, in place, and its
+  // prefix as deduplicated ranks into a per-shard arena; embarrassingly
+  // parallel per object.
+  std::vector<std::vector<int32_t>> shard_ranks(lanes);
   std::vector<int64_t> shard_prefix(lanes, 0);
   stats->prepare_tasks +=
       pool_->ParallelFor(n, lanes, [&](int shard, int64_t begin, int64_t end) {
+        std::vector<int32_t>& out = shard_ranks[shard];
         int64_t since_poll = 0;
         static thread_local std::vector<int32_t> ranks;
         for (int64_t i = begin; i < end; ++i) {
@@ -234,23 +268,25 @@ KJoin::Prepared KJoin::Prepare(const std::vector<const std::vector<Object>*>& co
               !controller->Poll(JoinPhase::kPrepare)) {
             return;
           }
-          SortByGlobalOrderWithRanks(*order, &prepared.sigs[i], &ranks);
-          const int32_t prefix = PrefixLengthFor(prepared.sigs[i], objects[i]->size());
-          prepared.prefix_len[i] = prefix;
+          const std::span<Signature> object = object_sigs(i);
+          SortByGlobalOrderWithRanks(*order, object, &ranks);
+          const int32_t prefix = PrefixLengthFor(object, objects[i]->size());
           shard_prefix[shard] += prefix;
-          // The prefix as deduplicated ranks: sorted ascending, so equal
-          // ranks (one signature reached through several elements) are
-          // adjacent.
-          std::vector<int32_t>& out = prepared.prefix_ranks[i];
-          out.reserve(prefix);
+          // Sorted ascending, so equal ranks (one signature reached
+          // through several elements) are adjacent.
+          const size_t start = out.size();
           int32_t previous_rank = -1;
           for (int32_t k = 0; k < prefix; ++k) {
             if (ranks[k] == previous_rank) continue;
             previous_rank = ranks[k];
             out.push_back(previous_rank);
           }
+          prepared.prefix_offset[i + 1] = static_cast<int64_t>(out.size() - start);
         }
       });
+  if (controller->tripped()) return prepared;
+  prepared.prefix_ranks = ConcatenateShards(&shard_ranks);
+  CountsToOffsets(&prepared.prefix_offset);
   for (int s = 0; s < lanes; ++s) stats->prefix_signatures += shard_prefix[s];
   return prepared;
 }
@@ -401,53 +437,120 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
            : Prepare({&left, &right}, &order, &result->stats, &controller);
   result->stats.signature_seconds = phase_timer.ElapsedSeconds();
 
-  // ---- filter: index left prefixes, probe (self: probe x reads y < x) ----
+  // ---- filter: index left prefixes, probe each prefix's size window ----
   phase_timer.Restart();
-  // Rank-keyed CSR over the indexed prefixes: one flat doc array plus a
-  // rank -> [begin, end) offset table. Lists ascend by construction (the
-  // fill pass walks objects in order), which the self-join cutoff relies
-  // on. Keys are dense ranks addressed directly, where a PostingStore
-  // binary-searches SigIds, so the two stores stay separate and share only
-  // the ProbeSet. Built in a count + fill pass; a mid-build trip leaves the
-  // arrays inconsistent, but a tripped controller zeroes num_probes so
-  // they are never probed.
-  const int32_t num_ranks = order.num_signatures();
   const int32_t num_indexed = static_cast<int32_t>(left.size());
+  const size_t probe_sig_offset = self ? 0 : left.size();
+  const std::span<const ObjectGroupPlan> left_plans(prepared.plans.data(), left.size());
+  const std::span<const ObjectGroupPlan> right_plans(prepared.plans.data() + probe_sig_offset,
+                                                     rhs.size());
+  const std::span<const ScreenRecord> left_screen(prepared.screen.data(), left.size());
+  const std::span<const ScreenRecord> right_screen(prepared.screen.data() + probe_sig_offset,
+                                                   rhs.size());
+
+  // The indexed objects ranked by (size, id), by a counting sort on size:
+  // position[x] is x's rank, and size_start[s] the first rank of an object
+  // of size >= s, for s in [0, max_left_size + 1].
+  int32_t max_left_size = 0;
+  for (const ScreenRecord& record : left_screen) {
+    max_left_size = std::max(max_left_size, record.size);
+  }
+  std::vector<int32_t> size_start(static_cast<size_t>(max_left_size) + 2, 0);
+  for (const ScreenRecord& record : left_screen) ++size_start[record.size + 1];
+  for (size_t s = 1; s < size_start.size(); ++s) size_start[s] += size_start[s - 1];
+  std::vector<int32_t> position(static_cast<size_t>(num_indexed));
+  std::vector<int32_t> by_position(static_cast<size_t>(num_indexed));
+  {
+    std::vector<int32_t> next(size_start.begin(), size_start.end() - 1);
+    for (int32_t x = 0; x < num_indexed; ++x) {
+      const int32_t at = next[left_screen[x].size]++;
+      position[x] = at;
+      by_position[at] = x;
+    }
+  }
+
+  // Rank-keyed CSR over the indexed prefixes: one flat doc array plus a
+  // rank -> [begin, end) offset table. The fill pass walks the objects by
+  // position, so each list ascends by (size, id): a probe's admissible
+  // partners are one contiguous run of it. Keys are dense ranks addressed
+  // directly, where a PostingStore binary-searches SigIds, so the two
+  // stores stay separate and share only the ProbeSet. Built in a count +
+  // fill pass; a mid-build trip leaves the arrays inconsistent, but a
+  // tripped controller zeroes num_probes so they are never probed.
+  const int32_t num_ranks = order.num_signatures();
   std::vector<int64_t> rank_offset(static_cast<size_t>(num_ranks) + 1, 0);
   std::vector<int32_t> rank_docs;
   if (!controller.tripped()) {
-    int64_t since_poll = 0;
-    bool counted = true;
-    for (int32_t x = 0; x < num_indexed; ++x) {
-      if (polled && (since_poll++ % kIndexPollStride) == 0 &&
-          !controller.Poll(JoinPhase::kFilter)) {
-        counted = false;
+    const int64_t indexed_entries = prepared.prefix_offset[num_indexed];
+    for (int64_t k = 0; k < indexed_entries; ++k) ++rank_offset[prepared.prefix_ranks[k] + 1];
+    for (int32_t r = 0; r < num_ranks; ++r) rank_offset[r + 1] += rank_offset[r];
+    rank_docs.resize(static_cast<size_t>(rank_offset[num_ranks]));
+    std::vector<int64_t> cursor(rank_offset.begin(), rank_offset.end() - 1);
+    for (int32_t at = 0; at < num_indexed; ++at) {
+      if (polled && (at % kIndexPollStride) == 0 && !controller.Poll(JoinPhase::kFilter)) {
         break;
       }
-      for (const int32_t rank : prepared.prefix_ranks[x]) ++rank_offset[rank + 1];
-    }
-    if (counted) {
-      for (int32_t r = 0; r < num_ranks; ++r) rank_offset[r + 1] += rank_offset[r];
-      rank_docs.resize(static_cast<size_t>(rank_offset[num_ranks]));
-      std::vector<int64_t> cursor(rank_offset.begin(), rank_offset.end() - 1);
-      for (int32_t x = 0; x < num_indexed; ++x) {
-        if (polled && (since_poll++ % kIndexPollStride) == 0 &&
-            !controller.Poll(JoinPhase::kFilter)) {
-          break;
-        }
-        for (const int32_t rank : prepared.prefix_ranks[x]) {
-          rank_docs[static_cast<size_t>(cursor[rank]++)] = x;
-        }
+      const int32_t x = by_position[at];
+      for (const int32_t rank : prepared.PrefixRanks(x)) {
+        rank_docs[static_cast<size_t>(cursor[rank]++)] = x;
       }
     }
   }
 
   const int32_t num_probes =
       controller.tripped() ? 0 : static_cast<int32_t>(self ? left.size() : right.size());
-  const size_t probe_sig_offset = self ? 0 : left.size();
-  const std::span<const ObjectGroupPlan> left_plans(prepared.plans.data(), left.size());
-  const std::span<const ObjectGroupPlan> right_plans(prepared.plans.data() + probe_sig_offset,
-                                                     rhs.size());
+
+  // Each probe size's size window: the positions [begin, end) of the
+  // indexed objects whose sizes the size bound admits. The admissible
+  // partner sizes of a non-empty object form an interval around its own
+  // size (docs/THEORY.md, section 6), found by a binary search on each
+  // side over Verifier::Demand itself, so the window and the screen can
+  // never disagree. Empty objects carry no signature and never probe.
+  struct Window {
+    int32_t begin = 0;
+    int32_t end = 0;
+  };
+  int32_t max_right_size = 0;
+  for (int32_t p = 0; p < num_probes; ++p) {
+    max_right_size = std::max(max_right_size, right_screen[p].size);
+  }
+  std::vector<Window> window(static_cast<size_t>(max_right_size) + 1);
+  {
+    std::vector<char> probed_size(window.size(), 0);
+    for (int32_t p = 0; p < num_probes; ++p) probed_size[right_screen[p].size] = 1;
+    const auto in_reach = [&](int32_t partner, int32_t size) {
+      return !verifier_.Demand(partner, size).out_of_reach;
+    };
+    for (int32_t size = 1; size <= max_right_size; ++size) {
+      if (!probed_size[size]) continue;
+      // A size is within reach of itself; reach grows up to it and
+      // shrinks past it.
+      int32_t lo = 1, hi = size;
+      while (lo < hi) {
+        const int32_t mid = lo + (hi - lo) / 2;
+        if (in_reach(mid, size)) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      const int32_t smallest = lo;
+      lo = size;
+      hi = std::max(size, max_left_size);
+      while (lo < hi) {
+        const int32_t mid = lo + (hi - lo + 1) / 2;
+        if (in_reach(mid, size)) {
+          lo = mid;
+        } else {
+          hi = mid - 1;
+        }
+      }
+      const int32_t largest = lo;
+      window[size] = {size_start[std::min(smallest, max_left_size + 1)],
+                      size_start[std::min(largest, max_left_size) + 1]};
+    }
+  }
+
   const int64_t max_per_probe = control.max_candidates_per_probe;
   // Candidate pairs buffered at once under the byte budget (0 = unlimited).
   const int64_t pair_bytes = static_cast<int64_t>(sizeof(std::pair<int32_t, int32_t>));
@@ -456,34 +559,38 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
           ? std::max<int64_t>(int64_t{1}, control.candidate_byte_budget / pair_bytes)
           : 0;
 
-  // The probe body is shared by self and R-S joins: both emit
-  // (indexed id, probe id) pairs in probe order; self mode additionally
-  // stops each posting list at the probe itself (ascending lists).
+  // One probe walk serves self and R-S joins. A probe takes, from each
+  // of its prefix's posting lists, only the run inside its size window,
+  // found by two binary searches on the entries' positions: an R-S probe
+  // the whole window; a self-join probe the part of it ranked below
+  // itself, so each pair is found once, from its larger (size, id) side,
+  // and emitted as (smaller id, larger id). The entries left out below
+  // the window (and, R-S, above it) are tallied as size_skipped.
   //
-  // Each probe adds its prefix's posting lists to the thread's ProbeSet
-  // and drains the touched objects in ascending order, so every object
-  // sharing a prefix signature with the probe is found once.
+  // Each probe adds those runs to the thread's ProbeSet and drains the
+  // touched objects in ascending id order, so every object sharing a
+  // prefix signature with the probe is found once.
   //
-  // Every drained pair then passes the verifier's Screen: the size
-  // bound, and in pure mode with count_pruning the count bound, which
-  // the two objects' sketches settle for most pairs. The screen reads the
-  // flat records first (Prepared::screen) and a plan only when the
-  // sketches pass. Only pairs that could become results are emitted
-  // (docs/THEORY.md, section 6); the dropped ones are tallied per shard,
-  // in cache-line-padded slots so concurrent shards never share a line.
+  // Every drained pair then passes the verifier's Screen: in pure mode
+  // with count_pruning the count bound, which the two objects' sketches
+  // settle for most pairs (the window already holds only pairs within
+  // the size bound). The screen reads the flat records first
+  // (Prepared::screen) and a plan only when the sketches pass. Only pairs
+  // that could become results are emitted (docs/THEORY.md, section 6);
+  // the dropped ones are tallied per shard, in cache-line-padded slots so
+  // concurrent shards never share a line.
   struct alignas(64) ScreenTally {
-    int64_t size = 0;
+    int64_t skipped = 0;
     int64_t count = 0;
     int64_t sketch = 0;
   };
   std::vector<ScreenTally> screened(static_cast<size_t>(pool_->num_threads()));
-  const std::span<const ScreenRecord> left_screen(prepared.screen.data(), left.size());
-  const std::span<const ScreenRecord> right_screen(prepared.screen.data() + probe_sig_offset,
-                                                   rhs.size());
-  int32_t max_left_size = 0;
-  for (const ScreenRecord& record : left_screen) {
-    max_left_size = std::max(max_left_size, record.size);
-  }
+  // The first entry in [first, last) — a run of a list ascending by
+  // position — at position >= bound.
+  const auto first_at = [&position](const int32_t* first, const int32_t* last, int32_t bound) {
+    return std::lower_bound(first, last, bound,
+                            [&position](int32_t doc, int32_t b) { return position[doc] < b; });
+  };
   auto probe = [&](int shard, int32_t begin, int32_t end,
                    std::vector<std::pair<int32_t, int32_t>>* out) {
     const size_t shard_base = out->size();
@@ -501,52 +608,52 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
         return;
       }
       const size_t probe_base = out->size();
-      const int32_t limit = self ? p : num_indexed;
-      if (limit > 0) {
-        for (const int32_t rank : prepared.prefix_ranks[probe_sig_offset + p]) {
-          const int32_t* list = rank_docs.data() + rank_offset[rank];
-          int32_t n = static_cast<int32_t>(rank_offset[rank + 1] - rank_offset[rank]);
-          if (self && n > 0 && list[n - 1] >= limit) {
-            // Ascending list: clip to entries below the probe.
-            n = static_cast<int32_t>(std::lower_bound(list, list + n, limit) - list);
-          }
-          probe_set.Add(list, n);
+      const ScreenRecord& probe_record = right_screen[p];
+      const Window& slice = window[probe_record.size];
+      const int32_t stop = self ? position[p] : slice.end;
+      for (const int32_t rank : prepared.PrefixRanks(probe_sig_offset + p)) {
+        const int32_t* list = rank_docs.data() + rank_offset[rank];
+        const int32_t* list_end = rank_docs.data() + rank_offset[rank + 1];
+        const int32_t* first = first_at(list, list_end, slice.begin);
+        const int32_t* last = first_at(first, list_end, stop);
+        tally.skipped += (first - list) + (self ? 0 : list_end - last);
+        probe_set.Add(first, static_cast<int32_t>(last - first));
+      }
+      probe_set.Drain([&](int32_t x) {
+        const ScreenRecord& record = left_screen[x];
+        if (demand_probe[record.size] != p) {
+          demand_probe[record.size] = p;
+          demand[record.size] = verifier_.Demand(record.size, probe_record.size);
         }
-        const ScreenRecord& probe_record = right_screen[p];
-        probe_set.Drain([&](int32_t x) {
-          const ScreenRecord& record = left_screen[x];
-          if (demand_probe[record.size] != p) {
-            demand_probe[record.size] = p;
-            demand[record.size] = verifier_.Demand(record.size, probe_record.size);
-          }
-          switch (Verifier::Screen(demand[record.size], record.sketch, probe_record.sketch,
-                                   left_plans[x], right_plans[p])) {
-            case PairScreen::kVerify:
+        switch (Verifier::Screen(demand[record.size], record.sketch, probe_record.sketch,
+                                 left_plans[x], right_plans[p])) {
+          case PairScreen::kVerify:
+            if (self && x > p) {
+              out->emplace_back(p, x);
+            } else {
               out->emplace_back(x, p);
-              break;
-            case PairScreen::kSizeBound:
-              ++tally.size;
-              break;
-            case PairScreen::kSketchBound:
-              ++tally.sketch;
-              ++tally.count;
-              break;
-            case PairScreen::kCountBound:
-              ++tally.count;
-              break;
-          }
-        });
-        if (max_per_probe > 0 &&
-            static_cast<int64_t>(out->size() - probe_base) > max_per_probe) {
-          controller.Trip(
-              JoinPhase::kFilter,
-              ResourceExhaustedError(
-                  "probe object " + std::to_string(p) + " emitted " +
-                  std::to_string(out->size() - probe_base) +
-                  " candidates, over max_candidates_per_probe=" +
-                  std::to_string(max_per_probe) + "; results so far are partial"));
-          return;
+            }
+            break;
+          case PairScreen::kSizeBound:
+            break;  // never: the window holds only pairs within reach
+          case PairScreen::kSketchBound:
+            ++tally.sketch;
+            ++tally.count;
+            break;
+          case PairScreen::kCountBound:
+            ++tally.count;
+            break;
         }
+      });
+      if (max_per_probe > 0 && static_cast<int64_t>(out->size() - probe_base) > max_per_probe) {
+        controller.Trip(
+            JoinPhase::kFilter,
+            ResourceExhaustedError(
+                "probe object " + std::to_string(p) + " emitted " +
+                std::to_string(out->size() - probe_base) +
+                " candidates, over max_candidates_per_probe=" +
+                std::to_string(max_per_probe) + "; results so far are partial"));
+        return;
       }
       // Hard memory backstop: chunks are sized to emit about one budget's
       // worth, and the rate estimate lags by at most ~2x on steadily
@@ -630,7 +737,7 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
   }
   result->stats.filter_seconds += phase_timer.ElapsedSeconds();
   for (const ScreenTally& tally : screened) {
-    result->stats.size_filtered += tally.size;
+    result->stats.size_skipped += tally.skipped;
     result->stats.count_filtered += tally.count;
     result->stats.sketch_filtered += tally.sketch;
   }
@@ -641,6 +748,13 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
     ++result->stats.verify_batches;
   }
 
+  if (self) {
+    // A self-join finds each pair from its larger (size, id) side; sorted
+    // by (second, first), the pairs come in the order of a walk by id.
+    std::sort(result->pairs.begin(), result->pairs.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second < b.second : a.first < b.first;
+    });
+  }
   result->stats.results = static_cast<int64_t>(result->pairs.size());
   result->stats.total_seconds = total_timer.ElapsedSeconds();
   result->stats.stopped_phase = controller.phase();

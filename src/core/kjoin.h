@@ -117,7 +117,10 @@ struct JoinControl {
   // alone overflows the budget the join gives up with kResourceExhausted.
   int64_t candidate_byte_budget = 0;
   // Cap on candidates emitted by one probe object (pairs the probe-side
-  // bounds pass on to verification); <= 0 means unlimited.
+  // bounds pass on to verification); <= 0 means unlimited. A self-join
+  // finds each pair once, from its larger (size, id) side, so there a
+  // probe counts only its partners of smaller (size, id); an R-S probe
+  // counts all of its partners.
   // A probe exceeding it (a "hub" object matching everything) trips
   // kResourceExhausted rather than quadratically exploding the buffer.
   int64_t max_candidates_per_probe = 0;
@@ -134,21 +137,26 @@ struct JoinStats {
   int64_t prefix_signatures = 0;
   // Distinct candidate pairs sent to verification (each verified once).
   int64_t candidates = 0;
+  // Posting entries the probes' size windows left out (docs/THEORY.md,
+  // section 6): entries of indexed objects whose size alone rules out
+  // the pair, so the probe never touches them. Counted per probed list
+  // from the window's offsets; a self-join probe's cut at its own
+  // (size, id) — the pairs its larger partners find — is not counted.
+  int64_t size_skipped = 0;
   // Pairs the probe found through shared prefix signatures but dropped
-  // before verification (docs/THEORY.md, section 6): sizes alone
-  // rule them out, or — pure mode with count_pruning — Lemma 3's count
-  // bound does. Both are rejections verification would make. Like
-  // `candidates`, neither depends on num_threads.
-  int64_t size_filtered = 0;
+  // before verification, because (pure mode with count_pruning) Lemma
+  // 3's count bound rules them out: a rejection verification would make.
+  // Like `candidates`, neither this counter nor size_skipped depends on
+  // num_threads.
   int64_t count_filtered = 0;
   // The part of count_filtered that the plans' signature sketches
   // rejected without a merge (SignatureSketch, core/verifier.h). Like
   // the counters above, independent of num_threads and of the ISA level.
   int64_t sketch_filtered = 0;
-  // Every pair the prefix-signature probe found, before its bounds: the
-  // signature filter's output, which is what the paper's filtering
-  // figures count as candidates.
-  int64_t probe_pairs() const { return candidates + size_filtered + count_filtered; }
+  // Every size-admissible pair the prefix-signature probe found, before
+  // the count bound: the signature filter's output, which is what the
+  // paper's filtering figures count as candidates.
+  int64_t probe_pairs() const { return candidates + count_filtered; }
   int64_t results = 0;
   double signature_seconds = 0.0;
   double filter_seconds = 0.0;  // candidate generation (probing + indexing)
@@ -241,18 +249,23 @@ class KJoin {
     int32_t size = 0;
   };
 
-  // Per-object signature lists sorted by global order plus prefix length.
-  // prefix_ranks[i] is object i's prefix as deduplicated global ranks
-  // (ascending) — the filter phase indexes and probes through it without
-  // ever re-resolving SigId -> rank. plans[i] is object i's grouping
-  // plan, shared read-only by the probe's count bound and by every
-  // verification batch; screen[i] is its record for the probe.
+  // What the filter and verification read of each object. Object i's
+  // prefix, as deduplicated global ranks (ascending), is
+  // prefix_ranks[prefix_offset[i], prefix_offset[i + 1]) of one flat
+  // arena — the filter phase indexes and probes through it without ever
+  // re-resolving SigId -> rank. plans[i] is object i's grouping plan,
+  // shared read-only by the probe's count bound and by every verification
+  // batch; screen[i] is its record for the probe.
   struct Prepared {
-    std::vector<std::vector<Signature>> sigs;
-    std::vector<int32_t> prefix_len;
-    std::vector<std::vector<int32_t>> prefix_ranks;
+    std::vector<int32_t> prefix_ranks;
+    std::vector<int64_t> prefix_offset;
     std::vector<ObjectGroupPlan> plans;
     std::vector<ScreenRecord> screen;
+
+    std::span<const int32_t> PrefixRanks(size_t i) const {
+      return {prefix_ranks.data() + prefix_offset[i],
+              static_cast<size_t>(prefix_offset[i + 1] - prefix_offset[i])};
+    }
   };
 
   // Both public joins funnel here; `self` selects self-join semantics
@@ -267,7 +280,7 @@ class KJoin {
                    GlobalSignatureOrder* order, JoinStats* stats,
                    JoinController* controller) const;
 
-  int32_t PrefixLengthFor(const std::vector<Signature>& sigs, int32_t object_size) const;
+  int32_t PrefixLengthFor(std::span<const Signature> sigs, int32_t object_size) const;
 
   // Verifies candidate (left-index, right-index) pairs — sharded over the
   // pool when options_.num_threads > 1 and the batch is large enough —

@@ -16,7 +16,7 @@ struct ElementWalk {
   double max_weight = 0.0;  // largest removed weight (weighted rule)
 };
 
-std::vector<ElementWalk>& WalkState(const std::vector<Signature>& sigs) {
+std::vector<ElementWalk>& WalkState(std::span<const Signature> sigs) {
   static thread_local std::vector<ElementWalk> state;
   int32_t max_element = 0;
   for (const Signature& sig : sigs) {
@@ -43,7 +43,7 @@ void GlobalSignatureOrder::Reserve(SigId max_id) {
   Grow(static_cast<size_t>(max_id) + 2);
 }
 
-void GlobalSignatureOrder::CountObject(const std::vector<Signature>& sigs) {
+void GlobalSignatureOrder::CountObject(std::span<const Signature> sigs) {
   KJOIN_CHECK(!finalized_);
   KJOIN_CHECK_LT(objects_counted_, UINT32_MAX);
   // Dedupe within the object: df counts objects, not occurrences. A slot
@@ -105,27 +105,27 @@ int32_t GlobalSignatureOrder::DocumentFrequency(SigId id) const {
 
 void SortByGlobalOrder(const GlobalSignatureOrder& order, std::vector<Signature>* sigs) {
   static thread_local std::vector<int32_t> ranks;
-  SortByGlobalOrderWithRanks(order, sigs, &ranks);
+  SortByGlobalOrderWithRanks(order, *sigs, &ranks);
 }
 
-void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order,
-                                std::vector<Signature>* sigs, std::vector<int32_t>* ranks) {
+void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order, std::span<Signature> sigs,
+                                std::vector<int32_t>* ranks) {
   // Resolve each rank once, then sort by it.
   static thread_local std::vector<std::pair<int32_t, Signature>> keyed;
   keyed.clear();
-  for (const Signature& sig : *sigs) keyed.emplace_back(order.Rank(sig.id), sig);
+  for (const Signature& sig : sigs) keyed.emplace_back(order.Rank(sig.id), sig);
   std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;
     return a.second.element < b.second.element;
   });
   ranks->resize(keyed.size());
   for (size_t i = 0; i < keyed.size(); ++i) {
-    (*sigs)[i] = keyed[i].second;
+    sigs[i] = keyed[i].second;
     (*ranks)[i] = keyed[i].first;
   }
 }
 
-int32_t PrefixLengthDistinct(const std::vector<Signature>& sigs,
+int32_t PrefixLengthDistinct(std::span<const Signature> sigs,
                              int32_t min_similar_elements) {
   if (sigs.empty()) return 0;
   if (min_similar_elements <= 0) return static_cast<int32_t>(sigs.size());
@@ -150,7 +150,7 @@ int32_t PrefixLengthDistinct(const std::vector<Signature>& sigs,
   return prefix;
 }
 
-int32_t PrefixLengthWeighted(const std::vector<Signature>& sigs, double overlap_budget) {
+int32_t PrefixLengthWeighted(std::span<const Signature> sigs, double overlap_budget) {
   if (sigs.empty()) return 0;
   if (overlap_budget <= 0.0) return static_cast<int32_t>(sigs.size());
 

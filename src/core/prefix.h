@@ -19,6 +19,7 @@
 // τ-similar (Lemmas 2, 6, 7).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/signature.h"
@@ -39,7 +40,7 @@ class GlobalSignatureOrder {
  public:
   // Counts each distinct SigId of the object once (document frequency).
   // Ids must be >= kUnknownTokenSignature.
-  void CountObject(const std::vector<Signature>& sigs);
+  void CountObject(std::span<const Signature> sigs);
 
   // Sizes the dense arrays for ids up to `max_id`, so counting objects
   // whose largest id is known up front never regrows them. Optional.
@@ -73,10 +74,11 @@ class GlobalSignatureOrder {
 // prefix routines and the join driver expect.
 void SortByGlobalOrder(const GlobalSignatureOrder& order, std::vector<Signature>* sigs);
 
-// SortByGlobalOrder, also writing the per-signature ranks (parallel to the
-// sorted `sigs`, ascending with ties across elements) into `ranks` so the
-// join driver never re-resolves Rank() in the hot path.
-void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order, std::vector<Signature>* sigs,
+// SortByGlobalOrder in place on one object's slice of a flat signature
+// arena, also writing the per-signature ranks (parallel to the sorted
+// `sigs`, ascending with ties across elements) into `ranks` so the join
+// driver never re-resolves Rank() in the hot path.
+void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order, std::span<Signature> sigs,
                                 std::vector<int32_t>* ranks);
 
 // Prefix length under the distinct-element rule. `sigs` must be sorted by
@@ -87,11 +89,11 @@ void SortByGlobalOrderWithRanks(const GlobalSignatureOrder& order, std::vector<S
 // arrays indexed by Signature::element (an index within the object, so
 // >= 0 and below the object's size) and clear what they touched before
 // returning: no allocation once a thread has seen its largest object.
-int32_t PrefixLengthDistinct(const std::vector<Signature>& sigs, int32_t min_similar_elements);
+int32_t PrefixLengthDistinct(std::span<const Signature> sigs, int32_t min_similar_elements);
 
 // Prefix length under the weighted rule; `overlap_budget` is τ|S| (or the
 // metric-equivalent from MinSimilarElements' derivation).
-int32_t PrefixLengthWeighted(const std::vector<Signature>& sigs, double overlap_budget);
+int32_t PrefixLengthWeighted(std::span<const Signature> sigs, double overlap_budget);
 
 }  // namespace kjoin
 

@@ -55,29 +55,34 @@ void SignatureGenerator::AppendForMapping(const ElementMapping& mapping, int32_t
 std::vector<Signature> SignatureGenerator::Generate(const Object& object) const {
   std::vector<Signature> sigs;
   sigs.reserve(object.elements.size() * 2);
-  std::vector<Signature> scratch;
+  AppendSignatures(object, &sigs);
+  return sigs;
+}
+
+void SignatureGenerator::AppendSignatures(const Object& object,
+                                          std::vector<Signature>* out) const {
   for (int32_t i = 0; i < object.size(); ++i) {
     const Element& element = object.elements[i];
     if (!element.has_node()) {
-      sigs.push_back({TokenSignature(element.token_id), i, 1.0f});
+      out->push_back({TokenSignature(element.token_id), i, 1.0f});
       continue;
     }
-    scratch.clear();
+    const size_t start = out->size();
     for (const ElementMapping& mapping : element.mappings) {
-      AppendForMapping(mapping, i, &scratch);
+      AppendForMapping(mapping, i, out);
     }
-    // Deduplicate per element, keeping the max weight: several mappings
-    // (or the depth sweep of one mapping) can emit the same ancestor.
-    std::sort(scratch.begin(), scratch.end(), [](const Signature& a, const Signature& b) {
+    // Deduplicate the element's run in place, keeping the max weight:
+    // several mappings (or the depth sweep of one mapping) can emit the
+    // same ancestor.
+    const auto run = out->begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(run, out->end(), [](const Signature& a, const Signature& b) {
       if (a.id != b.id) return a.id < b.id;
       return a.weight > b.weight;
     });
-    for (size_t k = 0; k < scratch.size(); ++k) {
-      if (k > 0 && scratch[k].id == scratch[k - 1].id) continue;
-      sigs.push_back(scratch[k]);
-    }
+    out->erase(std::unique(run, out->end(),
+                           [](const Signature& a, const Signature& b) { return a.id == b.id; }),
+               out->end());
   }
-  return sigs;
 }
 
 void SignatureGenerator::AppendNodeSignatures(const Element& element,

@@ -60,8 +60,13 @@ class SignatureGenerator {
                      double delta);
 
   // All signatures of the object, one entry per (element, distinct sig),
-  // deduplicated per element keeping the maximal weight.
+  // deduplicated per element keeping the maximal weight, in element order.
   std::vector<Signature> Generate(const Object& object) const;
+
+  // Generate, appended to *out: the join's prepare writes every object's
+  // signatures into one flat arena. Entries already in *out are left as
+  // they are.
+  void AppendSignatures(const Object& object, std::vector<Signature>* out) const;
 
   // The node signatures of one element (Definition 4), used for the
   // verification-side grouping (Lemma 8) regardless of the filter scheme.

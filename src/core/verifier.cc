@@ -318,22 +318,38 @@ SignatureSketch SignatureSketch::Of(std::span<const SigId> sigs) {
 }
 
 void Verifier::BuildPlan(const Object& object, ObjectGroupPlan* plan) const {
-  plan->entries.clear();
+  // An element has one node signature per mapping at most, and one token
+  // signature when unmapped: reserve for that once.
+  size_t most = 0;
+  for (const Element& element : object.elements) {
+    most += std::max<size_t>(1, element.mappings.size());
+  }
+  std::vector<ObjectGroupPlan::Entry>& entries = plan->entries;
+  entries.clear();
+  entries.reserve(most);
   static thread_local std::vector<SigId> sig_buffer;
   for (int32_t i = 0; i < object.size(); ++i) {
     sig_buffer.clear();
     signatures_->AppendNodeSignatures(object.elements[i], &sig_buffer);
-    for (SigId sig : sig_buffer) plan->entries.push_back({sig, i});
+    for (SigId sig : sig_buffer) entries.push_back({sig, i});
   }
-  const std::vector<ObjectGroupPlan::Entry>& entries = plan->entries;
+  // Sort (sig, index) as one 128-bit key: the signature with its sign bit
+  // flipped, so unsigned order is signed order over all of int64, above
+  // the 32-bit entry index. Index order is element-major generation
+  // order, so equal signatures keep element order.
+  static thread_local std::vector<unsigned __int128> keys;
+  keys.resize(entries.size());
+  for (size_t k = 0; k < entries.size(); ++k) {
+    const uint64_t sig = static_cast<uint64_t>(entries[k].sig) ^ (uint64_t{1} << 63);
+    keys[k] = (static_cast<unsigned __int128>(sig) << 32) | static_cast<uint32_t>(k);
+  }
+  std::sort(keys.begin(), keys.end());
   plan->by_sig.resize(entries.size());
-  std::iota(plan->by_sig.begin(), plan->by_sig.end(), 0);
-  std::sort(plan->by_sig.begin(), plan->by_sig.end(), [&](int32_t a, int32_t b) {
-    if (entries[a].sig != entries[b].sig) return entries[a].sig < entries[b].sig;
-    return a < b;  // element-major generation order: index order = element order
-  });
   plan->sigs.resize(entries.size());
-  for (size_t k = 0; k < entries.size(); ++k) plan->sigs[k] = entries[plan->by_sig[k]].sig;
+  for (size_t k = 0; k < entries.size(); ++k) {
+    plan->by_sig[k] = static_cast<int32_t>(static_cast<uint32_t>(keys[k]));
+    plan->sigs[k] = entries[plan->by_sig[k]].sig;
+  }
   // Plus mode never asks the plans' count bound (its groups merge across
   // elements), so it skips the sketch; an unusable one forces a merge.
   plan->sketch =

@@ -85,7 +85,7 @@ void EventLoop::RunQueuedTasks() {
 }
 
 void EventLoop::Stop() {
-  running_.store(false, std::memory_order_release);
+  stop_requested_.store(true, std::memory_order_release);
   Wake();
 }
 
@@ -105,7 +105,6 @@ void EventLoop::SetTicker(double interval_seconds, std::function<void()> tick) {
 void EventLoop::Run() {
   using Clock = std::chrono::steady_clock;
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
-  running_.store(true, std::memory_order_release);
   const bool has_ticker = tick_ && tick_interval_seconds_ > 0.0;
   const int tick_ms =
       has_ticker ? std::max(1, static_cast<int>(tick_interval_seconds_ * 1e3)) : -1;
@@ -113,7 +112,7 @@ void EventLoop::Run() {
 
   constexpr int kMaxEvents = 64;
   struct epoll_event events[kMaxEvents];
-  while (running_.load(std::memory_order_acquire)) {
+  while (!stop_requested_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, tick_ms);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -57,10 +57,13 @@ class EventLoop {
 
   // Blocks servicing events until Stop(). Drains the RunInLoop queue
   // once more after the last epoll_wait so no handed-over task is lost.
+  // Returns at once (after that drain) if Stop() came first, even before
+  // Run() was entered.
   void Run();
 
   // Thread-safe and async-signal-safe (one atomic store + one eventfd
-  // write): usable straight from a SIGTERM handler.
+  // write): usable straight from a SIGTERM handler. Final: a stopped
+  // loop does not run again.
   void Stop();
 
   // Runs `task` on the loop thread. From the loop thread itself the
@@ -86,7 +89,9 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::map<int, EventHandler*> handlers_;
-  std::atomic<bool> running_{false};
+  // Set by Stop() only; Run() never writes it, so a Stop() that lands
+  // before the loop thread enters Run() is not lost.
+  std::atomic<bool> stop_requested_{false};
   std::atomic<std::thread::id> loop_thread_id_{};
 
   std::mutex tasks_mu_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -694,6 +695,44 @@ TEST_F(VerifierFixture, PrecomputedPlansMatchPlanlessVerification) {
         EXPECT_EQ(fresh.results, reused.results);
       }
     }
+  }
+}
+
+TEST_F(VerifierFixture, PlanSortsSignaturesOverTheInt64Range) {
+  // A plan sorts (signature, entry index) as one key. Signatures span
+  // kUnknownTokenSignature (-1), node ids and token signatures past 2^31
+  // (num_nodes + a large token id), so a key that dropped the sign or
+  // shifted a signature into 32 bits would misorder them. Equal
+  // signatures keep element order.
+  const SignatureGenerator gen(tree_, ElementMetric::kKJoin, SignatureScheme::kNode, 0.7);
+  const Verifier verifier = MakeVerifier(0.7, 0.6, VerifyMode::kAdaptive, gen);
+  const auto unmapped = [](int32_t token_id) {
+    Element element;
+    element.token = "t" + std::to_string(token_id);
+    element.token_id = token_id;
+    return element;
+  };
+  Element pizza;
+  pizza.token = "pizza";
+  pizza.token_id = 3;
+  pizza.mappings = {{Node("Pizza"), 1.0}};
+  Object object;
+  object.elements = {unmapped(std::numeric_limits<int32_t>::max()), unmapped(-1), pizza,
+                     unmapped(5), unmapped(-1), pizza};
+  std::vector<SigId> node_sig;
+  gen.AppendNodeSignatures(pizza, &node_sig);
+  ASSERT_EQ(node_sig.size(), 1u);
+  const SigId big = gen.TokenSignature(std::numeric_limits<int32_t>::max());
+  ASSERT_GT(big, SigId{1} << 31);
+
+  ObjectGroupPlan plan;
+  verifier.BuildPlan(object, &plan);
+  EXPECT_EQ(plan.sigs, (std::vector<SigId>{kUnknownTokenSignature, kUnknownTokenSignature,
+                                           node_sig[0], node_sig[0], gen.TokenSignature(5),
+                                           big}));
+  EXPECT_EQ(plan.by_sig, (std::vector<int32_t>{1, 4, 2, 5, 3, 0}));
+  for (size_t k = 0; k < plan.by_sig.size(); ++k) {
+    EXPECT_EQ(plan.entries[plan.by_sig[k]].sig, plan.sigs[k]);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "baselines/naive_join.h"
@@ -411,7 +412,7 @@ TEST(ProbeBoundsTest, PairsWhoseSmallerSideIsExactlyTheNeededOverlapAreVerified)
                                   (plus ? " plus" : " pure") +
                                   (count_pruning ? " count" : " no-count");
         const JoinResult result = KJoin(tree, options).SelfJoin(objects);
-        EXPECT_EQ(result.stats.size_filtered, 0) << label;
+        EXPECT_EQ(result.stats.size_skipped, 0) << label;
         EXPECT_EQ(result.stats.count_filtered, 0) << label;
         EXPECT_EQ(result.stats.candidates, 1) << label;
         EXPECT_EQ(result.pairs, (std::vector<std::pair<int32_t, int32_t>>{{0, 1}})) << label;
@@ -424,8 +425,9 @@ TEST(ProbeBoundsTest, PairsWhoseSmallerSideIsExactlyTheNeededOverlapAreVerified)
 TEST(ProbeBoundsTest, OneElementShortOfTheEdgeIsFilteredUnverified) {
   // Jaccard τ = 1/2 with sizes 1 and 4 needs an overlap of 5/3 > 1. Every
   // element of the larger side repeats the smaller side's one element, so
-  // any prefix of it shares a signature: the probe finds the pair and
-  // drops it on sizes (SIM is 1/4).
+  // any prefix of it shares a signature: the pair's posting entries are
+  // in the larger side's lists, and its size window skips them (SIM is
+  // 1/4).
   const Hierarchy tree = MakeFigure1Hierarchy();
   EntityMatcher matcher = ExactMatcher(tree);
   ObjectBuilder builder(matcher, /*multi_mapping=*/false);
@@ -436,7 +438,8 @@ TEST(ProbeBoundsTest, OneElementShortOfTheEdgeIsFilteredUnverified) {
   options.delta = 0.7;
   options.tau = 0.5;
   const JoinResult result = KJoin(tree, options).SelfJoin(objects);
-  EXPECT_EQ(result.stats.size_filtered, 1);
+  EXPECT_GT(result.stats.size_skipped, 0);
+  EXPECT_EQ(result.stats.count_filtered, 0);
   EXPECT_EQ(result.stats.candidates, 0);
   EXPECT_EQ(result.stats.verify.pairs_verified, 0);
   EXPECT_TRUE(result.pairs.empty());
@@ -464,11 +467,9 @@ TEST(ProbeBoundsTest, CountBoundKeepsExactlyTheReachablePairs) {
     options.tau = 0.5;
     const JoinResult result = KJoin(tree, options).SelfJoin(objects);
     const JoinResult oracle = NaiveJoin(tree, options).SelfJoin(objects);
-    ASSERT_EQ(result.stats.candidates + result.stats.size_filtered +
-                  result.stats.count_filtered,
-              1)
+    ASSERT_EQ(result.stats.candidates + result.stats.count_filtered, 1)
         << "the probe must find the pair for the bound to be exercised";
-    EXPECT_EQ(result.stats.size_filtered, 0);
+    EXPECT_EQ(result.stats.size_skipped, 0);
     EXPECT_EQ(result.stats.count_filtered, shared == 3 ? 0 : 1) << shared << " shared";
     EXPECT_EQ(result.pairs, oracle.pairs) << shared << " shared";
     EXPECT_EQ(result.pairs.size(), shared == 3 ? 1u : 0u) << shared << " shared";
@@ -500,7 +501,7 @@ TEST(ProbeBoundsTest, ZeroTauFiltersNothing) {
       options.set_metric = metric;
       options.plus_mode = plus;
       const JoinResult result = KJoin(tree, options).SelfJoin(objects);
-      EXPECT_EQ(result.stats.size_filtered, 0);
+      EXPECT_EQ(result.stats.size_skipped, 0);
       EXPECT_EQ(result.stats.count_filtered, 0);
       EXPECT_EQ(result.stats.candidates, 30 * 29 / 2);
       EXPECT_EQ(result.pairs.size(), 30u * 29u / 2u);
@@ -562,8 +563,126 @@ TEST(ProbeBoundsTest, RsJoinScreensWithTheProbeSidePlans) {
   options.tau = 0.65;
   const JoinResult result = KJoin(tree, options).Join(left, right);
   EXPECT_FALSE(result.pairs.empty());
-  EXPECT_GT(result.stats.size_filtered, 0);
+  EXPECT_GT(result.stats.size_skipped, 0);
   EXPECT_GT(result.stats.count_filtered, 0);
+}
+
+TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
+  // A probe touches only the size-admissible run of each posting list
+  // (ranked by (size, id)); a self-join probe only the part ranked below
+  // itself. Many objects share each size, so runs begin and end inside
+  // equal-size blocks; singletons sit at the bottom of every list. Every
+  // non-empty object carries "Pizza", so at τ = 0 every pair of them
+  // shares a signature and the filter must find them all. Empty objects
+  // carry no signature, so no prefix filter can find their pairs: the
+  // oracle is NaiveJoin over pairs of non-empty objects.
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  std::vector<std::string> labels;
+  for (NodeId v = 1; v < tree.num_nodes(); ++v) labels.push_back(tree.label(v));
+  std::vector<std::vector<std::string>> records;
+  Rng rng(24);
+  const int sizes[] = {0, 1, 1, 2, 3, 3, 3, 3, 4, 4, 4, 5, 6, 6, 8, 11};
+  for (int i = 0; i < 64; ++i) {
+    const int size = sizes[rng.NextUint64(std::size(sizes))];
+    std::vector<std::string> tokens;
+    if (size > 0 && i % 5 == 4) {
+      // A near-duplicate of an earlier record of this size, if any.
+      for (int j = i - 1; j >= 0; --j) {
+        if (static_cast<int>(records[j].size()) != size) continue;
+        tokens = records[j];
+        if (size > 1) tokens.back() = labels[rng.NextUint64(labels.size())];
+        break;
+      }
+    }
+    if (tokens.empty() && size > 0) {
+      tokens.push_back("Pizza");
+      while (static_cast<int>(tokens.size()) < size) {
+        tokens.push_back(labels[rng.NextUint64(labels.size())]);
+      }
+    }
+    records.push_back(tokens);
+  }
+  const auto non_empty_pairs = [](const std::vector<Object>& lhs, const std::vector<Object>& rhs,
+                                  const JoinResult& oracle) {
+    std::vector<std::pair<int32_t, int32_t>> kept;
+    for (const auto& [a, b] : oracle.pairs) {
+      if (lhs[a].size() > 0 && rhs[b].size() > 0) kept.emplace_back(a, b);
+    }
+    return kept;
+  };
+  const auto by_second_first = [](const std::vector<std::pair<int32_t, int32_t>>& pairs) {
+    return std::is_sorted(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+    });
+  };
+
+  int64_t skipped = 0;
+  int64_t found = 0;
+  for (const bool plus : {false, true}) {
+    EntityMatcher matcher = ExactMatcher(tree);
+    ObjectBuilder builder(matcher, /*multi_mapping=*/plus);
+    std::vector<Object> objects, left, right;
+    for (size_t i = 0; i < records.size(); ++i) {
+      objects.push_back(builder.Build(static_cast<int32_t>(i), records[i]));
+      (i % 3 == 0 ? left : right).push_back(objects.back());
+    }
+    for (const SetMetric metric : {SetMetric::kJaccard, SetMetric::kDice, SetMetric::kCosine}) {
+      for (const double tau : {0.0, 0.5, 0.7, 0.8, 1.0}) {
+        for (const bool count_pruning : {true, false}) {
+          KJoinOptions options;
+          options.delta = 0.7;
+          options.tau = tau;
+          options.set_metric = metric;
+          options.plus_mode = plus;
+          options.count_pruning = count_pruning;
+          const std::string label =
+              std::string(plus ? "plus" : "pure") + " metric " +
+              std::to_string(static_cast<int>(metric)) + " tau " + std::to_string(tau) +
+              (count_pruning ? " count" : " no-count");
+          const NaiveJoin naive(tree, options);
+          const std::vector<std::pair<int32_t, int32_t>> self_expected =
+              non_empty_pairs(objects, objects, naive.SelfJoin(objects));
+          const std::vector<std::pair<int32_t, int32_t>> rs_expected =
+              non_empty_pairs(left, right, naive.Join(left, right));
+
+          options.num_threads = 1;
+          const KJoin serial(tree, options);
+          const JoinResult self = serial.SelfJoin(objects);
+          const JoinResult rs = serial.Join(left, right);
+          EXPECT_EQ(ToSet(self.pairs), ToSet(self_expected)) << label;
+          EXPECT_EQ(ToSet(rs.pairs), ToSet(rs_expected)) << label;
+          // Each pair once, as (smaller, larger), ordered by larger id, then
+          // smaller: the order of a probe walk by id.
+          EXPECT_EQ(ToSet(self.pairs).size(), self.pairs.size()) << label;
+          for (const auto& [a, b] : self.pairs) EXPECT_LT(a, b) << label;
+          EXPECT_TRUE(by_second_first(self.pairs)) << label;
+          EXPECT_TRUE(by_second_first(rs.pairs)) << label;
+          EXPECT_EQ(self.stats.verify.pairs_verified, self.stats.candidates) << label;
+          if (tau == 0.0) {
+            EXPECT_EQ(self.stats.size_skipped, 0) << label;
+          }
+
+          options.num_threads = 4;
+          const KJoin parallel(tree, options);
+          for (const bool is_self : {true, false}) {
+            const JoinResult& one = is_self ? self : rs;
+            const JoinResult four = is_self ? parallel.SelfJoin(objects)
+                                            : parallel.Join(left, right);
+            EXPECT_EQ(four.pairs, one.pairs) << label << (is_self ? " self" : " rs");
+            EXPECT_EQ(four.stats.candidates, one.stats.candidates) << label;
+            EXPECT_EQ(four.stats.size_skipped, one.stats.size_skipped) << label;
+            EXPECT_EQ(four.stats.count_filtered, one.stats.count_filtered) << label;
+            EXPECT_EQ(four.stats.sketch_filtered, one.stats.sketch_filtered) << label;
+          }
+          skipped += self.stats.size_skipped + rs.stats.size_skipped;
+          found += static_cast<int64_t>(self.pairs.size() + rs.pairs.size());
+        }
+      }
+    }
+  }
+  // The sweep must have had pairs to find and entries to skip.
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(found, 0);
 }
 
 TEST(KJoinTest, StatsAreConsistent) {

@@ -37,6 +37,7 @@
 #include "common/thread_pool.h"
 #include "data/benchmark_suite.h"
 #include "net/client.h"
+#include "net/event_loop.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serve/admission.h"
@@ -742,6 +743,60 @@ TEST(NetServerTest, GracefulDrainAnswersEverythingRead) {
     ASSERT_TRUE(result.ok()) << "acked request dropped: " << result.status().ToString();
   }
   EXPECT_EQ(stack->server->active_connections(), 0);
+}
+
+// A Stop() that lands before the loop thread enters Run() must still stop
+// the loop: a server shut down right after Start() stops loops whose
+// threads may not have reached Run() yet, and joins them. The loop runs
+// on its own thread under a bounded wait; if it does not return, a second
+// Stop() releases it and the test fails instead of hanging.
+TEST(EventLoopTest, StopBeforeRunReturns) {
+  net::EventLoop loop;
+  loop.Stop();
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread thread([&loop, &returned]() {
+    loop.Run();
+    returned.set_value();
+  });
+  const bool stopped = done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!stopped) loop.Stop();
+  thread.join();
+  EXPECT_TRUE(stopped) << "Run() did not see a Stop() issued before it started";
+}
+
+// Start, connect, shut down at once, 100 times over one index stack:
+// each shutdown stops event loops whose threads have only just started.
+// A shutdown that hangs cannot be released from here, so the cycles run
+// on their own thread under a bounded wait that ends the process.
+TEST(NetServerTest, ShutdownRightAfterStartReturns) {
+  auto stack = MakeServer();
+  // The cycles own the builder's token authority one server at a time.
+  stack->server->Shutdown();
+  stack->server.reset();
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread cycles([&stack, &finished]() {
+    for (int cycle = 0; cycle < 100; ++cycle) {
+      ServerOptions options;
+      options.num_loops = 2;
+      KJoinServer server(stack->router.get(), stack->manager.get(),
+                         Stack().prepared.builder.get(), stack->metrics.get(), options);
+      if (!server.Start().ok()) {
+        ADD_FAILURE() << "cycle " << cycle << ": Start failed";
+        break;
+      }
+      KJoinClient client;
+      EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok()) << "cycle " << cycle;
+      server.Shutdown();
+    }
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    std::fprintf(stderr, "ShutdownRightAfterStartReturns: a start/shutdown cycle hung\n");
+    std::_Exit(1);
+  }
+  cycles.join();
 }
 
 TEST(NetServerTest, ClientRecoversAfterServerDies) {

@@ -455,7 +455,7 @@ TEST(ResourceGuardTest, ByteBudgetSpillsVerificationAndPreservesResults) {
     EXPECT_EQ(result.stats.stopped_phase, JoinPhase::kNone);
     // Chunked probing screens exactly the pairs one unbudgeted pass does.
     EXPECT_EQ(result.stats.candidates, unbudgeted.stats.candidates) << "threads=" << threads;
-    EXPECT_EQ(result.stats.size_filtered, unbudgeted.stats.size_filtered)
+    EXPECT_EQ(result.stats.size_skipped, unbudgeted.stats.size_skipped)
         << "threads=" << threads;
     EXPECT_EQ(result.stats.count_filtered, unbudgeted.stats.count_filtered)
         << "threads=" << threads;

@@ -128,12 +128,12 @@ void ExpectSameCounters(const JoinStats& a, const JoinStats& b, const char* labe
   EXPECT_EQ(a.total_signatures, b.total_signatures) << label;
   EXPECT_EQ(a.prefix_signatures, b.prefix_signatures) << label;
   EXPECT_EQ(a.candidates, b.candidates) << label;
-  EXPECT_EQ(a.size_filtered, b.size_filtered) << label;
+  EXPECT_EQ(a.size_skipped, b.size_skipped) << label;
   EXPECT_EQ(a.count_filtered, b.count_filtered) << label;
   EXPECT_EQ(a.sketch_filtered, b.sketch_filtered) << label;
   EXPECT_LE(a.sketch_filtered, a.count_filtered) << label;
-  // Tie-out: every pair the probe found was either screened out by one of
-  // the probe-side bounds or sent to verification, exactly once.
+  // Tie-out: every pair the probe found was either screened out by the
+  // count bound or sent to verification, exactly once.
   EXPECT_EQ(a.probe_pairs(), b.probe_pairs()) << label;
   EXPECT_EQ(a.verify.pairs_verified, a.candidates) << label;
   EXPECT_EQ(a.results, b.results) << label;

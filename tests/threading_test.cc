@@ -130,12 +130,12 @@ void ExpectSameCounters(const JoinStats& a, const JoinStats& b, int threads) {
   EXPECT_EQ(a.total_signatures, b.total_signatures) << threads << " threads";
   EXPECT_EQ(a.prefix_signatures, b.prefix_signatures) << threads << " threads";
   EXPECT_EQ(a.candidates, b.candidates) << threads << " threads";
-  EXPECT_EQ(a.size_filtered, b.size_filtered) << threads << " threads";
+  EXPECT_EQ(a.size_skipped, b.size_skipped) << threads << " threads";
   EXPECT_EQ(a.count_filtered, b.count_filtered) << threads << " threads";
   EXPECT_EQ(a.sketch_filtered, b.sketch_filtered) << threads << " threads";
   EXPECT_LE(a.sketch_filtered, a.count_filtered) << threads << " threads";
-  // Tie-out: every pair the probe found was either screened out by one of
-  // the probe-side bounds or sent to verification, exactly once.
+  // Tie-out: every pair the probe found was either screened out by the
+  // count bound or sent to verification, exactly once.
   EXPECT_EQ(a.probe_pairs(), b.probe_pairs()) << threads << " threads";
   EXPECT_EQ(a.verify.pairs_verified, a.candidates) << threads << " threads";
   EXPECT_EQ(a.results, b.results) << threads << " threads";
@@ -175,9 +175,9 @@ TEST(ThreadingDeterminismTest, SelfJoinIsIdenticalAcrossThreadCounts) {
 
 TEST(ThreadingDeterminismTest, ProbeShardsTallyScreenedPairsIdentically) {
   // Enough probes for the probe phase to fan out into several shards (the
-  // join schedules one per 8192 probes), so the shards screen pairs and
-  // tally the ones the probe-side bounds drop concurrently. The totals
-  // must match a one-thread run exactly.
+  // join schedules one per 8192 probes), so the shards tally the entries
+  // their size windows skip and the pairs the count bound drops
+  // concurrently. The totals must match a one-thread run exactly.
   const TestData data = MakeTestData(17000);
   KJoinOptions options;
   options.delta = 0.7;
@@ -185,7 +185,7 @@ TEST(ThreadingDeterminismTest, ProbeShardsTallyScreenedPairsIdentically) {
   options.num_threads = 1;
   const JoinResult baseline = KJoin(data.hierarchy, options).SelfJoin(data.objects);
   ASSERT_FALSE(baseline.pairs.empty()) << "degenerate dataset: nothing to compare";
-  ASSERT_GT(baseline.stats.size_filtered, 0);
+  ASSERT_GT(baseline.stats.size_skipped, 0);
   ASSERT_GT(baseline.stats.count_filtered, 0);
 
   options.num_threads = 4;
@@ -218,8 +218,10 @@ TEST(ThreadingDeterminismTest, RsJoinIsIdenticalAcrossThreadCounts) {
 
 TEST(ThreadingDeterminismTest, PrepareShardsBuildTheSameOrderAndPrefixes) {
   // Enough objects for Prepare to fan out (the join schedules one shard
-  // per 8192 objects): shards generate signatures concurrently, and the
-  // order's dense document-frequency arrays are counted once after them.
+  // per 8192 objects): shards generate signatures and prefixes
+  // concurrently into their own flat arenas, joined in shard order, and
+  // the order's dense document-frequency arrays are counted once between
+  // the two passes.
   // Signature and prefix totals, pairs and screen counters must match a
   // one-thread run, for a pure-mode self-join and an R-S join.
   const TestData data = MakeTestData(17000);
