@@ -748,9 +748,28 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
     ++result->stats.verify_batches;
   }
 
-  if (self) {
-    // A self-join finds each pair from its larger (size, id) side; sorted
-    // by (second, first), the pairs come in the order of a walk by id.
+  // Two empty objects carry no signature, so no probe finds their pair,
+  // yet their similarity is 1 (CombineOverlap): every such pair is a
+  // result without being a candidate (docs/THEORY.md, section 6).
+  const size_t probed_pairs = result->pairs.size();
+  if (!controller.tripped()) {
+    std::vector<int32_t> empty_left;
+    for (int32_t x = 0; x < num_indexed; ++x) {
+      if (left[x].size() == 0) empty_left.push_back(x);
+    }
+    for (int32_t p = 0; p < static_cast<int32_t>(rhs.size()); ++p) {
+      if (rhs[p].size() != 0) continue;
+      for (const int32_t x : empty_left) {
+        if (self && x >= p) break;
+        result->pairs.emplace_back(x, p);
+      }
+    }
+  }
+
+  if (self || result->pairs.size() > probed_pairs) {
+    // A self-join finds each pair from its larger (size, id) side, and an
+    // R-S join emits probe by probe; sorted by (second, first), the pairs
+    // come in the order of a walk by id.
     std::sort(result->pairs.begin(), result->pairs.end(), [](const auto& a, const auto& b) {
       return a.second != b.second ? a.second < b.second : a.first < b.first;
     });

@@ -42,6 +42,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
                                 options.set_metric, options.count_pruning,
                                 options.weighted_count_pruning, options.plus_mode}) {
   IndexObjects();
+  FindEmptyObjects();
 }
 
 KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
@@ -67,6 +68,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
     dead_.insert(index);
   }
   total_dead_ = static_cast<int64_t>(dead_.size());
+  FindEmptyObjects();
 }
 
 KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base, std::vector<Object> objects,
@@ -87,6 +89,7 @@ KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base, std::vector<Objec
                                 options_.set_metric, options_.count_pruning,
                                 options_.weighted_count_pruning, options_.plus_mode}) {
   IndexObjects();
+  FindEmptyObjects();
   for (const int32_t index : tombstones) {
     KJOIN_CHECK(index >= 0 && index < num_indexed())
         << "tombstone " << index << " outside [0, " << num_indexed() << ")";
@@ -119,6 +122,12 @@ void KJoinIndex::IndexObjects() {
     builder.Add(id, list.data(), static_cast<int32_t>(list.size()));
   }
   store_ = builder.Finish();
+}
+
+void KJoinIndex::FindEmptyObjects() {
+  for (size_t slot = 0; slot < objects_.size(); ++slot) {
+    if (objects_[slot].size() == 0) empty_.push_back(base_total_ + static_cast<int32_t>(slot));
+  }
 }
 
 void KJoinIndex::CollectLayers(std::vector<const KJoinIndex*>* layers) const {
@@ -336,7 +345,21 @@ Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similar
   // documented total order through similarity ties. k <= 0: plain
   // accumulation, no tightening possible without a k-th best.
   std::vector<SearchHit> best;
-  if (status.ok()) {
+  if (status.ok() && query.size() == 0) {
+    // Similarity 1 (CombineOverlap) to each live empty object, taken in
+    // ascending index order — HitBefore order for equal similarities — so
+    // the first k are the top-k. The floor keeps the 1e-9 tolerance.
+    std::vector<const KJoinIndex*> layers;
+    CollectLayers(&layers);
+    for (const KJoinIndex* layer : layers) {
+      for (const int32_t i : layer->empty_) {
+        if (min_similarity > 1.0 + 1e-9 || (k > 0 && static_cast<int32_t>(best.size()) == k)) {
+          break;
+        }
+        if (!deleted(i)) best.push_back({i, 1.0});
+      }
+    }
+  } else if (status.ok()) {
     const std::vector<int32_t> candidates = Candidates(query, *bound, stats);
     candidate_count = static_cast<int64_t>(candidates.size());
     // One query, a stream of candidates: build the query's grouping plan

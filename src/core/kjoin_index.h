@@ -201,6 +201,9 @@ class KJoinIndex {
   // slack keeps ties float-safe), so results — including tie-break order
   // — do not depend on the bound. A shared bound's floor should be the
   // caller's min_similarity (lower floors are sound, just less pruned).
+  //
+  // An empty query has similarity 1 to every empty object and 0 to the
+  // rest: it is answered with the live empty objects, without a probe.
   Status SearchTopK(const Object& query, int32_t k, double min_similarity,
                     const JoinControl& control, std::vector<SearchHit>* hits,
                     SearchStats* stats = nullptr, SearchBound* bound = nullptr) const;
@@ -267,6 +270,8 @@ class KJoinIndex {
   // Builds store_ from this layer's objects (the flat build and the delta
   // constructor; restores adopt a store instead).
   void IndexObjects();
+  // Fills empty_ from this layer's objects (every constructor).
+  void FindEmptyObjects();
   void CollectLayers(std::vector<const KJoinIndex*>* layers) const;
 
   const Hierarchy* hierarchy_;
@@ -282,6 +287,10 @@ class KJoinIndex {
   int depth_ = 0;
   int64_t total_dead_ = 0;
   std::unordered_set<int32_t> dead_;
+  // THIS layer's empty objects, ascending chain-global indexes. They
+  // carry no signature, so no posting list holds them; an empty query
+  // reads them here (re-derived from objects_ on restore).
+  std::vector<int32_t> empty_;
   // Shared so snapshot restores and epoch clones reuse one table.
   std::shared_ptr<const LcaIndex> lca_;
   ElementSimilarity element_sim_;

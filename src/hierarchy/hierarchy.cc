@@ -30,7 +30,6 @@ Hierarchy::Hierarchy(std::vector<NodeId> parents, std::vector<std::string> label
   for (NodeId v = 1; v < n; ++v) child_nodes_[cursor[parents_[v]]++] = v;
   for (NodeId v = 0; v < n; ++v) {
     if (IsLeaf(v)) leaves_.push_back(v);
-    label_index_[labels_[v]].push_back(v);
   }
 }
 
@@ -41,9 +40,7 @@ Hierarchy::Hierarchy(HierarchyParts parts, AdoptTag)
       child_offsets_(std::move(parts.child_offsets)),
       child_nodes_(std::move(parts.child_nodes)),
       leaves_(std::move(parts.leaves)),
-      height_(parts.height) {
-  for (NodeId v = 0; v < num_nodes(); ++v) label_index_[labels_[v]].push_back(v);
-}
+      height_(parts.height) {}
 
 StatusOr<Hierarchy> Hierarchy::FromParts(HierarchyParts parts) {
   const auto reject = [](const std::string& what) {
@@ -107,14 +104,16 @@ StatusOr<Hierarchy> Hierarchy::FromParts(HierarchyParts parts) {
   return Hierarchy(std::move(parts), AdoptTag{});
 }
 
-const std::vector<NodeId>& Hierarchy::NodesWithLabel(std::string_view label) const {
-  static const std::vector<NodeId>* const kEmpty = new std::vector<NodeId>();
-  auto it = label_index_.find(std::string(label));
-  return it == label_index_.end() ? *kEmpty : it->second;
+std::vector<NodeId> Hierarchy::NodesWithLabel(std::string_view label) const {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    if (labels_[v] == label) nodes.push_back(v);
+  }
+  return nodes;
 }
 
 std::optional<NodeId> Hierarchy::FindByLabel(std::string_view label) const {
-  const std::vector<NodeId>& nodes = NodesWithLabel(label);
+  const std::vector<NodeId> nodes = NodesWithLabel(label);
   if (nodes.size() != 1) return std::nullopt;
   return nodes[0];
 }

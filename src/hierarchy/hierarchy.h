@@ -16,7 +16,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -63,7 +62,7 @@ class Hierarchy {
   // arrays themselves — this treats `parts` as untrusted input: every
   // derived array is checked for exact consistency with `parents` in
   // O(n), and any mismatch returns kInvalidArgument instead of aborting.
-  // Only the label hash index is rebuilt.
+  // Nothing is re-derived.
   static StatusOr<Hierarchy> FromParts(HierarchyParts parts);
 
   Hierarchy(const Hierarchy&) = delete;
@@ -97,11 +96,12 @@ class Hierarchy {
   const std::vector<NodeId>& leaves() const { return leaves_; }
 
   // All nodes carrying `label` (several when a DAG was unfolded into a
-  // tree, or when distinct entities share a surface form). Empty vector if
-  // none. The returned reference is valid for the Hierarchy's lifetime.
-  const std::vector<NodeId>& NodesWithLabel(std::string_view label) const;
+  // tree, or when distinct entities share a surface form), in id order.
+  // Empty vector if none. One O(n) scan of the labels: no caller on a hot
+  // path looks nodes up by label, so no index is kept for it.
+  std::vector<NodeId> NodesWithLabel(std::string_view label) const;
 
-  // The unique node with `label`, or nullopt when absent/ambiguous.
+  // The unique node with `label`, or nullopt when absent/ambiguous. O(n).
   std::optional<NodeId> FindByLabel(std::string_view label) const;
 
   // The ancestor of `node` at depth `target_depth`. Requires
@@ -141,7 +141,6 @@ class Hierarchy {
   std::vector<NodeId> child_nodes_;     // size num_nodes() - 1
   std::vector<NodeId> leaves_;
   int height_ = 0;
-  std::unordered_map<std::string, std::vector<NodeId>> label_index_;
 };
 
 }  // namespace kjoin

@@ -78,39 +78,32 @@ LocalShard::LocalShard(const ShardedIndexManager* manager, int shard)
 LocalShard::LocalShard(const IndexManager* manager)
     : manager_(manager), tau_(manager->Acquire()->index->options().tau) {}
 
-void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int count) {
-  // One snapshot + one mapping per batch: every query in the batch sees
-  // the same shard state. Epoch first, mapping second — the mapping is
-  // updated before a batch is handed to the shard, so reading in this
-  // order guarantees the mapping covers every index the epoch can emit.
+void LocalShard::Probe(const ShardQuery& query, ShardReply* reply) {
+  // Epoch first, mapping second: the mapping is updated before a batch is
+  // handed to the shard, so reading in this order guarantees the mapping
+  // covers every index the epoch can emit.
   const std::shared_ptr<const IndexEpoch> epoch = manager_->Acquire();
   const std::shared_ptr<const std::vector<int32_t>> to_global =
       sharded_ != nullptr ? sharded_->GlobalIndexes(shard_) : nullptr;
-  const KJoinIndex& index = *epoch->index;
-  std::vector<SearchHit> hits;
+  reply->epoch_version = epoch->version;
+  JoinControl control;
+  control.deadline_seconds = query.deadline_seconds;
+  control.cancel_token = query.cancel_token;
+  // A query built against an older dictionary than this epoch's table
+  // may carry token_id = -1 for a token the epoch now indexes.
   Object resolved;
-  for (int i = 0; i < count; ++i) {
-    const ShardQuery& q = queries[i];
-    ShardReply& reply = replies[i];
-    reply.epoch_version = epoch->version;
-    JoinControl control;
-    control.deadline_seconds = q.deadline_seconds;
-    control.cancel_token = q.cancel_token;
-    hits.clear();
-    // A query built against an older dictionary than this epoch's table
-    // may carry token_id = -1 for a token the epoch now indexes.
-    const Object& query =
-        ResolveUnknownTokens(*q.query, epoch->tokens, &resolved) ? resolved : *q.query;
-    reply.status = index.SearchTopK(query, q.top_k, q.min_similarity, control, &hits,
-                                    &reply.stats, q.bound);
-    reply.hits.clear();
-    reply.hits.reserve(hits.size());
-    for (const SearchHit& hit : hits) {
-      const int32_t global =
-          to_global != nullptr ? (*to_global)[static_cast<size_t>(hit.object_index)]
+  const Object& object =
+      ResolveUnknownTokens(*query.query, epoch->tokens, &resolved) ? resolved : *query.query;
+  std::vector<SearchHit> hits;
+  reply->status = epoch->index->SearchTopK(object, query.top_k, query.min_similarity, control,
+                                           &hits, &reply->stats, query.bound);
+  reply->hits.clear();
+  reply->hits.reserve(hits.size());
+  for (const SearchHit& hit : hits) {
+    const int32_t global = to_global != nullptr
+                               ? (*to_global)[static_cast<size_t>(hit.object_index)]
                                : hit.object_index;
-      reply.hits.push_back({global, hit.similarity});
-    }
+    reply->hits.push_back({global, hit.similarity});
   }
 }
 
@@ -123,7 +116,6 @@ ShardRouter::ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
       admission_(options.admission, "router", metrics) {
   KJOIN_CHECK(!shards_.empty()) << "ShardRouter needs at least one shard";
   KJOIN_CHECK(pool_ != nullptr) << "ShardRouter needs a ThreadPool";
-  KJOIN_CHECK(options_.max_batch >= 1) << "max_batch must be >= 1";
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -153,16 +145,15 @@ int64_t ShardRouter::queue_depth() const {
   return static_cast<int64_t>(queue_.size());
 }
 
-void ShardRouter::Gather(const ShardReply* const* replies, int32_t top_k,
+void ShardRouter::Gather(const std::vector<ShardReply>& replies, int32_t top_k,
                          QueryResponse* response) {
-  const int ns = num_shards();
   size_t total = 0;
-  for (int s = 0; s < ns; ++s) total += replies[s]->hits.size();
+  for (const ShardReply& reply : replies) total += reply.hits.size();
   response->hits.clear();
   response->hits.reserve(total);
   int best_rank = 0;
-  for (int s = 0; s < ns; ++s) {
-    const ShardReply& reply = *replies[s];
+  for (int s = 0; s < num_shards(); ++s) {
+    const ShardReply& reply = replies[static_cast<size_t>(s)];
     for (const ShardHit& hit : reply.hits) {
       response->hits.push_back({hit.global_index, hit.similarity});
     }
@@ -208,6 +199,49 @@ void ShardRouter::RecordResponseMetrics(const QueryResponse& response) {
   }
 }
 
+QueryResponse ShardRouter::Execute(const QueryRequest& request, double budget_seconds) {
+  WallTimer timer;
+  const double floor =
+      request.min_similarity < 0.0 ? shards_[0]->tau() : request.min_similarity;
+  SearchBound bound(floor);
+  std::optional<TopKTracker> tracker;
+  if (request.top_k > 0) tracker.emplace(request.top_k);
+  const int ns = num_shards();
+  std::vector<ShardReply> replies(static_cast<size_t>(ns));
+  // One shard per task; on a single-lane pool the shards run in order on
+  // this thread — the progressive-bound cascade.
+  pool_->ParallelFor(ns, ns, [&](int /*task*/, int64_t begin, int64_t end) {
+    for (int64_t s = begin; s < end; ++s) {
+      ShardReply& reply = replies[static_cast<size_t>(s)];
+      ShardQuery query;
+      query.query = &request.query;
+      query.top_k = request.top_k;
+      query.min_similarity = floor;
+      query.cancel_token = request.cancel_token;
+      query.bound = tracker ? &bound : nullptr;
+      if (budget_seconds > 0.0) {
+        query.deadline_seconds = budget_seconds - timer.ElapsedSeconds();
+        if (query.deadline_seconds <= 0.0) {
+          reply.status = DeadlineExceededError(
+              "deadline exhausted before shard " + std::to_string(s) + " was probed");
+          continue;
+        }
+      }
+      shards_[static_cast<size_t>(s)]->Probe(query, &reply);
+      // This shard's hits tighten the bound for every shard still
+      // probing or not yet started.
+      if (tracker) tracker->Offer(reply.hits, &bound);
+    }
+  });
+  QueryResponse response;
+  Gather(replies, request.top_k, &response);
+  if (tracker) response.stats.bound_tightenings += tracker->tightenings;
+  response.seconds = timer.ElapsedSeconds();
+  admission_.NoteOutcome(IsDeadlineExceeded(response.status));
+  RecordResponseMetrics(response);
+  return response;
+}
+
 QueryResponse ShardRouter::Search(const QueryRequest& request) {
   const double deadline = EffectiveDeadline(request);
   const AdmissionController::Outcome outcome = admission_.TryAdmit(deadline);
@@ -215,44 +249,7 @@ QueryResponse ShardRouter::Search(const QueryRequest& request) {
   // Synchronous callers never queue; their zero wait pulls the EWMA back
   // down as load drains.
   admission_.RecordQueueDelay(0.0);
-  WallTimer timer;
-  QueryResponse response;
-  const double floor =
-      request.min_similarity < 0.0 ? shards_[0]->tau() : request.min_similarity;
-  SearchBound bound(floor);
-  ShardQuery shard_query;
-  shard_query.query = &request.query;
-  shard_query.top_k = request.top_k;
-  shard_query.min_similarity = floor;
-  shard_query.cancel_token = request.cancel_token;
-  shard_query.bound = request.top_k > 0 ? &bound : nullptr;
-  const int ns = num_shards();
-  std::vector<ShardReply> replies(static_cast<size_t>(ns));
-  std::optional<TopKTracker> tracker;
-  if (request.top_k > 0) tracker.emplace(request.top_k);
-  for (int s = 0; s < ns; ++s) {
-    if (deadline > 0.0) {
-      const double remaining = deadline - timer.ElapsedSeconds();
-      if (remaining <= 0.0) {
-        replies[static_cast<size_t>(s)].status = DeadlineExceededError(
-            "deadline exhausted before shard " + std::to_string(s) + " was probed");
-        continue;
-      }
-      shard_query.deadline_seconds = remaining;
-    }
-    shards_[static_cast<size_t>(s)]->ProbeBatch(&shard_query,
-                                                &replies[static_cast<size_t>(s)], 1);
-    // The cascade step: this shard's hits tighten the bound for every
-    // shard still to be probed.
-    if (tracker) tracker->Offer(replies[static_cast<size_t>(s)].hits, &bound);
-  }
-  std::vector<const ShardReply*> per_shard(static_cast<size_t>(ns));
-  for (int s = 0; s < ns; ++s) per_shard[static_cast<size_t>(s)] = &replies[static_cast<size_t>(s)];
-  Gather(per_shard.data(), request.top_k, &response);
-  if (tracker) response.stats.bound_tightenings += tracker->tightenings;
-  response.seconds = timer.ElapsedSeconds();
-  admission_.NoteOutcome(IsDeadlineExceeded(response.status));
-  RecordResponseMetrics(response);
+  QueryResponse response = Execute(request, deadline);
   admission_.Release();
   return response;
 }
@@ -297,142 +294,46 @@ std::vector<QueryResponse> ShardRouter::SearchBatch(
   return responses;
 }
 
-void ShardRouter::ExecuteBatch(const std::vector<const QueryRequest*>& requests,
-                               const std::vector<double>& remaining,
-                               std::vector<QueryResponse*>& responses) {
-  const int count = static_cast<int>(requests.size());
-  WallTimer timer;
-  std::vector<ShardQuery> queries(static_cast<size_t>(count));
-  std::vector<std::unique_ptr<SearchBound>> bounds(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const QueryRequest& request = *requests[static_cast<size_t>(i)];
-    ShardQuery& q = queries[static_cast<size_t>(i)];
-    q.query = &request.query;
-    q.top_k = request.top_k;
-    q.min_similarity =
-        request.min_similarity < 0.0 ? shards_[0]->tau() : request.min_similarity;
-    q.deadline_seconds = remaining[static_cast<size_t>(i)];
-    q.cancel_token = request.cancel_token;
-    if (request.top_k > 0) {
-      bounds[static_cast<size_t>(i)] = std::make_unique<SearchBound>(q.min_similarity);
-      q.bound = bounds[static_cast<size_t>(i)].get();
-    }
-  }
-  const int ns = num_shards();
-  std::vector<std::vector<ShardReply>> replies(
-      static_cast<size_t>(ns), std::vector<ShardReply>(static_cast<size_t>(count)));
-  std::vector<std::unique_ptr<TopKTracker>> trackers(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    if (queries[static_cast<size_t>(i)].bound != nullptr) {
-      trackers[static_cast<size_t>(i)] =
-          std::make_unique<TopKTracker>(queries[static_cast<size_t>(i)].top_k);
-    }
-  }
-  // The dispatcher is a dedicated thread (never a pool worker), so it may
-  // fan out with ParallelFor; on a single-lane pool this runs the shards
-  // sequentially right here — the progressive-bound cascade.
-  pool_->ParallelFor(ns, ns, [&](int /*shard*/, int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      shards_[static_cast<size_t>(s)]->ProbeBatch(
-          queries.data(), replies[static_cast<size_t>(s)].data(), count);
-      // Each finished shard tightens every query's shared bound for the
-      // shards that are still probing (or not yet started).
-      for (int i = 0; i < count; ++i) {
-        if (trackers[static_cast<size_t>(i)] != nullptr) {
-          trackers[static_cast<size_t>(i)]->Offer(
-              replies[static_cast<size_t>(s)][static_cast<size_t>(i)].hits,
-              queries[static_cast<size_t>(i)].bound);
-        }
-      }
-    }
-  });
-  std::vector<const ShardReply*> per_shard(static_cast<size_t>(ns));
-  for (int i = 0; i < count; ++i) {
-    for (int s = 0; s < ns; ++s) {
-      per_shard[static_cast<size_t>(s)] = &replies[static_cast<size_t>(s)][static_cast<size_t>(i)];
-    }
-    QueryResponse* response = responses[static_cast<size_t>(i)];
-    Gather(per_shard.data(), requests[static_cast<size_t>(i)]->top_k, response);
-    if (trackers[static_cast<size_t>(i)] != nullptr) {
-      response->stats.bound_tightenings += trackers[static_cast<size_t>(i)]->tightenings;
-    }
-    response->seconds = timer.ElapsedSeconds();
-    admission_.NoteOutcome(IsDeadlineExceeded(response->status));
-    RecordResponseMetrics(*response);
-  }
-}
-
 void ShardRouter::DispatcherLoop() {
   for (;;) {
-    std::vector<Pending> batch;
+    Pending pending;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown and fully drained
-      if (options_.batch_window_seconds > 0.0 && !shutdown_ &&
-          static_cast<int>(queue_.size()) < options_.max_batch) {
-        // Bounded coalescing wait; everything already queued is taken
-        // regardless.
-        queue_cv_.wait_for(
-            lock, std::chrono::duration<double>(options_.batch_window_seconds), [&] {
-              return shutdown_ || static_cast<int>(queue_.size()) >= options_.max_batch;
-            });
-      }
-      const int take =
-          std::min<int>(options_.max_batch, static_cast<int>(queue_.size()));
-      batch.reserve(static_cast<size_t>(take));
-      for (int i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      pending = std::move(queue_.front());
+      queue_.pop_front();
       if (metrics_ != nullptr) {
         metrics_->gauge("router.queue_depth")->Set(static_cast<int64_t>(queue_.size()));
       }
     }
-    if (metrics_ != nullptr) {
-      metrics_->counter("router.batches")->Increment();
-      metrics_->histogram("router.batch_size")
-          ->Observe(static_cast<double>(batch.size()));
+    const double queue_delay =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - pending.admitted_at)
+            .count();
+    admission_.RecordQueueDelay(queue_delay);
+    const double deadline = EffectiveDeadline(pending.request);
+    QueryResponse response;
+    if (deadline > 0.0 && deadline - queue_delay <= 0.0) {
+      // The budget went to the queue wait; answer without burning a
+      // scatter. The wait is already in the EWMA, so the next such
+      // request is shed before it queues.
+      response.status =
+          DeadlineExceededError("deadline expired while the query was queued for dispatch");
+      admission_.NoteOutcome(true);
+      RecordResponseMetrics(response);
+    } else {
+      response = Execute(pending.request, deadline > 0.0 ? deadline - queue_delay : 0.0);
     }
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<QueryResponse> responses(batch.size());
-    std::vector<const QueryRequest*> live_requests;
-    std::vector<double> live_remaining;
-    std::vector<QueryResponse*> live_responses;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const double queue_delay =
-          std::chrono::duration<double>(now - batch[i].admitted_at).count();
-      admission_.RecordQueueDelay(queue_delay);
-      const double deadline = EffectiveDeadline(batch[i].request);
-      if (deadline > 0.0 && deadline - queue_delay <= 0.0) {
-        // The budget went to queue + window wait; answer without burning
-        // a scatter. The wait is already in the EWMA, so the next such
-        // request is shed before it queues.
-        responses[i].status = DeadlineExceededError(
-            "deadline expired while the query was queued for dispatch");
-        admission_.NoteOutcome(true);
-        RecordResponseMetrics(responses[i]);
-        continue;
-      }
-      live_requests.push_back(&batch[i].request);
-      live_remaining.push_back(deadline > 0.0 ? deadline - queue_delay : 0.0);
-      live_responses.push_back(&responses[i]);
-    }
-    if (!live_requests.empty()) {
-      ExecuteBatch(live_requests, live_remaining, live_responses);
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      // Release first: a caller the callback wakes (SearchBatch) must
-      // already see this query out of in_flight().
-      admission_.Release();
-      try {
-        batch[i].done(std::move(responses[i]));
-      } catch (...) {
-        KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
-                            "callback contract in shard_router.h";
-        if (metrics_ != nullptr) {
-          metrics_->counter("router.callback_exceptions")->Increment();
-        }
+    // Release first: a caller the callback wakes (SearchBatch) must
+    // already see this query out of in_flight().
+    admission_.Release();
+    try {
+      pending.done(std::move(response));
+    } catch (...) {
+      KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
+                          "callback contract in shard_router.h";
+      if (metrics_ != nullptr) {
+        metrics_->counter("router.callback_exceptions")->Increment();
       }
     }
   }

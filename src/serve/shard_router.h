@@ -2,7 +2,7 @@
 #define KJOIN_SERVE_SHARD_ROUTER_H_
 
 // Scatter-gather query execution over a set of shards, with progressive
-// top-k pruning and request batching.
+// top-k pruning.
 //
 // The router fans each query out to every shard, gathers the per-shard
 // hits (already in global numbering, see ShardBackend), merges them
@@ -10,6 +10,14 @@
 // index asc), and truncates to the global top-k. Results are
 // byte-identical to a single unsharded index at any shard count — the
 // determinism contract tests/shard_test.cc locks in.
+//
+// One execution path: Search() runs a query on the calling thread, and
+// Submit() queues it for a dedicated dispatcher thread that pops one
+// query at a time; both then run the same scatter (ParallelFor over the
+// shards), gather and accounting. Each shard takes the remaining deadline
+// budget when its own probe starts; a shard reached after the deadline
+// is not probed, and the query returns the hits gathered so far with
+// kDeadlineExceeded.
 //
 // Progressive pruning: for a top-k query the router allocates one
 // SearchBound (core/kjoin_index.h) seeded at the query's similarity
@@ -24,23 +32,18 @@
 // which maximizes the effect: shard 0 completes and tightens the bound
 // before shard 1 starts.
 //
-// Batching: Submit() enqueues and a dedicated dispatcher thread drains
-// the queue in batches of up to max_batch, probing each shard ONCE per
-// batch (one epoch acquisition, one scratch warmup per shard instead of
-// per query). The dispatcher takes whatever accumulated while it was
-// busy — under load batches form naturally with no added latency; an
-// optional batch_window_seconds adds a bounded extra wait to coalesce
-// harder. Admission (serve/admission.h, "router.*" metrics) sees the
-// full admit -> execute wait including the window, so deadline-
-// infeasible shedding accounts for queue + batch latency.
+// Admission (serve/admission.h, "router.*" metrics) fronts both entry
+// points. A submitted query's queue delay feeds the controller's EWMA,
+// so deadline-infeasible shedding accounts for the wait; a query whose
+// deadline passes while it is queued is answered without a scatter.
 //
 // The ShardBackend interface is deliberately address-space-agnostic:
-// the router only ever sends it value-typed ShardQuery/ShardReply
-// batches. LocalShard adapts an in-process ShardedIndexManager shard, or
-// a whole unsharded IndexManager; a remote transport would marshal the
-// same structs (the SearchBound pointer degrades to "poll your own local
-// bound", which is still correct — the bound is a hint, never a
-// correctness input).
+// the router only ever sends it a value-typed ShardQuery and reads back
+// a ShardReply. LocalShard adapts an in-process ShardedIndexManager
+// shard, or a whole unsharded IndexManager; a remote transport would
+// marshal the same structs (the SearchBound pointer degrades to "poll
+// your own local bound", which is still correct — the bound is a hint,
+// never a correctness input).
 //
 // One shard is the unsharded front end: every query acquires the
 // manager's current epoch once and runs against that consistent view,
@@ -136,10 +139,9 @@ class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  // Probes `count` queries against this shard, filling `replies[i]` for
-  // `queries[i]`. The batch runs under one index snapshot acquisition —
-  // the amortization Submit batching exists for.
-  virtual void ProbeBatch(const ShardQuery* queries, ShardReply* replies, int count) = 0;
+  // Probes one query against this shard, filling `reply`. Called
+  // concurrently for different queries; must be thread-safe.
+  virtual void Probe(const ShardQuery& query, ShardReply* reply) = 0;
 
   // The shard's configured similarity threshold, used to resolve the
   // QueryRequest min_similarity sentinel (all shards of one collection
@@ -156,7 +158,7 @@ class LocalShard : public ShardBackend {
   // All of `manager` as one shard: local indexes are the global ones.
   explicit LocalShard(const IndexManager* manager);
 
-  void ProbeBatch(const ShardQuery* queries, ShardReply* replies, int count) override;
+  void Probe(const ShardQuery& query, ShardReply* reply) override;
   double tau() const override { return tau_; }
 
  private:
@@ -170,13 +172,6 @@ class LocalShard : public ShardBackend {
 struct ShardRouterOptions {
   // Deadline applied when a request does not set its own; <= 0 = none.
   double default_deadline_seconds = 0.0;
-  // Queries per dispatcher batch.
-  int max_batch = 64;
-  // Extra time the dispatcher waits for more queries after finding the
-  // queue non-empty (it always takes everything already queued). 0 =
-  // dispatch as soon as the dispatcher is free; batches still form
-  // naturally while it is busy.
-  double batch_window_seconds = 0.0;
   // Admission control, published under "router.*".
   AdmissionOptions admission;
 };
@@ -187,10 +182,10 @@ class ShardRouter {
   // outlive the router; `metrics` may be null. Router-level metrics:
   // router.queries, router.hits, router.latency_seconds,
   // router.deadline_exceeded, router.cancelled, router.errors,
-  // router.batches, router.batch_size (histogram), router.queue_depth
-  // (gauge), plus the admission controller's router.shed* family and
-  // per-shard counters under ShardMetricName("router", s, ...): probes,
-  // hits, bound_tightenings, bound_pruned_lists, bound_pruned_entries.
+  // router.callback_exceptions, router.queue_depth (gauge), plus the
+  // admission controller's router.shed* family and per-shard counters
+  // under ShardMetricName("router", s, ...): probes, hits,
+  // bound_tightenings, bound_pruned_lists, bound_pruned_entries.
   ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
               ShardRouterOptions options = {}, MetricsRegistry* metrics = nullptr);
 
@@ -201,16 +196,15 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  // Synchronous scatter-gather on the calling thread. Shards are probed
-  // sequentially (the progressive-bound cascade), each with the
-  // remaining deadline budget; a mid-scatter deadline trip returns the
+  // Synchronous scatter-gather, run from the calling thread (which must
+  // not be a task of `pool`). A mid-scatter deadline trip returns the
   // hits gathered so far with kDeadlineExceeded.
   QueryResponse Search(const QueryRequest& request);
 
-  // Asynchronous batched path: admits, enqueues, and returns; `done`
-  // runs on the dispatcher thread, after the query's admission slot is
-  // released, so in_flight() no longer counts it. Shed queries invoke
-  // `done` inline with kResourceExhausted.
+  // Asynchronous path: admits, enqueues, and returns; the dispatcher
+  // runs the same scatter as Search, and `done` runs on its thread after
+  // the query's admission slot is released, so in_flight() no longer
+  // counts it. Shed queries invoke `done` inline with kResourceExhausted.
   //
   // Callback contract: `done` should not throw. If it does anyway, the
   // exception is caught and logged (router.callback_exceptions counts
@@ -242,15 +236,14 @@ class ShardRouter {
   double EffectiveDeadline(const QueryRequest& request) const;
   QueryResponse Shed(AdmissionController::Outcome outcome, double deadline_seconds);
   void DispatcherLoop();
-  // Scatters the batch to every shard (ParallelFor when the pool has
-  // lanes), gathers, and fills `responses`. `remaining[i]` is query i's
-  // already-clamped deadline budget (0 = none).
-  void ExecuteBatch(const std::vector<const QueryRequest*>& requests,
-                    const std::vector<double>& remaining,
-                    std::vector<QueryResponse*>& responses);
-  // Merges one query's per-shard replies (one pointer per shard) into
-  // its response and records per-shard metrics.
-  void Gather(const ShardReply* const* replies, int32_t top_k, QueryResponse* response);
+  // Runs one admitted query: scatters it to every shard, gathers, and
+  // records the outcome; the caller holds and releases the admission
+  // slot. `budget_seconds` is the deadline left when Execute starts
+  // (<= 0 = none).
+  QueryResponse Execute(const QueryRequest& request, double budget_seconds);
+  // Merges one query's per-shard replies into its response and records
+  // per-shard metrics.
+  void Gather(const std::vector<ShardReply>& replies, int32_t top_k, QueryResponse* response);
   void RecordResponseMetrics(const QueryResponse& response);
 
   std::vector<ShardBackend*> shards_;

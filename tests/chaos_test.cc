@@ -37,6 +37,7 @@
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "serve/wal.h"
+#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
@@ -536,19 +537,19 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   ThreadPool pool(2);
   auto manager = MakeManager(&pool);
   serve::LocalShard shard(manager.get());
+  // A closed gate holds the submitted query in its probe, and so in its
+  // admission slot, until the test opens it.
+  test::GatedShard gated(&shard);
+  gated.Close();
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
   options.admission.min_in_flight = 1;
-  // A batch window far longer than the test: a submitted query waits in
-  // the dispatcher's queue, holding its admission slot, until the
-  // router's destructor flushes the queue.
-  options.batch_window_seconds = 3600.0;
   // Declared before the router, so it outlives the dispatcher.
   std::promise<serve::QueryResponse> async_done;
   auto router = std::make_unique<serve::ShardRouter>(
-      std::vector<serve::ShardBackend*>{&shard}, &pool, options, &metrics);
+      std::vector<serve::ShardBackend*>{&gated}, &pool, options, &metrics);
 
-  // The queued query fills the single slot, so the synchronous Search
+  // The held query fills the single slot, so the synchronous Search
   // must shed with the full load picture in its message.
   serve::QueryRequest request;
   request.query = MakeQuery(4);
@@ -558,7 +559,9 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   EXPECT_EQ(router->in_flight(), 1);
 
   const serve::QueryResponse shed = router->Search(request);
-  ASSERT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
+  // Not ASSERT: an early return would destroy the router with the gate
+  // closed.
+  EXPECT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
   EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
   EXPECT_NE(shed.status.message().find("in_flight=1"), std::string::npos)
       << shed.status.ToString();
@@ -567,7 +570,8 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
   EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
 
-  router.reset();  // flushes the queue: the held query is answered
+  gated.Open();  // the held query is answered
+  router.reset();
   const serve::QueryResponse admitted = async_done.get_future().get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
 }

@@ -132,14 +132,18 @@ TEST_F(SearchFixture, InsertMatchesRebuiltIndex) {
 
 // A three-layer chain whose tombstones hit a base object, a middle-layer
 // object, an object its own layer inserted, one index twice (and one
-// already deleted lower down), and every carrier of one signature. Its
-// threshold and top-k answers, and those of the flat index rebuilt from
-// Flatten(), must equal brute force over the live objects.
+// already deleted lower down), and every carrier of one signature. Every
+// layer also holds empty objects, one of them tombstoned. Its threshold
+// and top-k answers, and those of the flat index rebuilt from Flatten(),
+// must equal brute force over the live objects — for an empty query too,
+// whose hits are the live empty objects at similarity 1.
 TEST_F(SearchFixture, DeltaChainWithTombstonesMatchesBruteForce) {
-  const std::vector<Object>& all = prepared_.objects;
+  std::vector<Object> all = prepared_.objects;
   const int32_t n = static_cast<int32_t>(all.size());
   const int32_t a = n / 3;      // base: [0, a)
   const int32_t b = 2 * n / 3;  // middle: [a, b); top: [b, n)
+  const std::vector<int32_t> empty = {7, a + 5, a + 7, b + 7, b + 11};  // a + 5 dies
+  for (const int32_t index : empty) all[index].elements.clear();
   auto slice = [&](int32_t begin, int32_t end) {
     return std::vector<Object>(all.begin() + begin, all.begin() + end);
   };
@@ -185,11 +189,15 @@ TEST_F(SearchFixture, DeltaChainWithTombstonesMatchesBruteForce) {
 
   std::vector<int32_t> queries = tombstones;
   for (int32_t q = 0; q < n; q += 23) queries.push_back(q);
+  queries.push_back(empty[0]);
   int64_t total_hits = 0;
   for (const int32_t q : queries) {
     const Object& query = all[q];
     const std::vector<SearchHit> expected =
         BruteForceSearch(data_.hierarchy, all, query, options_, tombstones);
+    if (query.size() == 0) {
+      EXPECT_EQ(expected.size(), empty.size() - 1) << "query " << q;
+    }
     total_hits += static_cast<int64_t>(expected.size());
     for (const KJoinIndex* index : {top.get(), &flat}) {
       const std::string where =

@@ -574,8 +574,10 @@ TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
   // equal-size blocks; singletons sit at the bottom of every list. Every
   // non-empty object carries "Pizza", so at τ = 0 every pair of them
   // shares a signature and the filter must find them all. Empty objects
-  // carry no signature, so no prefix filter can find their pairs: the
-  // oracle is NaiveJoin over pairs of non-empty objects.
+  // carry no signature; the join emits every pair of two of them
+  // directly, at similarity 1. The oracle is NaiveJoin without the pairs
+  // of one empty and one non-empty object (similarity 0), which only
+  // τ = 0 admits and no signature links.
   const Hierarchy tree = MakeFigure1Hierarchy();
   std::vector<std::string> labels;
   for (NodeId v = 1; v < tree.num_nodes(); ++v) labels.push_back(tree.label(v));
@@ -602,13 +604,19 @@ TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
     }
     records.push_back(tokens);
   }
-  const auto non_empty_pairs = [](const std::vector<Object>& lhs, const std::vector<Object>& rhs,
-                                  const JoinResult& oracle) {
+  const auto linked_pairs = [](const std::vector<Object>& lhs, const std::vector<Object>& rhs,
+                               const JoinResult& oracle) {
     std::vector<std::pair<int32_t, int32_t>> kept;
     for (const auto& [a, b] : oracle.pairs) {
-      if (lhs[a].size() > 0 && rhs[b].size() > 0) kept.emplace_back(a, b);
+      if ((lhs[a].size() == 0) == (rhs[b].size() == 0)) kept.emplace_back(a, b);
     }
     return kept;
+  };
+  const auto empty_pairs = [](const std::vector<Object>& lhs, const std::vector<Object>& rhs,
+                              const JoinResult& result) {
+    return std::count_if(result.pairs.begin(), result.pairs.end(), [&](const auto& pair) {
+      return lhs[pair.first].size() == 0 && rhs[pair.second].size() == 0;
+    });
   };
   const auto by_second_first = [](const std::vector<std::pair<int32_t, int32_t>>& pairs) {
     return std::is_sorted(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
@@ -618,6 +626,8 @@ TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
 
   int64_t skipped = 0;
   int64_t found = 0;
+  int64_t self_empty = 0;
+  int64_t rs_empty = 0;
   for (const bool plus : {false, true}) {
     EntityMatcher matcher = ExactMatcher(tree);
     ObjectBuilder builder(matcher, /*multi_mapping=*/plus);
@@ -641,9 +651,9 @@ TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
               (count_pruning ? " count" : " no-count");
           const NaiveJoin naive(tree, options);
           const std::vector<std::pair<int32_t, int32_t>> self_expected =
-              non_empty_pairs(objects, objects, naive.SelfJoin(objects));
+              linked_pairs(objects, objects, naive.SelfJoin(objects));
           const std::vector<std::pair<int32_t, int32_t>> rs_expected =
-              non_empty_pairs(left, right, naive.Join(left, right));
+              linked_pairs(left, right, naive.Join(left, right));
 
           options.num_threads = 1;
           const KJoin serial(tree, options);
@@ -676,13 +686,18 @@ TEST(ProbeBoundsTest, SizeSliceMatchesNaiveJoin) {
           }
           skipped += self.stats.size_skipped + rs.stats.size_skipped;
           found += static_cast<int64_t>(self.pairs.size() + rs.pairs.size());
+          self_empty += empty_pairs(objects, objects, self);
+          rs_empty += empty_pairs(left, right, rs);
         }
       }
     }
   }
-  // The sweep must have had pairs to find and entries to skip.
+  // The sweep must have had pairs to find, pairs of empty objects among
+  // them on both join shapes, and entries to skip.
   EXPECT_GT(skipped, 0);
   EXPECT_GT(found, 0);
+  EXPECT_GT(self_empty, 0);
+  EXPECT_GT(rs_empty, 0);
 }
 
 TEST(KJoinTest, StatsAreConsistent) {

@@ -2,21 +2,28 @@
 #define KJOIN_TESTS_SEARCH_HELPERS_H_
 
 // Test-side shorthands over KJoinIndex's one search entry point
-// (SearchTopK with a default JoinControl), and the brute-force oracle
-// every search path is checked against. A search that does not return
-// OK fails the calling test.
+// (SearchTopK with a default JoinControl), the brute-force oracle every
+// search path is checked against, and a shard backend whose probes a
+// test can hold or slow down. A search that does not return OK fails the
+// calling test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/element_similarity.h"
 #include "core/kjoin_index.h"
 #include "core/object_similarity.h"
 #include "hierarchy/lca.h"
+#include "serve/shard_router.h"
 
 namespace kjoin::test {
 
@@ -65,6 +72,59 @@ inline void ExpectHitsMatchOracle(const std::vector<SearchHit>& expected,
     EXPECT_NEAR(expected[i].similarity, actual[i].similarity, 1e-9) << where << " hit " << i;
   }
 }
+
+// A ShardBackend that forwards each probe to `inner` (a LocalShard), and
+// can hold probes at a gate until the test opens it — keeping a submitted
+// query admitted, or later ones queued behind it — or sleep after each
+// answer, as a slow shard would. Open until Close(); the router must not
+// be destroyed while a probe is held.
+class GatedShard : public serve::ShardBackend {
+ public:
+  explicit GatedShard(serve::ShardBackend* inner) : inner_(inner) {}
+
+  void Probe(const serve::ShardQuery& query, serve::ShardReply* reply) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      changed_.notify_all();
+      changed_.wait(lock, [&] { return open_; });
+      --held_;
+    }
+    inner_->Probe(query, reply);
+    probes_.fetch_add(1);
+    std::this_thread::sleep_for(sleep_after_probe_);
+  }
+  double tau() const override { return inner_->tau(); }
+
+  // Probes that start from now on wait for Open().
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    changed_.notify_all();
+  }
+  // Blocks until a probe waits at the closed gate.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [&] { return held_ > 0; });
+  }
+  // Set before the router probes this shard.
+  void SleepAfterProbe(std::chrono::milliseconds duration) { sleep_after_probe_ = duration; }
+  // Probes forwarded to the inner shard.
+  int64_t probes() const { return probes_.load(); }
+
+ private:
+  serve::ShardBackend* inner_;
+  std::mutex mu_;
+  std::condition_variable changed_;
+  bool open_ = true;  // guarded by mu_
+  int held_ = 0;      // guarded by mu_
+  std::chrono::milliseconds sleep_after_probe_{0};
+  std::atomic<int64_t> probes_{0};
+};
 
 }  // namespace kjoin::test
 

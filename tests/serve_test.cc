@@ -927,17 +927,17 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   MetricsRegistry metrics;
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
-  // A batch window far longer than the test: a submitted query waits in
-  // the dispatcher's queue, holding its admission slot, until the
-  // router's destructor flushes the queue.
-  options.batch_window_seconds = 3600.0;
+  // A closed gate holds the submitted query in its probe, and so in its
+  // admission slot, until the test opens it.
+  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
+  serve::LocalShard shard(manager.get());
+  test::GatedShard gated(&shard);
+  gated.Close();
   // Declared before the router, so it outlives the dispatcher.
   std::promise<serve::QueryResponse> async_done;
-  std::optional<OneShardRouter> stack;
-  stack.emplace(&pool, options, &metrics);
-  serve::ShardRouter& router = stack->router;
+  serve::ShardRouter router({&gated}, &pool, options, &metrics);
 
-  // The queued query fills the single slot, so the synchronous Search
+  // The held query fills the single slot, so the synchronous Search
   // must shed.
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];
@@ -953,7 +953,7 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
   EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
 
-  stack.reset();  // flushes the queue: the held query is answered
+  gated.Open();  // the held query is answered
   const serve::QueryResponse admitted = async_done.get_future().get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
   EXPECT_FALSE(admitted.hits.empty());

@@ -1,8 +1,9 @@
 // Sharded serving suite (docs/serving.md, "Sharded serving"): the
 // determinism contract (scatter-gather results byte-identical to a
 // single index at any shard count and pool width), the documented top-k
-// tie-break order, progressive-bound pruning, request batching, router
-// admission, stale-dictionary queries against a brute-force oracle,
+// tie-break order, progressive-bound pruning, the Submit dispatcher and
+// per-shard deadlines, router admission and its accounting tie-out,
+// stale-dictionary queries against a brute-force oracle,
 // per-shard WAL recovery with numbering reconstruction, and the
 // one-degraded-shard chaos case. Runs under both the asan and tsan
 // presets (tests/CMakeLists.txt labels).
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,6 +42,7 @@ namespace {
 
 using test::BruteForceSearch;
 using test::ExpectHitsMatchOracle;
+using test::GatedShard;
 using test::SearchAll;
 using test::TopK;
 
@@ -101,9 +104,15 @@ std::unique_ptr<serve::ShardedIndexManager> MakeSharded(int num_shards, ThreadPo
       metrics);
 }
 
+// A router over `num_shards` LocalShards, each behind an (open)
+// GatedShard the test can close or slow down. Router metrics go to
+// `metrics`, or to a registry the stack owns.
 struct RouterStack {
+  std::unique_ptr<MetricsRegistry> owned_metrics;
+  MetricsRegistry* metrics = nullptr;
   std::unique_ptr<serve::ShardedIndexManager> manager;
   std::vector<std::unique_ptr<serve::LocalShard>> backends;
+  std::vector<std::unique_ptr<GatedShard>> gates;
   std::unique_ptr<serve::ShardRouter> router;
 };
 
@@ -111,15 +120,32 @@ RouterStack MakeRouter(int num_shards, ThreadPool* pool,
                        serve::ShardRouterOptions options = {},
                        MetricsRegistry* metrics = nullptr) {
   RouterStack stack;
+  if (metrics == nullptr) {
+    stack.owned_metrics = std::make_unique<MetricsRegistry>();
+    metrics = stack.owned_metrics.get();
+  }
+  stack.metrics = metrics;
   stack.manager = MakeSharded(num_shards, pool, metrics);
   std::vector<serve::ShardBackend*> shards;
   for (int s = 0; s < num_shards; ++s) {
     stack.backends.push_back(std::make_unique<serve::LocalShard>(stack.manager.get(), s));
-    shards.push_back(stack.backends.back().get());
+    stack.gates.push_back(std::make_unique<GatedShard>(stack.backends.back().get()));
+    shards.push_back(stack.gates.back().get());
   }
   stack.router =
       std::make_unique<serve::ShardRouter>(std::move(shards), pool, options, metrics);
   return stack;
+}
+
+// The router's accounting ties out: each of the `requests` a test made
+// was either answered (router.queries) or shed (router.shed_total), and
+// none is still admitted or queued.
+void ExpectRouterTiesOut(const RouterStack& stack, int64_t requests) {
+  EXPECT_EQ(stack.metrics->counter("router.queries")->value() +
+                stack.metrics->counter("router.shed_total")->value(),
+            requests);
+  EXPECT_EQ(stack.router->in_flight(), 0);
+  EXPECT_EQ(stack.router->queue_depth(), 0);
 }
 
 void ExpectHitsIdentical(const std::vector<SearchHit>& expected,
@@ -198,6 +224,7 @@ TEST(ShardDeterminismTest, IdenticalToSingleIndexAcrossShardsAndThreads) {
         ExpectHitsIdentical(TopK(reference, queries[q], 5, Options().tau),
                             response.hits, where + " top-k");
       }
+      ExpectRouterTiesOut(stack, static_cast<int64_t>(2 * queries.size()));
     }
   }
 }
@@ -232,6 +259,7 @@ TEST(ShardDeterminismTest, ThresholdSearchAppliesFloorAboveTau) {
     }
   }
   EXPECT_GT(dropped, 0u) << "no query had a hit between tau and the floor";
+  ExpectRouterTiesOut(three, static_cast<int64_t>(queries.size()));
 }
 
 // ------------------------------------------------- stale dictionaries
@@ -402,17 +430,15 @@ TEST(ProgressiveBoundTest, TopKProbesTightenAndPrune) {
   EXPECT_GT(total.bound_pruned_entries + total.bound_pruned_lists +
                 total.bound_raised_verifies,
             0);
+  ExpectRouterTiesOut(stack, static_cast<int64_t>(queries.size()));
 }
 
-// ------------------------------------------------------- batching
+// ---------------------------------------------- dispatcher and deadlines
 
 TEST(RouterBatchingTest, SubmitBatchesMatchSyncSearch) {
   ThreadPool pool(2);
-  serve::ShardRouterOptions options;
-  options.max_batch = 16;
-  options.batch_window_seconds = 0.001;
   MetricsRegistry metrics;
-  RouterStack stack = MakeRouter(4, &pool, options, &metrics);
+  RouterStack stack = MakeRouter(4, &pool, {}, &metrics);
   const std::vector<Object> queries = MakeQueries(32);
   std::vector<serve::QueryRequest> requests;
   for (const Object& query : queries) {
@@ -421,35 +447,48 @@ TEST(RouterBatchingTest, SubmitBatchesMatchSyncSearch) {
     request.top_k = 5;
     requests.push_back(std::move(request));
   }
-  const std::vector<serve::QueryResponse> batched = stack.router->SearchBatch(requests);
-  ASSERT_EQ(batched.size(), requests.size());
+  const std::vector<serve::QueryResponse> submitted = stack.router->SearchBatch(requests);
+  ASSERT_EQ(submitted.size(), requests.size());
+  EXPECT_EQ(metrics.counter("router.queries")->value(),
+            static_cast<int64_t>(requests.size()));
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
+    ASSERT_TRUE(submitted[i].status.ok()) << submitted[i].status.ToString();
     const serve::QueryResponse sync = stack.router->Search(requests[i]);
     ASSERT_TRUE(sync.status.ok());
-    ExpectHitsIdentical(sync.hits, batched[i].hits, "query " + std::to_string(i));
+    ExpectHitsIdentical(sync.hits, submitted[i].hits, "query " + std::to_string(i));
   }
-  EXPECT_EQ(stack.router->queue_depth(), 0);
-  EXPECT_EQ(stack.router->in_flight(), 0);
-  EXPECT_GT(metrics.counter("router.batches")->value(), 0);
   EXPECT_EQ(metrics.counter("router.queries")->value(),
             static_cast<int64_t>(2 * requests.size()));
+  ExpectRouterTiesOut(stack, static_cast<int64_t>(2 * requests.size()));
 }
 
 TEST(RouterBatchingTest, SlotIsReleasedBeforeTheCompletionCallback) {
   // A Submit callback must observe its own admission slot already
   // released, so a caller woken by it (SearchBatch) never sees a stale
   // in_flight(). Checked on an answered query and on one whose deadline
-  // expires while the batch window holds it in the queue.
+  // expires while it waits in the queue behind a query held at shard 0's
+  // gate.
   ThreadPool pool(1);
   serve::ShardRouterOptions options;
-  options.batch_window_seconds = 0.05;
   options.admission.adaptive = false;  // keep the expiring query admitted
   RouterStack stack = MakeRouter(2, &pool, options);
   serve::QueryRequest request;
   request.query = MakeQueries(1)[0];
   request.top_k = 3;
+  // Outlives the router: the held query's callback fills it.
+  std::promise<serve::QueryResponse> held_done;
+  int64_t requests = 0;
   for (const double deadline : {0.0, 0.001}) {
+    if (deadline > 0.0) {
+      stack.gates[0]->Close();
+      serve::QueryRequest held = request;
+      held.deadline_seconds = 0.0;
+      stack.router->Submit(held, [&held_done](serve::QueryResponse response) {
+        held_done.set_value(std::move(response));
+      });
+      ++requests;
+      stack.gates[0]->WaitUntilHeld();
+    }
     request.deadline_seconds = deadline;
     std::mutex mu;
     std::condition_variable called;
@@ -461,15 +500,77 @@ TEST(RouterBatchingTest, SlotIsReleasedBeforeTheCompletionCallback) {
       status = response.status;
       called.notify_one();
     });
+    ++requests;
+    if (deadline > 0.0) {
+      EXPECT_EQ(stack.router->queue_depth(), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      stack.gates[0]->Open();
+    }
     std::unique_lock<std::mutex> lock(mu);
     called.wait(lock, [&] { return in_flight_in_callback.has_value(); });
     if (deadline > 0.0) {
       EXPECT_TRUE(IsDeadlineExceeded(status)) << status.ToString();
+      EXPECT_NE(status.message().find("queued"), std::string::npos) << status.ToString();
     } else {
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
     EXPECT_EQ(*in_flight_in_callback, 0) << "deadline " << deadline;
   }
+  EXPECT_TRUE(held_done.get_future().get().status.ok());
+  ExpectRouterTiesOut(stack, requests);
+}
+
+// A shard reached after the deadline is not probed, through Search and
+// through Submit alike. On a one-lane pool the shards run in order:
+// shard 0 answers, then stalls past the 20 ms deadline, so shards 1 and
+// 2 are skipped and the query returns shard 0's hits with
+// kDeadlineExceeded.
+TEST(RouterDeadlineTest, ShardsReachedAfterTheDeadlineAreNotProbed) {
+  ThreadPool pool(1);
+  RouterStack stack = MakeRouter(3, &pool);
+  // A query with hits on shard 0, and those hits as shard 0 alone finds
+  // them.
+  serve::QueryRequest request;
+  request.top_k = 3;
+  request.deadline_seconds = 0.02;
+  serve::ShardReply shard0;
+  for (const Object& query : MakeQueries(40)) {
+    serve::ShardQuery probe;
+    probe.query = &query;
+    probe.top_k = request.top_k;
+    probe.min_similarity = Options().tau;
+    stack.backends[0]->Probe(probe, &shard0);
+    ASSERT_TRUE(shard0.status.ok()) << shard0.status.ToString();
+    if (!shard0.hits.empty()) {
+      request.query = query;
+      break;
+    }
+  }
+  ASSERT_FALSE(shard0.hits.empty()) << "no query has a hit on shard 0";
+  stack.gates[0]->SleepAfterProbe(std::chrono::milliseconds(60));
+
+  const auto check = [&](const serve::QueryResponse& response, const std::string& where) {
+    EXPECT_TRUE(IsDeadlineExceeded(response.status)) << where << ": "
+                                                     << response.status.ToString();
+    EXPECT_NE(response.status.message().find("before shard 1 was probed"), std::string::npos)
+        << where << ": " << response.status.ToString();
+    ASSERT_EQ(response.hits.size(), shard0.hits.size()) << where;
+    for (size_t i = 0; i < shard0.hits.size(); ++i) {
+      EXPECT_EQ(response.hits[i].object_index, shard0.hits[i].global_index) << where;
+      EXPECT_EQ(response.hits[i].similarity, shard0.hits[i].similarity) << where;
+    }
+  };
+  check(stack.router->Search(request), "Search");
+  std::promise<serve::QueryResponse> submitted;
+  stack.router->Submit(request, [&submitted](serve::QueryResponse response) {
+    submitted.set_value(std::move(response));
+  });
+  check(submitted.get_future().get(), "Submit");
+  EXPECT_EQ(stack.gates[0]->probes(), 2);
+  EXPECT_EQ(stack.gates[1]->probes(), 0);
+  EXPECT_EQ(stack.gates[2]->probes(), 0);
+  EXPECT_EQ(stack.metrics->counter("router.deadline_exceeded")->value(), 2);
+  ExpectRouterTiesOut(stack, 2);
 }
 
 TEST(RouterAdmissionTest, DeadlineInfeasibleShedsBeforeDispatch) {
@@ -492,6 +593,7 @@ TEST(RouterAdmissionTest, DeadlineInfeasibleShedsBeforeDispatch) {
   request.deadline_seconds = 0.0;
   const serve::QueryResponse response = stack.router->Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  ExpectRouterTiesOut(stack, 2);
 }
 
 // ------------------------------------------------- WAL + recovery
