@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cstdint>
+#include <cstring>
 
 namespace kjoin {
 
@@ -21,12 +23,11 @@ std::vector<std::string> Split(std::string_view text, char separator) {
 void SplitViews(std::string_view text, char separator, std::vector<std::string_view>* pieces) {
   pieces->clear();
   size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == separator) {
-      pieces->push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
+  for (size_t end; (end = text.find(separator, start)) != std::string_view::npos;
+       start = end + 1) {
+    pieces->push_back(text.substr(start, end - start));
   }
+  pieces->push_back(text.substr(start));
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view text) {
@@ -85,6 +86,12 @@ std::string FormatWithCommas(int64_t n) {
 bool IsValidUtf8(std::string_view text) {
   size_t i = 0;
   const size_t n = text.size();
+  // ASCII runs eight bytes per step; the decoder below takes over from
+  // the first word with a high bit set.
+  for (uint64_t word; i + 8 <= n; i += 8) {
+    std::memcpy(&word, text.data() + i, 8);
+    if ((word & 0x8080808080808080ULL) != 0) break;
+  }
   while (i < n) {
     const unsigned char lead = static_cast<unsigned char>(text[i]);
     if (lead < 0x80) {

@@ -7,13 +7,13 @@ namespace kjoin {
 ObjectBuilder::ObjectBuilder(const EntityMatcher& matcher, bool multi_mapping)
     : matcher_(&matcher), multi_mapping_(multi_mapping) {}
 
-int32_t ObjectBuilder::InternToken(const std::string& token) {
-  const auto [it, inserted] = token_ids_.emplace(token, static_cast<int32_t>(tokens_.size()));
-  if (inserted) {
-    tokens_.push_back(token);
-    mappings_.ranges.emplace_back();
-  }
-  return it->second;
+int32_t ObjectBuilder::InternToken(std::string_view token) {
+  const int32_t found = token_ids_.Find(token, tokens_);
+  if (found >= 0) return found;
+  tokens_.emplace_back(token);
+  token_ids_.Add(tokens_);
+  mappings_.ranges.emplace_back();
+  return static_cast<int32_t>(tokens_.size()) - 1;
 }
 
 void ObjectBuilder::PreloadTokens(const std::vector<std::string>& tokens) {
@@ -28,13 +28,13 @@ void ObjectBuilder::PreloadTokens(const std::vector<std::string>& tokens) {
 std::shared_ptr<const TokenDictionary> ObjectBuilder::Dictionary() {
   if (published_ == nullptr || published_->size() != num_distinct_tokens() ||
       published_resolved_ != num_resolved_) {
-    published_ = std::make_shared<const TokenDictionary>(token_ids_, mappings_);
+    published_ = std::make_shared<const TokenDictionary>(tokens_, token_ids_, mappings_);
     published_resolved_ = num_resolved_;
   }
   return published_;
 }
 
-std::vector<ElementMapping> ObjectBuilder::Match(const std::string& token) const {
+std::vector<ElementMapping> ObjectBuilder::Match(std::string_view token) const {
   std::vector<ElementMapping> mappings;
   if (multi_mapping_) {
     for (const EntityMatch& match : matcher_->MatchAll(token)) {
@@ -46,7 +46,8 @@ std::vector<ElementMapping> ObjectBuilder::Match(const std::string& token) const
   return mappings;
 }
 
-Element ObjectBuilder::MakeElement(std::string token, int32_t token_id) {
+Element ObjectBuilder::MakeElement(int32_t token_id) {
+  const std::string& token = tokens_[static_cast<size_t>(token_id)];
   if (!mappings_.resolved(token_id)) {
     const std::vector<ElementMapping> matched = Match(token);
     mappings_.ranges[static_cast<size_t>(token_id)] = {
@@ -56,7 +57,7 @@ Element ObjectBuilder::MakeElement(std::string token, int32_t token_id) {
   }
   const std::span<const ElementMapping> mappings = mappings_.of(token_id);
   Element element;
-  element.token = std::move(token);
+  element.token = token;
   element.token_id = token_id;
   element.mappings.assign(mappings.begin(), mappings.end());
   return element;
@@ -67,10 +68,9 @@ Object ObjectBuilder::Build(int32_t id, const std::vector<std::string>& tokens) 
   object.id = id;
   object.elements.reserve(tokens.size());
   for (const std::string& raw : tokens) {
-    std::string token = tokenizer_.Normalize(raw);
+    const std::string_view token = tokenizer_.NormalizeView(raw, &normal_);
     if (token.empty()) continue;
-    const int32_t token_id = InternToken(token);
-    object.elements.push_back(MakeElement(std::move(token), token_id));
+    object.elements.push_back(MakeElement(InternToken(token)));
   }
   return object;
 }
@@ -82,8 +82,9 @@ Object ObjectBuilder::BuildQuery(int32_t id, const std::vector<std::string>& tok
   object.id = id;
   object.dictionary_size = dictionary.size();
   object.elements.reserve(tokens.size());
+  std::string normal;  // per call: any number of threads may build queries
   for (const std::string& raw : tokens) {
-    std::string token = tokenizer_.Normalize(raw);
+    const std::string_view token = tokenizer_.NormalizeView(raw, &normal);
     if (token.empty()) continue;
     Element element;
     element.token_id = dictionary.Find(token);
@@ -93,7 +94,7 @@ Object ObjectBuilder::BuildQuery(int32_t id, const std::vector<std::string>& tok
     } else {
       element.mappings = Match(token);
     }
-    element.token = std::move(token);
+    element.token = token;
     object.elements.push_back(std::move(element));
   }
   return object;
@@ -107,29 +108,32 @@ Object ObjectBuilder::BuildWithSpans(int32_t id, const std::vector<std::string>&
                                      int max_span) {
   Object object;
   object.id = id;
-  // Normalize once.
-  std::vector<std::string> normalized;
-  normalized.reserve(tokens.size());
+  // Normalize once, back to back, so a run of tokens is one view.
+  span_text_.clear();
+  span_ends_.clear();
   for (const std::string& raw : tokens) {
-    std::string token = tokenizer_.Normalize(raw);
-    if (!token.empty()) normalized.push_back(std::move(token));
+    const std::string_view token = tokenizer_.NormalizeView(raw, &normal_);
+    if (token.empty()) continue;
+    span_text_.append(token);
+    span_ends_.push_back(span_text_.size());
   }
+  // The concatenation of tokens [i, i + span).
+  auto run = [&](size_t i, size_t span) {
+    const size_t begin = i == 0 ? 0 : span_ends_[i - 1];
+    return std::string_view(span_text_).substr(begin, span_ends_[i + span - 1] - begin);
+  };
 
+  const size_t n = span_ends_.size();
   size_t i = 0;
-  while (i < normalized.size()) {
+  while (i < n) {
     // Longest span first; multi-token spans must match exactly (φ = 1).
     size_t taken = 1;
-    std::string token = normalized[i];
-    for (size_t span = std::min<size_t>(max_span, normalized.size() - i); span >= 2; --span) {
-      std::string concatenated;
-      for (size_t k = 0; k < span; ++k) concatenated += normalized[i + k];
-      if (!matcher_->MatchOne(concatenated).has_value()) continue;
-      token = std::move(concatenated);
+    for (size_t span = std::min<size_t>(max_span, n - i); span >= 2; --span) {
+      if (!matcher_->MatchOne(run(i, span)).has_value()) continue;
       taken = span;
       break;
     }
-    const int32_t token_id = InternToken(token);
-    object.elements.push_back(MakeElement(std::move(token), token_id));
+    object.elements.push_back(MakeElement(InternToken(run(i, taken))));
     i += taken;
   }
   return object;

@@ -8,11 +8,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/element.h"
 #include "text/entity_matcher.h"
+#include "text/token_index.h"
 #include "text/tokenizer.h"
 
 namespace kjoin {
@@ -57,22 +57,20 @@ struct TokenMappingTable {
 // across threads; queries resolve against it without a lock.
 class TokenDictionary {
  public:
-  TokenDictionary(std::unordered_map<std::string, int32_t> ids, TokenMappingTable mappings)
-      : ids_(std::move(ids)), mappings_(std::move(mappings)) {}
+  TokenDictionary(std::vector<std::string> tokens, TokenIndex index, TokenMappingTable mappings)
+      : tokens_(std::move(tokens)), index_(std::move(index)), mappings_(std::move(mappings)) {}
 
   // Id of `token`, or -1 when absent.
-  int32_t Find(const std::string& token) const {
-    const auto it = ids_.find(token);
-    return it == ids_.end() ? -1 : it->second;
-  }
-  int32_t size() const { return static_cast<int32_t>(ids_.size()); }
+  int32_t Find(std::string_view token) const { return index_.Find(token, tokens_); }
+  int32_t size() const { return static_cast<int32_t>(tokens_.size()); }
 
   // Id -> mappings, for 0 <= id < size(); an id the builder had only
   // interned (PreloadTokens, InternToken) is unresolved here.
   const TokenMappingTable& mappings() const { return mappings_; }
 
  private:
-  std::unordered_map<std::string, int32_t> ids_;
+  std::vector<std::string> tokens_;  // id -> token
+  TokenIndex index_;                 // over tokens_
   TokenMappingTable mappings_;
 };
 
@@ -117,7 +115,7 @@ class ObjectBuilder {
 
   // Dense id of `token`, creating one if new. A new id is unresolved: its
   // mappings are matched when a Build first meets it.
-  int32_t InternToken(const std::string& token);
+  int32_t InternToken(std::string_view token);
 
   // Seeds a fresh builder with a snapshot's token table: tokens[i] gets
   // id i, so objects built afterwards are id-compatible with a collection
@@ -142,15 +140,21 @@ class ObjectBuilder {
 
  private:
   // `token`'s hierarchy mappings for the builder's mode.
-  std::vector<ElementMapping> Match(const std::string& token) const;
+  std::vector<ElementMapping> Match(std::string_view token) const;
   // The element for interned `token_id`, resolving the id on first use.
-  Element MakeElement(std::string token, int32_t token_id);
+  Element MakeElement(int32_t token_id);
 
   const EntityMatcher* matcher_;
   bool multi_mapping_;
   Tokenizer tokenizer_;
-  std::vector<std::string> tokens_;                     // id -> token
-  std::unordered_map<std::string, int32_t> token_ids_;  // token -> id
+  std::vector<std::string> tokens_;  // id -> token
+  TokenIndex token_ids_;             // token -> id, over tokens_
+  // Reused by Build and BuildWithSpans: a token's normal form when it
+  // is not normal already, and the normalized tokens of one record back
+  // to back, each ending at its span_ends_ entry.
+  std::string normal_;
+  std::string span_text_;
+  std::vector<size_t> span_ends_;
   TokenMappingTable mappings_;
   int64_t num_resolved_ = 0;
   std::shared_ptr<const TokenDictionary> published_;  // last Dictionary()

@@ -221,7 +221,7 @@ StatusOr<std::vector<std::string>> ParseTokenTable(std::string_view payload,
                                                    const std::string& label) {
   ByteReader r(payload, label);
   std::vector<std::string> strings;
-  // The table feeds ObjectBuilder::PreloadTokens, whose intern map
+  // The table feeds ObjectBuilder::PreloadTokens, whose interner
   // CHECK-fails on a repeat — reject forged duplicates at parse time.
   KJOIN_RETURN_IF_ERROR(wire::ParseStringList(r, /*reject_duplicates=*/true, &strings));
   KJOIN_RETURN_IF_ERROR(r.ExpectEnd());

@@ -188,7 +188,7 @@ class ByteReader {
 void WriteStringList(const std::vector<std::string>& strings, ByteWriter* w);
 // Reads what WriteStringList wrote. With `reject_duplicates`, a repeated
 // string returns kInvalidArgument — interner tables feed
-// ObjectBuilder::PreloadTokens, whose intern map CHECK-fails on a repeat.
+// ObjectBuilder::PreloadTokens, whose interner CHECK-fails on a repeat.
 Status ParseStringList(ByteReader& r, bool reject_duplicates,
                        std::vector<std::string>* out);
 

@@ -7,6 +7,13 @@
 #include "common/logging.h"
 
 namespace kjoin {
+namespace {
+
+// The two DP rows, reused by every distance the thread computes.
+thread_local std::vector<int> tls_prev;
+thread_local std::vector<int> tls_curr;
+
+}  // namespace
 
 int EditDistance(std::string_view x, std::string_view y) {
   if (x.size() < y.size()) std::swap(x, y);  // y is the shorter string
@@ -14,7 +21,10 @@ int EditDistance(std::string_view x, std::string_view y) {
   const int m = static_cast<int>(y.size());
   if (m == 0) return n;
 
-  std::vector<int> prev(m + 1), curr(m + 1);
+  std::vector<int>& prev = tls_prev;
+  std::vector<int>& curr = tls_curr;
+  prev.resize(m + 1);
+  curr.resize(m + 1);
   for (int j = 0; j <= m; ++j) prev[j] = j;
   for (int i = 1; i <= n; ++i) {
     curr[0] = i;
@@ -36,16 +46,21 @@ int EditDistanceBounded(std::string_view x, std::string_view y, int max_distance
   if (m == 0) return n;
 
   // Band of half-width max_distance around the diagonal. Cells outside the
-  // band are treated as > max_distance.
+  // band are treated as > max_distance. Row i writes its band [lo, hi]
+  // and the cells on either side, lo - 1 and hi + 1, which are all that
+  // row i + 1 reads outside its own band.
   const int kBig = max_distance + 1;
-  std::vector<int> prev(m + 1, kBig), curr(m + 1, kBig);
+  std::vector<int>& prev = tls_prev;
+  std::vector<int>& curr = tls_curr;
+  prev.assign(m + 1, kBig);
+  curr.resize(m + 1);
   for (int j = 0; j <= std::min(m, max_distance); ++j) prev[j] = j;
   for (int i = 1; i <= n; ++i) {
     const int lo = std::max(1, i - max_distance);
     const int hi = std::min(m, i + max_distance);
     if (lo > hi) return kBig;
-    std::fill(curr.begin(), curr.end(), kBig);
-    if (lo == 1 && i <= max_distance) curr[0] = i;
+    curr[lo - 1] = lo == 1 && i <= max_distance ? i : kBig;
+    if (hi < m) curr[hi + 1] = kBig;
     int row_min = kBig;
     for (int j = lo; j <= hi; ++j) {
       const int substitute = prev[j - 1] + (x[i - 1] == y[j - 1] ? 0 : 1);
@@ -61,9 +76,13 @@ int EditDistanceBounded(std::string_view x, std::string_view y, int max_distance
 }
 
 double EditSimilarity(std::string_view x, std::string_view y) {
-  const size_t max_len = std::max(x.size(), y.size());
-  if (max_len == 0) return 1.0;
-  return 1.0 - static_cast<double>(EditDistance(x, y)) / static_cast<double>(max_len);
+  if (x.empty() && y.empty()) return 1.0;
+  return EditSimilarityOfDistance(EditDistance(x, y), x.size(), y.size());
+}
+
+double EditSimilarityOfDistance(int distance, size_t x_length, size_t y_length) {
+  const size_t max_len = std::max(x_length, y_length);
+  return 1.0 - static_cast<double>(distance) / static_cast<double>(max_len);
 }
 
 bool EditSimilarityAtLeast(std::string_view x, std::string_view y, double threshold) {

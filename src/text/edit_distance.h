@@ -8,6 +8,7 @@
 // φ = 1 − ED(x, y) / max(|x|, |y|) (paper §2.1.1). The FastJoin baseline
 // uses the same quantity between tokens.
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -22,6 +23,10 @@ int EditDistanceBounded(std::string_view x, std::string_view y, int max_distance
 
 // 1 − ED / max(|x|, |y|); both empty => 1.
 double EditSimilarity(std::string_view x, std::string_view y);
+
+// EditSimilarity of two strings of these lengths, not both 0, whose edit
+// distance is `distance`: the same double EditSimilarity returns.
+double EditSimilarityOfDistance(int distance, size_t x_length, size_t y_length);
 
 // True iff EditSimilarity(x, y) >= threshold, computed with the banded
 // algorithm (the common fast path for filters).

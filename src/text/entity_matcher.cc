@@ -11,19 +11,24 @@
 namespace kjoin {
 namespace {
 
-std::string NormalizeLabel(std::string_view label) {
-  // Lower-case alphanumerics only: "BurgerKing" -> "burgerking",
-  // "San Francisco" -> "sanfrancisco".
-  std::string out;
-  out.reserve(label.size());
-  for (char c : label) {
+// Lower-case alphanumerics only: "BurgerKing" -> "burgerking",
+// "San Francisco" -> "sanfrancisco". Returns `label` itself when it is
+// already normal, otherwise its normal form written over `*buffer`.
+std::string_view NormalizeLabel(std::string_view label, std::string* buffer) {
+  auto normal = [](char c) { return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'); };
+  size_t i = 0;
+  while (i < label.size() && normal(label[i])) ++i;
+  if (i == label.size()) return label;
+  buffer->assign(label.substr(0, i));
+  for (; i < label.size(); ++i) {
+    const char c = label[i];
     if (c >= 'A' && c <= 'Z') {
-      out.push_back(static_cast<char>(c - 'A' + 'a'));
-    } else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
-      out.push_back(c);
+      buffer->push_back(static_cast<char>(c - 'A' + 'a'));
+    } else if (normal(c)) {
+      buffer->push_back(c);
     }
   }
-  return out;
+  return *buffer;
 }
 
 }  // namespace
@@ -38,12 +43,6 @@ void EntityMatcher::NodeTable::AppendNode(NodeId node) {
   ++offsets.back();
 }
 
-int32_t EntityMatcher::NodeTable::Find(std::string_view key) const {
-  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) return -1;
-  return static_cast<int32_t>(it - keys.begin());
-}
-
 EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions options)
     : hierarchy_(&hierarchy), options_(options) {
   KJOIN_CHECK_GT(options_.max_matches, 0);
@@ -53,8 +52,9 @@ EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions op
   std::vector<std::string> normalized(n);
   std::vector<NodeId> order;
   order.reserve(n);
+  std::string buffer;
   for (NodeId v = 1; v < static_cast<NodeId>(n); ++v) {
-    normalized[static_cast<size_t>(v)] = NormalizeLabel(hierarchy.label(v));
+    normalized[static_cast<size_t>(v)] = NormalizeLabel(hierarchy.label(v), &buffer);
     if (!normalized[static_cast<size_t>(v)].empty()) order.push_back(v);
   }
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
@@ -66,15 +66,17 @@ EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions op
     if (labels_.keys.empty() || labels_.keys.back() != label) labels_.StartKey(std::move(label));
     labels_.AppendNode(v);
   }
+  labels_.Seal();
 }
 
 int EntityMatcher::AddSynonym(std::string_view alias, std::string_view node_label) {
   KJOIN_CHECK(!frozen_.load(std::memory_order_relaxed))
       << "register synonyms before the first lookup";
-  std::string normalized_alias = NormalizeLabel(alias);
-  const int32_t entry = labels_.Find(NormalizeLabel(node_label));
+  std::string buffer;
+  const int32_t entry = labels_.Find(NormalizeLabel(node_label, &buffer));
+  const std::string_view normalized_alias = NormalizeLabel(alias, &buffer);
   if (entry < 0 || normalized_alias.empty()) return 0;
-  pending_synonyms_.emplace_back(std::move(normalized_alias), entry);
+  pending_synonyms_.emplace_back(std::string(normalized_alias), entry);
   return static_cast<int>(labels_.NodesOf(entry).size());
 }
 
@@ -98,13 +100,15 @@ void EntityMatcher::Finalize() const {
       }
     }
     pending_synonyms_ = {};
+    synonyms_.Seal();
     if (options_.enable_approximate) approx_index_ = std::make_unique<QGramIndex>(labels_.keys);
   });
 }
 
 std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const {
   Finalize();
-  const std::string normalized = NormalizeLabel(token);
+  std::string buffer;
+  const std::string_view normalized = NormalizeLabel(token, &buffer);
   if (normalized.empty()) return std::nullopt;
   if (const int32_t entry = labels_.Find(normalized); entry >= 0) {
     return EntityMatch{labels_.NodesOf(entry).front(), 1.0};
@@ -118,7 +122,8 @@ std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const
 std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
   Finalize();
   std::vector<EntityMatch> matches;
-  const std::string normalized = NormalizeLabel(token);
+  std::string buffer;
+  const std::string_view normalized = NormalizeLabel(token, &buffer);
   if (normalized.empty()) return matches;
 
   auto add = [&](NodeId node, double phi) {
@@ -153,12 +158,12 @@ std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
       if (next <= budget) break;
       budget = std::min(next, cap);
     }
-    for (const int32_t id : approx_index_->SearchWithinDistance(normalized, budget)) {
-      const std::string& label = labels_.keys[static_cast<size_t>(id)];
-      if (label == normalized) continue;  // already exact
-      const double phi = EditSimilarity(normalized, label);
+    for (const QGramIndex::Hit& hit : approx_index_->SearchWithDistances(normalized, budget)) {
+      if (hit.distance == 0) continue;  // already exact
+      const std::string& label = labels_.keys[static_cast<size_t>(hit.id)];
+      const double phi = EditSimilarityOfDistance(hit.distance, normalized.size(), label.size());
       if (phi < options_.min_phi) continue;
-      for (const NodeId node : labels_.NodesOf(id)) add(node, phi);
+      for (const NodeId node : labels_.NodesOf(hit.id)) add(node, phi);
     }
   }
 

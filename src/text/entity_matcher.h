@@ -25,6 +25,7 @@
 
 #include "hierarchy/hierarchy.h"
 #include "text/qgram_index.h"
+#include "text/token_index.h"
 
 namespace kjoin {
 
@@ -84,12 +85,15 @@ class EntityMatcher {
     std::vector<std::string> keys;
     std::vector<int32_t> offsets{0};
     std::vector<NodeId> nodes;
+    TokenIndex index;  // over keys, built by Seal
 
     // Starts key `key`'s run; the caller appends its nodes.
     void StartKey(std::string key);
     void AppendNode(NodeId node);
-    // Index of `key`, or -1.
-    int32_t Find(std::string_view key) const;
+    // Indexes the keys once the last one is in.
+    void Seal() { index = TokenIndex(keys); }
+    // Index of `key`, or -1. Requires Seal.
+    int32_t Find(std::string_view key) const { return index.Find(key, keys); }
     std::span<const NodeId> NodesOf(int32_t i) const {
       return {nodes.data() + offsets[static_cast<size_t>(i)],
               nodes.data() + offsets[static_cast<size_t>(i) + 1]};

@@ -175,10 +175,16 @@ std::vector<int32_t> QGramIndex::Candidates(std::string_view query, int max_erro
 std::vector<int32_t> QGramIndex::SearchWithinDistance(std::string_view query,
                                                       int max_errors) const {
   std::vector<int32_t> result;
-  for (int32_t id : Candidates(query, max_errors)) {
-    if (EditDistanceBounded(query, strings_[id], max_errors) <= max_errors) {
-      result.push_back(id);
-    }
+  for (const Hit& hit : SearchWithDistances(query, max_errors)) result.push_back(hit.id);
+  return result;
+}
+
+std::vector<QGramIndex::Hit> QGramIndex::SearchWithDistances(std::string_view query,
+                                                             int max_errors) const {
+  std::vector<Hit> result;
+  for (const int32_t id : Candidates(query, max_errors)) {
+    const int distance = EditDistanceBounded(query, strings_[static_cast<size_t>(id)], max_errors);
+    if (distance <= max_errors) result.push_back({id, distance});
   }
   return result;
 }

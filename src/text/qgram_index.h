@@ -47,6 +47,15 @@ class QGramIndex {
   // returned id is truly within max_errors.
   std::vector<int32_t> SearchWithinDistance(std::string_view query, int max_errors) const;
 
+  // An indexed string within the edit budget, with its exact distance.
+  struct Hit {
+    int32_t id;
+    int distance;
+  };
+  // SearchWithinDistance's ids, ascending, each with its edit distance to
+  // `query` (the banded algorithm is exact within its budget).
+  std::vector<Hit> SearchWithDistances(std::string_view query, int max_errors) const;
+
   // The padded q-grams of `text` for any q >= 1 (exposed for tests and
   // FastJoin, which do not build an index).
   static std::vector<std::string> PaddedQGrams(std::string_view text, int q);

@@ -5,36 +5,29 @@
 #include "common/string_util.h"
 
 namespace kjoin {
-namespace {
 
-bool IsTokenChar(char c, bool strip_punctuation) {
-  const unsigned char u = static_cast<unsigned char>(c);
-  if (strip_punctuation) return std::isalnum(u) != 0;
-  return std::isspace(u) == 0;
+Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
+  for (int b = 0; b < 256; ++b) {
+    const bool kept = options_.strip_punctuation ? std::isalnum(b) != 0 : std::isspace(b) == 0;
+    const bool lower = options_.lowercase && b >= 'A' && b <= 'Z';
+    byte_map_[static_cast<size_t>(b)] =
+        !kept ? kSeparator : static_cast<int16_t>(lower ? b - 'A' + 'a' : b);
+  }
 }
-
-}  // namespace
-
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&]() {
-    if (static_cast<int>(current.size()) >= options_.min_token_length && !current.empty()) {
-      tokens.push_back(current);
-    }
-    current.clear();
-  };
-  for (char c : text) {
-    if (IsTokenChar(c, options_.strip_punctuation)) {
-      if (options_.lowercase && c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-      current.push_back(c);
-    } else {
-      flush();
-    }
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n && byte_map_[static_cast<uint8_t>(text[i])] == kSeparator) ++i;
+    const size_t start = i;
+    while (i < n && byte_map_[static_cast<uint8_t>(text[i])] != kSeparator) ++i;
+    const size_t length = i - start;
+    if (length == 0 || static_cast<int64_t>(length) < options_.min_token_length) continue;
+    std::string& token = tokens.emplace_back(text.substr(start, length));
+    for (char& c : token) c = static_cast<char>(byte_map_[static_cast<uint8_t>(c)]);
   }
-  flush();
   return tokens;
 }
 
@@ -62,14 +55,24 @@ StatusOr<std::vector<std::string>> Tokenizer::TokenizeChecked(std::string_view t
 }
 
 std::string Tokenizer::Normalize(std::string_view token) const {
-  std::string out;
-  out.reserve(token.size());
-  for (char c : token) {
-    if (!IsTokenChar(c, options_.strip_punctuation)) continue;
-    if (options_.lowercase && c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    out.push_back(c);
+  std::string buffer;
+  return std::string(NormalizeView(token, &buffer));
+}
+
+std::string_view Tokenizer::NormalizeView(std::string_view token, std::string* buffer) const {
+  // The longest prefix that is already normal is kept as it is.
+  size_t i = 0;
+  while (i < token.size() &&
+         byte_map_[static_cast<uint8_t>(token[i])] == static_cast<uint8_t>(token[i])) {
+    ++i;
   }
-  return out;
+  if (i == token.size()) return token;
+  buffer->assign(token.substr(0, i));
+  for (; i < token.size(); ++i) {
+    const int16_t mapped = byte_map_[static_cast<uint8_t>(token[i])];
+    if (mapped != kSeparator) buffer->push_back(static_cast<char>(mapped));
+  }
+  return *buffer;
 }
 
 }  // namespace kjoin

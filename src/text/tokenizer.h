@@ -8,6 +8,7 @@
 // stripped) before entity matching so that "Pizza," and "pizza" map to the
 // same knowledge-base node.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -48,7 +49,19 @@ class Tokenizer {
   // Normalizes one token (no splitting).
   std::string Normalize(std::string_view token) const;
 
+  // Normalize without a copy when none is needed: returns `token` itself
+  // when it is already normal, otherwise its normal form written over
+  // `*buffer`. The result views `token` or `*buffer`, whichever it came
+  // from, and is valid while that is.
+  std::string_view NormalizeView(std::string_view token, std::string* buffer) const;
+
  private:
+  // What byte b becomes in a token: kSeparator when it is dropped (a
+  // separator in Tokenize), otherwise the byte it is written as. Fixed
+  // from the options at construction; any byte, NUL included, may be
+  // kept.
+  static constexpr int16_t kSeparator = -1;
+  std::array<int16_t, 256> byte_map_;
   TokenizerOptions options_;
 };
 

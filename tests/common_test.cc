@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/rng.h"
@@ -115,6 +118,108 @@ TEST(StringUtilTest, SplitKeepsEmptyPieces) {
   EXPECT_EQ(pieces[1], "");
   EXPECT_EQ(pieces[2], "b");
   EXPECT_EQ(pieces[3], "");
+}
+
+// The byte-at-a-time validator the eight-byte ASCII scan sits in front
+// of, kept as the reference.
+bool ReferenceIsValidUtf8(std::string_view text) {
+  size_t i = 0;
+  while (i < text.size()) {
+    const unsigned char lead = static_cast<unsigned char>(text[i]);
+    if (lead < 0x80) {
+      ++i;
+      continue;
+    }
+    int continuation = 0;
+    uint32_t codepoint = 0;
+    uint32_t min_codepoint = 0;
+    if ((lead & 0xE0) == 0xC0) {
+      continuation = 1;
+      codepoint = lead & 0x1F;
+      min_codepoint = 0x80;
+    } else if ((lead & 0xF0) == 0xE0) {
+      continuation = 2;
+      codepoint = lead & 0x0F;
+      min_codepoint = 0x800;
+    } else if ((lead & 0xF8) == 0xF0) {
+      continuation = 3;
+      codepoint = lead & 0x07;
+      min_codepoint = 0x10000;
+    } else {
+      return false;
+    }
+    if (i + continuation >= text.size()) return false;
+    for (int k = 1; k <= continuation; ++k) {
+      const unsigned char byte = static_cast<unsigned char>(text[i + k]);
+      if ((byte & 0xC0) != 0x80) return false;
+      codepoint = (codepoint << 6) | (byte & 0x3F);
+    }
+    if (codepoint < min_codepoint) return false;
+    if (codepoint >= 0xD800 && codepoint <= 0xDFFF) return false;
+    if (codepoint > 0x10FFFF) return false;
+    i += continuation + 1;
+  }
+  return true;
+}
+
+TEST(StringUtilTest, IsValidUtf8MatchesByteWiseReferenceAtEveryOffset) {
+  // Valid sequences, invalid ones, and truncated ones (a prefix of a
+  // valid sequence), each placed at offsets 0..16 after ASCII and
+  // followed by 0..9 ASCII bytes, so every one lands at every position
+  // mod 8 and many straddle an 8-byte boundary.
+  const std::vector<std::string> sequences = {
+      "\xC3\xA9",          "\xE2\x82\xAC",     "\xF0\x9F\x8D\x95", "\xF4\x8F\xBF\xBF",
+      "\xC0\x80",          "\xC1\xBF",         "\xE0\x80\x80",     "\xED\xA0\x80",
+      "\xF0\x80\x80\x80",  "\xF4\x90\x80\x80", "\xF5\x80\x80\x80", "\xF8\x88\x80\x80",
+      "\x80",              "\xBF\xBF",         "\xFF",             "\xC3\x28",
+      "\xE2\x28\xAC",      "\xF0\x9F\x28\x95", "\xC3",             "\xE2\x82",
+      "\xF0\x9F\x8D",      "\xC3\xA9\xE2\x82\xAC",
+  };
+  int checked = 0;
+  int invalid = 0;
+  for (const std::string& sequence : sequences) {
+    for (size_t offset = 0; offset <= 16; ++offset) {
+      for (size_t tail = 0; tail <= 9; ++tail) {
+        const std::string text = std::string(offset, 'a') + sequence + std::string(tail, 'z');
+        const bool expected = ReferenceIsValidUtf8(text);
+        ASSERT_EQ(IsValidUtf8(text), expected) << "sequence at offset " << offset << ", tail "
+                                               << tail;
+        ++checked;
+        invalid += expected ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(invalid, checked / 2);
+  // Random byte strings, mostly ASCII.
+  Rng rng(8);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string text;
+    const int length = static_cast<int>(rng.NextUint64(24));
+    for (int k = 0; k < length; ++k) {
+      text.push_back(static_cast<char>(rng.NextBool(0.9) ? rng.NextUint64(128)
+                                                         : rng.NextUint64(256)));
+    }
+    ASSERT_EQ(IsValidUtf8(text), ReferenceIsValidUtf8(text)) << "trial " << trial;
+  }
+}
+
+TEST(StringUtilTest, SplitViewsKeepsEveryEmptyPiece) {
+  std::vector<std::string_view> pieces = {"stale"};
+  SplitViews("", '\t', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{""}));
+  SplitViews("\t", '\t', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{"", ""}));
+  SplitViews("\ta\t\tb\t", '\t', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{"", "a", "", "b", ""}));
+  SplitViews("no separator", '\t', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{"no separator"}));
+  SplitViews("R\t1\tpizza", '\t', &pieces);
+  EXPECT_EQ(pieces, (std::vector<std::string_view>{"R", "1", "pizza"}));
+  // Views point into the text.
+  const std::string text = "x,y";
+  SplitViews(text, ',', &pieces);
+  ASSERT_EQ(pieces.size(), 2u);
+  EXPECT_EQ(pieces[1].data(), text.data() + 2);
 }
 
 TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {

@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -995,6 +998,268 @@ TEST_P(TokenTableTest, BuildQueryOnFourThreadsWhileTheOwnerBuilds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TokenTableTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Plus" : "Pure";
+                         });
+
+// A random token over a small alphabet, so draws repeat.
+std::string RandomToken(Rng& rng) {
+  static constexpr std::string_view kAlphabet = "abcdefgh";
+  std::string token;
+  const int length = static_cast<int>(rng.NextUint64(7));
+  for (int k = 0; k < length; ++k) token.push_back(kAlphabet[rng.NextUint64(kAlphabet.size())]);
+  return token;
+}
+
+TEST(TokenInternerTest, MatchesUnorderedMapThroughManyDoublings) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  const EntityMatcher matcher(tree);
+  ObjectBuilder builder(matcher, /*multi_mapping=*/false);
+  std::unordered_map<std::string, int32_t> reference;
+  Rng rng(26);
+  for (int draw = 0; draw < 20000; ++draw) {
+    const std::string token = RandomToken(rng);  // the empty token included
+    const int32_t expected =
+        reference.emplace(token, static_cast<int32_t>(reference.size())).first->second;
+    ASSERT_EQ(builder.InternToken(token), expected) << "draw " << draw << " '" << token << "'";
+  }
+  // 16 slots at first, load <= 1/2: over 2,048 ids is at least seven doublings.
+  ASSERT_GT(reference.size(), 2048u);
+  ASSERT_EQ(builder.num_distinct_tokens(), static_cast<int64_t>(reference.size()));
+  const std::shared_ptr<const TokenDictionary> dictionary = builder.Dictionary();
+  ASSERT_EQ(dictionary->size(), static_cast<int32_t>(reference.size()));
+  for (const auto& [token, id] : reference) {
+    ASSERT_EQ(builder.TokenTable()[static_cast<size_t>(id)], token);
+    ASSERT_EQ(builder.InternToken(token), id);
+    ASSERT_EQ(dictionary->Find(token), id);
+  }
+  // Tokens never drawn: longer than any draw, or outside the alphabet.
+  for (int probe = 0; probe < 2000; ++probe) {
+    const std::string absent = RandomToken(rng) + (probe % 2 == 0 ? "abcdefgh" : "z");
+    ASSERT_EQ(dictionary->Find(absent), -1) << absent;
+  }
+}
+
+TEST(TokenInternerTest, DictionaryFindsPresentAbsentAndEmptyTokens) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  const EntityMatcher matcher(tree);
+  ObjectBuilder builder(matcher, /*multi_mapping=*/false);
+  EXPECT_EQ(builder.Dictionary()->Find("pizza"), -1) << "an empty dictionary finds nothing";
+  EXPECT_EQ(builder.Dictionary()->Find(""), -1);
+  builder.PreloadTokens({"pizza", "hut", "pizzahut"});
+  const std::shared_ptr<const TokenDictionary> dictionary = builder.Dictionary();
+  EXPECT_EQ(dictionary->Find("pizza"), 0);
+  EXPECT_EQ(dictionary->Find("hut"), 1);
+  EXPECT_EQ(dictionary->Find("pizzahut"), 2);
+  EXPECT_EQ(dictionary->Find(std::string_view("pizzahut").substr(0, 5)), 0);
+  EXPECT_EQ(dictionary->Find("pizz"), -1);
+  EXPECT_EQ(dictionary->Find("Pizza"), -1);
+  EXPECT_EQ(dictionary->Find(""), -1);
+  EXPECT_EQ(builder.InternToken(""), 3);
+  EXPECT_EQ(dictionary->Find(""), -1) << "a published dictionary does not change";
+  EXPECT_EQ(builder.Dictionary()->Find(""), 3);
+}
+
+TEST(TokenInternerTest, PreloadWithADuplicateStillDies) {
+  const Hierarchy tree = MakeFigure1Hierarchy();
+  const EntityMatcher matcher(tree);
+  EXPECT_DEATH(
+      {
+        ObjectBuilder builder(matcher, /*multi_mapping=*/false);
+        builder.PreloadTokens({"pizza", "hut", "kfc", "hut"});
+      },
+      "duplicate token in preload table: hut");
+}
+
+// ObjectBuilder as it was before the flat interner, copied here: the
+// per-byte Normalize (std::isalnum per byte), ids from a string-keyed
+// map, each id's mappings matched once, and a copy of the map as the
+// query dictionary.
+class LegacyBuilder {
+ public:
+  LegacyBuilder(const EntityMatcher& matcher, bool plus) : matcher_(matcher), plus_(plus) {}
+
+  static std::string Normalize(std::string_view token) {
+    std::string out;
+    for (char c : token) {
+      if (std::isalnum(static_cast<unsigned char>(c)) == 0) continue;
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+      out.push_back(c);
+    }
+    return out;
+  }
+
+  Object Build(int32_t id, const std::vector<std::string>& tokens) {
+    Object object;
+    object.id = id;
+    for (const std::string& raw : tokens) {
+      std::string token = Normalize(raw);
+      if (!token.empty()) object.elements.push_back(MakeElement(std::move(token)));
+    }
+    return object;
+  }
+
+  Object BuildWithSpans(int32_t id, const std::vector<std::string>& tokens, int max_span) {
+    Object object;
+    object.id = id;
+    std::vector<std::string> normalized;
+    for (const std::string& raw : tokens) {
+      std::string token = Normalize(raw);
+      if (!token.empty()) normalized.push_back(std::move(token));
+    }
+    size_t i = 0;
+    while (i < normalized.size()) {
+      size_t taken = 1;
+      std::string token = normalized[i];
+      for (size_t span = std::min<size_t>(max_span, normalized.size() - i); span >= 2; --span) {
+        std::string concatenated;
+        for (size_t k = 0; k < span; ++k) concatenated += normalized[i + k];
+        if (!matcher_.MatchOne(concatenated).has_value()) continue;
+        token = std::move(concatenated);
+        taken = span;
+        break;
+      }
+      object.elements.push_back(MakeElement(std::move(token)));
+      i += taken;
+    }
+    return object;
+  }
+
+  Object BuildQuery(int32_t id, const std::vector<std::string>& tokens,
+                    const std::unordered_map<std::string, int32_t>& dictionary) const {
+    Object object;
+    object.id = id;
+    object.dictionary_size = static_cast<int32_t>(dictionary.size());
+    for (const std::string& raw : tokens) {
+      std::string token = Normalize(raw);
+      if (token.empty()) continue;
+      Element element;
+      const auto it = dictionary.find(token);
+      element.token_id = it == dictionary.end() ? -1 : it->second;
+      element.mappings = DirectMappings(matcher_, plus_, token);
+      element.token = std::move(token);
+      object.elements.push_back(std::move(element));
+    }
+    return object;
+  }
+
+  const std::unordered_map<std::string, int32_t>& ids() const { return ids_; }
+
+ private:
+  Element MakeElement(std::string token) {
+    const auto [it, inserted] = ids_.emplace(token, static_cast<int32_t>(ids_.size()));
+    if (inserted) mappings_.push_back(DirectMappings(matcher_, plus_, token));
+    Element element;
+    element.token_id = it->second;
+    element.mappings = mappings_[static_cast<size_t>(it->second)];
+    element.token = std::move(token);
+    return element;
+  }
+
+  const EntityMatcher& matcher_;
+  bool plus_;
+  std::unordered_map<std::string, int32_t> ids_;
+  std::vector<std::vector<ElementMapping>> mappings_;  // by id
+};
+
+class BuilderIdentityTest : public testing::TestWithParam<bool> {
+ protected:
+  BuilderIdentityTest()
+      : data_(MakePoiBenchmark(300, 103)),
+        prepared_(BuildObjects(data_.hierarchy, data_.dataset, GetParam(), 0.8)) {
+    // The records as generated (already normal), then each again with
+    // tokens that need normalising: upper case, punctuation, and tokens
+    // that normalise to nothing.
+    for (const Record& record : data_.dataset.records) records_.push_back(record.tokens);
+    for (const Record& record : data_.dataset.records) {
+      std::vector<std::string> noisy;
+      for (size_t k = 0; k < record.tokens.size(); ++k) {
+        std::string token = record.tokens[k];
+        switch (k % 4) {
+          case 0:
+            for (char& c : token) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+            break;
+          case 1:
+            token = "\"" + token + ",";
+            break;
+          case 2:
+            token.insert(token.size() / 2, "-\xC3\xA9.");
+            break;
+          default:
+            noisy.push_back("--");
+        }
+        noisy.push_back(std::move(token));
+      }
+      records_.push_back(std::move(noisy));
+    }
+  }
+
+  const EntityMatcher& matcher() const { return *prepared_.matcher; }
+
+  BenchmarkData data_;
+  PreparedObjects prepared_;
+  std::vector<std::vector<std::string>> records_;
+};
+
+TEST_P(BuilderIdentityTest, ObjectsIdsAndQueriesMatchTheLegacyBuilder) {
+  ObjectBuilder builder(matcher(), GetParam());
+  LegacyBuilder legacy(matcher(), GetParam());
+  std::vector<Object> built;
+  for (size_t r = 0; r < records_.size(); ++r) {
+    const auto id = static_cast<int32_t>(r);
+    built.push_back(builder.Build(id, records_[r]));
+    ExpectSameObject(built.back(), legacy.Build(id, records_[r]));
+  }
+  ASSERT_EQ(builder.num_distinct_tokens(), static_cast<int64_t>(legacy.ids().size()));
+  for (const auto& [token, id] : legacy.ids()) {
+    ASSERT_EQ(builder.TokenTable()[static_cast<size_t>(id)], token);
+  }
+
+  // Queries against the published dictionary, with a token no record has.
+  const std::shared_ptr<const TokenDictionary> dictionary = builder.Dictionary();
+  for (size_t r = 0; r < records_.size(); ++r) {
+    std::vector<std::string> query = records_[r];
+    query.push_back(r % 2 == 0 ? "Zz-Unseen" : "unseenzz");
+    const auto id = static_cast<int32_t>(r);
+    ExpectSameObject(builder.BuildQuery(id, query, *dictionary),
+                     legacy.BuildQuery(id, query, legacy.ids()));
+  }
+
+  // A builder preloaded with the table assigns the same ids.
+  ObjectBuilder preloaded(matcher(), GetParam());
+  preloaded.PreloadTokens(builder.TokenTable());
+  for (size_t r = 0; r < records_.size(); ++r) {
+    ExpectSameObject(preloaded.Build(static_cast<int32_t>(r), records_[r]), built[r]);
+  }
+  EXPECT_EQ(preloaded.TokenTable(), builder.TokenTable());
+}
+
+TEST_P(BuilderIdentityTest, SpansMatchTheLegacyBuilder) {
+  // Records that hold hierarchy labels cut into two and three tokens, so
+  // runs of tokens match.
+  std::vector<std::vector<std::string>> records = records_;
+  const Hierarchy& tree = data_.hierarchy;
+  for (NodeId v = 1; v < tree.num_nodes() && records.size() < records_.size() + 300; ++v) {
+    const std::string label(tree.label(v));
+    if (label.size() < 6) continue;
+    records.push_back({"the", label.substr(0, 3), label.substr(3), "."});
+    records.push_back({label.substr(0, 2), label.substr(2, 2) + "!", label.substr(4), "x"});
+  }
+  ObjectBuilder builder(matcher(), GetParam());
+  LegacyBuilder legacy(matcher(), GetParam());
+  int64_t elements[2] = {0, 0};
+  for (const int max_span : {1, 3}) {
+    for (size_t r = 0; r < records.size(); ++r) {
+      const auto id = static_cast<int32_t>(r);
+      const Object object = builder.BuildWithSpans(id, records[r], max_span);
+      ExpectSameObject(object, legacy.BuildWithSpans(id, records[r], max_span));
+      elements[max_span == 3] += object.size();
+    }
+  }
+  EXPECT_LT(elements[1], elements[0]) << "no run of tokens matched a label";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, BuilderIdentityTest, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& info) {
                            return info.param ? "Plus" : "Pure";
                          });

@@ -228,6 +228,8 @@ TEST(DatasetIoTest, MalformedLineErrorsAreStable) {
       {"S\ta\tb\tc", "data.tsv:1: synonym lines need 3 fields, got 4"},
       {"S\ta\t\xff", "data.tsv:1: synonym is not valid UTF-8"},
       {"R\t1\tok\t\xc3\n", "data.tsv:1: token 1 is not valid UTF-8"},
+      {"R\t1\t\xc3\t\xa9", "data.tsv:1: token 0 is not valid UTF-8"},
+      {"R\t1\tok\tcaf\xc3\xa9\t\xe2\x82\tok", "data.tsv:1: token 2 is not valid UTF-8"},
       {"\t\t\n R \t1\ta", "data.tsv:2: unknown line type 'R '"},
       {"r\t1\ta", "data.tsv:1: unknown line type 'r'"},
   };

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -117,6 +119,122 @@ TEST(TokenizerTest, NormalizeStripsPunctuation) {
   EXPECT_EQ(tokenizer.Normalize("...."), "");
 }
 
+// The per-byte rule the tokenizer's byte table replaced: a token byte is
+// alphanumeric (strip_punctuation) or any non-space byte, and ASCII
+// upper case is lowered when asked.
+bool ReferenceIsTokenChar(char c, bool strip_punctuation) {
+  const unsigned char u = static_cast<unsigned char>(c);
+  if (strip_punctuation) return std::isalnum(u) != 0;
+  return std::isspace(u) == 0;
+}
+
+char ReferenceLower(char c, bool lowercase) {
+  return lowercase && c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+std::string ReferenceNormalize(std::string_view token, const TokenizerOptions& options) {
+  std::string out;
+  for (const char c : token) {
+    if (ReferenceIsTokenChar(c, options.strip_punctuation)) {
+      out.push_back(ReferenceLower(c, options.lowercase));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> ReferenceTokenize(std::string_view text,
+                                           const TokenizerOptions& options) {
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&] {
+    if (!current.empty() && static_cast<int>(current.size()) >= options.min_token_length) {
+      tokens.push_back(current);
+    }
+    current.clear();
+  };
+  for (const char c : text) {
+    if (ReferenceIsTokenChar(c, options.strip_punctuation)) {
+      current.push_back(ReferenceLower(c, options.lowercase));
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return tokens;
+}
+
+// Checks Normalize, NormalizeView and Tokenize on `text` against the
+// per-byte rule. NormalizeView must hand back `text` itself exactly when
+// it is already normal.
+void ExpectTokenizerMatchesReference(const Tokenizer& tokenizer,
+                                     const TokenizerOptions& options,
+                                     std::string_view text) {
+  const std::string expected = ReferenceNormalize(text, options);
+  EXPECT_EQ(tokenizer.Normalize(text), expected);
+  std::string buffer = "stale";
+  const std::string_view view = tokenizer.NormalizeView(text, &buffer);
+  EXPECT_EQ(view, expected);
+  EXPECT_EQ(view.data() == text.data(), expected == text)
+      << "a view into the input iff the input is already normal";
+  EXPECT_EQ(tokenizer.Tokenize(text), ReferenceTokenize(text, options));
+}
+
+TEST(TokenizerTest, ByteTableMatchesPerByteRuleOnEveryByte) {
+  Rng rng(26);
+  for (const bool lowercase : {false, true}) {
+    for (const bool strip_punctuation : {false, true}) {
+      for (const int min_token_length : {0, 1, 3}) {
+        SCOPED_TRACE(testing::Message() << "lowercase " << lowercase << " strip "
+                                        << strip_punctuation << " min "
+                                        << min_token_length);
+        TokenizerOptions options;
+        options.lowercase = lowercase;
+        options.strip_punctuation = strip_punctuation;
+        options.min_token_length = min_token_length;
+        const Tokenizer tokenizer(options);
+        for (int b = 0; b < 256; ++b) {
+          const char c = static_cast<char>(b);
+          ExpectTokenizerMatchesReference(tokenizer, options, std::string(1, c));
+          ExpectTokenizerMatchesReference(tokenizer, options, std::string("aB") + c + "Cd");
+          ExpectTokenizerMatchesReference(tokenizer, options, std::string(3, c));
+        }
+        // Random texts over all 256 bytes, some with a long normal prefix.
+        for (int trial = 0; trial < 500; ++trial) {
+          std::string text = trial % 2 == 0 ? "pizzahut" : "";
+          const int length = static_cast<int>(rng.NextUint64(16));
+          for (int k = 0; k < length; ++k) text.push_back(static_cast<char>(rng.NextUint64(256)));
+          ExpectTokenizerMatchesReference(tokenizer, options, text);
+        }
+      }
+    }
+  }
+}
+
+TEST(TokenizerTest, NulIsAKeptByteWithoutPunctuationStripping) {
+  TokenizerOptions options;
+  options.strip_punctuation = false;
+  const Tokenizer tokenizer(options);
+  const std::string token("a\0B", 3);
+  EXPECT_EQ(tokenizer.Normalize(token), std::string("a\0b", 3));
+  EXPECT_EQ(tokenizer.Tokenize(std::string("\0 x", 3)),
+            (std::vector<std::string>{std::string(1, '\0'), "x"}));
+  const Tokenizer stripping;
+  EXPECT_EQ(stripping.Normalize(token), "ab");
+}
+
+TEST(TokenizerTest, NormalizeViewReturnsANormalTokenItself) {
+  const Tokenizer tokenizer;
+  std::string buffer;
+  const std::string_view normal = "pizzahut42";
+  EXPECT_EQ(tokenizer.NormalizeView(normal, &buffer).data(), normal.data());
+  EXPECT_TRUE(buffer.empty()) << "a normal token is not copied";
+  const std::string_view copied = tokenizer.NormalizeView("Pizza-Hut", &buffer);
+  EXPECT_EQ(copied, "pizzahut");
+  EXPECT_EQ(copied.data(), buffer.data());
+  EXPECT_TRUE(tokenizer.NormalizeView("", &buffer).empty());
+  EXPECT_TRUE(tokenizer.NormalizeView("!?", &buffer).empty());
+}
+
 TEST(QGramIndexTest, PaddedGramCount) {
   const auto grams = QGramIndex::PaddedQGrams("abc", 2);
   EXPECT_EQ(grams.size(), 4u);  // |s| + q - 1
@@ -173,6 +291,35 @@ TEST(QGramIndexTest, NeverMissesWithinBudget) {
       }
       ASSERT_EQ(index.SearchWithinDistance(query, budget), expected)
           << "query " << query << " budget " << budget;
+    }
+  }
+}
+
+TEST(QGramIndexTest, SearchWithDistancesReturnsExactDistances) {
+  Rng rng(78);
+  const std::string alphabet = "abcde";
+  auto word = [&] {
+    std::string text;
+    const int len = 1 + static_cast<int>(rng.NextUint64(9));
+    for (int k = 0; k < len; ++k) text += alphabet[rng.NextUint64(alphabet.size())];
+    return text;
+  };
+  std::vector<std::string> dictionary;
+  for (int i = 0; i < 200; ++i) dictionary.push_back(word());
+  const QGramIndex index(dictionary, 2);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::string query = word();
+    for (int budget = 0; budget <= 3; ++budget) {
+      std::vector<int32_t> ids;
+      for (const QGramIndex::Hit& hit : index.SearchWithDistances(query, budget)) {
+        ids.push_back(hit.id);
+        ASSERT_EQ(hit.distance, EditDistance(query, dictionary[static_cast<size_t>(hit.id)]))
+            << query << " vs " << dictionary[static_cast<size_t>(hit.id)];
+        ASSERT_EQ(EditSimilarityOfDistance(hit.distance, query.size(),
+                                           dictionary[static_cast<size_t>(hit.id)].size()),
+                  EditSimilarity(query, dictionary[static_cast<size_t>(hit.id)]));
+      }
+      ASSERT_EQ(ids, index.SearchWithinDistance(query, budget));
     }
   }
 }
