@@ -37,7 +37,6 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "core/element_similarity.h"
-#include "core/simd.h"
 #include "data/generator.h"
 #include "hierarchy/hierarchy_generator.h"
 #include "hierarchy/lca.h"
@@ -122,17 +121,15 @@ struct SchemeRow {
   int64_t results = 0;
 };
 
-// fig10_filter_delta: the SIMD filter engine vs forced-scalar dispatch
-// per δ, plus result identity across thread counts and dispatch levels.
+// fig10_filter_delta: filter time per δ, plus result identity across
+// thread counts.
 struct FilterDeltaRow {
   double delta = 0.0;
-  double filter_seconds = 0.0;         // dispatched (best of 3)
-  double scalar_filter_seconds = 0.0;  // KJOIN-forced scalar (best of 3)
-  double filter_speedup_vs_scalar = 0.0;
+  double filter_seconds = 0.0;  // 1 thread, best of 3
   double total_seconds = 0.0;
   int64_t candidates = 0;  // JoinStats::probe_pairs()
   int64_t results = 0;
-  bool results_identical = true;  // across threads 1/2/8 and scalar-vs-SIMD
+  bool results_identical = true;  // across threads 1/2/8
 };
 
 struct VerifyReport {
@@ -285,12 +282,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(result.stats.results));
   }
 
-  // ---- fig10-style δ sweep: SIMD filter engine vs forced scalar ----
+  // ---- fig10-style δ sweep of the filter ----
   // Deep-path prefixes at τ=0.85; δ controls signature expansion and so
-  // posting-list density — the regime the vector ScanCount accumulator
-  // targets. Timing is best-of-3 per dispatch level; identity is checked
-  // on every run against the δ's 1-thread dispatched baseline.
-  std::printf("== filter engine vs scalar dispatch (deep_path, tau=0.85) ==\n");
+  // posting-list density. Timing is the 1-thread best of 3; identity is
+  // checked on every run against the δ's first 1-thread run.
+  std::printf("== filter vs delta (deep_path, tau=0.85) ==\n");
   std::vector<FilterDeltaRow> filter_delta_rows;
   for (const double delta : {0.7, 0.8, 0.9}) {
     kjoin::KJoinOptions options;
@@ -320,24 +316,10 @@ int main(int argc, char** argv) {
         if (result.pairs != baseline_pairs) row.results_identical = false;
       }
     }
-    kjoin::simd::SetActiveLevelForTest(kjoin::simd::IsaLevel::kScalar);
-    options.num_threads = 1;
-    for (int rep = 0; rep < 3; ++rep) {
-      const kjoin::JoinResult result =
-          kjoin::bench::RunKJoin(poi.hierarchy, prepared.objects, options);
-      if (rep == 0 || result.stats.filter_seconds < row.scalar_filter_seconds) {
-        row.scalar_filter_seconds = result.stats.filter_seconds;
-      }
-      if (result.pairs != baseline_pairs) row.results_identical = false;
-    }
-    kjoin::simd::ResetActiveLevelForTest();
-    row.filter_speedup_vs_scalar =
-        row.filter_seconds > 0.0 ? row.scalar_filter_seconds / row.filter_seconds : 0.0;
     filter_delta_rows.push_back(row);
-    std::printf("delta=%.1f  filter %.4fs vs scalar %.4fs (%.2fx) | total %.3fs | "
+    std::printf("delta=%.1f  filter %.4fs | total %.3fs | "
                 "candidates=%lld results=%lld identical=%s\n",
-                delta, row.filter_seconds, row.scalar_filter_seconds,
-                row.filter_speedup_vs_scalar, row.total_seconds,
+                delta, row.filter_seconds, row.total_seconds,
                 static_cast<long long>(row.candidates), static_cast<long long>(row.results),
                 JsonBool(row.results_identical).c_str());
   }
@@ -489,11 +471,9 @@ int main(int argc, char** argv) {
     const FilterDeltaRow& row = filter_delta_rows[i];
     std::fprintf(f,
                  "%s\n    {\"delta\": %.1f, \"filter_seconds\": %.4f, "
-                 "\"scalar_filter_seconds\": %.4f, \"filter_speedup_vs_scalar\": %.3f, "
                  "\"total_seconds\": %.4f, \"candidates\": %lld, \"results\": %lld, "
                  "\"results_identical\": %s}",
-                 i == 0 ? "" : ",", row.delta, row.filter_seconds,
-                 row.scalar_filter_seconds, row.filter_speedup_vs_scalar, row.total_seconds,
+                 i == 0 ? "" : ",", row.delta, row.filter_seconds, row.total_seconds,
                  static_cast<long long>(row.candidates), static_cast<long long>(row.results),
                  JsonBool(row.results_identical).c_str());
   }

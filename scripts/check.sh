@@ -25,12 +25,6 @@
 #                                    # must reproduce every acked batch
 #                                    # byte-identically
 #                                    # (examples/wal_kill_replay.cc)
-#   scripts/check.sh --no-simd       # additionally re-run the filter
-#                                    # suites with KJOIN_FORCE_SCALAR=1,
-#                                    # pinning the kernel dispatch
-#                                    # (core/simd.h) to the scalar
-#                                    # fallbacks — the results must not
-#                                    # change
 #   scripts/check.sh --net           # additionally run the two-process
 #                                    # network smoke under every preset: a
 #                                    # --listen kjoin_server is started on
@@ -63,12 +57,14 @@
 #                                    # servers in quick succession, where
 #                                    # a lost event-loop stop once hung
 #                                    # shutdown
+#
+# Any other argument names a preset; an unknown --flag prints the usage
+# lines above and exits 2.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 run_bench=0
 run_recovery=0
-run_no_simd=0
 run_chaos=0
 run_net=0
 run_perfbench=0
@@ -79,14 +75,16 @@ for arg in "$@"; do
     run_bench=1
   elif [[ "$arg" == "--recovery" ]]; then
     run_recovery=1
-  elif [[ "$arg" == "--no-simd" ]]; then
-    run_no_simd=1
   elif [[ "$arg" == "--chaos" ]]; then
     run_chaos=1
   elif [[ "$arg" == "--net" ]]; then
     run_net=1
   elif [[ "$arg" == "--perfbench" ]]; then
     run_perfbench=1
+  elif [[ "$arg" == --* ]]; then
+    echo "unknown flag: $arg" >&2
+    sed -n 's/^#   \(scripts\/check\.sh.*\)/\1/p' "$0" >&2
+    exit 2
   else
     presets+=("$arg")
   fi
@@ -106,23 +104,6 @@ done
 echo "all presets green: ${presets[*]}"
 if [[ $run_chaos -eq 0 ]]; then
   echo "(chaos harness ran at its quick in-suite default; scripts/check.sh --chaos runs the ${chaos_trials}-trial sweep)"
-fi
-
-if [[ $run_no_simd -eq 1 ]]; then
-  # Scalar-fallback pass: the same release binaries, with dispatch forced
-  # to the scalar kernels before the first probe. Covers the suites that
-  # exercise the filter engine (the simd_test identity sweeps assert the
-  # join results and JoinStats counters match the SIMD paths bit for bit;
-  # the extensions_test and shard_test brute-force oracles check the
-  # search index's probe on flat indexes and delta chains; resilience_test
-  # drives the join's probe and sketch screen through byte-budget chunks
-  # and per-probe caps).
-  echo "==> [no-simd] release suites with KJOIN_FORCE_SCALAR=1"
-  cmake -B "$repo/build" -S "$repo" >/dev/null
-  cmake --build "$repo/build" -j "$(nproc)" >/dev/null
-  (cd "$repo/build" && KJOIN_FORCE_SCALAR=1 ctest --output-on-failure \
-    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test|extensions_test|shard_test|resilience_test)$')
-  echo "no-simd pass green"
 fi
 
 if [[ $run_recovery -eq 1 ]]; then

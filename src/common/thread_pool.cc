@@ -39,7 +39,7 @@ void ThreadPool::Schedule(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     KJOIN_CHECK(!stop_) << "Schedule on a stopping ThreadPool";
-    queue_.push_back(std::move(fn));
+    queue_.push_back([this, fn = std::move(fn)] { RunTimed(fn); });
   }
   task_ready_.notify_one();
 }
@@ -48,9 +48,8 @@ void ThreadPool::RunTimed(const std::function<void()>& fn) {
   const int64_t start = NowNanos();
   fn();
   const int64_t elapsed = NowNanos() - start;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++tasks_executed_;
-  busy_nanos_ += elapsed;
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  busy_nanos_.fetch_add(elapsed, std::memory_order_relaxed);
 }
 
 bool ThreadPool::RunOneTask() {
@@ -61,7 +60,7 @@ bool ThreadPool::RunOneTask() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  RunTimed(task);
+  task();
   return true;
 }
 
@@ -77,7 +76,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    RunTimed(task);
+    task();
   }
 }
 
@@ -100,8 +99,10 @@ int ThreadPool::ParallelFor(int64_t n, int max_shards,
     int pending;
   } sync{{}, {}, shards};
 
-  const auto run_shard = [&fn, &sync, shard_begin](int s) {
-    fn(s, shard_begin(s), shard_begin(s + 1));
+  // A shard is counted in stats() before it signals completion, so the
+  // caller's stats() after ParallelFor returns includes every shard.
+  const auto run_shard = [this, &fn, &sync, shard_begin](int s) {
+    RunTimed([&] { fn(s, shard_begin(s), shard_begin(s + 1)); });
     // Notify while holding the lock: Sync lives on the ParallelFor stack
     // frame, and the waiter may destroy it the moment it can observe
     // pending == 0 — which, with the lock held, is only after notify_all
@@ -120,7 +121,7 @@ int ThreadPool::ParallelFor(int64_t n, int max_shards,
 
   // The caller is a full lane: run shard 0, then help drain the queue
   // (our shards or anyone else's) until nothing is runnable.
-  RunTimed([&] { run_shard(0); });
+  run_shard(0);
   while (true) {
     {
       std::lock_guard<std::mutex> lock(sync.mu);
@@ -134,8 +135,8 @@ int ThreadPool::ParallelFor(int64_t n, int max_shards,
 }
 
 ThreadPoolStats ThreadPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {tasks_executed_, static_cast<double>(busy_nanos_) * 1e-9};
+  return {tasks_executed_.load(std::memory_order_relaxed),
+          static_cast<double>(busy_nanos_.load(std::memory_order_relaxed)) * 1e-9};
 }
 
 }  // namespace kjoin

@@ -18,6 +18,7 @@
 // Thread safety: all public methods may be called from any thread except
 // ParallelFor from inside a pool task (the shard would wait on itself).
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -69,6 +70,8 @@ class ThreadPool {
   void WorkerLoop();
   // Pops and runs one queued task. Returns false if the queue was empty.
   bool RunOneTask();
+  // Runs `fn` and counts it in stats(). Every queued task calls it on
+  // its own body, so a ParallelFor shard is counted before it signals.
   void RunTimed(const std::function<void()>& fn);
 
   const int num_threads_;
@@ -78,8 +81,9 @@ class ThreadPool {
   std::condition_variable task_ready_;   // signalled on push and on stop
   std::deque<std::function<void()>> queue_;  // guarded by mu_
   bool stop_ = false;                        // guarded by mu_
-  int64_t tasks_executed_ = 0;               // guarded by mu_
-  int64_t busy_nanos_ = 0;                   // guarded by mu_
+  // Statistics only, so relaxed: a task's end does not take mu_.
+  std::atomic<int64_t> tasks_executed_{0};
+  std::atomic<int64_t> busy_nanos_{0};
 };
 
 }  // namespace kjoin

@@ -151,7 +151,7 @@ struct JoinStats {
   int64_t count_filtered = 0;
   // The part of count_filtered that the plans' signature sketches
   // rejected without a merge (SignatureSketch, core/verifier.h). Like
-  // the counters above, independent of num_threads and of the ISA level.
+  // the counters above, independent of num_threads.
   int64_t sketch_filtered = 0;
   // Every size-admissible pair the prefix-signature probe found, before
   // the count bound: the signature filter's output, which is what the

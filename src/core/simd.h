@@ -1,59 +1,64 @@
 #ifndef KJOIN_CORE_SIMD_H_
 #define KJOIN_CORE_SIMD_H_
 
-// Runtime-dispatched vector kernels for the filter hot path
-// (docs/performance.md, "Filter engine").
+// The filter hot path's one vector kernel (docs/performance.md,
+// "Filter engine"): the sketch overlap — the byte-wise min of two
+// 16-byte count sketches, summed (core/verifier.h's SignatureSketch),
+// which screens Lemma 3's count bound for every probed pair in pure
+// mode. The probe itself is a plain bitset (core/probe_set.h) with
+// nothing to vectorise.
 //
-// One kernel family, with a scalar and an AVX2 variant: the sketch
-// overlap — the byte-wise min of two 16-byte count sketches, summed
-// (core/verifier.h's SignatureSketch), which screens Lemma 3's count
-// bound for every probed pair. The probe itself is a plain bitset
-// (core/probe_set.h) with nothing to vectorise.
-//
-// Dispatch: every public entry point takes the kernel from
-// ActiveLevel(), resolved once from CPUID — overridable by the
-// KJOIN_FORCE_SCALAR=1 environment variable (scripts/check.sh --no-simd)
-// and per-process by SetActiveLevelForTest, which the kernel-equivalence
-// property suite uses to sweep both paths in one binary. Every variant
-// returns bit-identical output for identical input; the dispatch level
-// can never change join or search results.
+// The body is chosen at compile time: an SSE2 target (every x86-64
+// build) gets _mm_min_epu8 + _mm_sad_epu8, any other target a plain
+// loop. Both return the same sum, so the build can never change join or
+// search results.
 
 #include <cstdint>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#else
+#include <algorithm>
+#endif
+
 namespace kjoin::simd {
 
-// Instruction-set tiers, ordered (test sweeps iterate them by value).
+// The body this build compiled, for reports (perfbench's host.isa).
 enum class IsaLevel : int {
   kScalar = 0,
-  kAvx2 = 1,
+  kSse2 = 1,
 };
 
-const char* IsaLevelName(IsaLevel level);
+constexpr const char* IsaLevelName(IsaLevel level) {
+  return level == IsaLevel::kSse2 ? "sse2" : "scalar";
+}
 
-// Best tier this CPU supports (ignores overrides).
-IsaLevel MaxSupportedLevel();
-
-// Tier the dispatched wrappers use: MaxSupportedLevel() capped by
-// KJOIN_FORCE_SCALAR=1 (read once) and by SetActiveLevelForTest.
-IsaLevel ActiveLevel();
-
-// Test hook: force dispatch to `level` (clamped to MaxSupportedLevel so a
-// sweep written for AVX2 machines degrades gracefully). Affects every
-// thread; only call from single-threaded test setup.
-void SetActiveLevelForTest(IsaLevel level);
-// Restores CPUID + environment dispatch.
-void ResetActiveLevelForTest();
-
-// ---------------------------------------------------------------------------
-// Sketch overlap: sum over i < kSketchBytes of min(a[i], b[i]), in
-// [0, 16 * 255]. The scalar variant is a plain loop; the AVX2 tier runs
-// an SSE2 body (a 16-byte sketch fills one 128-bit lane): _mm_min_epu8,
-// then _mm_sad_epu8 against zero sums each 8-byte half.
+constexpr IsaLevel ActiveLevel() {
+#if defined(__SSE2__)
+  return IsaLevel::kSse2;
+#else
+  return IsaLevel::kScalar;
+#endif
+}
 
 inline constexpr int kSketchBytes = 16;
 
-int32_t SketchMinSum(const uint8_t* a, const uint8_t* b);
-int32_t SketchMinSumAt(IsaLevel level, const uint8_t* a, const uint8_t* b);
+// Sum over i < kSketchBytes of min(a[i], b[i]), in [0, 16 * 255]. Neither
+// pointer needs any alignment. The SSE2 body fills one 128-bit lane:
+// _mm_sad_epu8 against zero sums each 8-byte half of the byte-wise min
+// into the low bits of its 64-bit lane.
+inline int32_t SketchMinSum(const uint8_t* a, const uint8_t* b) {
+#if defined(__SSE2__)
+  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
+  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
+  const __m128i halves = _mm_sad_epu8(_mm_min_epu8(va, vb), _mm_setzero_si128());
+  return _mm_cvtsi128_si32(halves) + _mm_cvtsi128_si32(_mm_unpackhi_epi64(halves, halves));
+#else
+  int32_t sum = 0;
+  for (int i = 0; i < kSketchBytes; ++i) sum += std::min(a[i], b[i]);
+  return sum;
+#endif
+}
 
 }  // namespace kjoin::simd
 

@@ -4,8 +4,10 @@
 // KJoinServer — the network front end: N epoll event loops (net/
 // event_loop.h) accepting KJNP-framed requests (net/protocol.h) and
 // dispatching them into the existing serving stack — searches through
-// ShardRouter::Submit's batching path, mutations through a dedicated
-// writer thread into ShardedIndexManager, health and metrics inline.
+// ShardRouter::Submit, whose one dispatcher thread pops one query at a
+// time and runs the same Execute as a sync Search; mutations through a
+// dedicated writer thread into ShardedIndexManager; health and metrics
+// inline.
 //
 // Threading model:
 //   * Each loop thread owns its listener (SO_REUSEPORT, so the kernel

@@ -9,8 +9,9 @@
 // signals instead of burning pool time on queries that will miss their
 // deadlines anyway:
 //
-//  - a queue-delay EWMA (admit -> execute latency, which for a batching
-//    front end includes the accumulation-window wait): a request whose
+//  - a queue-delay EWMA (admit -> execute latency: the wait in the
+//    router's Submit queue until its one dispatcher pops the query, and
+//    0 for a sync Search): a request whose
 //    effective deadline is already below the estimated wait is shed up
 //    front as deadline-infeasible, before it queues;
 //  - the recent deadline-miss fraction, fed to an AIMD controller that

@@ -258,7 +258,7 @@ void ShardRouter::Submit(QueryRequest request, std::function<void(QueryResponse)
   const double deadline = EffectiveDeadline(request);
   const AdmissionController::Outcome outcome = admission_.TryAdmit(deadline);
   if (outcome != AdmissionController::Outcome::kAdmitted) {
-    done(Shed(outcome, deadline));
+    Complete(done, Shed(outcome, deadline));
     return;
   }
   {
@@ -327,14 +327,19 @@ void ShardRouter::DispatcherLoop() {
     // Release first: a caller the callback wakes (SearchBatch) must
     // already see this query out of in_flight().
     admission_.Release();
-    try {
-      pending.done(std::move(response));
-    } catch (...) {
-      KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
-                          "callback contract in shard_router.h";
-      if (metrics_ != nullptr) {
-        metrics_->counter("router.callback_exceptions")->Increment();
-      }
+    Complete(pending.done, std::move(response));
+  }
+}
+
+void ShardRouter::Complete(const std::function<void(QueryResponse)>& done,
+                           QueryResponse response) {
+  try {
+    done(std::move(response));
+  } catch (...) {
+    KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
+                        "callback contract in shard_router.h";
+    if (metrics_ != nullptr) {
+      metrics_->counter("router.callback_exceptions")->Increment();
     }
   }
 }

@@ -236,6 +236,9 @@ class ShardRouter {
   double EffectiveDeadline(const QueryRequest& request) const;
   QueryResponse Shed(AdmissionController::Outcome outcome, double deadline_seconds);
   void DispatcherLoop();
+  // Runs a Submit() callback, shed inline or dispatched, under the
+  // callback contract: an exception is logged and counted, not rethrown.
+  void Complete(const std::function<void(QueryResponse)>& done, QueryResponse response);
   // Runs one admitted query: scatters it to every shard, gathers, and
   // records the outcome; the caller holds and releases the admission
   // slot. `budget_seconds` is the deadline left when Execute starts

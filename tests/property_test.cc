@@ -506,24 +506,20 @@ int64_t MultisetIntersection(const std::vector<SigId>& a, const std::vector<SigI
 
 // Checks the sketch bound and CountBoundBelow against the merge-only
 // reference (multiset intersection < want) for every integer demand up to
-// min(|x|, |y|) + 1, at every ISA level.
+// min(|x|, |y|) + 1.
 void ExpectCountBoundAgrees(const ObjectGroupPlan& x, const ObjectGroupPlan& y) {
   const int64_t exact = MultisetIntersection(x.sigs, y.sigs);
   const int64_t top =
       static_cast<int64_t>(std::min(x.sigs.size(), y.sigs.size())) + 1;
-  for (int level = 0; level <= static_cast<int>(simd::IsaLevel::kAvx2); ++level) {
-    simd::SetActiveLevelForTest(static_cast<simd::IsaLevel>(level));
-    if (x.sketch.usable && y.sketch.usable) {
-      ASSERT_GE(simd::SketchMinSum(x.sketch.counts, y.sketch.counts), exact);
-    }
-    for (int64_t want = 0; want <= top; ++want) {
-      ASSERT_EQ(Verifier::CountBoundBelow(x, y, static_cast<double>(want)), exact < want)
-          << "want " << want << " exact " << exact;
-      ASSERT_EQ(Verifier::CountBoundBelow(y, x, static_cast<double>(want)), exact < want)
-          << "want " << want << " exact " << exact;
-    }
+  if (x.sketch.usable && y.sketch.usable) {
+    ASSERT_GE(simd::SketchMinSum(x.sketch.counts, y.sketch.counts), exact);
   }
-  simd::ResetActiveLevelForTest();
+  for (int64_t want = 0; want <= top; ++want) {
+    ASSERT_EQ(Verifier::CountBoundBelow(x, y, static_cast<double>(want)), exact < want)
+        << "want " << want << " exact " << exact;
+    ASSERT_EQ(Verifier::CountBoundBelow(y, x, static_cast<double>(want)), exact < want)
+        << "want " << want << " exact " << exact;
+  }
 }
 
 TEST(SketchPropertyTest, SketchBoundsMultisetIntersection) {

@@ -21,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -594,6 +595,27 @@ TEST(RouterAdmissionTest, DeadlineInfeasibleShedsBeforeDispatch) {
   const serve::QueryResponse response = stack.router->Search(request);
   EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   ExpectRouterTiesOut(stack, 2);
+}
+
+// A callback that throws on a shed query, which Submit answers inline, is
+// caught and counted as on the dispatcher: it does not reach the caller.
+TEST(RouterAdmissionTest, ShedCallbackExceptionIsCaughtAndCounted) {
+  ThreadPool pool(1);
+  MetricsRegistry metrics;
+  RouterStack stack = MakeRouter(2, &pool, {}, &metrics);
+  stack.router->SetQueueDelayEwmaForTest(10.0);
+  serve::QueryRequest request;
+  request.query = MakeQueries(1)[0];
+  request.top_k = 3;
+  request.deadline_seconds = 0.01;
+  EXPECT_NO_THROW(stack.router->Submit(request, [](serve::QueryResponse response) {
+    EXPECT_TRUE(IsResourceExhausted(response.status)) << response.status.ToString();
+    throw std::runtime_error("callback failure");
+  }));
+  EXPECT_EQ(metrics.counter("router.shed_deadline_infeasible")->value(), 1);
+  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 1);
+  EXPECT_EQ(stack.router->in_flight(), 0);
+  ExpectRouterTiesOut(stack, 1);
 }
 
 // ------------------------------------------------- WAL + recovery
