@@ -441,10 +441,8 @@ int main(int argc, char** argv) {
   // unsharded IndexManager), same
   // collection, same top-k queries. QPS and latency at every shard count
   // x client count, with an identity check against the single-index
-  // answers (the determinism contract), the progressive-bound prune
-  // counters, and a dispatcher A/B at one client (sync Search vs
-  // SearchBatch, whose queries cross the Submit dispatcher hop into the
-  // same execution path), where the hop must be ~free.
+  // answers (the determinism contract) and the progressive-bound prune
+  // counters.
   //
   // The workload is a top-1 lookup at a permissive floor (tau 0.4) — the
   // regime progressive pruning targets: the k-th best similarity sits
@@ -551,8 +549,6 @@ int main(int argc, char** argv) {
 
   std::vector<ShardRow> shard_rows;
   kjoin::SearchStats prune_totals;
-  double sharded_submit_qps = 0.0;
-  double sharded_sync_qps = 0.0;
   for (int shards : {1, 2, 4, 8}) {
     kjoin::serve::ShardedIndexManager sharded(
         wp_hierarchy, shard_serve_options, wp_prepared.objects,
@@ -563,11 +559,7 @@ int main(int argc, char** argv) {
       backends.push_back(std::make_unique<kjoin::serve::LocalShard>(&sharded, s));
       backend_ptrs.push_back(backends.back().get());
     }
-    kjoin::serve::ShardRouterOptions router_options;
-    // SearchBatch in the dispatcher A/B enqueues the full query set at
-    // once; the default cap would shed it.
-    router_options.admission.max_in_flight = 4096;
-    kjoin::serve::ShardRouter router(backend_ptrs, &shard_pool, router_options);
+    kjoin::serve::ShardRouter router(backend_ptrs, &shard_pool);
     for (int clients : {1, 8}) {
       ShardRow row;
       row.shards = shards;
@@ -578,59 +570,16 @@ int main(int argc, char** argv) {
                 Fmt(row.p50_ms, 3), Fmt(row.p99_ms, 3), JsonBool(row.results_identical)},
                12);
     }
-    if (shards == 8) {
-      // Dispatcher A/B at one client (alternating reps): sync Search vs
-      // SearchBatch, which enqueues the whole query set at once; the
-      // dispatcher pops the queries one by one and runs each through the
-      // same execution path as Search, so the A/B measures the dispatcher
-      // hop, which must cost <= 5%. The JSON keeps the key "batching".
-      constexpr int kBatchReps = 4;
-      double sync_seconds = 0.0;
-      double submit_seconds = 0.0;
-      for (int rep = 0; rep < kBatchReps; ++rep) {
-        for (const int side : {0, 1}) {
-          kjoin::WallTimer timer;
-          if (side == 0) {
-            for (const kjoin::serve::QueryRequest& request : shard_requests) {
-              if (!router.Search(request).status.ok()) {
-                std::fprintf(stderr, "query failed in dispatcher A/B\n");
-                return 1;
-              }
-            }
-            sync_seconds += timer.ElapsedSeconds();
-          } else {
-            const std::vector<kjoin::serve::QueryResponse> responses =
-                router.SearchBatch(shard_requests);
-            for (const kjoin::serve::QueryResponse& response : responses) {
-              if (!response.status.ok()) {
-                std::fprintf(stderr, "submit failed in dispatcher A/B\n");
-                return 1;
-              }
-            }
-            submit_seconds += timer.ElapsedSeconds();
-          }
-        }
-      }
-      const double batch_queries =
-          static_cast<double>(kBatchReps) * static_cast<double>(shard_requests.size());
-      sharded_sync_qps = batch_queries / std::max(sync_seconds, 1e-9);
-      sharded_submit_qps = batch_queries / std::max(submit_seconds, 1e-9);
-    }
   }
   const double single_8c_qps = baseline_rows.back().qps;
   const ShardRow& sharded_8x8 = shard_rows.back();
   const double sharded_speedup = sharded_8x8.qps / std::max(single_8c_qps, 1e-9);
-  const double batching_overhead_pct =
-      (sharded_sync_qps / std::max(sharded_submit_qps, 1e-9) - 1.0) * 100.0;
   std::printf("8 shards / 8 clients: %.2fx the single-index path; bound tightened %lld "
               "times, pruned %lld posting entries, length-screened %lld "
               "verifications across the runs\n",
               sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
               static_cast<long long>(prune_totals.bound_pruned_entries),
               static_cast<long long>(prune_totals.bound_skipped_verifies));
-  std::printf("dispatcher hop (8 shards, 1 client): sync %.0f qps, submit %.0f qps, "
-              "overhead %.2f%%\n",
-              sharded_sync_qps, sharded_submit_qps, batching_overhead_pct);
 
   // ---- serving: network front end (KJNP over loopback) -----------------
   // The same 2-shard collection behind a KJoinServer on a loopback
@@ -873,15 +822,12 @@ int main(int argc, char** argv) {
                  "    \"tau_prune\": {\"bound_tightenings\": %lld, "
                  "\"bound_pruned_lists\": %lld, \"bound_pruned_entries\": %lld, "
                  "\"bound_raised_verifies\": %lld, "
-                 "\"bound_skipped_verifies\": %lld},\n"
-                 "    \"batching\": {\"shards\": 8, \"clients\": 1, \"sync_qps\": %.1f, "
-                 "\"submit_qps\": %.1f, \"overhead_pct\": %.3f}\n  },\n",
+                 "\"bound_skipped_verifies\": %lld}\n  },\n",
                  sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
                  static_cast<long long>(prune_totals.bound_pruned_lists),
                  static_cast<long long>(prune_totals.bound_pruned_entries),
                  static_cast<long long>(prune_totals.bound_raised_verifies),
-                 static_cast<long long>(prune_totals.bound_skipped_verifies),
-                 sharded_sync_qps, sharded_submit_qps, batching_overhead_pct);
+                 static_cast<long long>(prune_totals.bound_skipped_verifies));
     std::fprintf(f,
                  "  \"serving_network\": {\n    \"in_process\": {\"threads\": 8, "
                  "\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n    \"network\": [",

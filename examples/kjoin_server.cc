@@ -2,8 +2,7 @@
 // RCU-swapped live index, and concurrent clients with deadlines and
 // admission control.
 //
-//   ./kjoin_server --n 5000 --clients 4 --queries 50 --snapshot poi.snap \
-//       --wal poi.wal
+//   ./kjoin_server --n 5000 --clients 4 --queries 50 --snapshot poi.snap --wal poi.wal
 //
 // With --snapshot the index is loaded from the file when it exists
 // (skipping tokenization, entity matching, signature generation and the
@@ -20,10 +19,9 @@
 // ShardedIndexManager behind a scatter-gather ShardRouter instead: every
 // query fans out to all N shards under one shared progressive top-k
 // bound (docs/serving.md, "Sharded serving"). The exit metrics JSON then
-// carries the per-shard probe/τ-prune counters (router.shard<i>.*), the
-// router queue depth, and a sharded.shard<i>.pending_inserts gauge per
-// shard;
-// --wal uses one log per shard (<wal>.shard-<i>).
+// carries the per-shard probe/τ-prune counters (router.shard<i>.*) and
+// a sharded.shard<i>.pending_inserts gauge per shard; --wal uses one log
+// per shard (<wal>.shard-<i>).
 //
 // With --listen PORT the same sharded stack goes on the network instead
 // (docs/serving.md, "Network protocol"): a KJoinServer accepts KJNP

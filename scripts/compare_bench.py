@@ -60,10 +60,6 @@ ABSOLUTE_CEILINGS = [
     # Adaptive admission + health tracking must cost <1% QPS at steady
     # state vs a static-cap, no-metrics service (docs/robustness.md).
     (("serving_admission", "overhead_pct"), 1.0),
-    # The Submit dispatcher (batching) path must cost <=5% QPS at one
-    # client, where batches never form and its machinery is pure overhead
-    # (docs/serving.md, "Sharded serving").
-    (("serving_sharded", "batching", "overhead_pct"), 5.0),
 ]
 
 # Absolute floors checked on the fresh report alone.

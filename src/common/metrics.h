@@ -115,7 +115,7 @@ class MetricsRegistry {
 
 // "<prefix>.shard<index>.<name>" — the naming convention for per-shard
 // replicas of a subsystem metric (e.g. ShardMetricName("router", 2,
-// "queue_depth") == "router.shard2.queue_depth"). Shard routers resolve
+// "probes") == "router.shard2.probes"). Shard routers resolve
 // these once per shard and keep the pointers (see the stability note
 // above).
 std::string ShardMetricName(std::string_view prefix, int shard, std::string_view name);

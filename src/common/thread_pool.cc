@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -93,44 +94,48 @@ int ThreadPool::ParallelFor(int64_t n, int max_shards,
     return 1;
   }
 
-  struct Sync {
+  // The claim state is shared with the queued helpers, which may run
+  // after this call has returned: a helper touches `fn` only after it
+  // claimed a shard, and an unfinished claimed shard keeps the caller
+  // waiting, so `fn` outlives every use.
+  struct Call {
+    const std::function<void(int, int64_t, int64_t)>* fn;
+    std::atomic<int> next{0};
     std::mutex mu;
     std::condition_variable done;
-    int pending;
-  } sync{{}, {}, shards};
-
-  // A shard is counted in stats() before it signals completion, so the
+    int pending;  // guarded by mu
+  };
+  auto call = std::make_shared<Call>();
+  call->fn = &fn;
+  call->pending = shards;
+  // Claims and runs unclaimed shards of this call until none is left. A
+  // shard is counted in stats() before it signals completion, so the
   // caller's stats() after ParallelFor returns includes every shard.
-  const auto run_shard = [this, &fn, &sync, shard_begin](int s) {
-    RunTimed([&] { fn(s, shard_begin(s), shard_begin(s + 1)); });
-    // Notify while holding the lock: Sync lives on the ParallelFor stack
-    // frame, and the waiter may destroy it the moment it can observe
-    // pending == 0 — which, with the lock held, is only after notify_all
-    // has returned and the lock is released.
-    std::lock_guard<std::mutex> lock(sync.mu);
-    if (--sync.pending == 0) sync.done.notify_all();
+  const auto claim_shards = [this, shards, shard_begin](Call& c) {
+    for (int s; (s = c.next.fetch_add(1)) < shards;) {
+      RunTimed([&] { (*c.fn)(s, shard_begin(s), shard_begin(s + 1)); });
+      std::lock_guard<std::mutex> lock(c.mu);
+      if (--c.pending == 0) c.done.notify_all();
+    }
   };
 
+  // One helper per worker that could join (none on a 1-lane pool, where
+  // the caller runs every shard in order). A helper claims shards of this
+  // call only and returns at once when none is left.
+  const int helpers = std::min(shards - 1, num_threads_ - 1);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int s = 1; s < shards; ++s) {
-      queue_.push_back([&run_shard, s] { run_shard(s); });
+    for (int h = 0; h < helpers; ++h) {
+      queue_.push_back([call, claim_shards] { claim_shards(*call); });
     }
   }
   task_ready_.notify_all();
 
-  // The caller is a full lane: run shard 0, then help drain the queue
-  // (our shards or anyone else's) until nothing is runnable.
-  run_shard(0);
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(sync.mu);
-      if (sync.pending == 0) break;
-    }
-    if (!RunOneTask()) break;  // queue empty: remaining shards are in flight
-  }
-  std::unique_lock<std::mutex> lock(sync.mu);
-  sync.done.wait(lock, [&sync] { return sync.pending == 0; });
+  // The caller is a full lane: it claims shards in ascending order, then
+  // waits for the ones helpers claimed.
+  claim_shards(*call);
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done.wait(lock, [&call] { return call->pending == 0; });
   return shards;
 }
 

@@ -9,11 +9,9 @@
 namespace kjoin::serve {
 namespace {
 
-// Retry hint for shed responses: the estimated wait for load to move —
-// one queue-delay EWMA, floored at 1ms so the hint is never "now".
-int64_t RetryHintMs(double queue_delay_seconds) {
-  return std::max<int64_t>(1, static_cast<int64_t>(queue_delay_seconds * 1e3));
-}
+// Retry hint for shed responses. A slot frees as soon as one executing
+// query finishes, so the hint is the shortest wait that is not "now".
+constexpr int64_t kShedRetryAfterMs = 1;
 
 }  // namespace
 
@@ -30,40 +28,22 @@ AdmissionController::AdmissionController(AdmissionOptions options, std::string m
   }
 }
 
-AdmissionController::Outcome AdmissionController::TryAdmit(double deadline_seconds) {
-  if (options_.adaptive && deadline_seconds > 0.0 &&
-      queue_delay_ewma_seconds() >= deadline_seconds) {
-    // The query would spend its whole budget waiting: shed before it
-    // queues instead of after it has cost pool time.
-    return Outcome::kShedDeadlineInfeasible;
-  }
+bool AdmissionController::TryAdmit() {
   if (options_.max_in_flight <= 0) {
     in_flight_.fetch_add(1, std::memory_order_relaxed);
-    return Outcome::kAdmitted;
+    return true;
   }
   const int64_t cap = options_.adaptive ? effective_cap_.load(std::memory_order_relaxed)
                                         : options_.max_in_flight;
   const int64_t now = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (now > cap) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return Outcome::kShedCap;
+    return false;
   }
-  return Outcome::kAdmitted;
+  return true;
 }
 
 void AdmissionController::Release() { in_flight_.fetch_sub(1, std::memory_order_relaxed); }
-
-void AdmissionController::RecordQueueDelay(double seconds) {
-  const int64_t sample = static_cast<int64_t>(seconds * 1e9);
-  const int64_t prev = queue_delay_ewma_ns_.load(std::memory_order_relaxed);
-  const int64_t next =
-      prev + static_cast<int64_t>(options_.queue_delay_ewma_alpha *
-                                  static_cast<double>(sample - prev));
-  queue_delay_ewma_ns_.store(next, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->histogram(prefix_ + ".queue_delay_seconds")->Observe(seconds);
-  }
-}
 
 void AdmissionController::NoteOutcome(bool deadline_missed) {
   if (!options_.adaptive || options_.max_in_flight <= 0) return;
@@ -89,35 +69,19 @@ void AdmissionController::NoteOutcome(bool deadline_missed) {
   }
 }
 
-Status AdmissionController::ShedStatus(Outcome outcome, double deadline_seconds) {
-  const double queue_delay = queue_delay_ewma_seconds();
+Status AdmissionController::ShedStatus() {
   if (metrics_ != nullptr) {
     metrics_->counter(prefix_ + ".shed_total")->Increment();
-    metrics_->counter(outcome == Outcome::kShedCap
-                          ? prefix_ + ".shed_cap"
-                          : prefix_ + ".shed_deadline_infeasible")
-        ->Increment();
+    metrics_->counter(prefix_ + ".shed_cap")->Increment();
   }
   // The hint field uses the one shared formatter (serve/status_detail.h)
   // so every consumer — in-process or the network front end — parses one
   // grammar.
   char message[256];
-  if (outcome == Outcome::kShedCap) {
-    std::snprintf(message, sizeof(message),
-                  "query shed (cap): in_flight=%lld effective_cap=%lld "
-                  "max_in_flight=%d %s",
-                  static_cast<long long>(in_flight()),
-                  static_cast<long long>(effective_cap()), options_.max_in_flight,
-                  RetryAfterField(RetryHintMs(queue_delay)).c_str());
-  } else {
-    std::snprintf(message, sizeof(message),
-                  "query shed (deadline-infeasible): queue_delay_ewma_ms=%.3f "
-                  "deadline_ms=%.3f in_flight=%lld effective_cap=%lld %s",
-                  queue_delay * 1e3, deadline_seconds * 1e3,
-                  static_cast<long long>(in_flight()),
-                  static_cast<long long>(effective_cap()),
-                  RetryAfterField(RetryHintMs(queue_delay)).c_str());
-  }
+  std::snprintf(message, sizeof(message),
+                "query shed (cap): in_flight=%lld effective_cap=%lld max_in_flight=%d %s",
+                static_cast<long long>(in_flight()), static_cast<long long>(effective_cap()),
+                options_.max_in_flight, RetryAfterField(kShedRetryAfterMs).c_str());
   return ResourceExhaustedError(message);
 }
 

@@ -1,6 +1,8 @@
 #include "serve/shard_router.h"
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <queue>
 #include <string>
@@ -116,33 +118,6 @@ ShardRouter::ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
       admission_(options.admission, "router", metrics) {
   KJOIN_CHECK(!shards_.empty()) << "ShardRouter needs at least one shard";
   KJOIN_CHECK(pool_ != nullptr) << "ShardRouter needs a ThreadPool";
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-}
-
-ShardRouter::~ShardRouter() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    shutdown_ = true;
-  }
-  queue_cv_.notify_all();
-  dispatcher_.join();
-}
-
-double ShardRouter::EffectiveDeadline(const QueryRequest& request) const {
-  return request.deadline_seconds < 0.0 ? options_.default_deadline_seconds
-                                        : request.deadline_seconds;
-}
-
-QueryResponse ShardRouter::Shed(AdmissionController::Outcome outcome,
-                                double deadline_seconds) {
-  QueryResponse response;
-  response.status = admission_.ShedStatus(outcome, deadline_seconds);
-  return response;
-}
-
-int64_t ShardRouter::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return static_cast<int64_t>(queue_.size());
 }
 
 void ShardRouter::Gather(const std::vector<ShardReply>& replies, int32_t top_k,
@@ -199,7 +174,15 @@ void ShardRouter::RecordResponseMetrics(const QueryResponse& response) {
   }
 }
 
-QueryResponse ShardRouter::Execute(const QueryRequest& request, double budget_seconds) {
+QueryResponse ShardRouter::Search(const QueryRequest& request) {
+  if (!admission_.TryAdmit()) {
+    QueryResponse response;
+    response.status = admission_.ShedStatus();
+    return response;
+  }
+  const double budget_seconds = request.deadline_seconds < 0.0
+                                    ? options_.default_deadline_seconds
+                                    : request.deadline_seconds;
   WallTimer timer;
   const double floor =
       request.min_similarity < 0.0 ? shards_[0]->tau() : request.min_similarity;
@@ -239,109 +222,8 @@ QueryResponse ShardRouter::Execute(const QueryRequest& request, double budget_se
   response.seconds = timer.ElapsedSeconds();
   admission_.NoteOutcome(IsDeadlineExceeded(response.status));
   RecordResponseMetrics(response);
-  return response;
-}
-
-QueryResponse ShardRouter::Search(const QueryRequest& request) {
-  const double deadline = EffectiveDeadline(request);
-  const AdmissionController::Outcome outcome = admission_.TryAdmit(deadline);
-  if (outcome != AdmissionController::Outcome::kAdmitted) return Shed(outcome, deadline);
-  // Synchronous callers never queue; their zero wait pulls the EWMA back
-  // down as load drains.
-  admission_.RecordQueueDelay(0.0);
-  QueryResponse response = Execute(request, deadline);
   admission_.Release();
   return response;
-}
-
-void ShardRouter::Submit(QueryRequest request, std::function<void(QueryResponse)> done) {
-  const double deadline = EffectiveDeadline(request);
-  const AdmissionController::Outcome outcome = admission_.TryAdmit(deadline);
-  if (outcome != AdmissionController::Outcome::kAdmitted) {
-    Complete(done, Shed(outcome, deadline));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(Pending{std::move(request), std::move(done),
-                             std::chrono::steady_clock::now()});
-    if (metrics_ != nullptr) {
-      metrics_->gauge("router.queue_depth")->Set(static_cast<int64_t>(queue_.size()));
-    }
-  }
-  queue_cv_.notify_one();
-}
-
-std::vector<QueryResponse> ShardRouter::SearchBatch(
-    const std::vector<QueryRequest>& requests) {
-  std::vector<QueryResponse> responses(requests.size());
-  std::mutex mu;
-  std::condition_variable all_done;
-  size_t finished = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Submit(requests[i], [&, i](QueryResponse response) {
-      // Notify while holding the lock: the waiter owns these stack
-      // locals and may destroy them the moment the predicate holds, so
-      // the signal must complete before the mutex is released.
-      std::lock_guard<std::mutex> lock(mu);
-      responses[i] = std::move(response);
-      ++finished;
-      all_done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  all_done.wait(lock, [&] { return finished == requests.size(); });
-  return responses;
-}
-
-void ShardRouter::DispatcherLoop() {
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown and fully drained
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      if (metrics_ != nullptr) {
-        metrics_->gauge("router.queue_depth")->Set(static_cast<int64_t>(queue_.size()));
-      }
-    }
-    const double queue_delay =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - pending.admitted_at)
-            .count();
-    admission_.RecordQueueDelay(queue_delay);
-    const double deadline = EffectiveDeadline(pending.request);
-    QueryResponse response;
-    if (deadline > 0.0 && deadline - queue_delay <= 0.0) {
-      // The budget went to the queue wait; answer without burning a
-      // scatter. The wait is already in the EWMA, so the next such
-      // request is shed before it queues.
-      response.status =
-          DeadlineExceededError("deadline expired while the query was queued for dispatch");
-      admission_.NoteOutcome(true);
-      RecordResponseMetrics(response);
-    } else {
-      response = Execute(pending.request, deadline > 0.0 ? deadline - queue_delay : 0.0);
-    }
-    // Release first: a caller the callback wakes (SearchBatch) must
-    // already see this query out of in_flight().
-    admission_.Release();
-    Complete(pending.done, std::move(response));
-  }
-}
-
-void ShardRouter::Complete(const std::function<void(QueryResponse)>& done,
-                           QueryResponse response) {
-  try {
-    done(std::move(response));
-  } catch (...) {
-    KJOIN_LOG(ERROR) << "Submit() completion callback threw; see the "
-                        "callback contract in shard_router.h";
-    if (metrics_ != nullptr) {
-      metrics_->counter("router.callback_exceptions")->Increment();
-    }
-  }
 }
 
 }  // namespace kjoin::serve

@@ -11,13 +11,11 @@
 // byte-identical to a single unsharded index at any shard count — the
 // determinism contract tests/shard_test.cc locks in.
 //
-// One execution path: Search() runs a query on the calling thread, and
-// Submit() queues it for a dedicated dispatcher thread that pops one
-// query at a time; both then run the same scatter (ParallelFor over the
-// shards), gather and accounting. Each shard takes the remaining deadline
-// budget when its own probe starts; a shard reached after the deadline
-// is not probed, and the query returns the hits gathered so far with
-// kDeadlineExceeded.
+// One entry point: Search() admits a query and runs it on the calling
+// thread — a scatter (ParallelFor over the shards), gather and
+// accounting. Each shard takes the remaining deadline budget when its own
+// probe starts; a shard reached after the deadline is not probed, and
+// the query returns the hits gathered so far with kDeadlineExceeded.
 //
 // Progressive pruning: for a top-k query the router allocates one
 // SearchBound (core/kjoin_index.h) seeded at the query's similarity
@@ -32,10 +30,8 @@
 // which maximizes the effect: shard 0 completes and tightens the bound
 // before shard 1 starts.
 //
-// Admission (serve/admission.h, "router.*" metrics) fronts both entry
-// points. A submitted query's queue delay feeds the controller's EWMA,
-// so deadline-infeasible shedding accounts for the wait; a query whose
-// deadline passes while it is queued is answered without a scatter.
+// Admission (serve/admission.h, "router.*" metrics) fronts Search: past
+// the in-flight cap a query is shed without a scatter.
 //
 // The ShardBackend interface is deliberately address-space-agnostic:
 // the router only ever sends it a value-typed ShardQuery and reads back
@@ -56,17 +52,10 @@
 //                      {.default_deadline_seconds = 0.1,
 //                       .admission = {.max_in_flight = 64}},
 //                      &metrics);
-//   router.Submit(std::move(request), [](QueryResponse r) { ... });
-//   QueryResponse response = router.Search(request);  // sync
+//   QueryResponse response = router.Search(request);
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -181,17 +170,12 @@ class ShardRouter {
   // `shards` (non-empty), `pool` and `metrics` are borrowed and must
   // outlive the router; `metrics` may be null. Router-level metrics:
   // router.queries, router.hits, router.latency_seconds,
-  // router.deadline_exceeded, router.cancelled, router.errors,
-  // router.callback_exceptions, router.queue_depth (gauge), plus the
+  // router.deadline_exceeded, router.cancelled, router.errors, plus the
   // admission controller's router.shed* family and per-shard counters
   // under ShardMetricName("router", s, ...): probes, hits,
   // bound_tightenings, bound_pruned_lists, bound_pruned_entries.
   ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
               ShardRouterOptions options = {}, MetricsRegistry* metrics = nullptr);
-
-  // Drains every Submit()ted query (callbacks fire), then stops the
-  // dispatcher.
-  ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -201,49 +185,11 @@ class ShardRouter {
   // hits gathered so far with kDeadlineExceeded.
   QueryResponse Search(const QueryRequest& request);
 
-  // Asynchronous path: admits, enqueues, and returns; the dispatcher
-  // runs the same scatter as Search, and `done` runs on its thread after
-  // the query's admission slot is released, so in_flight() no longer
-  // counts it. Shed queries invoke `done` inline with kResourceExhausted.
-  //
-  // Callback contract: `done` should not throw. If it does anyway, the
-  // exception is caught and logged (router.callback_exceptions counts
-  // them); the admission slot was already released, so one bad
-  // callback can neither leak capacity nor stall the dispatcher.
-  void Submit(QueryRequest request, std::function<void(QueryResponse)> done);
-
-  // Convenience: Submit()s every request and waits; responses in request
-  // order.
-  std::vector<QueryResponse> SearchBatch(const std::vector<QueryRequest>& requests);
-
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int64_t in_flight() const { return admission_.in_flight(); }
   int64_t effective_cap() const { return admission_.effective_cap(); }
-  double queue_delay_ewma_seconds() const { return admission_.queue_delay_ewma_seconds(); }
-  void SetQueueDelayEwmaForTest(double seconds) {
-    admission_.SetQueueDelayEwmaForTest(seconds);
-  }
-  // Queries enqueued but not yet picked up by the dispatcher.
-  int64_t queue_depth() const;
 
  private:
-  struct Pending {
-    QueryRequest request;
-    std::function<void(QueryResponse)> done;
-    std::chrono::steady_clock::time_point admitted_at;
-  };
-
-  double EffectiveDeadline(const QueryRequest& request) const;
-  QueryResponse Shed(AdmissionController::Outcome outcome, double deadline_seconds);
-  void DispatcherLoop();
-  // Runs a Submit() callback, shed inline or dispatched, under the
-  // callback contract: an exception is logged and counted, not rethrown.
-  void Complete(const std::function<void(QueryResponse)>& done, QueryResponse response);
-  // Runs one admitted query: scatters it to every shard, gathers, and
-  // records the outcome; the caller holds and releases the admission
-  // slot. `budget_seconds` is the deadline left when Execute starts
-  // (<= 0 = none).
-  QueryResponse Execute(const QueryRequest& request, double budget_seconds);
   // Merges one query's per-shard replies into its response and records
   // per-shard metrics.
   void Gather(const std::vector<ShardReply>& replies, int32_t top_k, QueryResponse* response);
@@ -254,12 +200,6 @@ class ShardRouter {
   ShardRouterOptions options_;
   MetricsRegistry* metrics_;
   AdmissionController admission_;
-
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;  // guarded by queue_mu_
-  bool shutdown_ = false;      // guarded by queue_mu_
-  std::thread dispatcher_;
 };
 
 }  // namespace kjoin::serve

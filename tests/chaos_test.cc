@@ -452,42 +452,6 @@ TEST(ReadOnlyModeTest, TripsOnSustainedWalFailureAndAutoRecovers) {
 
 // ------------------------------------------------ adaptive admission
 
-TEST(AdmissionTest, DeadlineInfeasibleRequestsShedBeforeQueueing) {
-  MetricsRegistry metrics;
-  ThreadPool pool(2);
-  auto manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  serve::ShardRouterOptions options;
-  options.admission.max_in_flight = 8;
-  options.default_deadline_seconds = 0.01;
-  serve::ShardRouter router({&shard}, &pool, options, &metrics);
-
-  // Plant a queue-delay estimate far above any deadline: the router
-  // must shed up front, without touching the index.
-  router.SetQueueDelayEwmaForTest(1.0);
-  serve::QueryRequest request;
-  request.query = MakeQuery(1);
-  serve::QueryResponse response = router.Search(request);
-  EXPECT_TRUE(IsResourceExhausted(response.status)) << response.status.ToString();
-  EXPECT_EQ(response.epoch_version, 0);
-  EXPECT_NE(response.status.message().find("deadline-infeasible"), std::string::npos);
-  EXPECT_NE(response.status.message().find("retry_after_ms="), std::string::npos);
-  EXPECT_EQ(metrics.counter("router.shed_deadline_infeasible")->value(), 1);
-  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
-  EXPECT_EQ(metrics.counter("router.queries")->value(), 0);
-
-  // An explicit "no deadline" request is always feasible.
-  request.deadline_seconds = 0.0;
-  response = router.Search(request);
-  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-
-  // So is any request once the estimate subsides.
-  router.SetQueueDelayEwmaForTest(0.0);
-  request.deadline_seconds = -1.0;
-  response = router.Search(request);
-  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-}
-
 TEST(AdmissionTest, AimdCapHalvesOnMissStormAndRecoversAdditively) {
   MetricsRegistry metrics;
   ThreadPool pool(1);
@@ -537,30 +501,26 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   ThreadPool pool(2);
   auto manager = MakeManager(&pool);
   serve::LocalShard shard(manager.get());
-  // A closed gate holds the submitted query in its probe, and so in its
-  // admission slot, until the test opens it.
+  // A closed gate holds a Search on a helper thread in its probe, and so
+  // in its admission slot, until the test opens it.
   test::GatedShard gated(&shard);
   gated.Close();
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
   options.admission.min_in_flight = 1;
-  // Declared before the router, so it outlives the dispatcher.
-  std::promise<serve::QueryResponse> async_done;
-  auto router = std::make_unique<serve::ShardRouter>(
-      std::vector<serve::ShardBackend*>{&gated}, &pool, options, &metrics);
+  serve::ShardRouter router({&gated}, &pool, options, &metrics);
 
-  // The held query fills the single slot, so the synchronous Search
-  // must shed with the full load picture in its message.
+  // The held query fills the single slot, so a second Search must shed
+  // with the full load picture in its message.
   serve::QueryRequest request;
   request.query = MakeQuery(4);
-  router->Submit(request, [&async_done](serve::QueryResponse r) {
-    async_done.set_value(std::move(r));
-  });
-  EXPECT_EQ(router->in_flight(), 1);
+  std::future<serve::QueryResponse> held =
+      std::async(std::launch::async, [&] { return router.Search(request); });
+  gated.WaitUntilHeld();
+  EXPECT_EQ(router.in_flight(), 1);
 
-  const serve::QueryResponse shed = router->Search(request);
-  // Not ASSERT: an early return would destroy the router with the gate
-  // closed.
+  const serve::QueryResponse shed = router.Search(request);
+  // Not ASSERT: an early return would block on the held Search.
   EXPECT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
   EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
   EXPECT_NE(shed.status.message().find("in_flight=1"), std::string::npos)
@@ -571,8 +531,7 @@ TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
   EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
 
   gated.Open();  // the held query is answered
-  router.reset();
-  const serve::QueryResponse admitted = async_done.get_future().get();
+  const serve::QueryResponse admitted = held.get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
 }
 

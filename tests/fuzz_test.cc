@@ -41,7 +41,9 @@ TEST(HierarchyFuzzTest, IoRoundTripsRandomTrees) {
     for (NodeId v = 0; v < tree.num_nodes(); ++v) {
       ASSERT_EQ(parsed->label(v), tree.label(v));
       ASSERT_EQ(parsed->depth(v), tree.depth(v));
-      if (v != tree.root()) ASSERT_EQ(parsed->parent(v), tree.parent(v));
+      if (v != tree.root()) {
+        ASSERT_EQ(parsed->parent(v), tree.parent(v));
+      }
     }
   }
 }

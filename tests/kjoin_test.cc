@@ -553,7 +553,9 @@ TEST(ProbeBoundsTest, RsJoinScreensWithTheProbeSidePlans) {
             << "metric " << static_cast<int>(metric) << " tau " << tau << " count "
             << count_pruning;
         EXPECT_EQ(result.stats.verify.pruned_by_count, 0);
-        if (!count_pruning) EXPECT_EQ(result.stats.count_filtered, 0);
+        if (!count_pruning) {
+          EXPECT_EQ(result.stats.count_filtered, 0);
+        }
       }
     }
   }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -15,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -859,16 +857,6 @@ struct OneShardRouter {
   serve::ShardRouter router;
 };
 
-// Waits (bounded) until every admitted query has released its slot.
-bool DrainsToZero(const serve::ShardRouter& router) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (router.in_flight() != 0) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
 TEST(SearchServiceTest, ThresholdAndTopKBasics) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
@@ -927,23 +915,22 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   MetricsRegistry metrics;
   serve::ShardRouterOptions options;
   options.admission.max_in_flight = 1;
-  // A closed gate holds the submitted query in its probe, and so in its
-  // admission slot, until the test opens it.
+  // A closed gate holds a Search on a helper thread in its probe, and so
+  // in its admission slot, until the test opens it.
   std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
   serve::LocalShard shard(manager.get());
   test::GatedShard gated(&shard);
   gated.Close();
-  // Declared before the router, so it outlives the dispatcher.
-  std::promise<serve::QueryResponse> async_done;
   serve::ShardRouter router({&gated}, &pool, options, &metrics);
 
-  // The held query fills the single slot, so the synchronous Search
-  // must shed.
+  // The held query fills the single slot, so a second Search must shed.
+  // No ASSERT until the gate opens: an early return would block on the
+  // held Search.
   serve::QueryRequest request;
   request.query = Stack().prepared.objects[5];
-  router.Submit(request, [&async_done](serve::QueryResponse r) {
-    async_done.set_value(std::move(r));
-  });
+  std::future<serve::QueryResponse> held =
+      std::async(std::launch::async, [&] { return router.Search(request); });
+  gated.WaitUntilHeld();
   EXPECT_EQ(router.in_flight(), 1);
 
   serve::QueryResponse shed = router.Search(request);
@@ -954,90 +941,10 @@ TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
   EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
 
   gated.Open();  // the held query is answered
-  const serve::QueryResponse admitted = async_done.get_future().get();
+  const serve::QueryResponse admitted = held.get();
   EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
   EXPECT_FALSE(admitted.hits.empty());
-}
-
-TEST(SearchServiceTest, SubmitRunsOnPoolAndDestructorDrains) {
-  ThreadPool pool(2);
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  constexpr int kQueries = 8;
-  std::atomic<int> completed{0};
-  std::atomic<int> failed{0};
-  {
-    serve::ShardRouter router({&shard}, &pool);
-    for (int q = 0; q < kQueries; ++q) {
-      serve::QueryRequest request;
-      request.query = Stack().prepared.objects[q];
-      router.Submit(std::move(request), [&](serve::QueryResponse response) {
-        if (!response.status.ok()) failed.fetch_add(1);
-        completed.fetch_add(1);
-      });
-    }
-  }  // ~ShardRouter is the drain barrier: every done callback has run
-  EXPECT_EQ(completed.load(), kQueries);
-  EXPECT_EQ(failed.load(), 0);
-}
-
-// A pool of 1 spawns no workers, so a scatter handed to a worker would
-// sit in a queue nothing drains. The dispatcher must probe the shard
-// inline and complete the query before the destructor's drain.
-TEST(SearchServiceTest, SubmitOnSingleLanePoolRunsInline) {
-  ThreadPool pool(1);
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  std::promise<void> called;
-  std::future<void> done = called.get_future();
-  {
-    serve::ShardRouter router({&shard}, &pool);
-    serve::QueryRequest request;
-    request.query = Stack().prepared.objects[5];
-    router.Submit(std::move(request), [&](serve::QueryResponse response) {
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-      EXPECT_FALSE(response.hits.empty());
-      called.set_value();
-    });
-    EXPECT_EQ(done.wait_for(std::chrono::seconds(10)), std::future_status::ready);
-  }  // ~ShardRouter must not deadlock on the drain
-}
-
-// A done callback that throws must not leak its admission slot or stall
-// the dispatcher: the exception is caught, counted, and later queries
-// still run (this test finishing IS the no-hang assert).
-TEST(SearchServiceTest, ThrowingDoneCallbackDoesNotHangDestructor) {
-  ThreadPool pool(2);
-  MetricsRegistry metrics;
-  std::atomic<int> clean_callbacks{0};
-  {
-    OneShardRouter stack(&pool, {}, &metrics);
-    serve::QueryRequest request;
-    request.query = Stack().prepared.objects[5];
-    stack.router.Submit(request, [](serve::QueryResponse) {
-      throw std::runtime_error("callback contract violation");
-    });
-    // A well-behaved query after the thrower: the admission slot the
-    // thrower held must have been released.
-    stack.router.Submit(request,
-                        [&](serve::QueryResponse) { clean_callbacks.fetch_add(1); });
-  }  // must not deadlock
-  EXPECT_EQ(clean_callbacks.load(), 1);
-  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 1);
-
-  // On a single-lane pool the throw is swallowed the same way rather
-  // than propagating out of Submit, and the slot still comes back.
-  ThreadPool single(1);
-  {
-    OneShardRouter stack(&single, {}, &metrics);
-    serve::QueryRequest request;
-    request.query = Stack().prepared.objects[5];
-    EXPECT_NO_THROW(stack.router.Submit(request, [](serve::QueryResponse) {
-      throw std::runtime_error("inline violation");
-    }));
-    EXPECT_TRUE(DrainsToZero(stack.router));
-  }
-  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 2);
+  EXPECT_EQ(router.in_flight(), 0);
 }
 
 // Regression for the min_similarity sentinel bug: only values < 0 mean
@@ -1118,25 +1025,6 @@ TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(SearchServiceTest, SearchBatchPreservesRequestOrder) {
-  ThreadPool pool(2);
-  OneShardRouter stack(&pool);
-
-  std::vector<serve::QueryRequest> requests(6);
-  for (size_t q = 0; q < requests.size(); ++q) {
-    requests[q].query = Stack().prepared.objects[q];
-    requests[q].top_k = 1;
-  }
-  const std::vector<serve::QueryResponse> responses = stack.router.SearchBatch(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (size_t q = 0; q < responses.size(); ++q) {
-    ASSERT_TRUE(responses[q].status.ok()) << responses[q].status.ToString();
-    ASSERT_EQ(responses[q].hits.size(), 1u);
-    // Each indexed object's own nearest neighbor is itself.
-    EXPECT_EQ(responses[q].hits[0].object_index, static_cast<int32_t>(q));
-  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Sharded serving suite (docs/serving.md, "Sharded serving"): the
 // determinism contract (scatter-gather results byte-identical to a
 // single index at any shard count and pool width), the documented top-k
-// tie-break order, progressive-bound pruning, the Submit dispatcher and
-// per-shard deadlines, router admission and its accounting tie-out,
+// tie-break order, progressive-bound pruning, per-shard deadlines, the
+// router's accounting tie-out,
 // stale-dictionary queries against a brute-force oracle,
 // per-shard WAL recovery with numbering reconstruction, and the
 // one-degraded-shard chaos case. Runs under both the asan and tsan
@@ -13,15 +13,11 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -140,13 +136,12 @@ RouterStack MakeRouter(int num_shards, ThreadPool* pool,
 
 // The router's accounting ties out: each of the `requests` a test made
 // was either answered (router.queries) or shed (router.shed_total), and
-// none is still admitted or queued.
+// none is still admitted.
 void ExpectRouterTiesOut(const RouterStack& stack, int64_t requests) {
   EXPECT_EQ(stack.metrics->counter("router.queries")->value() +
                 stack.metrics->counter("router.shed_total")->value(),
             requests);
   EXPECT_EQ(stack.router->in_flight(), 0);
-  EXPECT_EQ(stack.router->queue_depth(), 0);
 }
 
 void ExpectHitsIdentical(const std::vector<SearchHit>& expected,
@@ -434,95 +429,10 @@ TEST(ProgressiveBoundTest, TopKProbesTightenAndPrune) {
   ExpectRouterTiesOut(stack, static_cast<int64_t>(queries.size()));
 }
 
-// ---------------------------------------------- dispatcher and deadlines
+// ------------------------------------------------------------ deadlines
 
-TEST(RouterBatchingTest, SubmitBatchesMatchSyncSearch) {
-  ThreadPool pool(2);
-  MetricsRegistry metrics;
-  RouterStack stack = MakeRouter(4, &pool, {}, &metrics);
-  const std::vector<Object> queries = MakeQueries(32);
-  std::vector<serve::QueryRequest> requests;
-  for (const Object& query : queries) {
-    serve::QueryRequest request;
-    request.query = query;
-    request.top_k = 5;
-    requests.push_back(std::move(request));
-  }
-  const std::vector<serve::QueryResponse> submitted = stack.router->SearchBatch(requests);
-  ASSERT_EQ(submitted.size(), requests.size());
-  EXPECT_EQ(metrics.counter("router.queries")->value(),
-            static_cast<int64_t>(requests.size()));
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(submitted[i].status.ok()) << submitted[i].status.ToString();
-    const serve::QueryResponse sync = stack.router->Search(requests[i]);
-    ASSERT_TRUE(sync.status.ok());
-    ExpectHitsIdentical(sync.hits, submitted[i].hits, "query " + std::to_string(i));
-  }
-  EXPECT_EQ(metrics.counter("router.queries")->value(),
-            static_cast<int64_t>(2 * requests.size()));
-  ExpectRouterTiesOut(stack, static_cast<int64_t>(2 * requests.size()));
-}
-
-TEST(RouterBatchingTest, SlotIsReleasedBeforeTheCompletionCallback) {
-  // A Submit callback must observe its own admission slot already
-  // released, so a caller woken by it (SearchBatch) never sees a stale
-  // in_flight(). Checked on an answered query and on one whose deadline
-  // expires while it waits in the queue behind a query held at shard 0's
-  // gate.
-  ThreadPool pool(1);
-  serve::ShardRouterOptions options;
-  options.admission.adaptive = false;  // keep the expiring query admitted
-  RouterStack stack = MakeRouter(2, &pool, options);
-  serve::QueryRequest request;
-  request.query = MakeQueries(1)[0];
-  request.top_k = 3;
-  // Outlives the router: the held query's callback fills it.
-  std::promise<serve::QueryResponse> held_done;
-  int64_t requests = 0;
-  for (const double deadline : {0.0, 0.001}) {
-    if (deadline > 0.0) {
-      stack.gates[0]->Close();
-      serve::QueryRequest held = request;
-      held.deadline_seconds = 0.0;
-      stack.router->Submit(held, [&held_done](serve::QueryResponse response) {
-        held_done.set_value(std::move(response));
-      });
-      ++requests;
-      stack.gates[0]->WaitUntilHeld();
-    }
-    request.deadline_seconds = deadline;
-    std::mutex mu;
-    std::condition_variable called;
-    std::optional<int64_t> in_flight_in_callback;
-    Status status;
-    stack.router->Submit(request, [&](serve::QueryResponse response) {
-      std::lock_guard<std::mutex> lock(mu);
-      in_flight_in_callback = stack.router->in_flight();
-      status = response.status;
-      called.notify_one();
-    });
-    ++requests;
-    if (deadline > 0.0) {
-      EXPECT_EQ(stack.router->queue_depth(), 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      stack.gates[0]->Open();
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    called.wait(lock, [&] { return in_flight_in_callback.has_value(); });
-    if (deadline > 0.0) {
-      EXPECT_TRUE(IsDeadlineExceeded(status)) << status.ToString();
-      EXPECT_NE(status.message().find("queued"), std::string::npos) << status.ToString();
-    } else {
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-    EXPECT_EQ(*in_flight_in_callback, 0) << "deadline " << deadline;
-  }
-  EXPECT_TRUE(held_done.get_future().get().status.ok());
-  ExpectRouterTiesOut(stack, requests);
-}
-
-// A shard reached after the deadline is not probed, through Search and
-// through Submit alike. On a one-lane pool the shards run in order:
+// A shard reached after the deadline is not probed. On a one-lane pool
+// the shards run in order:
 // shard 0 answers, then stalls past the 20 ms deadline, so shards 1 and
 // 2 are skipped and the query returns shard 0's hits with
 // kDeadlineExceeded.
@@ -562,59 +472,10 @@ TEST(RouterDeadlineTest, ShardsReachedAfterTheDeadlineAreNotProbed) {
     }
   };
   check(stack.router->Search(request), "Search");
-  std::promise<serve::QueryResponse> submitted;
-  stack.router->Submit(request, [&submitted](serve::QueryResponse response) {
-    submitted.set_value(std::move(response));
-  });
-  check(submitted.get_future().get(), "Submit");
-  EXPECT_EQ(stack.gates[0]->probes(), 2);
+  EXPECT_EQ(stack.gates[0]->probes(), 1);
   EXPECT_EQ(stack.gates[1]->probes(), 0);
   EXPECT_EQ(stack.gates[2]->probes(), 0);
-  EXPECT_EQ(stack.metrics->counter("router.deadline_exceeded")->value(), 2);
-  ExpectRouterTiesOut(stack, 2);
-}
-
-TEST(RouterAdmissionTest, DeadlineInfeasibleShedsBeforeDispatch) {
-  ThreadPool pool(1);
-  MetricsRegistry metrics;
-  RouterStack stack = MakeRouter(2, &pool, {}, &metrics);
-  stack.router->SetQueueDelayEwmaForTest(1.0);  // pretend a 1s queue
-  serve::QueryRequest request;
-  request.query = MakeQueries(1)[0];
-  request.top_k = 3;
-  request.deadline_seconds = 0.01;  // far below the planted estimate
-  bool called = false;
-  stack.router->Submit(request, [&](serve::QueryResponse response) {
-    called = true;
-    EXPECT_TRUE(IsResourceExhausted(response.status)) << response.status.ToString();
-  });
-  EXPECT_TRUE(called);  // shed callbacks run inline
-  EXPECT_EQ(metrics.counter("router.shed_deadline_infeasible")->value(), 1);
-  // Without a deadline the same query goes through.
-  request.deadline_seconds = 0.0;
-  const serve::QueryResponse response = stack.router->Search(request);
-  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  ExpectRouterTiesOut(stack, 2);
-}
-
-// A callback that throws on a shed query, which Submit answers inline, is
-// caught and counted as on the dispatcher: it does not reach the caller.
-TEST(RouterAdmissionTest, ShedCallbackExceptionIsCaughtAndCounted) {
-  ThreadPool pool(1);
-  MetricsRegistry metrics;
-  RouterStack stack = MakeRouter(2, &pool, {}, &metrics);
-  stack.router->SetQueueDelayEwmaForTest(10.0);
-  serve::QueryRequest request;
-  request.query = MakeQueries(1)[0];
-  request.top_k = 3;
-  request.deadline_seconds = 0.01;
-  EXPECT_NO_THROW(stack.router->Submit(request, [](serve::QueryResponse response) {
-    EXPECT_TRUE(IsResourceExhausted(response.status)) << response.status.ToString();
-    throw std::runtime_error("callback failure");
-  }));
-  EXPECT_EQ(metrics.counter("router.shed_deadline_infeasible")->value(), 1);
-  EXPECT_EQ(metrics.counter("router.callback_exceptions")->value(), 1);
-  EXPECT_EQ(stack.router->in_flight(), 0);
+  EXPECT_EQ(stack.metrics->counter("router.deadline_exceeded")->value(), 1);
   ExpectRouterTiesOut(stack, 1);
 }
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,6 +73,41 @@ TEST(ThreadPoolTest, SingleLanePoolRunsInlineOnCaller) {
     calls += static_cast<int>(end - begin);
   });
   EXPECT_EQ(calls, 10);
+}
+
+// A ParallelFor caller runs only its own call's shards: with the one
+// worker held by a latched task and a foreign task queued behind it, the
+// caller runs both shards itself and returns without touching the
+// foreign task, which the worker runs once released.
+TEST(ThreadPoolTest, ParallelForCallerRunsOnlyItsOwnShards) {
+  ThreadPool pool(2);
+  std::promise<void> worker_busy;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Schedule([&worker_busy, released] {
+    worker_busy.set_value();
+    released.wait();
+  });
+  worker_busy.get_future().wait();
+  std::promise<std::thread::id> foreign_ran_on;
+  std::future<std::thread::id> foreign = foreign_ran_on.get_future();
+  pool.Schedule([&foreign_ran_on] { foreign_ran_on.set_value(std::this_thread::get_id()); });
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> shard_threads(2);
+  EXPECT_EQ(pool.ParallelFor(2, 2,
+                             [&](int shard, int64_t, int64_t) {
+                               shard_threads[static_cast<size_t>(shard)] =
+                                   std::this_thread::get_id();
+                             }),
+            2);
+  EXPECT_EQ(foreign.wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+      << "the ParallelFor caller ran a foreign task";
+  EXPECT_EQ(shard_threads[0], caller);
+  EXPECT_EQ(shard_threads[1], caller);
+
+  release.set_value();
+  EXPECT_NE(foreign.get(), caller);
 }
 
 TEST(ThreadPoolTest, ScheduledWorkDrainsBeforeDestruction) {
