@@ -8,8 +8,9 @@
 // Modify, Remove, and the handler callbacks themselves — happens on
 // that thread; the only cross-thread entry points are Stop() and
 // RunInLoop(), which hand work over via an eventfd wakeup. The server
-// (net/server.h) runs N loops on N threads with SO_REUSEPORT listeners,
-// so connections are loop-confined and need no per-connection locks.
+// (net/server.h) runs N loops on N threads and gives each accepted
+// connection to one of them, so connections are loop-confined and need
+// no per-connection locks.
 //
 // Level-triggered was chosen over edge-triggered deliberately: handlers
 // may read less than everything available (e.g. a connection under
