@@ -1,7 +1,8 @@
 // Extension bench (not a paper figure): KJoinIndex similarity-search
 // throughput vs threshold, plus the serving stack — snapshot-load vs
 // text-parse+rebuild cold start, concurrent QPS through the one-shard
-// router with latency percentiles, the durable write path (acked insert latency with
+// router with latency percentiles, the cost of the router's metrics
+// (alternating A/B reps), the durable write path (acked insert latency with
 // WAL fsync, delta-publish bytes vs a full postings copy, compaction
 // pauses), and search throughput as a function of delta-chain depth
 // against a compacted twin, the sharded scatter-gather path, and the
@@ -229,52 +230,44 @@ int main(int argc, char** argv) {
   }
   std::remove(snapshot_path.c_str());
 
-  // ---- serving: adaptive admission + health tracking overhead ----------
-  // A/B over the same manager and queries: a one-shard router with the
-  // adaptive controller off and no metrics vs one with the controller,
-  // its metrics, and a health poll per rep. Reps alternate sides so drift
-  // (caches, frequency scaling) lands on both; the overhead must stay
-  // under 1% at steady state (compare_bench.py gates it).
-  kjoin::bench::PrintHeader("Adaptive admission overhead (alternating A/B reps)");
-  kjoin::serve::ShardRouterOptions static_options;
-  static_options.admission.adaptive = false;
-  static_options.admission.max_in_flight = 64;
-  kjoin::serve::ShardRouter static_router({&local}, &pool, static_options);
-  kjoin::MetricsRegistry admission_metrics;
-  kjoin::serve::ShardRouterOptions adaptive_options;
-  adaptive_options.admission.max_in_flight = 64;
-  kjoin::serve::ShardRouter adaptive_router({&local}, &pool, adaptive_options,
-                                            &admission_metrics);
-  constexpr int kAdmissionReps = 8;
-  double static_seconds = 0.0;
-  double adaptive_seconds = 0.0;
-  for (int rep = 0; rep < kAdmissionReps; ++rep) {
-    for (const int side : {0, 1}) {
-      kjoin::serve::ShardRouter& side_router =
-          side == 0 ? static_router : adaptive_router;
+  // ---- serving: instrumentation overhead -----------------------------
+  // A/B over the same manager and queries: a one-shard router without
+  // metrics vs one with its metrics registry and a health poll per rep.
+  // Reps alternate sides, and which side goes first, so drift (caches,
+  // frequency scaling) lands on both; the overhead must stay under 1% at
+  // steady state (compare_bench.py gates it).
+  kjoin::bench::PrintHeader("Instrumentation overhead (alternating A/B reps)");
+  kjoin::serve::ShardRouter plain_router({&local}, &pool);
+  kjoin::MetricsRegistry instrumented_metrics;
+  kjoin::serve::ShardRouter instrumented_router({&local}, &pool, {}, &instrumented_metrics);
+  constexpr int kInstrumentationReps = 8;
+  double plain_seconds = 0.0;
+  double instrumented_seconds = 0.0;
+  for (int rep = 0; rep < kInstrumentationReps; ++rep) {
+    for (int turn = 0; turn < 2; ++turn) {
+      const int side = (rep + turn) % 2;
+      kjoin::serve::ShardRouter& side_router = side == 0 ? plain_router : instrumented_router;
       kjoin::WallTimer timer;
       if (side == 1) (void)manager.HealthSnapshot();  // the monitoring poll
       for (const kjoin::serve::QueryRequest& request : requests) {
         if (!side_router.Search(request).status.ok()) {
-          std::fprintf(stderr, "query failed in admission bench\n");
+          std::fprintf(stderr, "query failed in instrumentation bench\n");
           return 1;
         }
       }
-      (side == 0 ? static_seconds : adaptive_seconds) += timer.ElapsedSeconds();
+      (side == 0 ? plain_seconds : instrumented_seconds) += timer.ElapsedSeconds();
     }
   }
-  const double admission_queries =
-      static_cast<double>(kAdmissionReps) * static_cast<double>(requests.size());
-  const double static_qps = admission_queries / std::max(static_seconds, 1e-9);
-  const double adaptive_qps = admission_queries / std::max(adaptive_seconds, 1e-9);
-  const double admission_overhead_pct = (static_qps / std::max(adaptive_qps, 1e-9) - 1.0) * 100.0;
+  const double instrumentation_queries =
+      static_cast<double>(kInstrumentationReps) * static_cast<double>(requests.size());
+  const double plain_qps = instrumentation_queries / std::max(plain_seconds, 1e-9);
+  const double instrumented_qps = instrumentation_queries / std::max(instrumented_seconds, 1e-9);
+  const double instrumentation_overhead_pct =
+      (plain_qps / std::max(instrumented_qps, 1e-9) - 1.0) * 100.0;
   PrintRow({"router", "qps"}, 24);
-  PrintRow({"static cap, no metrics", Fmt(static_qps, 0)}, 24);
-  PrintRow({"adaptive + health", Fmt(adaptive_qps, 0)}, 24);
-  std::printf("adaptive admission overhead: %.2f%% (effective cap still %lld/%d)\n",
-              admission_overhead_pct,
-              static_cast<long long>(adaptive_router.effective_cap()),
-              adaptive_options.admission.max_in_flight);
+  PrintRow({"no metrics", Fmt(plain_qps, 0)}, 24);
+  PrintRow({"metrics + health", Fmt(instrumented_qps, 0)}, 24);
+  std::printf("instrumentation overhead: %.2f%%\n", instrumentation_overhead_pct);
 
   // ---- serving: durable write path (WAL fsync on the ack path) ---------
   // One shared base stack for the write-path and delta-depth sections.
@@ -614,10 +607,7 @@ int main(int argc, char** argv) {
     net_backends.push_back(std::make_unique<kjoin::serve::LocalShard>(&net_sharded, s));
     net_backend_ptrs.push_back(net_backends.back().get());
   }
-  kjoin::serve::ShardRouterOptions net_router_options;
-  net_router_options.admission.max_in_flight = 4096;  // 64 connections must not shed
-  kjoin::serve::ShardRouter net_router(net_backend_ptrs, &net_pool, net_router_options,
-                                       &net_metrics);
+  kjoin::serve::ShardRouter net_router(net_backend_ptrs, &net_pool, {}, &net_metrics);
 
   // Query objects and the reference answers, built BEFORE the server
   // starts — once it runs, the builder belongs to it.
@@ -768,11 +758,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "\n  ],\n");
     std::fprintf(f,
-                 "  \"serving_admission\": {\"reps\": %d, \"queries_per_rep\": %zu, "
-                 "\"static_qps\": %.1f, \"adaptive_qps\": %.1f, "
+                 "  \"serving_instrumentation\": {\"reps\": %d, \"queries_per_rep\": %zu, "
+                 "\"plain_qps\": %.1f, \"instrumented_qps\": %.1f, "
                  "\"overhead_pct\": %.3f},\n",
-                 kAdmissionReps, requests.size(), static_qps, adaptive_qps,
-                 admission_overhead_pct);
+                 kInstrumentationReps, requests.size(), plain_qps, instrumented_qps,
+                 instrumentation_overhead_pct);
     std::fprintf(f,
                  "  \"serving_write_path\": {\"batches\": %d, \"objects_per_batch\": %d, "
                  "\"acked_p50_ms\": %.4f, \"acked_p99_ms\": %.4f, "

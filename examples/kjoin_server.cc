@@ -1,6 +1,5 @@
 // kjoin_server — the serving stack end to end: snapshot cold start, an
-// RCU-swapped live index, and concurrent clients with deadlines and
-// admission control.
+// RCU-swapped live index, and concurrent clients with deadlines.
 //
 //   ./kjoin_server --n 5000 --clients 4 --queries 50 --snapshot poi.snap --wal poi.wal
 //
@@ -86,7 +85,7 @@ struct ServingStack {
 };
 
 ServingStack BuildServingStack(int64_t n, const kjoin::KJoinOptions& options, int shards,
-                               int max_in_flight, double deadline, kjoin::ThreadPool* pool,
+                               double deadline, kjoin::ThreadPool* pool,
                                kjoin::MetricsRegistry* metrics) {
   ServingStack stack;
   kjoin::BenchmarkData data = kjoin::MakePoiBenchmark(n, /*seed=*/51);
@@ -104,7 +103,6 @@ ServingStack BuildServingStack(int64_t n, const kjoin::KJoinOptions& options, in
     backend_ptrs.push_back(stack.backends.back().get());
   }
   kjoin::serve::ShardRouterOptions router_options;
-  router_options.admission.max_in_flight = max_in_flight;
   router_options.default_deadline_seconds = deadline;
   stack.router = std::make_unique<kjoin::serve::ShardRouter>(backend_ptrs, pool,
                                                              router_options, metrics);
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
   int64_t* queries = flags.Int("queries", 50, "queries per client");
   int64_t* topk = flags.Int("topk", 3, "top-k per query (0 = threshold search)");
   double* deadline = flags.Double("deadline", 0.1, "per-query deadline in seconds (0 = none)");
-  int64_t* max_in_flight = flags.Int("max-in-flight", 64, "admission cap (0 = unbounded)");
   int64_t* insert = flags.Int("insert", 200, "records to insert while clients run");
   int64_t* shards = flags.Int("shards", 1, "serve from N hash shards behind a scatter-gather router");
   std::string* snapshot = flags.String("snapshot", "", "snapshot file: load if present, else build and save");
@@ -176,9 +173,8 @@ int main(int argc, char** argv) {
   if (*listen >= 0) {
     kjoin::WallTimer cold;
     const int net_shards = static_cast<int>(*shards > 1 ? *shards : 2);
-    ServingStack stack = BuildServingStack(*n, net_options, net_shards,
-                                           static_cast<int>(*max_in_flight), *deadline,
-                                           &pool, &metrics);
+    ServingStack stack =
+        BuildServingStack(*n, net_options, net_shards, *deadline, &pool, &metrics);
     kjoin::net::ServerOptions server_options;
     server_options.port = static_cast<int>(*listen);
     server_options.num_loops = static_cast<int>(*loops);
@@ -221,9 +217,8 @@ int main(int argc, char** argv) {
     const int port = std::atoi(connect->c_str() + colon + 1);
     // The identical deterministic stack, served in-process: the network
     // answers must match it bit for bit.
-    ServingStack reference = BuildServingStack(*n, net_options, *shards > 1 ? static_cast<int>(*shards) : 2,
-                                               static_cast<int>(*max_in_flight), *deadline,
-                                               &pool, &metrics);
+    ServingStack reference = BuildServingStack(
+        *n, net_options, *shards > 1 ? static_cast<int>(*shards) : 2, *deadline, &pool, &metrics);
     const int64_t total = *clients * *queries;
     std::atomic<int64_t> ok{0}, non_ok{0}, mismatches{0}, transport_errors{0};
     kjoin::WallTimer serving;
@@ -266,7 +261,7 @@ int main(int argc, char** argv) {
     }
     for (std::thread& t : client_threads) t.join();
     std::printf("network: %lld queries over %lld connections in %.3fs — "
-                "%lld ok, %lld shed/tripped, %lld transport errors\n",
+                "%lld ok, %lld non-OK, %lld transport errors\n",
                 static_cast<long long>(total), static_cast<long long>(*clients),
                 serving.ElapsedSeconds(), static_cast<long long>(ok.load()),
                 static_cast<long long>(non_ok.load()),
@@ -359,7 +354,6 @@ int main(int argc, char** argv) {
       backend_ptrs.push_back(backends.back().get());
     }
     kjoin::serve::ShardRouterOptions router_options;
-    router_options.admission.max_in_flight = static_cast<int>(*max_in_flight);
     router_options.default_deadline_seconds = *deadline;
     kjoin::serve::ShardRouter router(backend_ptrs, &pool, router_options, &metrics);
 
@@ -372,7 +366,7 @@ int main(int argc, char** argv) {
       requests[i].top_k = static_cast<int32_t>(*topk);
     }
 
-    std::atomic<int64_t> ok{0}, tripped{0}, shed{0}, hits{0};
+    std::atomic<int64_t> ok{0}, tripped{0}, hits{0};
     std::atomic<int64_t> tightenings{0}, pruned_entries{0}, screened{0};
     kjoin::WallTimer serving;
     std::vector<std::thread> client_threads;
@@ -383,8 +377,6 @@ int main(int argc, char** argv) {
           kjoin::serve::QueryResponse response = router.Search(requests[c * *queries + q]);
           if (response.status.ok()) {
             ok.fetch_add(1, std::memory_order_relaxed);
-          } else if (kjoin::IsResourceExhausted(response.status)) {
-            shed.fetch_add(1, std::memory_order_relaxed);
           } else {
             tripped.fetch_add(1, std::memory_order_relaxed);
           }
@@ -421,9 +413,9 @@ int main(int argc, char** argv) {
     std::printf("\nserved %lld queries from %lld clients across %d shards in %.3fs\n",
                 static_cast<long long>(total), static_cast<long long>(*clients),
                 sharded.num_shards(), serving.ElapsedSeconds());
-    std::printf("  ok %lld, deadline/cancel %lld, shed %lld, hits %lld\n",
+    std::printf("  ok %lld, deadline/cancel %lld, hits %lld\n",
                 static_cast<long long>(ok.load()), static_cast<long long>(tripped.load()),
-                static_cast<long long>(shed.load()), static_cast<long long>(hits.load()));
+                static_cast<long long>(hits.load()));
     std::printf("  progressive bound: tightened %lld times, pruned %lld posting entries, "
                 "length-screened %lld verifications\n",
                 static_cast<long long>(tightenings.load()),
@@ -494,7 +486,6 @@ int main(int argc, char** argv) {
   // The unsharded front end: the same router over one shard.
   kjoin::serve::LocalShard local(manager.get());
   kjoin::serve::ShardRouterOptions router_options;
-  router_options.admission.max_in_flight = static_cast<int>(*max_in_flight);
   router_options.default_deadline_seconds = *deadline;
   kjoin::serve::ShardRouter router({&local}, &pool, router_options, &metrics);
 
@@ -509,7 +500,7 @@ int main(int argc, char** argv) {
     requests[i].top_k = static_cast<int32_t>(*topk);
   }
 
-  std::atomic<int64_t> ok{0}, tripped{0}, shed{0}, hits{0};
+  std::atomic<int64_t> ok{0}, tripped{0}, hits{0};
   std::atomic<int64_t> max_version{0};
   kjoin::WallTimer serving;
   std::vector<std::thread> client_threads;
@@ -520,8 +511,6 @@ int main(int argc, char** argv) {
         kjoin::serve::QueryResponse response = router.Search(requests[c * *queries + q]);
         if (response.status.ok()) {
           ok.fetch_add(1, std::memory_order_relaxed);
-        } else if (kjoin::IsResourceExhausted(response.status)) {
-          shed.fetch_add(1, std::memory_order_relaxed);
         } else {
           tripped.fetch_add(1, std::memory_order_relaxed);
         }
@@ -555,9 +544,9 @@ int main(int argc, char** argv) {
   std::printf("\nserved %lld queries from %lld clients in %.3fs (%s)\n",
               static_cast<long long>(total), static_cast<long long>(*clients),
               serving.ElapsedSeconds(), loaded_from_snapshot ? "snapshot" : "built");
-  std::printf("  ok %lld, deadline/cancel %lld, shed %lld, hits %lld\n",
+  std::printf("  ok %lld, deadline/cancel %lld, hits %lld\n",
               static_cast<long long>(ok.load()), static_cast<long long>(tripped.load()),
-              static_cast<long long>(shed.load()), static_cast<long long>(hits.load()));
+              static_cast<long long>(hits.load()));
   std::printf("  epoch: started at 1, clients saw up to %lld, final %lld\n",
               static_cast<long long>(max_version.load()),
               static_cast<long long>(manager->version()));

@@ -37,10 +37,10 @@ TRACKED = [
     # started copying state it used to share. The fsync-bound acked
     # latencies are too disk-noisy to gate on and are reported only.
     (("serving_write_path", "delta_publish_bytes_avg"), "lower"),
-    # Admission: the adaptive controller's steady-state QPS must keep up
+    # Instrumentation: the metered router's steady-state QPS must keep up
     # with the baseline run's (its overhead_pct also has an absolute <1%
     # gate below, independent of any baseline).
-    (("serving_admission", "adaptive_qps"), "higher"),
+    (("serving_instrumentation", "instrumented_qps"), "higher"),
     # Sharded scatter-gather: the 8-shard/8-client speedup over the
     # single-index path is a ratio of two same-run measurements, so it is
     # stable where raw QPS drifts with the machine.
@@ -57,9 +57,9 @@ FIG11_VERIFY_BEFORE_CACHE_DELETION = ("fig11_verify", "cache_off_verify_seconds"
 # current build must hold regardless of what the baseline measured.
 # (json path, ceiling): fails when the value is present and >= ceiling.
 ABSOLUTE_CEILINGS = [
-    # Adaptive admission + health tracking must cost <1% QPS at steady
-    # state vs a static-cap, no-metrics service (docs/robustness.md).
-    (("serving_admission", "overhead_pct"), 1.0),
+    # The router's metrics plus a health poll must cost <1% QPS at steady
+    # state vs a router without metrics (docs/serving.md).
+    (("serving_instrumentation", "overhead_pct"), 1.0),
 ]
 
 # Absolute floors checked on the fresh report alone.

@@ -10,7 +10,7 @@
 # catch hot-path regressions; docs/performance.md describes the
 # bench_regression schema and the micro_intersect section, and
 # docs/serving.md the serving sections (serving_cold_start, serving_qps,
-# serving_admission, serving_write_path, serving_delta_search,
+# serving_instrumentation, serving_write_path, serving_delta_search,
 # serving_sharded, serving_network).
 set -euo pipefail
 

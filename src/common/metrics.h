@@ -5,8 +5,8 @@
 // histograms, exported as JSON.
 //
 // The serving layer (src/serve/) reports its health through one
-// MetricsRegistry: the query router counts admitted/shed/deadline-
-// exceeded queries and observes per-query latency, the index manager
+// MetricsRegistry: the query router counts answered/deadline-exceeded
+// queries and observes per-query latency, the index manager
 // counts swaps and rebuild time, the snapshot loader records load time
 // and bytes. A scrape renders the whole registry as one JSON object
 // (ToJson), so an embedding server can expose it on a debug endpoint
@@ -44,7 +44,7 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-// A settable level (health state, effective admission cap, queue depth):
+// A settable level (health state, active connections, object count):
 // the last Set wins, unlike a Counter's monotone accumulation.
 class Gauge {
  public:

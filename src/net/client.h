@@ -15,9 +15,9 @@
 //
 // A Call's StatusOr layering: the outer Status is transport health
 // (send failed, connection lost, frame corrupt); the inner
-// NetResponse::code is the server's verdict (shed, read-only, deadline,
-// ...). A shed query is a *successful* Call carrying a non-OK code plus
-// its retry_after_ms hint.
+// NetResponse::code is the server's verdict (read-only, deadline, ...).
+// A write rejected by a read-only index is a *successful* Call carrying
+// a non-OK code plus its retry_after_ms hint.
 
 #include <cstdint>
 #include <functional>

@@ -26,7 +26,7 @@
 // Response payload:
 //   u64 id            — echo of the request id
 //   u32 code          — StatusCode numeric value (kOk = 0)
-//   i64 retry_after_ms— backoff hint for shed/read-only rejections
+//   i64 retry_after_ms— backoff hint for read-only write rejections
 //                       (lifted from the Status message by
 //                       serve::RetryAfterMs); 0 = no hint
 //   str message       — human-readable status message ("" when ok)

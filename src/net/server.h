@@ -18,11 +18,12 @@
 //     query, calls ShardRouter::Search (which scatters the shards over
 //     the pool, the loop thread running its own share), encodes the reply
 //     and queues it. Searches on one loop therefore run one after
-//     another; searches on different loops run concurrently, up to the
-//     router's admission cap. A readable connection gets one 64 KiB recv
-//     per turn, its frames answered before the loop moves on, so a
-//     client that keeps its socket full cannot hold the loop from the
-//     other connections on it.
+//     another; searches on different loops run concurrently, so at most
+//     N run at once whatever the clients send — that is the server's
+//     overload bound, with no cap or option behind it. A readable
+//     connection gets one 64 KiB recv per turn, its frames answered
+//     before the loop moves on, so a client that keeps its socket full
+//     cannot hold the loop from the other connections on it.
 //   * Inserts and deletes run on one writer thread, which serializes
 //     them (the manager's numbering contract wants ordered mutations)
 //     and keeps WAL fsyncs off the event loops. The writer is the only

@@ -21,13 +21,11 @@ int64_t PostingBytes(const KJoinIndex& index) {
   return index.posting_entries() * static_cast<int64_t>(sizeof(int32_t));
 }
 
-// Retry hint for writes rejected while degraded: one probe interval —
-// the soonest the state can possibly have changed.
+}  // namespace
+
 int64_t RetryHintMs(const IndexManagerOptions& options) {
   return std::max<int64_t>(1, static_cast<int64_t>(options.wal_probe_interval_seconds * 1e3));
 }
-
-}  // namespace
 
 IndexManager::IndexManager(LoadedIndex initial, ThreadPool* pool, MetricsRegistry* metrics,
                            IndexManagerOptions options)

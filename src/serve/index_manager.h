@@ -90,6 +90,10 @@ struct IndexManagerOptions {
   double wal_probe_interval_seconds = 0.25;
 };
 
+// Retry hint for writes rejected while degraded: one probe interval —
+// the soonest the state can possibly have changed — and at least 1 ms.
+int64_t RetryHintMs(const IndexManagerOptions& options);
+
 // The manager's write-availability state machine. Reads are unaffected
 // by every state: Acquire() keeps returning the last published epoch.
 //

@@ -6,6 +6,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -111,13 +112,24 @@ void LocalShard::Probe(const ShardQuery& query, ShardReply* reply) {
 
 ShardRouter::ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
                          ShardRouterOptions options, MetricsRegistry* metrics)
-    : shards_(std::move(shards)),
-      pool_(pool),
-      options_(options),
-      metrics_(metrics),
-      admission_(options.admission, "router", metrics) {
+    : shards_(std::move(shards)), pool_(pool), options_(options) {
   KJOIN_CHECK(!shards_.empty()) << "ShardRouter needs at least one shard";
   KJOIN_CHECK(pool_ != nullptr) << "ShardRouter needs a ThreadPool";
+  if (metrics == nullptr) return;
+  queries_ = metrics->counter("router.queries");
+  hits_ = metrics->counter("router.hits");
+  deadline_exceeded_ = metrics->counter("router.deadline_exceeded");
+  cancelled_ = metrics->counter("router.cancelled");
+  errors_ = metrics->counter("router.errors");
+  latency_ = metrics->histogram("router.latency_seconds");
+  shard_counters_.reserve(shards_.size());
+  for (int s = 0; s < num_shards(); ++s) {
+    auto counter = [&](std::string_view name) {
+      return metrics->counter(ShardMetricName("router", s, name));
+    };
+    shard_counters_.push_back({counter("probes"), counter("hits"), counter("bound_tightenings"),
+                               counter("bound_pruned_lists"), counter("bound_pruned_entries")});
+  }
 }
 
 void ShardRouter::Gather(const std::vector<ShardReply>& replies, int32_t top_k,
@@ -139,16 +151,13 @@ void ShardRouter::Gather(const std::vector<ShardReply>& replies, int32_t top_k,
     }
     response->epoch_version = std::max(response->epoch_version, reply.epoch_version);
     AddStats(&response->stats, reply.stats);
-    if (metrics_ != nullptr) {
-      metrics_->counter(ShardMetricName("router", s, "probes"))->Increment();
-      metrics_->counter(ShardMetricName("router", s, "hits"))
-          ->Increment(static_cast<int64_t>(reply.hits.size()));
-      metrics_->counter(ShardMetricName("router", s, "bound_tightenings"))
-          ->Increment(reply.stats.bound_tightenings);
-      metrics_->counter(ShardMetricName("router", s, "bound_pruned_lists"))
-          ->Increment(reply.stats.bound_pruned_lists);
-      metrics_->counter(ShardMetricName("router", s, "bound_pruned_entries"))
-          ->Increment(reply.stats.bound_pruned_entries);
+    if (!shard_counters_.empty()) {
+      const ShardCounters& counters = shard_counters_[static_cast<size_t>(s)];
+      counters.probes->Increment();
+      counters.hits->Increment(static_cast<int64_t>(reply.hits.size()));
+      counters.bound_tightenings->Increment(reply.stats.bound_tightenings);
+      counters.bound_pruned_lists->Increment(reply.stats.bound_pruned_lists);
+      counters.bound_pruned_entries->Increment(reply.stats.bound_pruned_entries);
     }
   }
   if (best_rank == 0) response->status = OkStatus();
@@ -161,25 +170,20 @@ void ShardRouter::Gather(const std::vector<ShardReply>& replies, int32_t top_k,
 }
 
 void ShardRouter::RecordResponseMetrics(const QueryResponse& response) {
-  if (metrics_ == nullptr) return;
-  metrics_->counter("router.queries")->Increment();
-  metrics_->counter("router.hits")->Increment(static_cast<int64_t>(response.hits.size()));
-  metrics_->histogram("router.latency_seconds")->Observe(response.seconds);
+  if (queries_ == nullptr) return;
+  queries_->Increment();
+  hits_->Increment(static_cast<int64_t>(response.hits.size()));
+  latency_->Observe(response.seconds);
   if (IsDeadlineExceeded(response.status)) {
-    metrics_->counter("router.deadline_exceeded")->Increment();
+    deadline_exceeded_->Increment();
   } else if (IsCancelled(response.status)) {
-    metrics_->counter("router.cancelled")->Increment();
+    cancelled_->Increment();
   } else if (!response.status.ok()) {
-    metrics_->counter("router.errors")->Increment();
+    errors_->Increment();
   }
 }
 
 QueryResponse ShardRouter::Search(const QueryRequest& request) {
-  if (!admission_.TryAdmit()) {
-    QueryResponse response;
-    response.status = admission_.ShedStatus();
-    return response;
-  }
   const double budget_seconds = request.deadline_seconds < 0.0
                                     ? options_.default_deadline_seconds
                                     : request.deadline_seconds;
@@ -220,9 +224,7 @@ QueryResponse ShardRouter::Search(const QueryRequest& request) {
   Gather(replies, request.top_k, &response);
   if (tracker) response.stats.bound_tightenings += tracker->tightenings;
   response.seconds = timer.ElapsedSeconds();
-  admission_.NoteOutcome(IsDeadlineExceeded(response.status));
   RecordResponseMetrics(response);
-  admission_.Release();
   return response;
 }
 

@@ -11,9 +11,10 @@
 // byte-identical to a single unsharded index at any shard count — the
 // determinism contract tests/shard_test.cc locks in.
 //
-// One entry point: Search() admits a query and runs it on the calling
-// thread — a scatter (ParallelFor over the shards), gather and
-// accounting. Each shard takes the remaining deadline budget when its own
+// One entry point: Search() runs a query on the calling thread — a
+// scatter (ParallelFor over the shards), gather and accounting. Callers
+// bound their own concurrency: the KJNP server runs at most one search
+// per event loop (net/server.h). Each shard takes the remaining deadline budget when its own
 // probe starts; a shard reached after the deadline is not probed, and
 // the query returns the hits gathered so far with kDeadlineExceeded.
 //
@@ -30,9 +31,6 @@
 // which maximizes the effect: shard 0 completes and tightens the bound
 // before shard 1 starts.
 //
-// Admission (serve/admission.h, "router.*" metrics) fronts Search: past
-// the in-flight cap a query is shed without a scatter.
-//
 // The ShardBackend interface is deliberately address-space-agnostic:
 // the router only ever sends it a value-typed ShardQuery and reads back
 // a ShardReply. LocalShard adapts an in-process ShardedIndexManager
@@ -43,15 +41,12 @@
 //
 // One shard is the unsharded front end: every query acquires the
 // manager's current epoch once and runs against that consistent view,
-// admission sheds past its cap instead of queueing without bound, and
-// deadlines and cancel tokens ride the index's search path (a tripped
+// and deadlines and cancel tokens ride the index's search path (a tripped
 // query returns the hits proven so far with kDeadlineExceeded).
 //
 //   LocalShard local(&manager);
 //   ShardRouter router({&local}, &pool,
-//                      {.default_deadline_seconds = 0.1,
-//                       .admission = {.max_in_flight = 64}},
-//                      &metrics);
+//                      {.default_deadline_seconds = 0.1}, &metrics);
 //   QueryResponse response = router.Search(request);
 
 #include <cstdint>
@@ -62,7 +57,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/kjoin_index.h"
-#include "serve/admission.h"
 #include "serve/index_manager.h"
 #include "serve/sharded_index_manager.h"
 
@@ -86,12 +80,12 @@ struct QueryRequest {
 };
 
 struct QueryResponse {
-  // OK, or why the query stopped (kResourceExhausted = shed before
-  // execution, kDeadlineExceeded / kCancelled = partial hits inside).
+  // OK, or why the query stopped (kDeadlineExceeded / kCancelled =
+  // partial hits inside).
   Status status;
   std::vector<SearchHit> hits;
   SearchStats stats;
-  // Epoch the query ran against (0 when shed).
+  // Epoch the query ran against.
   int64_t epoch_version = 0;
   double seconds = 0.0;
 };
@@ -161,8 +155,6 @@ class LocalShard : public ShardBackend {
 struct ShardRouterOptions {
   // Deadline applied when a request does not set its own; <= 0 = none.
   double default_deadline_seconds = 0.0;
-  // Admission control, published under "router.*".
-  AdmissionOptions admission;
 };
 
 class ShardRouter {
@@ -170,10 +162,10 @@ class ShardRouter {
   // `shards` (non-empty), `pool` and `metrics` are borrowed and must
   // outlive the router; `metrics` may be null. Router-level metrics:
   // router.queries, router.hits, router.latency_seconds,
-  // router.deadline_exceeded, router.cancelled, router.errors, plus the
-  // admission controller's router.shed* family and per-shard counters
-  // under ShardMetricName("router", s, ...): probes, hits,
-  // bound_tightenings, bound_pruned_lists, bound_pruned_entries.
+  // router.deadline_exceeded, router.cancelled, router.errors, plus
+  // per-shard counters under ShardMetricName("router", s, ...): probes,
+  // hits, bound_tightenings, bound_pruned_lists, bound_pruned_entries.
+  // All are resolved here, so they read 0 before the first query.
   ShardRouter(std::vector<ShardBackend*> shards, ThreadPool* pool,
               ShardRouterOptions options = {}, MetricsRegistry* metrics = nullptr);
 
@@ -186,8 +178,6 @@ class ShardRouter {
   QueryResponse Search(const QueryRequest& request);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t in_flight() const { return admission_.in_flight(); }
-  int64_t effective_cap() const { return admission_.effective_cap(); }
 
  private:
   // Merges one query's per-shard replies into its response and records
@@ -195,11 +185,26 @@ class ShardRouter {
   void Gather(const std::vector<ShardReply>& replies, int32_t top_k, QueryResponse* response);
   void RecordResponseMetrics(const QueryResponse& response);
 
+  // One shard's counters, resolved at construction.
+  struct ShardCounters {
+    Counter* probes;
+    Counter* hits;
+    Counter* bound_tightenings;
+    Counter* bound_pruned_lists;
+    Counter* bound_pruned_entries;
+  };
+
   std::vector<ShardBackend*> shards_;
   ThreadPool* pool_;
   ShardRouterOptions options_;
-  MetricsRegistry* metrics_;
-  AdmissionController admission_;
+  // All null, and shard_counters_ empty, when the router has no registry.
+  Counter* queries_ = nullptr;
+  Counter* hits_ = nullptr;
+  Counter* deadline_exceeded_ = nullptr;
+  Counter* cancelled_ = nullptr;
+  Counter* errors_ = nullptr;
+  Histogram* latency_ = nullptr;
+  std::vector<ShardCounters> shard_counters_;
 };
 
 }  // namespace kjoin::serve

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "serve/status_detail.h"
 
 namespace kjoin::serve {
 
@@ -12,7 +13,7 @@ ShardedIndexManager::ShardedIndexManager(
     std::vector<Object> objects, std::vector<std::string> tokens,
     std::vector<std::pair<std::string, std::string>> synonyms, int num_shards,
     ThreadPool* pool, MetricsRegistry* metrics, IndexManagerOptions manager_options)
-    : metrics_(metrics) {
+    : metrics_(metrics), retry_hint_ms_(RetryHintMs(manager_options)) {
   KJOIN_CHECK(num_shards >= 1) << "ShardedIndexManager needs at least one shard";
   const int64_t n = static_cast<int64_t>(objects.size());
   std::vector<std::vector<Object>> parts(static_cast<size_t>(num_shards));
@@ -101,7 +102,7 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
     const ManagerHealth health = shards_[static_cast<size_t>(s)]->HealthSnapshot();
     if (health.state == HealthState::kDegradedReadOnly) {
       return UnavailableError("sharded insert rejected: shard " + std::to_string(s) +
-                              " is degraded read-only; retry after it heals");
+                              " is degraded read-only; " + RetryAfterField(retry_hint_ms_));
     }
   }
   std::lock_guard<std::mutex> lock(mu_);

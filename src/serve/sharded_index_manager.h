@@ -123,6 +123,8 @@ class ShardedIndexManager {
 
   std::vector<std::unique_ptr<IndexManager>> shards_;
   MetricsRegistry* metrics_;
+  // The retry_after_ms an insert refused while a shard is degraded carries.
+  int64_t retry_hint_ms_;
 
   // Write-path state. to_global_ is copy-on-write (readers copy the
   // shared_ptr under mu_, writers publish a new vector), so gatherers

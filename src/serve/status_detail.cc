@@ -33,8 +33,4 @@ std::optional<int64_t> RetryAfterMs(const Status& status) {
   return value;
 }
 
-bool IsRetryable(const Status& status) {
-  return IsResourceExhausted(status) || IsUnavailable(status);
-}
-
 }  // namespace kjoin::serve

@@ -4,12 +4,10 @@
 // Structured details carried inside Status messages.
 //
 // A Status is a code plus a human-readable message, but some serving
-// responses also carry machine-readable load hints — most importantly
-// retry_after_ms, attached by the admission controller's sheds
-// (kResourceExhausted) and the degraded read-only write rejections
-// (kUnavailable). Before this header, every producer formatted the hint
-// by hand and every consumer re-parsed the message with its own string
-// search; now both sides go through one place:
+// responses also carry a machine-readable backoff hint: retry_after_ms,
+// attached by the index manager's degraded read-only write rejection
+// (kUnavailable, serve/index_manager.h). The producer formats the hint
+// and every consumer parses it through this one place:
 //
 //   return UnavailableError("index is read-only; " + RetryAfterField(42));
 //   ...
@@ -35,12 +33,6 @@ std::string RetryAfterField(int64_t ms);
 // the field is absent or malformed (non-decimal, overflow) — callers
 // fall back to their own backoff policy.
 std::optional<int64_t> RetryAfterMs(const Status& status);
-
-// True for the codes whose responses are worth retrying after a backoff:
-// admission sheds (kResourceExhausted) and degraded read-only /
-// draining-server rejections (kUnavailable). Deadline trips and caller
-// cancellations are not retryable — the caller chose the budget.
-bool IsRetryable(const Status& status);
 
 }  // namespace kjoin::serve
 

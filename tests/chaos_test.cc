@@ -2,10 +2,10 @@
 // and degraded operation"): snapshot generations with failover recovery
 // (corrupt newest generation -> quarantine + older generation + WAL
 // replay), degraded read-only mode (trip on sustained WAL failure,
-// background probe auto-recovery), adaptive admission control, and the
-// randomized chaos harness — seeded fault schedules over interleaved
-// insert/search/save/kill cycles, asserting the recovered state is
-// byte-identical to the acked prefix. Trial count comes from
+// background probe auto-recovery), and the randomized chaos harness —
+// seeded fault schedules over interleaved insert/search/save/kill
+// cycles, asserting the recovered state is byte-identical to the acked
+// prefix. Trial count comes from
 // KJOIN_CHAOS_TRIALS (scripts/check.sh --chaos runs hundreds under the
 // asan and tsan presets, where fault points are compiled in).
 
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,11 +32,9 @@
 #include "core/kjoin_index.h"
 #include "data/benchmark_suite.h"
 #include "serve/index_manager.h"
-#include "serve/shard_router.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "serve/wal.h"
-#include "search_helpers.h"
 
 namespace kjoin {
 namespace {
@@ -448,91 +445,6 @@ TEST(ReadOnlyModeTest, TripsOnSustainedWalFailureAndAutoRecovers) {
   auto recovered = MakeManager(nullptr);
   ASSERT_TRUE(recovered->AttachWal(wal_path).ok());
   EXPECT_EQ(StateBytes(*recovered), StateBytes(*reference));
-}
-
-// ------------------------------------------------ adaptive admission
-
-TEST(AdmissionTest, AimdCapHalvesOnMissStormAndRecoversAdditively) {
-  MetricsRegistry metrics;
-  ThreadPool pool(1);
-  auto manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  serve::ShardRouterOptions options;
-  options.admission.max_in_flight = 16;
-  options.admission.min_in_flight = 2;
-  options.admission.aimd_window = 4;
-  const int window = options.admission.aimd_window;
-  // Synchronous Search only: window boundaries are deterministic.
-  serve::ShardRouter router({&shard}, &pool, options, &metrics);
-  EXPECT_EQ(router.effective_cap(), 16);
-
-  // Impossible deadlines: every query misses, every window halves.
-  serve::QueryRequest doomed;
-  doomed.query = MakeQuery(2);
-  doomed.deadline_seconds = 1e-9;
-  for (int i = 0; i < window; ++i) {
-    const serve::QueryResponse response = router.Search(doomed);
-    EXPECT_TRUE(IsDeadlineExceeded(response.status)) << response.status.ToString();
-  }
-  EXPECT_EQ(router.effective_cap(), 8);
-  for (int i = 0; i < window; ++i) router.Search(doomed);
-  EXPECT_EQ(router.effective_cap(), 4);
-  for (int i = 0; i < window; ++i) router.Search(doomed);
-  EXPECT_EQ(router.effective_cap(), 2);
-  // The floor holds: a miss storm cannot shed the router to zero.
-  for (int i = 0; i < window; ++i) router.Search(doomed);
-  EXPECT_EQ(router.effective_cap(), 2);
-  EXPECT_EQ(metrics.gauge("router.effective_cap")->value(), 2);
-
-  // Clean windows walk the cap back up one step at a time.
-  serve::QueryRequest healthy;
-  healthy.query = MakeQuery(3);
-  for (int i = 0; i < window; ++i) {
-    const serve::QueryResponse response = router.Search(healthy);
-    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  }
-  EXPECT_EQ(router.effective_cap(), 3);
-  for (int i = 0; i < window; ++i) router.Search(healthy);
-  EXPECT_EQ(router.effective_cap(), 4);
-}
-
-TEST(AdmissionTest, CapShedCarriesLoadAndRetryHint) {
-  MetricsRegistry metrics;
-  ThreadPool pool(2);
-  auto manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  // A closed gate holds a Search on a helper thread in its probe, and so
-  // in its admission slot, until the test opens it.
-  test::GatedShard gated(&shard);
-  gated.Close();
-  serve::ShardRouterOptions options;
-  options.admission.max_in_flight = 1;
-  options.admission.min_in_flight = 1;
-  serve::ShardRouter router({&gated}, &pool, options, &metrics);
-
-  // The held query fills the single slot, so a second Search must shed
-  // with the full load picture in its message.
-  serve::QueryRequest request;
-  request.query = MakeQuery(4);
-  std::future<serve::QueryResponse> held =
-      std::async(std::launch::async, [&] { return router.Search(request); });
-  gated.WaitUntilHeld();
-  EXPECT_EQ(router.in_flight(), 1);
-
-  const serve::QueryResponse shed = router.Search(request);
-  // Not ASSERT: an early return would block on the held Search.
-  EXPECT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
-  EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
-  EXPECT_NE(shed.status.message().find("in_flight=1"), std::string::npos)
-      << shed.status.ToString();
-  EXPECT_NE(shed.status.message().find("effective_cap=1"), std::string::npos);
-  EXPECT_NE(shed.status.message().find("retry_after_ms="), std::string::npos);
-  EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
-  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
-
-  gated.Open();  // the held query is answered
-  const serve::QueryResponse admitted = held.get();
-  EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
 }
 
 // ------------------------------------------------- fault schedules

@@ -20,6 +20,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -42,7 +43,6 @@
 #include "net/event_loop.h"
 #include "net/protocol.h"
 #include "net/server.h"
-#include "serve/admission.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
 #include "serve/status_detail.h"
@@ -64,7 +64,7 @@ using net::ServerOptions;
 TEST(StatusDetailTest, FormatsAndParses) {
   EXPECT_EQ(serve::RetryAfterField(42), "retry_after_ms=42");
   const Status status =
-      ResourceExhaustedError("query shed: in_flight=9 " + serve::RetryAfterField(17));
+      UnavailableError("index is read-only; " + serve::RetryAfterField(17));
   const std::optional<int64_t> hint = serve::RetryAfterMs(status);
   ASSERT_TRUE(hint.has_value());
   EXPECT_EQ(*hint, 17);
@@ -81,26 +81,18 @@ TEST(StatusDetailTest, AbsentAndMalformedAreNullopt) {
           .has_value());
 }
 
+// The degraded read-only write rejection is the response worth retrying:
+// its hint is one probe interval, at least 1 ms, and parses back out of
+// the message; a deadline trip carries none.
 TEST(StatusDetailTest, RetryableCodes) {
-  EXPECT_TRUE(serve::IsRetryable(ResourceExhaustedError("shed")));
-  EXPECT_TRUE(serve::IsRetryable(UnavailableError("read-only")));
-  EXPECT_FALSE(serve::IsRetryable(DeadlineExceededError("late")));
-  EXPECT_FALSE(serve::IsRetryable(InvalidArgumentError("bad")));
-  EXPECT_FALSE(serve::IsRetryable(OkStatus()));
-}
-
-// The admission controller's shed status must round-trip through the
-// shared parser — the regression the one-formatter refactor exists for.
-TEST(StatusDetailTest, AdmissionShedStatusCarriesParseableHint) {
-  serve::AdmissionOptions options;
-  options.max_in_flight = 1;
-  serve::AdmissionController admission(options, "test", nullptr);
-  const Status status = admission.ShedStatus();
-  EXPECT_TRUE(IsResourceExhausted(status));
-  const std::optional<int64_t> hint = serve::RetryAfterMs(status);
-  ASSERT_TRUE(hint.has_value()) << status.ToString();
-  EXPECT_EQ(*hint, 1);
-  EXPECT_TRUE(serve::IsRetryable(status));
+  serve::IndexManagerOptions options;
+  EXPECT_EQ(serve::RetryHintMs(options), 250);
+  options.wal_probe_interval_seconds = 1e-6;
+  EXPECT_EQ(serve::RetryHintMs(options), 1);
+  const Status rejected = UnavailableError("index is read-only; " +
+                                           serve::RetryAfterField(serve::RetryHintMs(options)));
+  EXPECT_EQ(serve::RetryAfterMs(rejected), std::optional<int64_t>(1));
+  EXPECT_FALSE(serve::RetryAfterMs(DeadlineExceededError("late")).has_value());
 }
 
 // ---------------------------------------------------- metrics (common)
@@ -308,11 +300,11 @@ TEST(ProtocolTest, PipelinedFramesDecodeInOrder) {
 }
 
 TEST(ProtocolTest, ResponseFromStatusLiftsRetryHint) {
-  const NetResponse shed = net::ResponseFromStatus(
-      5, ResourceExhaustedError("shed; " + serve::RetryAfterField(90)));
-  EXPECT_EQ(shed.id, 5u);
-  EXPECT_EQ(shed.code, static_cast<uint32_t>(StatusCode::kResourceExhausted));
-  EXPECT_EQ(shed.retry_after_ms, 90);
+  const NetResponse rejected = net::ResponseFromStatus(
+      5, UnavailableError("read-only; " + serve::RetryAfterField(90)));
+  EXPECT_EQ(rejected.id, 5u);
+  EXPECT_EQ(rejected.code, static_cast<uint32_t>(StatusCode::kUnavailable));
+  EXPECT_EQ(rejected.retry_after_ms, 90);
   const NetResponse ok = net::ResponseFromStatus(6, OkStatus());
   EXPECT_EQ(ok.code, 0u);
   EXPECT_EQ(ok.retry_after_ms, 0);
@@ -369,7 +361,6 @@ struct ServerStack {
 };
 
 std::unique_ptr<ServerStack> MakeServer(ServerOptions options = {},
-                                        serve::ShardRouterOptions router_options = {},
                                         const std::string& wal_prefix = "") {
   auto stack = std::make_unique<ServerStack>();
   stack->metrics = std::make_unique<MetricsRegistry>();
@@ -389,7 +380,8 @@ std::unique_ptr<ServerStack> MakeServer(ServerOptions options = {},
     shards.push_back(stack->gates.back().get());
   }
   stack->router = std::make_unique<serve::ShardRouter>(std::move(shards), stack->pool.get(),
-                                                       router_options, stack->metrics.get());
+                                                       serve::ShardRouterOptions{},
+                                                       stack->metrics.get());
   stack->server = std::make_unique<KJoinServer>(stack->router.get(), stack->manager.get(),
                                                 data.prepared.builder.get(),
                                                 stack->metrics.get(), options);
@@ -448,18 +440,15 @@ std::vector<NetResponse> ReadResponses(int fd, size_t count) {
 }
 
 // The server's accounting ties out once every response has been read:
-// each frame read was answered, each of the `search_frames` searches
-// sent over the wire plus the `in_process_searches` a test ran on the
-// router directly was answered or shed, and no query still holds an
-// admission slot.
+// each frame read was answered, and the router ran exactly the
+// `search_frames` searches sent over the wire plus the
+// `in_process_searches` a test ran on it directly.
 void ExpectServerTiesOut(const ServerStack& stack, int64_t search_frames,
                          int64_t in_process_searches = 0) {
   EXPECT_EQ(stack.metrics->counter("net.frames_read")->value(),
             stack.metrics->counter("net.frames_written")->value());
-  EXPECT_EQ(stack.metrics->counter("router.queries")->value() +
-                stack.metrics->counter("router.shed_total")->value(),
+  EXPECT_EQ(stack.metrics->counter("router.queries")->value(),
             search_frames + in_process_searches);
-  EXPECT_EQ(stack.router->in_flight(), 0);
 }
 
 TEST(NetServerTest, SearchMatchesInProcessRouterExactly) {
@@ -489,15 +478,13 @@ TEST(NetServerTest, SearchMatchesInProcessRouterExactly) {
 }
 
 // Pipelining clients are not shed: three connections each pipeline 32
-// searches, 96 in all against the default admission cap of 64. A
-// connection's searches run one at a time on its loop, so at most one
-// per loop holds an admission slot and none is shed; every reply equals
-// the in-process router's.
+// searches, 96 in all. A connection's searches run one at a time on its
+// loop, and every one of them is answered with the in-process router's
+// reply.
 TEST(NetServerTest, PipeliningClientsAreNotShed) {
   ServerOptions options;
   options.num_loops = 3;
   auto stack = MakeServer(options);
-  ASSERT_EQ(stack->router->effective_cap(), 64);
   constexpr int kConnections = 3;
   constexpr int kPipelined = 32;
   std::vector<serve::QueryResponse> expected;
@@ -535,9 +522,61 @@ TEST(NetServerTest, PipeliningClientsAreNotShed) {
       EXPECT_EQ(got.hits, expected[static_cast<size_t>(i)].hits) << "request " << i;
     }
   }
-  EXPECT_EQ(stack->metrics->counter("router.shed_total")->value(), 0);
   ExpectServerTiesOut(*stack, kConnections * kPipelined,
                       /*in_process_searches=*/kConnections * kPipelined);
+}
+
+// Overload is bounded by structure, not by a cap: each loop answers one
+// search at a time, so with shard 0's gate closed a 2-loop server holds
+// exactly 2 probes there however many connections send a search. Once
+// the gate opens every search is answered with the in-process router's
+// reply.
+TEST(NetServerTest, EachLoopRunsOneSearchAtATime) {
+  ServerOptions options;
+  options.num_loops = 2;
+  auto stack = MakeServer(options);
+  constexpr int kConnections = 6;
+  std::vector<serve::QueryResponse> expected;
+  std::vector<std::string> frames;
+  for (int c = 0; c < kConnections; ++c) {
+    NetRequest request;
+    request.id = static_cast<uint64_t>(c) + 1;
+    request.kind = RequestKind::kTopK;
+    request.top_k = 3;
+    request.query_tokens = QueryTokens(c);
+    frames.push_back(net::WrapFrame(net::EncodeRequestPayload(request)));
+    serve::QueryRequest reference;
+    reference.query = Stack().prepared.builder->Build(0, request.query_tokens);
+    reference.top_k = request.top_k;
+    expected.push_back(stack->router->Search(reference));
+  }
+  std::vector<int> fds;
+  for (int c = 0; c < kConnections; ++c) fds.push_back(RawConnect(stack->server->port()));
+  // No ASSERT while the gate is closed: a held search would never return.
+  stack->gates[0]->Close();
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(::send(fds[c], frames[c].data(), frames[c].size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frames[c].size()));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stack->gates[0]->held() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int held_at_first = stack->gates[0]->held();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const int held_after_settle = stack->gates[0]->held();
+  stack->gates[0]->Open();
+  EXPECT_EQ(held_at_first, 2);
+  EXPECT_EQ(held_after_settle, 2);
+  for (int c = 0; c < kConnections; ++c) {
+    const std::vector<NetResponse> responses = ReadResponses(fds[c], 1);
+    ::close(fds[c]);
+    ASSERT_EQ(responses.size(), 1u) << "connection " << c;
+    EXPECT_EQ(responses[0].id, static_cast<uint64_t>(c) + 1);
+    EXPECT_EQ(responses[0].code, 0u) << "connection " << c << ": " << responses[0].message;
+    EXPECT_EQ(responses[0].hits, expected[static_cast<size_t>(c)].hits) << "connection " << c;
+  }
+  ExpectServerTiesOut(*stack, kConnections, /*in_process_searches=*/kConnections);
 }
 
 // A SEARCH request's floor is applied like a TOPK's: a floor above tau
@@ -639,7 +678,7 @@ TEST(NetServerTest, InsertDeleteVisibleThroughSearch) {
 TEST(NetServerTest, QueryTokenStormGrowsNoServerState) {
   const std::string prefix = testing::TempDir() + "/net_test_storm.wal";
   for (int s = 0; s < 2; ++s) std::remove((prefix + ".shard-" + std::to_string(s)).c_str());
-  auto stack = MakeServer({}, {}, prefix);
+  auto stack = MakeServer({}, prefix);
   ObjectBuilder* builder = Stack().prepared.builder.get();
   auto wal_bytes = [&] {
     std::vector<int64_t> bytes;
@@ -667,8 +706,14 @@ TEST(NetServerTest, QueryTokenStormGrowsNoServerState) {
   EXPECT_EQ(builder->num_distinct_tokens(), tokens_before);
   EXPECT_EQ(wal_bytes(), wal_before);
 
+  // A token new to this process on every run, so the test repeats
+  // (--gtest_repeat) against the shared builder.
+  static int run = 0;
+  const std::string followup = "stormfollowup" + std::to_string(run++);
+  const std::vector<std::string>& table = builder->TokenTable();
+  EXPECT_EQ(std::find(table.begin(), table.end(), followup), table.end());
   std::vector<std::string> record = Stack().dataset.records[5].tokens;
-  record.push_back("stormfollowup");
+  record.push_back(followup);
   StatusOr<NetResponse> inserted = client.Insert({{9100, record}});
   ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
   ASSERT_EQ(inserted->code, 0u) << inserted->message;
@@ -682,29 +727,34 @@ TEST(NetServerTest, QueryTokenStormGrowsNoServerState) {
   }
 }
 
-TEST(NetServerTest, ShedResponseCarriesRetryAfter) {
-  serve::ShardRouterOptions router_options;
-  router_options.admission.max_in_flight = 1;
-  auto stack = MakeServer({}, router_options);
-  // An in-process Search held at shard 0's closed gate fills the single
-  // admission slot, so the KJNP query is shed by the cap.
-  stack->gates[0]->Close();
-  serve::QueryRequest held_request;
-  held_request.query = Stack().prepared.builder->Build(0, QueryTokens(0));
-  std::future<serve::QueryResponse> held = std::async(
-      std::launch::async, [&] { return stack->router->Search(held_request); });
-  stack->gates[0]->WaitUntilHeld();
+// A write refused by a degraded read-only shard comes back over KJNP as
+// kUnavailable with the manager's backoff hint in the retry_after_ms
+// wire field.
+TEST(NetServerTest, ReadOnlyInsertCarriesRetryAfter) {
+  if (!fault::Enabled()) GTEST_SKIP() << "fault injection compiled out";
+  const std::string prefix = testing::TempDir() + "/net_test_readonly.wal";
+  for (int s = 0; s < 2; ++s) std::remove((prefix + ".shard-" + std::to_string(s)).c_str());
+  auto stack = MakeServer({}, prefix);
   KJoinClient client;
-  const Status connected = client.Connect("127.0.0.1", stack->server->port());
-  StatusOr<NetResponse> shed =
-      connected.ok() ? client.Search(QueryTokens(1)) : StatusOr<NetResponse>(connected);
-  stack->gates[0]->Open();
-  EXPECT_TRUE(held.get().status.ok());
-  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-  EXPECT_EQ(shed->code, static_cast<uint32_t>(StatusCode::kResourceExhausted))
-      << shed->message;
-  EXPECT_GE(shed->retry_after_ms, 1) << shed->message;
-  EXPECT_EQ(stack->metrics->counter("router.shed_cap")->value(), 1);
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  const std::vector<std::string> record = Stack().dataset.records[7].tokens;
+  NetResponse last;
+  {
+    fault::Scope scope;  // disarms on exit
+    fault::Enable("serve/wal_append");  // every append fails, as a full disk would
+    // Inserts land on the shards in turn; each failed append counts
+    // towards its shard's trip threshold (3 by default), after which
+    // the sharded manager refuses the next insert up front.
+    for (int attempt = 0; attempt < 12; ++attempt) {
+      StatusOr<NetResponse> got = client.Insert({{9200 + attempt, record}});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      last = *got;
+      if (last.code == static_cast<uint32_t>(StatusCode::kUnavailable)) break;
+      EXPECT_EQ(last.code, static_cast<uint32_t>(StatusCode::kDataLoss)) << last.message;
+    }
+  }
+  EXPECT_EQ(last.code, static_cast<uint32_t>(StatusCode::kUnavailable)) << last.message;
+  EXPECT_GE(last.retry_after_ms, 1) << last.message;
 }
 
 TEST(NetServerTest, MalformedPayloadGetsInvalidArgumentResponse) {

@@ -74,9 +74,9 @@ inline void ExpectHitsMatchOracle(const std::vector<SearchHit>& expected,
 }
 
 // A ShardBackend that forwards each probe to `inner` (a LocalShard), and
-// can hold probes at a gate until the test opens it — keeping a submitted
-// query admitted, or later ones queued behind it — or sleep after each
-// answer, as a slow shard would. Open until Close(); the router must not
+// can hold probes at a gate until the test opens it — keeping a query in
+// flight, or the searches behind it on one event loop waiting — or sleep
+// after each answer, as a slow shard would. Open until Close(); the router must not
 // be destroyed while a probe is held.
 class GatedShard : public serve::ShardBackend {
  public:
@@ -110,6 +110,11 @@ class GatedShard : public serve::ShardBackend {
   void WaitUntilHeld() {
     std::unique_lock<std::mutex> lock(mu_);
     changed_.wait(lock, [&] { return held_ > 0; });
+  }
+  // Probes waiting at the closed gate now.
+  int held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
   }
   // Set before the router probes this shard.
   void SleepAfterProbe(std::chrono::milliseconds duration) { sleep_after_probe_ = duration; }

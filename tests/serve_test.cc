@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <optional>
 #include <set>
@@ -885,7 +884,6 @@ TEST(SearchServiceTest, ThresholdAndTopKBasics) {
   }
   EXPECT_EQ(metrics.counter("router.queries")->value(), 2);
   EXPECT_EQ(metrics.histogram("router.latency_seconds")->count(), 2);
-  EXPECT_EQ(router.in_flight(), 0);
 }
 
 TEST(SearchServiceTest, PreCancelledAndTinyDeadline) {
@@ -908,43 +906,6 @@ TEST(SearchServiceTest, PreCancelledAndTinyDeadline) {
   response = router.Search(request);
   EXPECT_TRUE(IsDeadlineExceeded(response.status)) << response.status.ToString();
   EXPECT_EQ(metrics.counter("router.deadline_exceeded")->value(), 1);
-}
-
-TEST(SearchServiceTest, AdmissionCapShedsDeterministically) {
-  ThreadPool pool(2);
-  MetricsRegistry metrics;
-  serve::ShardRouterOptions options;
-  options.admission.max_in_flight = 1;
-  // A closed gate holds a Search on a helper thread in its probe, and so
-  // in its admission slot, until the test opens it.
-  std::unique_ptr<serve::IndexManager> manager = MakeManager(&pool);
-  serve::LocalShard shard(manager.get());
-  test::GatedShard gated(&shard);
-  gated.Close();
-  serve::ShardRouter router({&gated}, &pool, options, &metrics);
-
-  // The held query fills the single slot, so a second Search must shed.
-  // No ASSERT until the gate opens: an early return would block on the
-  // held Search.
-  serve::QueryRequest request;
-  request.query = Stack().prepared.objects[5];
-  std::future<serve::QueryResponse> held =
-      std::async(std::launch::async, [&] { return router.Search(request); });
-  gated.WaitUntilHeld();
-  EXPECT_EQ(router.in_flight(), 1);
-
-  serve::QueryResponse shed = router.Search(request);
-  EXPECT_TRUE(IsResourceExhausted(shed.status)) << shed.status.ToString();
-  EXPECT_EQ(shed.epoch_version, 0);  // shed before touching the index
-  EXPECT_TRUE(shed.hits.empty());
-  EXPECT_EQ(metrics.counter("router.shed_total")->value(), 1);
-  EXPECT_EQ(metrics.counter("router.shed_cap")->value(), 1);
-
-  gated.Open();  // the held query is answered
-  const serve::QueryResponse admitted = held.get();
-  EXPECT_TRUE(admitted.status.ok()) << admitted.status.ToString();
-  EXPECT_FALSE(admitted.hits.empty());
-  EXPECT_EQ(router.in_flight(), 0);
 }
 
 // Regression for the min_similarity sentinel bug: only values < 0 mean
@@ -983,13 +944,11 @@ TEST(SearchServiceTest, ExplicitZeroMinSimilarityReachesTheIndex) {
   }
 }
 
-// Eight clients with deadlines and admission control armed (but sized
-// to never trip) return exactly the serial answers. Runs under the tsan
-// preset.
+// Eight clients with deadlines armed (but sized to never trip) return
+// exactly the serial answers. Runs under the tsan preset.
 TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
   ThreadPool pool(2);
   serve::ShardRouterOptions options;
-  options.admission.max_in_flight = 64;    // armed, never reached
   options.default_deadline_seconds = 3600; // armed, never trips
   OneShardRouter stack(&pool, options);
   serve::ShardRouter& router = stack.router;
