@@ -4,12 +4,16 @@
 #   scripts/identity.sh HEAD~     # or any commit, branch or tag
 #
 # Exports <ref> with `git archive` into a temporary directory, builds its
-# kjoin_cli there (Release), and builds the working tree's kjoin_cli in
-# build/. Both then self-join the same generated POI workload
-# (`--generate 3000`) as K-Join (--plus=false) and K-Join+ (--plus=true)
-# at --threads 1 and 4. Each pair TSV, and each mode's index snapshot,
-# is compared with `cmp`. Prints one line per comparison and exits
-# non-zero on any difference. The temporary directory is removed on exit.
+# kjoin_cli and bench_fig12_compare_tau there (Release), and builds the
+# working tree's two in build/. Both kjoin_cli binaries then self-join the
+# same generated POI workload (`--generate 3000`) as K-Join (--plus=false)
+# and K-Join+ (--plus=true) at --threads 1 and 4; each pair TSV and each
+# run's index snapshot is compared with `cmp`. Both fig12 binaries run at
+# `--n 500`, and only their candidate columns (FJ, Syn, KJ, KJ+ — the
+# FastJoin and SynonymJoin baselines next to K-Join and K-Join+) are
+# compared, not the seconds columns. Prints one line per comparison and
+# exits non-zero on any difference. The temporary directory is removed
+# on exit.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -26,7 +30,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 build() {  # build <source dir> <build dir> <log>
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$2" --target kjoin_cli -j "$jobs"; } > "$3" 2>&1; then
+         cmake --build "$2" --target kjoin_cli bench_fig12_compare_tau -j "$jobs"; } \
+      > "$3" 2>&1; then
     tail -20 "$3" >&2
     echo "build failed in $1" >&2
     exit 2
@@ -59,16 +64,31 @@ for plus in false true; do
       else
         cli="$repo/build/examples/kjoin_cli"
       fi
-      snapshot=()
-      [[ "$threads" == 1 ]] && snapshot=(--save-snapshot "$tmp/$side-$plus.snap")
       (cd "$repo" && "$cli" --generate 3000 --plus="$plus" --threads "$threads" \
-        --out "$tmp/$side-$plus-$threads.tsv" "${snapshot[@]}" > /dev/null 2>&1)
+        --out "$tmp/$side-$plus-$threads.tsv" \
+        --save-snapshot "$tmp/$side-$plus-$threads.snap" > /dev/null 2>&1)
     done
     compare "pairs  --plus=$plus --threads $threads ($(wc -l < "$tmp/work-$plus-$threads.tsv") lines)" \
       "$tmp/ref-$plus-$threads.tsv" "$tmp/work-$plus-$threads.tsv"
+    compare "snapshot --plus=$plus --threads $threads" \
+      "$tmp/ref-$plus-$threads.snap" "$tmp/work-$plus-$threads.snap"
   done
-  compare "snapshot --plus=$plus" "$tmp/ref-$plus.snap" "$tmp/work-$plus.snap"
 done
+
+# Section headers and the tau, FJ-cand, Syn-cand, KJ-cand and KJ+-cand
+# columns of each row; the seconds columns are timings.
+for side in ref work; do
+  if [[ "$side" == ref ]]; then
+    bench="$tmp/ref/build/bench/bench_fig12_compare_tau"
+  else
+    bench="$repo/build/bench/bench_fig12_compare_tau"
+  fi
+  (cd "$repo" && "$bench" --n 500 2> /dev/null) |
+    awk '/^===/ { print; next } $1 ~ /^[0-9.]+$/ { print $1, $2, $3, $4, $5 }' \
+    > "$tmp/$side-fig12.txt"
+done
+compare "fig12 candidates ($(wc -l < "$tmp/work-fig12.txt") lines)" \
+  "$tmp/ref-fig12.txt" "$tmp/work-fig12.txt"
 
 if (( different )); then
   echo "outputs differ from $ref" >&2

@@ -5,7 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/inverted_index.h"
+#include "core/posting_store.h"
 #include "core/prefix.h"
 #include "matching/bigraph.h"
 #include "matching/hungarian.h"
@@ -90,23 +90,36 @@ JoinResult FastJoin::SelfJoin(const std::vector<std::vector<std::string>>& recor
   }
   result.stats.signature_seconds = phase_timer.ElapsedSeconds();
 
-  InvertedIndex index(order.num_signatures());
-  std::vector<int32_t> last_probe(records.size(), -1);
+  // Prefix postings by rank, emitted in id order: each list ascends, and
+  // probe x reads only the entries below x.
   StopWatch filter_watch, verify_watch;
-  for (int32_t x = 0; x < static_cast<int32_t>(records.size()); ++x) {
-    filter_watch.Start();
-    std::vector<int32_t> candidates;
+  filter_watch.Start();
+  const auto for_each_prefix_rank = [&](int32_t x, auto&& visit) {
     int32_t previous_rank = -1;
     for (int32_t k = 0; k < prefix_len[x]; ++k) {
       const int32_t rank = order.Rank(sigs[x][k].id);
       if (rank == previous_rank) continue;
       previous_rank = rank;
-      for (int32_t y : index.List(rank)) {
-        if (last_probe[y] == x) continue;
-        last_probe[y] = x;
-        candidates.push_back(y);
-      }
+      visit(rank);
     }
+  };
+  const PostingStore index = PostingStore::Build(order.num_signatures(), [&](auto&& emit) {
+    for (int32_t x = 0; x < static_cast<int32_t>(records.size()); ++x) {
+      for_each_prefix_rank(x, [&](int32_t rank) { emit(rank, x); });
+    }
+  });
+  filter_watch.Stop();
+  std::vector<int32_t> last_probe(records.size(), -1);
+  for (int32_t x = 0; x < static_cast<int32_t>(records.size()); ++x) {
+    filter_watch.Start();
+    std::vector<int32_t> candidates;
+    for_each_prefix_rank(x, [&](int32_t rank) {
+      for (const int32_t* y = index.docs(rank); y != index.docs_end(rank) && *y < x; ++y) {
+        if (last_probe[*y] == x) continue;
+        last_probe[*y] = x;
+        candidates.push_back(*y);
+      }
+    });
     filter_watch.Stop();
 
     verify_watch.Start();
@@ -129,16 +142,6 @@ JoinResult FastJoin::SelfJoin(const std::vector<std::vector<std::string>>& recor
       }
     }
     verify_watch.Stop();
-
-    filter_watch.Start();
-    previous_rank = -1;
-    for (int32_t k = 0; k < prefix_len[x]; ++k) {
-      const int32_t rank = order.Rank(sigs[x][k].id);
-      if (rank == previous_rank) continue;
-      previous_rank = rank;
-      index.Add(rank, x);
-    }
-    filter_watch.Stop();
   }
 
   result.stats.filter_seconds = filter_watch.TotalSeconds();

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "common/timer.h"
-#include "core/inverted_index.h"
+#include "core/posting_store.h"
 #include "core/prefix.h"
 #include "text/tokenizer.h"
 
@@ -109,18 +109,26 @@ JoinResult SynonymJoin::SelfJoin(const std::vector<std::vector<std::string>>& re
   }
   result.stats.signature_seconds = phase_timer.ElapsedSeconds();
 
-  InvertedIndex index(order.num_signatures());
-  std::vector<int32_t> last_probe(records.size(), -1);
+  // Prefix postings by rank, emitted in id order: each list ascends, and
+  // probe x reads only the entries below x.
   StopWatch filter_watch, verify_watch;
+  filter_watch.Start();
+  const PostingStore index = PostingStore::Build(order.num_signatures(), [&](auto&& emit) {
+    for (int32_t x = 0; x < static_cast<int32_t>(records.size()); ++x) {
+      for (int32_t k = 0; k < prefix_len[x]; ++k) emit(order.Rank(sigs[x][k].id), x);
+    }
+  });
+  filter_watch.Stop();
+  std::vector<int32_t> last_probe(records.size(), -1);
   for (int32_t x = 0; x < static_cast<int32_t>(records.size()); ++x) {
     filter_watch.Start();
     std::vector<int32_t> candidates;
     for (int32_t k = 0; k < prefix_len[x]; ++k) {
       const int32_t rank = order.Rank(sigs[x][k].id);
-      for (int32_t y : index.List(rank)) {
-        if (last_probe[y] == x) continue;
-        last_probe[y] = x;
-        candidates.push_back(y);
+      for (const int32_t* y = index.docs(rank); y != index.docs_end(rank) && *y < x; ++y) {
+        if (last_probe[*y] == x) continue;
+        last_probe[*y] = x;
+        candidates.push_back(*y);
       }
     }
     filter_watch.Stop();
@@ -138,12 +146,6 @@ JoinResult SynonymJoin::SelfJoin(const std::vector<std::vector<std::string>>& re
       }
     }
     verify_watch.Stop();
-
-    filter_watch.Start();
-    for (int32_t k = 0; k < prefix_len[x]; ++k) {
-      index.Add(order.Rank(sigs[x][k].id), x);
-    }
-    filter_watch.Stop();
   }
 
   result.stats.filter_seconds = filter_watch.TotalSeconds();

@@ -9,6 +9,7 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/posting_store.h"
 #include "core/prefix.h"
 #include "core/probe_set.h"
 
@@ -469,32 +470,25 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
     }
   }
 
-  // Rank-keyed CSR over the indexed prefixes: one flat doc array plus a
-  // rank -> [begin, end) offset table. The fill pass walks the objects by
-  // position, so each list ascends by (size, id): a probe's admissible
-  // partners are one contiguous run of it. Keys are dense ranks addressed
-  // directly, where a PostingStore binary-searches SigIds, so the two
-  // stores stay separate and share only the ProbeSet. Built in a count +
-  // fill pass; a mid-build trip leaves the arrays inconsistent, but a
-  // tripped controller zeroes num_probes so they are never probed.
-  const int32_t num_ranks = order.num_signatures();
-  std::vector<int64_t> rank_offset(static_cast<size_t>(num_ranks) + 1, 0);
-  std::vector<int32_t> rank_docs;
+  // The rank-keyed postings of the indexed prefixes, emitted by position,
+  // so each list ascends by (size, id): a probe's admissible partners are
+  // one contiguous run of it. Built only over a complete Prepare; the fill
+  // pass polls, and a trip there leaves the lists incomplete, but a
+  // tripped controller zeroes num_probes, so they are never probed.
+  PostingStore postings;
   if (!controller.tripped()) {
-    const int64_t indexed_entries = prepared.prefix_offset[num_indexed];
-    for (int64_t k = 0; k < indexed_entries; ++k) ++rank_offset[prepared.prefix_ranks[k] + 1];
-    for (int32_t r = 0; r < num_ranks; ++r) rank_offset[r + 1] += rank_offset[r];
-    rank_docs.resize(static_cast<size_t>(rank_offset[num_ranks]));
-    std::vector<int64_t> cursor(rank_offset.begin(), rank_offset.end() - 1);
-    for (int32_t at = 0; at < num_indexed; ++at) {
-      if (polled && (at % kIndexPollStride) == 0 && !controller.Poll(JoinPhase::kFilter)) {
-        break;
+    bool filling = false;
+    postings = PostingStore::Build(order.num_signatures(), [&](auto&& emit) {
+      for (int32_t at = 0; at < num_indexed; ++at) {
+        if (filling && polled && (at % kIndexPollStride) == 0 &&
+            !controller.Poll(JoinPhase::kFilter)) {
+          return;
+        }
+        const int32_t x = by_position[at];
+        for (const int32_t rank : prepared.PrefixRanks(x)) emit(rank, x);
       }
-      const int32_t x = by_position[at];
-      for (const int32_t rank : prepared.PrefixRanks(x)) {
-        rank_docs[static_cast<size_t>(cursor[rank]++)] = x;
-      }
-    }
+      filling = true;
+    });
   }
 
   const int32_t num_probes =
@@ -612,8 +606,8 @@ Status KJoin::JoinImpl(const std::vector<Object>& left, const std::vector<Object
       const Window& slice = window[probe_record.size];
       const int32_t stop = self ? position[p] : slice.end;
       for (const int32_t rank : prepared.PrefixRanks(probe_sig_offset + p)) {
-        const int32_t* list = rank_docs.data() + rank_offset[rank];
-        const int32_t* list_end = rank_docs.data() + rank_offset[rank + 1];
+        const int32_t* list = postings.docs(rank);
+        const int32_t* list_end = postings.docs_end(rank);
         const int32_t* first = first_at(list, list_end, slice.begin);
         const int32_t* last = first_at(first, list_end, stop);
         tally.skipped += (first - list) + (self ? 0 : list_end - last);

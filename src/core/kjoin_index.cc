@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,6 +26,12 @@ constexpr int kControlStride = 8;
 constexpr double kSearchBoundSlack = 1e-7;
 
 }  // namespace
+
+int32_t SignaturePostings::Find(SigId id) const {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), id);
+  if (it == keys.end() || *it != id) return -1;
+  return static_cast<int32_t>(it - keys.begin());
+}
 
 KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
                        std::vector<Object> objects)
@@ -59,7 +64,7 @@ KJoinIndex::KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options,
                 VerifierOptions{options.delta, options.tau, options.verify_mode,
                                 options.set_metric, options.count_pruning,
                                 options.weighted_count_pruning, options.plus_mode}),
-      store_(std::move(parts.postings)) {
+      postings_(std::move(parts.postings)) {
   KJOIN_CHECK(&lca_->hierarchy() == hierarchy_)
       << "restored LCA index belongs to a different hierarchy";
   for (const int32_t index : parts.tombstones) {
@@ -99,29 +104,34 @@ KJoinIndex::KJoinIndex(std::shared_ptr<const KJoinIndex> base, std::vector<Objec
 }
 
 void KJoinIndex::IndexObjects() {
-  // Each object's full signature set, deduplicated per object, gathered
-  // per signature (objects are visited in index order, so every list
-  // ascends), then frozen into the store in ascending SigId order.
-  std::unordered_map<SigId, std::vector<int32_t>> lists;
+  // Each object's full signature set, deduplicated per object: object
+  // slot's ids are ids[id_offset[slot], id_offset[slot + 1]). The keys
+  // are their union, ascending; each id then becomes its key's slot.
   std::vector<SigId> ids;
-  for (size_t slot = 0; slot < objects_.size(); ++slot) {
-    ids.clear();
-    for (const Signature& sig : signatures_.Generate(objects_[slot])) ids.push_back(sig.id);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    const int32_t index = base_total_ + static_cast<int32_t>(slot);
-    for (const SigId id : ids) lists[id].push_back(index);
+  std::vector<int64_t> id_offset{0};
+  id_offset.reserve(objects_.size() + 1);
+  for (const Object& object : objects_) {
+    const auto start = static_cast<std::ptrdiff_t>(ids.size());
+    for (const Signature& sig : signatures_.Generate(object)) ids.push_back(sig.id);
+    std::sort(ids.begin() + start, ids.end());
+    ids.erase(std::unique(ids.begin() + start, ids.end()), ids.end());
+    id_offset.push_back(static_cast<int64_t>(ids.size()));
   }
-  std::vector<SigId> keys;
-  keys.reserve(lists.size());
-  for (const auto& [id, list] : lists) keys.push_back(id);
+  std::vector<SigId>& keys = postings_.keys;
+  keys = ids;
   std::sort(keys.begin(), keys.end());
-  PostingStore::Builder builder;
-  for (const SigId id : keys) {
-    const std::vector<int32_t>& list = lists.at(id);
-    builder.Add(id, list.data(), static_cast<int32_t>(list.size()));
-  }
-  store_ = builder.Finish();
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<int32_t> slots(ids.size());
+  for (size_t k = 0; k < ids.size(); ++k) slots[k] = postings_.Find(ids[k]);
+  // Objects are emitted in index order, so every list ascends.
+  postings_.lists = PostingStore::Build(static_cast<int32_t>(keys.size()), [&](auto&& emit) {
+    for (size_t slot = 0; slot < objects_.size(); ++slot) {
+      const int32_t index = base_total_ + static_cast<int32_t>(slot);
+      for (int64_t k = id_offset[slot]; k < id_offset[slot + 1]; ++k) {
+        emit(slots[static_cast<size_t>(k)], index);
+      }
+    }
+  });
 }
 
 void KJoinIndex::FindEmptyObjects() {
@@ -158,8 +168,9 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
   auto df_of = [&](SigId id) {
     int64_t df = 0;
     for (size_t l = 0; l < num_layers; ++l) {
-      const int32_t slot = layers[l]->store_.Find(id);
-      if (slot >= 0) df += layers[l]->store_.length(slot);
+      const SignaturePostings& postings = layers[l]->postings_;
+      const int32_t slot = postings.Find(id);
+      if (slot >= 0) df += postings.lists.length(slot);
     }
     return df;
   };
@@ -236,9 +247,9 @@ std::vector<int32_t> KJoinIndex::Candidates(const Object& query, const SearchBou
     previous = sigs[k].id;
     have_previous = true;
     for (size_t l = 0; l < num_layers; ++l) {
-      const PostingStore& store = layers[l]->store_;
-      const int32_t slot = store.Find(sigs[k].id);
-      if (slot >= 0) probe_set.Add(store.docs(slot), store.length(slot));
+      const SignaturePostings& postings = layers[l]->postings_;
+      const int32_t slot = postings.Find(sigs[k].id);
+      if (slot >= 0) probe_set.Add(postings.lists.docs(slot), postings.lists.length(slot));
     }
   }
 
@@ -261,53 +272,55 @@ void KJoinIndex::Flatten(std::vector<Object>* objects, RestoredParts* parts) con
 
   objects->clear();
   objects->reserve(static_cast<size_t>(num_indexed()));
-  std::unordered_set<int32_t> dead;
+  parts->lca = lca_;
+  std::vector<int32_t>& tombstones = parts->tombstones;
+  tombstones.clear();
   for (const KJoinIndex* layer : layers) {
     // Dead objects are kept in place: chain-global indexes stay stable
     // across a flatten, so published hits and WAL deletes keep meaning
     // the same rows.
     objects->insert(objects->end(), layer->objects_.begin(), layer->objects_.end());
-    dead.insert(layer->dead_.begin(), layer->dead_.end());
+    tombstones.insert(tombstones.end(), layer->dead_.begin(), layer->dead_.end());
   }
+  std::sort(tombstones.begin(), tombstones.end());
+  tombstones.erase(std::unique(tombstones.begin(), tombstones.end()), tombstones.end());
+  std::vector<char> dead(static_cast<size_t>(num_indexed()), 0);
+  for (const int32_t index : tombstones) dead[static_cast<size_t>(index)] = 1;
+  const auto live = [&dead](int32_t doc) { return dead[static_cast<size_t>(doc)] == 0; };
 
-  parts->lca = lca_;
-  parts->tombstones.assign(dead.begin(), dead.end());
-  std::sort(parts->tombstones.begin(), parts->tombstones.end());
+  // The keys: every layer's signatures that still have a live carrier,
+  // ascending. A signature all of whose carriers died must not leave an
+  // empty list behind (the snapshot format forbids them, and df counts
+  // would skew).
+  SignaturePostings& merged = parts->postings;
+  merged.keys.clear();
+  for (const KJoinIndex* layer : layers) {
+    const SignaturePostings& postings = layer->postings_;
+    for (int32_t slot = 0; slot < postings.lists.num_slots(); ++slot) {
+      if (std::any_of(postings.lists.docs(slot), postings.lists.docs_end(slot), live)) {
+        merged.keys.push_back(postings.keys[static_cast<size_t>(slot)]);
+      }
+    }
+  }
+  std::sort(merged.keys.begin(), merged.keys.end());
+  merged.keys.erase(std::unique(merged.keys.begin(), merged.keys.end()), merged.keys.end());
 
-  // Union of every layer's signatures, ascending, then one merged list
-  // per signature fed straight to the CSR builder. Layers are ordered
+  // Each layer's live entries, emitted layer by layer. Layers are ordered
   // deepest base first and each layer only indexes objects past its base,
   // so concatenating per-layer lists keeps doc ids ascending without a
   // sort.
-  std::vector<SigId> keys;
-  for (const KJoinIndex* layer : layers) {
-    for (int32_t slot = 0; slot < layer->store_.num_lists(); ++slot) {
-      keys.push_back(layer->store_.key(slot));
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  PostingStore::Builder builder;
-  std::vector<int32_t> merged;
-  for (const SigId id : keys) {
-    merged.clear();
+  merged.lists = PostingStore::Build(static_cast<int32_t>(merged.keys.size()), [&](auto&& emit) {
     for (const KJoinIndex* layer : layers) {
-      const int32_t slot = layer->store_.Find(id);
-      if (slot >= 0) {
-        const int32_t* docs = layer->store_.docs(slot);
-        const int32_t n = layer->store_.length(slot);
-        for (int32_t v = 0; v < n; ++v) {
-          if (dead.find(docs[v]) == dead.end()) merged.push_back(docs[v]);
+      const SignaturePostings& postings = layer->postings_;
+      for (int32_t slot = 0; slot < postings.lists.num_slots(); ++slot) {
+        const int32_t to = merged.Find(postings.keys[static_cast<size_t>(slot)]);
+        for (const int32_t* doc = postings.lists.docs(slot); doc != postings.lists.docs_end(slot);
+             ++doc) {
+          if (live(*doc)) emit(to, *doc);
         }
       }
     }
-    // A signature all of whose carriers died must not leave an empty list
-    // behind (the snapshot format forbids them, and df counts would skew).
-    if (merged.empty()) continue;
-    builder.Add(id, merged.data(), static_cast<int32_t>(merged.size()));
-  }
-  parts->postings = builder.Finish();
+  });
 }
 
 Status KJoinIndex::SearchTopK(const Object& query, int32_t k, double min_similarity,

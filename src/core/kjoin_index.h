@@ -140,6 +140,18 @@ struct SearchStats {
   VerifyStats verify;
 };
 
+// One layer's signature inverted index, as the snapshot's POST section
+// stores it: signature keys[slot]'s carriers are lists' slot. Keys ascend
+// strictly; each list holds the carrying objects' chain-global indexes,
+// ascending, and is never empty.
+struct SignaturePostings {
+  std::vector<SigId> keys;
+  PostingStore lists;
+
+  // Slot of `id`, or -1.
+  int32_t Find(SigId id) const;
+};
+
 class KJoinIndex {
  public:
   // Copies `objects` into the index. The hierarchy must outlive the
@@ -151,12 +163,11 @@ class KJoinIndex {
   // supplied instead of being re-derived from `objects` (serve/snapshot.h
   // restores them from disk; serve/index_manager.h shares them across
   // epochs). `lca` may be shared between indexes over the same hierarchy;
-  // `postings` is the CSR store holding exactly the posting lists the
-  // flat build would produce; `tombstones` are the deleted object indexes
-  // (sorted or not).
+  // `postings` holds exactly the posting lists the flat build would
+  // produce; `tombstones` are the deleted object indexes (sorted or not).
   struct RestoredParts {
     std::shared_ptr<const LcaIndex> lca;  // null = build from the hierarchy
-    PostingStore postings;
+    SignaturePostings postings;
     std::vector<int32_t> tombstones;
   };
   KJoinIndex(const Hierarchy& hierarchy, KJoinOptions options, std::vector<Object> objects,
@@ -242,7 +253,7 @@ class KJoinIndex {
 
   // Collapses the chain into flat parts: the full object collection
   // (dead objects kept in place so indexes stay stable), merged postings
-  // re-frozen into one CSR store with tombstoned entries dropped, and the
+  // built into one CSR store with tombstoned entries dropped, and the
   // union of tombstones sorted ascending. Feeding the results to the
   // RestoredParts constructor yields a flat index that answers every
   // query identically — no signature regeneration, O(total postings)
@@ -250,12 +261,12 @@ class KJoinIndex {
   void Flatten(std::vector<Object>* objects, RestoredParts* parts) const;
 
   // THIS layer's postings: signature -> objects of this layer carrying it
-  // (full sets, deduplicated per object, chain-global indexes, ascending
-  // SigId order). The snapshot writer serializes them as they are.
-  const PostingStore& postings() const { return store_; }
+  // (full sets, deduplicated per object, chain-global indexes). The
+  // snapshot writer serializes them as they are.
+  const SignaturePostings& postings() const { return postings_; }
   // Posting entries stored by THIS layer. The serving layer sizes epochs
   // by this; benches report it.
-  int64_t posting_entries() const { return store_.num_entries(); }
+  int64_t posting_entries() const { return postings_.lists.num_entries(); }
 
   std::shared_ptr<const LcaIndex> shared_lca() const { return lca_; }
 
@@ -267,8 +278,8 @@ class KJoinIndex {
   // accounted in `stats` (which may be null).
   std::vector<int32_t> Candidates(const Object& query, const SearchBound& bound,
                                   SearchStats* stats) const;
-  // Builds store_ from this layer's objects (the flat build and the delta
-  // constructor; restores adopt a store instead).
+  // Builds postings_ from this layer's objects (the flat build and the
+  // delta constructor; restores adopt postings instead).
   void IndexObjects();
   // Fills empty_ from this layer's objects (every constructor).
   void FindEmptyObjects();
@@ -300,7 +311,7 @@ class KJoinIndex {
   // signature -> objects of THIS layer carrying it (see postings()). The
   // chain-summed list length doubles as the signature's document
   // frequency for ordering query prefixes.
-  PostingStore store_;
+  SignaturePostings postings_;
 };
 
 }  // namespace kjoin

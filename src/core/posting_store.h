@@ -1,43 +1,27 @@
 #ifndef KJOIN_CORE_POSTING_STORE_H_
 #define KJOIN_CORE_POSTING_STORE_H_
 
-// CSR postings layout (docs/performance.md, "Frozen CSR postings").
+// The frozen CSR inverted index behind every prefix filter (paper §3.3;
+// docs/performance.md, "Frozen CSR postings"): num_slots() lists over
+// dense slots 0..num_slots(), as two arrays
 //
-// Every KJoinIndex layer holds its postings here, built once when the
-// layer is constructed (the flat build, a delta layer, Flatten output,
-// snapshot loads), as the same three arrays the snapshot's POST section
-// stores:
+//   offsets_  per-slot cumulative entry counts (num_slots + 1 entries)
+//   docs_     every slot's entries, concatenated in slot order
 //
-//   keys_     SigId per list, strictly ascending — binary-searched
-//   offsets_  per-list cumulative doc counts (lists + 1 entries)
-//   docs_     every list's doc ids, concatenated in key order
-//
-// Lists are read in place: docs(slot) points straight into docs_.
+// A slot is whatever dense key the caller chose: a global signature rank
+// (the join, the baselines) or a position in a sorted SigId key array
+// (KJoinIndex layers). Each list keeps the order its entries were
+// emitted in. Lists are read in place: docs(slot) points into docs_.
 
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
-#include "core/signature.h"
 
 namespace kjoin {
 
 class PostingStore {
  public:
-  // Appends lists in strictly-ascending SigId order with strictly-
-  // ascending, non-negative, non-empty doc lists; Finish() yields the
-  // frozen store.
-  class Builder {
-   public:
-    void Add(SigId id, const int32_t* docs, int32_t count);
-    PostingStore Finish();
-
-   private:
-    std::vector<SigId> keys_;
-    std::vector<int64_t> offsets_{0};
-    std::vector<int32_t> docs_;
-  };
-
   PostingStore() = default;
 
   PostingStore(const PostingStore&) = delete;
@@ -45,31 +29,55 @@ class PostingStore {
   PostingStore(PostingStore&&) = default;
   PostingStore& operator=(PostingStore&&) = default;
 
-  int32_t num_lists() const { return static_cast<int32_t>(keys_.size()); }
-  bool empty() const { return keys_.empty(); }
-  // Total doc entries across every list.
+  // The one build: a count pass, then a fill pass, each a call of
+  // for_each_entry(emit) that calls emit(slot, doc) for every entry, slot
+  // in [0, num_slots). Both calls emit the same entries in the same order,
+  // except that a caller who gives up mid-build may stop the fill pass
+  // early; the lists are then incomplete and must not be read.
+  template <typename ForEachEntry>
+  static PostingStore Build(int32_t num_slots, const ForEachEntry& for_each_entry) {
+    PostingStore store;
+    std::vector<int64_t>& offsets = store.offsets_;
+    offsets.assign(static_cast<size_t>(num_slots) + 1, 0);
+    for_each_entry([&offsets](int32_t slot, int32_t) {
+      KJOIN_DCHECK(slot >= 0 && static_cast<size_t>(slot) + 1 < offsets.size());
+      ++offsets[static_cast<size_t>(slot) + 1];
+    });
+    for (size_t s = 1; s < offsets.size(); ++s) offsets[s] += offsets[s - 1];
+    store.docs_.resize(static_cast<size_t>(offsets.back()));
+    std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
+    int32_t* docs = store.docs_.data();
+    for_each_entry([&cursor, docs](int32_t slot, int32_t doc) {
+      docs[cursor[static_cast<size_t>(slot)]++] = doc;
+    });
+    return store;
+  }
+
+  // Takes the two arrays whole (a snapshot load, which has validated
+  // them: offsets start at 0, never decrease and end at docs.size()).
+  static PostingStore Adopt(std::vector<int64_t> offsets, std::vector<int32_t> docs);
+
+  int32_t num_slots() const { return static_cast<int32_t>(offsets_.size() - 1); }
+  // Total entries across every list.
   int64_t num_entries() const { return static_cast<int64_t>(docs_.size()); }
 
-  // Slot of `id`, or -1. Slots index the CSR tables, 0..num_lists).
-  int32_t Find(SigId id) const;
-
-  SigId key(int32_t slot) const { return keys_[static_cast<size_t>(slot)]; }
   int32_t length(int32_t slot) const {
     const auto s = static_cast<size_t>(slot);
     return static_cast<int32_t>(offsets_[s + 1] - offsets_[s]);
   }
-  // The slot's list, length(slot) ascending doc ids.
+  // The slot's list: length(slot) entries in emitted order.
   const int32_t* docs(int32_t slot) const {
     return docs_.data() + offsets_[static_cast<size_t>(slot)];
   }
+  const int32_t* docs_end(int32_t slot) const {
+    return docs_.data() + offsets_[static_cast<size_t>(slot) + 1];
+  }
 
-  // The three arrays whole, for the snapshot writer.
-  const std::vector<SigId>& keys() const { return keys_; }
+  // The two arrays whole, for the snapshot writer.
   const std::vector<int64_t>& offsets() const { return offsets_; }
   const std::vector<int32_t>& all_docs() const { return docs_; }
 
  private:
-  std::vector<SigId> keys_;
   std::vector<int64_t> offsets_{0};
   std::vector<int32_t> docs_;
 };

@@ -26,10 +26,11 @@
 // Response payload:
 //   u64 id            — echo of the request id
 //   u32 code          — StatusCode numeric value (kOk = 0)
-//   i64 retry_after_ms— backoff hint for read-only write rejections
-//                       (lifted from the Status message by
-//                       serve::RetryAfterMs); 0 = no hint
-//   str message       — human-readable status message ("" when ok)
+//   i64 retry_after_ms— backoff hint for read-only write rejections,
+//                       parsed from the Status message by
+//                       serve::RetryAfterMs; 0 = no hint
+//   str message       — the whole Status message ("" when ok); a hint's
+//                       "retry_after_ms=" text stays in it for logs
 //   ... kind-specific body (see NetResponse)
 //
 // Corruption handling: a frame whose magic, size, or CRC is wrong is a
@@ -123,8 +124,9 @@ Status DecodeResponsePayload(std::string_view payload, NetResponse* out);
 // Prepends the 16-byte frame header (magic, CRC, size) to `payload`.
 std::string WrapFrame(std::string_view payload);
 
-// Convenience: build a response carrying `status` (code, message, and
-// the retry_after_ms hint lifted out of the message) echoing `id`.
+// Convenience: build a response carrying `status` echoing `id`: its
+// code, its whole message (any "retry_after_ms=" text included), and the
+// hint's number parsed into retry_after_ms.
 NetResponse ResponseFromStatus(uint64_t id, const Status& status);
 
 // Incremental frame assembly over an arbitrary byte stream. Feed

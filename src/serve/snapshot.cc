@@ -109,12 +109,12 @@ void WriteSynonyms(const std::vector<std::pair<std::string, std::string>>& synon
   }
 }
 
-// Version-3 POST payload: the CSR form, the store's three raw arrays
-// (keys ascend, so identical indexes serialize to identical bytes).
-void WritePostings(const PostingStore& postings, ByteWriter* w) {
-  w->RawVec(postings.keys());
-  w->RawVec(postings.offsets());
-  w->RawVec(postings.all_docs());
+// Version-3 POST payload: the CSR form, the keys and the store's two raw
+// arrays (keys ascend, so identical indexes serialize to identical bytes).
+void WritePostings(const SignaturePostings& postings, ByteWriter* w) {
+  w->RawVec(postings.keys);
+  w->RawVec(postings.lists.offsets());
+  w->RawVec(postings.lists.all_docs());
 }
 
 void WriteDurability(int64_t durable_seq, const std::vector<int32_t>& tombstones,
@@ -256,8 +256,8 @@ StatusOr<std::vector<Object>> ParseObjects(std::string_view payload, const std::
   return objects;
 }
 
-StatusOr<PostingStore> ParsePostings(std::string_view payload, const std::string& label,
-                                     int64_t num_objects) {
+StatusOr<SignaturePostings> ParsePostings(std::string_view payload, const std::string& label,
+                                          int64_t num_objects) {
   ByteReader r(payload, label);
   std::vector<SigId> keys;
   std::vector<int64_t> list_offsets;
@@ -270,9 +270,8 @@ StatusOr<PostingStore> ParsePostings(std::string_view payload, const std::string
       list_offsets.back() != static_cast<int64_t>(docs.size())) {
     return InvalidArgumentError(label + ": posting offset table shape mismatch");
   }
-  // Each validated list feeds the CSR builder directly, no map and no
-  // re-sort — the on-disk order IS the index order.
-  PostingStore::Builder builder;
+  // The on-disk arrays ARE the index: validated in place, then adopted
+  // whole, no map and no re-sort.
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0 && keys[i] <= keys[i - 1]) {
       return InvalidArgumentError(label + ": signature ids not strictly increasing");
@@ -298,9 +297,9 @@ StatusOr<PostingStore> ParsePostings(std::string_view payload, const std::string
       }
       last = docs[j];
     }
-    builder.Add(keys[i], docs.data() + begin, static_cast<int32_t>(end - begin));
   }
-  return builder.Finish();
+  return SignaturePostings{std::move(keys),
+                           PostingStore::Adopt(std::move(list_offsets), std::move(docs))};
 }
 
 struct Durability {

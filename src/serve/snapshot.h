@@ -27,9 +27,9 @@
 //
 // Format version 3 re-lays the POST section as the CSR postings form
 // (core/posting_store.h): one SigId key array (ascending), one
-// list-offset array, one flat doc array — written straight off the frozen
-// store, validated into a PostingStore on load. No map is built on
-// either side.
+// list-offset array, one flat doc array — written straight off a layer's
+// SignaturePostings, validated in place and adopted whole on load. No map
+// is built on either side.
 //
 // Format version 4 drops the two similarity-cache fields from OPTS.
 //

@@ -14,9 +14,10 @@
 //   if (std::optional<int64_t> ms = RetryAfterMs(status)) Backoff(*ms);
 //
 // The field grammar is "retry_after_ms=<decimal>" anywhere in the
-// message, which keeps the hint readable in logs while staying parseable
-// — the network protocol (net/protocol.h) lifts it into its own wire
-// field so remote clients never see the string form at all.
+// message, which keeps the hint readable in logs while staying parseable.
+// The network protocol (net/protocol.h) sends both forms: the reply's
+// message is the whole Status message, "retry_after_ms=" text included,
+// and its retry_after_ms field carries the number parsed from it.
 
 #include <cstdint>
 #include <optional>

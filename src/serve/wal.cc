@@ -393,7 +393,7 @@ StatusOr<WalReplayResult> WriteAheadLog::Replay(const std::string& path,
   for (size_t i = 0; i < scan.payloads.size(); ++i) {
     const std::string label = path + " record " + std::to_string(i);
     wire::ByteReader r(scan.payloads[i], label);
-    int64_t sequence;
+    int64_t sequence = 0;
     KJOIN_RETURN_IF_ERROR(r.I64(&sequence));
     if (have_previous && sequence != previous_sequence + 1) {
       return DataLossError(label + ": sequence " + std::to_string(sequence) +
@@ -415,7 +415,7 @@ StatusOr<WalReplayResult> WriteAheadLog::Replay(const std::string& path,
 
     WalRecord record;
     record.sequence = sequence;
-    uint8_t has_tokens;
+    uint8_t has_tokens = 0;
     KJOIN_RETURN_IF_ERROR(r.U8(&has_tokens));
     if (has_tokens != 0) {
       uint64_t base;

@@ -153,12 +153,13 @@ TEST_F(SearchFixture, DeltaChainWithTombstonesMatchesBruteForce) {
   const KJoinIndex whole(data_.hierarchy, options_, all);
   std::vector<int32_t> carriers;
   SigId emptied = 0;
-  for (int32_t slot = 0; slot < whole.postings().num_lists() && carriers.empty(); ++slot) {
-    const int32_t length = whole.postings().length(slot);
-    const int32_t* docs = whole.postings().docs(slot);
+  const PostingStore& lists = whole.postings().lists;
+  for (int32_t slot = 0; slot < lists.num_slots() && carriers.empty(); ++slot) {
+    const int32_t length = lists.length(slot);
+    const int32_t* docs = lists.docs(slot);
     if (length >= 2 && length <= 4 && docs[0] < a && docs[length - 1] >= b) {
       carriers.assign(docs, docs + length);
-      emptied = whole.postings().key(slot);
+      emptied = whole.postings().keys[static_cast<size_t>(slot)];
     }
   }
   ASSERT_FALSE(carriers.empty()) << "no short signature list spans the chain";

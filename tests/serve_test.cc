@@ -842,8 +842,7 @@ TEST(IndexManagerTest, SaveSnapshotAndLoadFrom) {
 // ------------------------------------------- the one-shard router
 
 // The unsharded front end: the router over one LocalShard that covers a
-// whole IndexManager. The suite keeps its historical SearchServiceTest
-// name so the case IDs stay stable.
+// whole IndexManager.
 struct OneShardRouter {
   explicit OneShardRouter(ThreadPool* pool, serve::ShardRouterOptions options = {},
                           MetricsRegistry* metrics = nullptr)
@@ -856,7 +855,7 @@ struct OneShardRouter {
   serve::ShardRouter router;
 };
 
-TEST(SearchServiceTest, ThresholdAndTopKBasics) {
+TEST(OneShardRouterTest, ThresholdAndTopKBasics) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
   OneShardRouter stack(&pool, {}, &metrics);
@@ -886,7 +885,7 @@ TEST(SearchServiceTest, ThresholdAndTopKBasics) {
   EXPECT_EQ(metrics.histogram("router.latency_seconds")->count(), 2);
 }
 
-TEST(SearchServiceTest, PreCancelledAndTinyDeadline) {
+TEST(OneShardRouterTest, PreCancelledAndTinyDeadline) {
   ThreadPool pool(2);
   MetricsRegistry metrics;
   OneShardRouter stack(&pool, {}, &metrics);
@@ -911,7 +910,7 @@ TEST(SearchServiceTest, PreCancelledAndTinyDeadline) {
 // Regression for the min_similarity sentinel bug: only values < 0 mean
 // "unset", so an explicit floor of 0.0 reaches the index's validation
 // instead of silently becoming tau.
-TEST(SearchServiceTest, ExplicitZeroMinSimilarityReachesTheIndex) {
+TEST(OneShardRouterTest, ExplicitZeroMinSimilarityReachesTheIndex) {
   ThreadPool pool(2);
   OneShardRouter stack(&pool);
   serve::ShardRouter& router = stack.router;
@@ -946,7 +945,7 @@ TEST(SearchServiceTest, ExplicitZeroMinSimilarityReachesTheIndex) {
 
 // Eight clients with deadlines armed (but sized to never trip) return
 // exactly the serial answers. Runs under the tsan preset.
-TEST(SearchServiceTest, EightClientsIdenticalToSerial) {
+TEST(OneShardRouterTest, EightClientsIdenticalToSerial) {
   ThreadPool pool(2);
   serve::ShardRouterOptions options;
   options.default_deadline_seconds = 3600; // armed, never trips

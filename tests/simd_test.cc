@@ -6,7 +6,8 @@
 //    input, in either argument order and at every byte offset of either
 //    pointer (the kernel's loads are unaligned, and a SignatureSketch is
 //    not 16-byte aligned inside its ObjectGroupPlan);
-//  * a PostingStore hands back exactly the lists it was built from.
+//  * PostingStore::Build hands back each list in exactly the order its
+//    entries were emitted.
 //
 // Join and search results across thread counts are covered by
 // ThreadingDeterminismTest and by the brute-force oracles in shard_test
@@ -16,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -26,16 +26,6 @@
 
 namespace kjoin {
 namespace {
-
-// Sorted, deduplicated random doc list in [0, universe).
-std::vector<int32_t> RandomDocs(Rng& rng, int32_t max_len, int32_t universe) {
-  const int32_t len = 1 + static_cast<int32_t>(rng.NextUint64(static_cast<uint64_t>(max_len)));
-  std::set<int32_t> docs;
-  while (static_cast<int32_t>(docs.size()) < len) {
-    docs.insert(static_cast<int32_t>(rng.NextUint64(static_cast<uint64_t>(universe))));
-  }
-  return std::vector<int32_t>(docs.begin(), docs.end());
-}
 
 int32_t ReferenceMinSum(const uint8_t* a, const uint8_t* b) {
   int32_t sum = 0;
@@ -85,41 +75,39 @@ TEST(SimdKernelTest, SketchMinSumMatchesScalarAtEveryLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// PostingStore round-trips.
+// PostingStore::Build, the one CSR build.
 
-TEST(PostingStoreTest, BuildDecodeRoundTrip) {
+TEST(PostingStoreTest, BuildKeepsEmittedOrder) {
   Rng rng(74);
   for (int iter = 0; iter < 30; ++iter) {
-    PostingStore::Builder builder;
-    std::vector<std::pair<SigId, std::vector<int32_t>>> lists;
-    SigId id = 0;
-    const int num_lists = 1 + static_cast<int>(rng.NextUint64(40));
-    for (int l = 0; l < num_lists; ++l) {
-      id += 1 + static_cast<SigId>(rng.NextUint64(1 << 20));
-      lists.emplace_back(id, RandomDocs(rng, 500, 1 << 15));
-      builder.Add(id, lists.back().second.data(),
-                  static_cast<int32_t>(lists.back().second.size()));
+    // Entries in random caller order: docs unsorted and repeating, every
+    // third slot left empty, and some rounds with no slot or no entry.
+    const auto num_slots = static_cast<int32_t>(rng.NextUint64(40));
+    const int num_draws =
+        (num_slots == 0 || iter % 5 == 0) ? 0 : static_cast<int>(rng.NextUint64(2000));
+    std::vector<std::pair<int32_t, int32_t>> entries;
+    std::vector<std::vector<int32_t>> expected(static_cast<size_t>(num_slots));
+    for (int e = 0; e < num_draws; ++e) {
+      const auto slot = static_cast<int32_t>(rng.NextUint64(static_cast<uint64_t>(num_slots)));
+      if (slot % 3 == 1) continue;
+      const auto doc = static_cast<int32_t>(rng.NextUint64(1 << 15));
+      entries.emplace_back(slot, doc);
+      expected[static_cast<size_t>(slot)].push_back(doc);
     }
-    const PostingStore store = builder.Finish();
-    ASSERT_EQ(store.num_lists(), num_lists);
-    int64_t entries = 0;
-    for (const auto& [key, docs] : lists) entries += static_cast<int64_t>(docs.size());
-    EXPECT_EQ(store.num_entries(), entries);
-    for (const auto& [key, docs] : lists) {
-      const int32_t slot = store.Find(key);
-      ASSERT_GE(slot, 0);
-      ASSERT_EQ(store.length(slot), static_cast<int32_t>(docs.size()));
-      const int32_t* stored = store.docs(slot);
-      EXPECT_TRUE(std::equal(stored, stored + store.length(slot), docs.begin()));
-    }
-    EXPECT_EQ(store.Find(id + 1), -1);
-    // Slots walk every list ascending with the same payloads.
-    for (int32_t slot = 0; slot < store.num_lists(); ++slot) {
-      const auto& [key, docs] = lists[static_cast<size_t>(slot)];
-      EXPECT_EQ(store.key(slot), key);
-      ASSERT_EQ(store.length(slot), static_cast<int32_t>(docs.size()));
-      EXPECT_TRUE(std::equal(store.docs(slot), store.docs(slot) + store.length(slot),
-                             docs.begin()));
+    const PostingStore built = PostingStore::Build(num_slots, [&](auto&& emit) {
+      for (const auto& [slot, doc] : entries) emit(slot, doc);
+    });
+    // Adopting the built arrays yields the same store.
+    const PostingStore adopted = PostingStore::Adopt(built.offsets(), built.all_docs());
+    for (const PostingStore* store : {&built, &adopted}) {
+      ASSERT_EQ(store->num_slots(), num_slots);
+      EXPECT_EQ(store->num_entries(), static_cast<int64_t>(entries.size()));
+      for (int32_t slot = 0; slot < num_slots; ++slot) {
+        const std::vector<int32_t>& list = expected[static_cast<size_t>(slot)];
+        ASSERT_EQ(store->length(slot), static_cast<int32_t>(list.size())) << "slot " << slot;
+        ASSERT_EQ(store->docs_end(slot) - store->docs(slot), store->length(slot));
+        EXPECT_TRUE(std::equal(list.begin(), list.end(), store->docs(slot))) << "slot " << slot;
+      }
     }
   }
 }
